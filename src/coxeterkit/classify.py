@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic
 from .errors import (
-    GuardError,
     InternalInconsistencyError,
     UnsupportedTypeError,
     ValidationError,

@@ -8,7 +8,8 @@ Commands:
     coxeterkit verify <type>       run the invariant suite for one type
 
 Exit codes: 0 success/finite, 1 input error, 2 not finite (or failed
-verification), 3 unsupported type or guard exceeded.  Output is
+verification), 3 unsupported type or guard exceeded, 4 internal error (two
+independent computations disagreed: a bug, not bad input).  Output is
 byte-deterministic for a fixed command and input.
 """
 
@@ -18,14 +19,18 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .classify import TypeLabel, classify, parse_type_label
+from .classify import classify, parse_type_label
 from .cyclotomic import Cyclotomic
-from .errors import GuardError, UnsupportedTypeError, ValidationError
+from .errors import (
+    GuardError,
+    InternalInconsistencyError,
+    UnsupportedTypeError,
+    ValidationError,
+)
 from .families import (
     dihedral_irreducibles,
     dn_irreducibles,
     hyperoctahedral_dimensions,
-    hyperoctahedral_irreducibles,
     irreducible_characters,
 )
 from .graphs import parse_graph_json
@@ -38,6 +43,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_FINITE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 def format_value(v, float_mode: bool = False) -> str:
@@ -58,11 +64,6 @@ def _dim_int(v) -> int:
 def _class_headers(domain) -> list[str]:
     classes = domain.classes
     return [f"{element_text(rep)} [{size}]" for rep, size in zip(classes.reps, classes.sizes)]
-
-
-def _chartable_rows(label: TypeLabel) -> list[ClassFunction]:
-    chars = irreducible_characters(label)
-    return chars
 
 
 def _print_table(chars: list[ClassFunction], fmt: str, float_mode: bool, out) -> None:
@@ -124,7 +125,7 @@ def cmd_classify(args, out) -> int:
 
 def cmd_chartable(args, out) -> int:
     label = parse_type_label(args.type)
-    chars = _chartable_rows(label)
+    chars = irreducible_characters(label)
     _print_table(chars, args.format, args.float, out)
     return EXIT_OK
 
@@ -249,6 +250,9 @@ def main(argv=None, out=None) -> int:
     except ValidationError as e:
         out.write(f"error: {e}\n")
         return EXIT_INPUT
+    except InternalInconsistencyError as e:
+        out.write(f"internal error: {e}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

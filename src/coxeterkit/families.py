@@ -2,10 +2,10 @@
 
 B_n is handled by the little-group method over its normal sign subgroup:
 orbits of sign characters, block stabilizers S_a x S_b, extension, and
-brute-force induction.  D_n (n = 4 here) restricts the B_n characters down
-its index-2 inclusion; the two halves of each self-paired character are
-separated by explicitly splitting the induced module with a commutant
-eigenspace.  I2(m) induces from its rotation subgroup.
+induction by the class-size formula.  D_n (n = 4 here) restricts the B_n
+characters down its index-2 inclusion; the two halves of each self-paired
+character are separated by explicitly splitting the induced module with a
+commutant eigenspace.  I2(m) induces from its rotation subgroup.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from .reps import (
     Representation,
     Subgroup,
     induce_character,
-    inner_product,
     restrict_character,
 )
 from .specht import (
+    _block_permutations,
     hook_dimension,
     partition_text,
     partitions_of,
@@ -149,19 +149,8 @@ def sign_character_orbits(n: int) -> list[tuple[SignCharacter, Subgroup]]:
             out.append((rep, None))
             continue
         blocks = [list(range(a)), list(range(a, n))]
-        elements = _block_perms(n, blocks)
+        elements = _block_permutations(n, blocks)
         out.append((rep, Subgroup(sn, elements, verify=False)))
-    return out
-
-
-def _block_perms(n: int, blocks) -> list[Permutation]:
-    out = []
-    for assignment in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        img = list(range(n))
-        for block, perm in zip(blocks, assignment):
-            for src, dst in zip(block, perm):
-                img[src] = dst
-        out.append(Permutation(img))
     return out
 
 
@@ -177,7 +166,7 @@ def _block_cycle_types(p: Permutation, a: int) -> tuple[tuple[int, ...], tuple[i
 def _little_subgroup(n: int, a: int) -> Subgroup:
     """(sign subgroup) x (block permutations S_a x S_b) inside B_n."""
     bn = realize(TypeLabel("B", n))
-    perms = _block_perms(n, [list(range(a)), list(range(a, n))])
+    perms = _block_permutations(n, [list(range(a)), list(range(a, n))])
     elements = [
         SignedPermutation(signs, p)
         for p in perms
@@ -225,8 +214,8 @@ def bn_dimension(n: int, label: BipartitionLabel) -> int:
 def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of B_n; exact.
 
-    Characters are computed by brute-force induction of the extended
-    little-group characters; n is capped where full class data is feasible.
+    Characters are computed by inducing the extended little-group
+    characters; n is capped where full class data is feasible.
     """
     if n < 1:
         raise ValidationError("need n >= 1")

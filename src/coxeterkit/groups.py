@@ -10,6 +10,7 @@ authoritative model.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,13 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValidationError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        # images already known to be a permutation (products, inverses)
+        p = object.__new__(cls)
+        p.images = images
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -55,13 +63,13 @@ class Permutation:
         if self.size != other.size:
             raise ValidationError("permutations act on different point sets")
         img = self.images
-        return Permutation(tuple(img[j] for j in other.images))
+        return Permutation._trusted(tuple([img[j] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.size
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -133,6 +141,14 @@ class SignedPermutation:
         self.perm = perm
 
     @classmethod
+    def _trusted(cls, signs: tuple, perm: Permutation) -> "SignedPermutation":
+        # signs already known to be +-1 of the right length (products, inverses)
+        sp = object.__new__(cls)
+        sp.signs = signs
+        sp.perm = perm
+        return sp
+
+    @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
         return cls((1,) * n, Permutation.identity(n))
 
@@ -161,14 +177,18 @@ class SignedPermutation:
             return NotImplemented
         if self.size != other.size:
             raise ValidationError("signed permutations act on different point sets")
-        sinv = self.perm.inverse()
-        signs = tuple(a * other.signs[sinv(i)] for i, a in enumerate(self.signs))
-        return SignedPermutation(signs, self.perm * other.perm)
+        # sign at perm(j) is self.signs[perm(j)] * other.signs[j]
+        img, mine, theirs = self.perm.images, self.signs, other.signs
+        signs = [0] * len(img)
+        for j, i in enumerate(img):
+            signs[i] = mine[i] * theirs[j]
+        perm = Permutation._trusted(tuple([img[j] for j in other.perm.images]))
+        return SignedPermutation._trusted(tuple(signs), perm)
 
     def inverse(self) -> "SignedPermutation":
-        pinv = self.perm.inverse()
-        signs = tuple(self.signs[self.perm(i)] for i in range(self.size))
-        return SignedPermutation(signs, pinv)
+        img = self.perm.images
+        signs = tuple([self.signs[j] for j in img])
+        return SignedPermutation._trusted(signs, self.perm.inverse())
 
     def __eq__(self, other):
         return (
@@ -283,13 +303,41 @@ class ConjugacyClasses:
         return len(self.reps)
 
 
+def conjugacy_orbits(elements, conjugations) -> ConjugacyClasses:
+    """Classes as orbits of index maps, one map per generator.
+
+    ``conjugations[k][i]`` is the index of g_k * elements[i] * g_k^-1 for a
+    generating set g_k.  Orbits are swept in index order, so each class is
+    represented by its first element in enumeration order.
+    """
+    class_of = [-1] * len(elements)
+    reps, sizes = [], []
+    for i in range(len(elements)):
+        if class_of[i] >= 0:
+            continue
+        cls = len(reps)
+        class_of[i] = cls
+        orbit = [i]
+        for j in orbit:
+            for conj in conjugations:
+                k = conj[j]
+                if class_of[k] < 0:
+                    class_of[k] = cls
+                    orbit.append(k)
+        reps.append(elements[i])
+        sizes.append(len(orbit))
+    return ConjugacyClasses(tuple(reps), tuple(sizes), tuple(class_of))
+
+
 class RealizedGroup:
     """A finite Coxeter group with enumerated elements and Coxeter generators.
 
     ``elements[0]`` is the identity and the element order is canonical for
     the type, so conjugacy classes and all derived data are deterministic.
-    Lazy caches (classes, word factorization, inverses) compute idempotent
-    values, so concurrent readers at worst duplicate work.
+    Index-level routines work on ``generator_tables()`` (order x rank ints)
+    rather than on new element objects.  Lazy caches (tables, classes, word
+    factorization, inverses) compute idempotent values, so concurrent
+    readers at worst duplicate work.
     """
 
     def __init__(self, label: TypeLabel, graph: CoxeterGraph, generators, elements):
@@ -302,6 +350,7 @@ class RealizedGroup:
             raise InternalInconsistencyError("duplicate elements in enumeration")
         if not self.elements[0].is_identity():
             raise InternalInconsistencyError("enumeration must start at the identity")
+        self._tables = None
         self._classes = None
         self._dag = None
         self._inverses = None
@@ -325,34 +374,34 @@ class RealizedGroup:
         self.index_of(b)
         return a * b
 
-    def inverse_index(self, i: int) -> int:
+    def generator_tables(self) -> tuple[tuple[int, ...], ...]:
+        """Left action of each generator on indices: i -> index(s * elements[i])."""
+        if self._tables is None:
+            index, elements = self.index, self.elements
+            self._tables = tuple(
+                tuple([index[s * x] for x in elements]) for s in self.generators
+            )
+        return self._tables
+
+    def _inverse_table(self) -> tuple[int, ...]:
         if self._inverses is None:
-            self._inverses = tuple(self.index[g.inverse()] for g in self.elements)
-        return self._inverses[i]
+            self._inverses = tuple([self.index[g.inverse()] for g in self.elements])
+        return self._inverses
+
+    def inverse_index(self, i: int) -> int:
+        return self._inverse_table()[i]
 
     @property
     def classes(self) -> ConjugacyClasses:
         if self._classes is None:
-            self._classes = self._compute_classes()
+            inv = self._inverse_table()
+            # s x s^-1 = s (s x^-1)^-1
+            conjugations = [
+                [left[inv[left[inv[i]]]] for i in range(self.order)]
+                for left in self.generator_tables()
+            ]
+            self._classes = conjugacy_orbits(self.elements, conjugations)
         return self._classes
-
-    def _compute_classes(self) -> ConjugacyClasses:
-        n = self.order
-        class_of = [-1] * n
-        reps, sizes = [], []
-        for i, x in enumerate(self.elements):
-            if class_of[i] >= 0:
-                continue
-            cls = len(reps)
-            orbit = set()
-            for j, g in enumerate(self.elements):
-                y = g * x * self.elements[self.inverse_index(j)]
-                orbit.add(self.index[y])
-            for k in orbit:
-                class_of[k] = cls
-            reps.append(x)
-            sizes.append(len(orbit))
-        return ConjugacyClasses(tuple(reps), tuple(sizes), tuple(class_of))
 
     def class_of_element(self, el) -> int:
         return self.classes.class_of[self.index_of(el)]
@@ -370,20 +419,18 @@ class RealizedGroup:
             seen = [False] * n
             seen[0] = True
             queue = [0]
-            reached = 1
+            tables = self.generator_tables()
             for cur in queue:
-                x = self.elements[cur]
-                for gi, g in enumerate(self.generators):
-                    j = self.index[g * x]
+                for gi, table in enumerate(tables):
+                    j = table[cur]
                     if not seen[j]:
                         seen[j] = True
                         parent[j] = cur
                         genidx[j] = gi
                         queue.append(j)
-                        reached += 1
-            if reached != n:
+            if len(queue) != n:
                 raise InternalInconsistencyError(
-                    f"generators of {self.label} reach only {reached} of {n} elements"
+                    f"generators of {self.label} reach only {len(queue)} of {n} elements"
                 )
             self._dag = (tuple(parent), tuple(genidx))
         return self._dag
@@ -431,29 +478,32 @@ def _enumerate_closure(generators, identity, bound: int):
 
 @lru_cache(maxsize=None)
 def realize(label: TypeLabel, max_order: int = MAX_ORDER) -> RealizedGroup:
-    """Concrete group for an A/B/D/I2 label, with canonical element order."""
+    """Concrete group for an A/B/D/I2 label, with canonical element order.
+
+    ``max_order`` is only a guard: every budget that admits the type gets the
+    same group object, which is built once.
+    """
     order = coxeter_group_order(label)  # raises UnsupportedTypeError for E/F/H
     if order > max_order:
         raise GuardError(f"|{label}| = {order} exceeds the bound {max_order}")
+    return _build_group(label, order)
+
+
+@lru_cache(maxsize=None)
+def _build_group(label: TypeLabel, order: int) -> RealizedGroup:
     f, n = label.family, label.rank
     graph = catalog_graph(label)
+    # itertools yields valid permutations and signs, so no re-validation
     if f == "A":
         gens = _type_a_generators(n)
-        elements = [Permutation(p) for p in itertools.permutations(range(n + 1))]
-    elif f == "B":
-        gens = _type_b_generators(n)
+        elements = [Permutation._trusted(p) for p in itertools.permutations(range(n + 1))]
+    elif f in ("B", "D"):
+        gens = _type_b_generators(n) if f == "B" else _type_d_generators(n)
         elements = [
-            SignedPermutation(s, Permutation(p))
+            SignedPermutation._trusted(s, Permutation._trusted(p))
             for p in itertools.permutations(range(n))
             for s in itertools.product((1, -1), repeat=n)
-        ]
-    elif f == "D":
-        gens = _type_d_generators(n)
-        elements = [
-            sp
-            for p in itertools.permutations(range(n))
-            for s in itertools.product((1, -1), repeat=n)
-            if (sp := SignedPermutation(s, Permutation(p))).is_even()
+            if f == "B" or math.prod(s) == 1
         ]
     else:
         m = label.bond

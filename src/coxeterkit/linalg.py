@@ -366,7 +366,11 @@ def _field_det(a: list[list]):
 
 
 def _field_rref(a: list[list], ncols: int) -> list[list]:
-    """Forward elimination (not fully reduced) over the first ncols columns."""
+    """Gauss-Jordan elimination over the first ncols columns.
+
+    Each pivot column is cleared above and below its pivot (pivots are not
+    scaled to 1); ``nullspace`` relies on that.
+    """
     r0 = 0
     nrows = len(a)
     for col in range(ncols):

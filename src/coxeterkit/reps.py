@@ -1,9 +1,11 @@
 """Finite-group representation machinery over the concrete realizations.
 
 A Representation stores generator images only; images of arbitrary elements
-are evaluated by walking the group's BFS factorization and memoized.  All
-character arithmetic is exact (Fractions and cyclotomic values); there is
-no floating fallback anywhere in this module.
+are evaluated by walking the group's BFS factorization and memoized.
+Subgroup classes are orbits under conjugation by a generating set, and
+induction uses the class-size formula, so neither sums over the whole
+group.  All character arithmetic is exact (Fractions and cyclotomic
+values); there is no floating fallback anywhere in this module.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ValidationError
-from .groups import ConjugacyClasses, RealizedGroup
-from .linalg import Matrix, as_rational, block_diag, conjugate_scalar, is_zero_scalar
+from .groups import ConjugacyClasses, RealizedGroup, conjugacy_orbits
+from .linalg import Matrix, as_rational, block_diag, conjugate_scalar
 
 
 class Subgroup:
@@ -34,12 +36,10 @@ class Subgroup:
             raise ValidationError("subgroup does not contain the identity")
         if parent.order % len(self.elements):
             raise ValidationError("subgroup order does not divide the group order")
-        if verify:
-            for a in self.elements:
-                for b in self.elements:
-                    if parent.index_of(a * b) not in self._parent_indices:
-                        raise ValidationError("element set is not closed under products")
+        self._generators = None
         self._classes = None
+        if verify:
+            self._generating_set()
 
     @property
     def order(self) -> int:
@@ -61,24 +61,42 @@ class Subgroup:
         except ValidationError:
             return False
 
+    def _generating_set(self) -> list:
+        """Generators picked greedily in element order, closing under each.
+
+        The closure never leaves the element set exactly when the set is
+        closed under products, so this is also the closure check.
+        """
+        if self._generators is None:
+            gens = []
+            reached = {0}
+            for k, x in enumerate(self.elements):
+                if k in reached:
+                    continue
+                gens.append(x)
+                reached = {0}
+                queue = [0]
+                for i in queue:
+                    y = self.elements[i]
+                    for g in gens:
+                        j = self.index.get(g * y)
+                        if j is None:
+                            raise ValidationError("element set is not closed under products")
+                        if j not in reached:
+                            reached.add(j)
+                            queue.append(j)
+            self._generators = gens
+        return self._generators
+
     @property
     def classes(self) -> ConjugacyClasses:
         if self._classes is None:
-            n = self.order
-            class_of = [-1] * n
-            reps, sizes = [], []
-            inv = [x.inverse() for x in self.elements]
-            for i, x in enumerate(self.elements):
-                if class_of[i] >= 0:
-                    continue
-                orbit = set()
-                for g, ginv in zip(self.elements, inv):
-                    orbit.add(self.index[g * x * ginv])
-                for k in orbit:
-                    class_of[k] = len(reps)
-                reps.append(x)
-                sizes.append(len(orbit))
-            self._classes = ConjugacyClasses(tuple(reps), tuple(sizes), tuple(class_of))
+            index = self.index
+            conjugations = []
+            for g in self._generating_set():
+                ginv = g.inverse()
+                conjugations.append([index[g * x * ginv] for x in self.elements])
+            self._classes = conjugacy_orbits(self.elements, conjugations)
         return self._classes
 
     def class_of_element(self, el) -> int:
@@ -276,22 +294,23 @@ def tensor_decompose(chi: ClassFunction, psi: ClassFunction, basis: list[ClassFu
 
 
 def induce_character(chi: ClassFunction, group: RealizedGroup) -> ClassFunction:
-    """Induced character, by the brute-force sum over the whole group.
+    """Induced character, by the class-size formula.
 
-    Ind chi(g) = (1/|H|) * sum over x in G with x^-1 g x in H of chi(x^-1 g x).
+    Ind chi(g) = |C_G(g)|/|H| * sum over H-classes h^H inside g^G of
+    |h^H| chi(h), with |C_G(g)| = |G|/|g^G|.
     """
     sub = chi.domain
     if not isinstance(sub, Subgroup) or sub.parent is not group:
         raise ValidationError("character domain is not a subgroup of the target group")
-    vals = []
-    for rep in group.classes.reps:
-        acc = 0
-        for i, x in enumerate(group.elements):
-            xinv = group.elements[group.inverse_index(i)]
-            y = xinv * rep * x
-            if sub.contains(y):
-                acc = acc + chi.values[sub.class_of_element(y)]
-        vals.append(Fraction(1, sub.order) * acc)
+    gclasses, hclasses = group.classes, sub.classes
+    sums = [0] * gclasses.count
+    for rep, size, value in zip(hclasses.reps, hclasses.sizes, chi.values):
+        k = gclasses.class_of[group.index_of(rep)]
+        sums[k] = sums[k] + size * value
+    vals = [
+        Fraction(group.order, sub.order * size) * acc
+        for size, acc in zip(gclasses.sizes, sums)
+    ]
     out = ClassFunction(group, vals)
     expected_dim = Fraction(group.order, sub.order) * chi.identity_value
     if out.identity_value != expected_dim:
@@ -368,9 +387,9 @@ def regular_representation(group: RealizedGroup) -> Representation:
     """Left-multiplication permutation matrices on the group itself."""
     n = group.order
     mats = []
-    for g in group.generators:
+    for table in group.generator_tables():
         rows = [[0] * n for _ in range(n)]
-        for i, x in enumerate(group.elements):
-            rows[group.index_of(g * x)][i] = 1
+        for i, j in enumerate(table):
+            rows[j][i] = 1
         mats.append(Matrix(rows))
     return Representation(group, mats, name="regular")

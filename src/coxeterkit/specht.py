@@ -16,7 +16,7 @@ from math import gcd
 
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .groups import Permutation, RealizedGroup, realize
+from .groups import Permutation, realize
 from .linalg import Matrix
 from .reps import ClassFunction, GroupAlgebraElement, Representation, Subgroup
 
@@ -214,50 +214,64 @@ def specht_module(shape) -> Representation:
         raise GuardError(f"module construction capped at n = {MODULE_GUARD}")
     group = realize(TypeLabel("A", n - 1))
     c = young_symmetrizer(shape)
-    c_idx = [(group.index_of(g), int(v)) for g, v in c.coeffs.items()]
+    coeffs = [int(v) for v in c.coeffs.values()]
+    tables = group.generator_tables()
+    parent, genidx = group.word_dag()
+    # columns[i]: indices of elements[i] * g over the terms g of c, in the
+    # order of coeffs; elements[i] = s * elements[parent[i]], so a column
+    # tuple is its BFS parent's relabelled through the table of s
+    columns = [None] * group.order
+    columns[0] = tuple(group.index_of(g) for g in c.coeffs)
 
-    def vector_of(g: Permutation) -> dict:
-        # coordinates of g * c in the group-element basis
-        return {group.index_of(g * group.elements[i]): v for i, v in c_idx}
+    def columns_of(i: int) -> tuple:
+        chain = []
+        while columns[i] is None:
+            chain.append(i)
+            i = parent[i]
+        cols = columns[i]
+        for j in reversed(chain):
+            table = tables[genidx[j]]
+            cols = columns[j] = tuple([table[k] for k in cols])
+        return cols
+
+    def vector_of(cols) -> dict:
+        # coordinates of a translate of c in the group-element basis
+        return dict(zip(cols, coeffs))
 
     rows: list[tuple[int, dict]] = []
     basis: list[int] = []
-    for si, sigma in enumerate(group.elements):
-        new = _echelon_insert(rows, vector_of(sigma))
+    for si in range(group.order):
+        new = _echelon_insert(rows, vector_of(columns_of(si)))
         if new is not None:
             rows.append((min(new), new))
             rows.sort(key=lambda t: t[0])
             basis.append(si)
     dim = len(basis)
-    basis_vectors = [vector_of(group.elements[si]) for si in basis]
+    basis_vectors = [vector_of(columns_of(si)) for si in basis]
     pivot_cols = sorted(pc for pc, _ in rows)
     square = Matrix(
         [[Fraction(basis_vectors[j].get(pc, 0)) for j in range(dim)] for pc in pivot_cols]
     )
-    solve_mat = square.inverse()
+    # integer inverse over one common denominator: expand is exact in ints
+    inverse = square.inverse().entries
+    den = math.lcm(*(x.denominator for row in inverse for x in row))
+    solve_int = [[int(x * den) for x in row] for row in inverse]
 
     def expand(vec: dict) -> list[Fraction]:
-        rhs = [Fraction(vec.get(pc, 0)) for pc in pivot_cols]
-        coeffs = [
-            sum((solve_mat.entries[i][k] * rhs[k] for k in range(dim)), Fraction(0))
-            for i in range(dim)
-        ]
-        check: dict[int, Fraction] = {}
-        for j, cf in enumerate(coeffs):
-            if cf:
-                for k, v in basis_vectors[j].items():
-                    t = check.get(k, Fraction(0)) + cf * v
-                    if t:
-                        check[k] = t
-                    else:
-                        check.pop(k, None)
-        if check != {k: Fraction(v) for k, v in vec.items()}:
+        rhs = [vec.get(pc, 0) for pc in pivot_cols]
+        nums = [sum(a * b for a, b in zip(row, rhs)) for row in solve_int]
+        check: dict[int, int] = {}
+        for num, basis_vec in zip(nums, basis_vectors):
+            if num:
+                for k, v in basis_vec.items():
+                    check[k] = check.get(k, 0) + num * v
+        if {k: t for k, t in check.items() if t} != {k: den * v for k, v in vec.items()}:
             raise InternalInconsistencyError("vector escaped the extracted basis")
-        return coeffs
+        return [Fraction(num, den) for num in nums]
 
     mats = []
-    for gen in group.generators:
-        cols = [expand(vector_of(gen * group.elements[si])) for si in basis]
+    for table in tables:
+        cols = [expand(vector_of([table[k] for k in columns_of(si)])) for si in basis]
         mats.append(Matrix(list(zip(*cols))))
     rep = Representation(group, mats, name=partition_text(shape))
     if rep.dim != hook_dimension(shape):

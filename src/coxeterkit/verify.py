@@ -20,7 +20,6 @@ from .classify import (
 from .errors import CoxeterKitError
 from .families import (
     bn_conjugacy_parametrization,
-    dn_irreducibles,
     hyperoctahedral_irreducibles,
     irreducible_characters,
     dihedral_irreducibles,

@@ -1,7 +1,9 @@
 import io
 import json
 
+from coxeterkit import cli
 from coxeterkit.cli import main
+from coxeterkit.errors import InternalInconsistencyError
 
 
 def run_cli(*argv):
@@ -156,3 +158,13 @@ def test_verify_exceptional_runs_graph_checks_only():
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch):
+    def broken(args, out):
+        raise InternalInconsistencyError("two computations disagreed")
+
+    monkeypatch.setattr(cli, "cmd_realize", broken)
+    code, text = run_cli("realize", "A2")
+    assert code == 4
+    assert text == "internal error: two computations disagreed\n"

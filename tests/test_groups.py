@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from coxeterkit.classify import TypeLabel, coxeter_group_order
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.groups import (
+    MAX_ORDER,
     DihedralElement,
     Permutation,
     SignedPermutation,
@@ -73,6 +74,38 @@ def test_enumeration_guard():
         realize(TypeLabel("A", 9))
     with pytest.raises(UnsupportedTypeError):
         realize(TypeLabel("E", 6))
+
+
+def test_one_group_per_type_under_any_budget():
+    label = TypeLabel("B", 3)
+    group = realize(label)
+    assert realize(label, MAX_ORDER) is group
+    assert realize(label, 48) is group
+    with pytest.raises(GuardError):
+        realize(label, 47)  # the guard still holds once the group exists
+
+
+def test_public_constructors_validate_and_products_compose():
+    with pytest.raises(ValidationError):
+        Permutation((0, 0, 1))
+    with pytest.raises(ValidationError):
+        SignedPermutation((1, 2), Permutation((1, 0)))
+    p, q = Permutation((1, 2, 0)), Permutation((0, 2, 1))
+    assert (p * q).images == (1, 0, 2)
+    assert (p * p.inverse()).is_identity()
+    a = SignedPermutation((-1, 1, 1), p)
+    b = SignedPermutation((1, -1, 1), q)
+    assert (a * b).natural_matrix() == a.natural_matrix() * b.natural_matrix()
+    assert (a * a.inverse()).is_identity()
+
+
+def test_generator_tables_are_left_multiplication():
+    for label in SMALL_LABELS:
+        group = realize(label)
+        tables = group.generator_tables()
+        assert len(tables) == len(group.generators)
+        for s, table in zip(group.generators, tables):
+            assert [group.elements[j] for j in table] == [s * x for x in group.elements]
 
 
 def test_conjugacy_class_examples():
