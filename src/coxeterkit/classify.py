@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import sign
 from .errors import (
     InternalInconsistencyError,
     UnsupportedTypeError,
@@ -21,9 +20,6 @@ from .errors import (
 from .graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
-
-# Sign tolerance for irrational minors; exact zeros are detected exactly first.
-_SIGN_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -209,21 +205,6 @@ class ClassificationResult:
         return " + ".join(parts)
 
 
-def _minor_sign(value) -> int:
-    """Exact sign: cyclotomic zero test first, then a float with tolerance."""
-    if isinstance(value, Cyclotomic):
-        if value.is_zero():
-            return 0
-        f = value.to_float()
-        if abs(f) <= _SIGN_TOLERANCE:
-            raise InternalInconsistencyError(
-                f"minor too close to zero for reliable sign: {value!r}"
-            )
-        return 1 if f > 0 else -1
-    q = Fraction(value)
-    return (q > 0) - (q < 0)
-
-
 def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
     """All leading principal minors of the Gram matrix positive?
 
@@ -231,7 +212,7 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
     """
     minors = gram_matrix(g).leading_principal_minors()
     for k, m in enumerate(minors, start=1):
-        s = _minor_sign(m)
+        s = sign(m)
         if s <= 0:
             kind = "zero-determinant" if (k == g.n and s == 0) else "nonpositive-minor"
             return False, Witness(kind, k, m)
@@ -242,10 +223,10 @@ def _not_finite_witness(g: CoxeterGraph) -> Witness:
     """Preferred witness: an exactly-zero determinant, else the first negative minor."""
     minors = gram_matrix(g).leading_principal_minors()
     det = minors[-1]
-    if _minor_sign(det) == 0:
+    if sign(det) == 0:
         return Witness("zero-determinant", g.n, det)
     for k, m in enumerate(minors, start=1):
-        if _minor_sign(m) <= 0:
+        if sign(m) <= 0:
             return Witness("nonpositive-minor", k, m)
     raise InternalInconsistencyError("witness requested for a positive definite graph")
 

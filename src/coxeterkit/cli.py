@@ -9,8 +9,15 @@ Commands:
 
 Exit codes: 0 success/finite, 1 input error, 2 not finite (or failed
 verification), 3 unsupported type or guard exceeded, 4 internal error (two
-independent computations disagreed: a bug, not bad input).  Output is
-byte-deterministic for a fixed command and input.
+independent computations disagreed: a bug, not bad input).  When stdout
+closes before the output is written (e.g. piped into ``head``), the process
+ends quietly on SIGPIPE, as ``cat`` does: no traceback, shell status 141.
+Output is byte-deterministic for a fixed command and input.
+
+``--max-order N`` bounds the group order |W| for chartable, irreps, realize
+and verify alike: a type with |W| > N exits 3 before any work.  Without it,
+groups are built up to ``MAX_ORDER`` elements, and irreps of A_n and B_n,
+which come from formulas and need no group, are not bounded.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .families import (
     irreducible_characters,
 )
 from .graphs import parse_graph_json
-from .groups import MAX_ORDER, element_text, realize
+from .groups import MAX_ORDER, check_order, element_text, realize
 from .reps import ClassFunction
 from .specht import hook_dimension, partition_text, partitions_of
 from .verify import run_verification
@@ -123,15 +130,29 @@ def cmd_classify(args, out) -> int:
     return EXIT_OK if result.is_finite else EXIT_NOT_FINITE
 
 
-def cmd_chartable(args, out) -> int:
+def _type_and_budget(args) -> tuple:
+    """The command's type label and group-order budget, checked up front.
+
+    The exceptional types have no order formula here; they keep each
+    command's own answer.
+    """
     label = parse_type_label(args.type)
+    if args.max_order is None:
+        return label, MAX_ORDER
+    if label.family in ("A", "B", "D", "I2"):
+        check_order(label, args.max_order)
+    return label, args.max_order
+
+
+def cmd_chartable(args, out) -> int:
+    label, _ = _type_and_budget(args)
     chars = irreducible_characters(label)
     _print_table(chars, args.format, args.float, out)
     return EXIT_OK
 
 
 def cmd_irreps(args, out) -> int:
-    label = parse_type_label(args.type)
+    label, _ = _type_and_budget(args)
     rows: list[tuple[str, int]] = []
     if label.family == "A":
         n = label.rank + 1
@@ -163,8 +184,8 @@ def cmd_irreps(args, out) -> int:
 
 
 def cmd_realize(args, out) -> int:
-    label = parse_type_label(args.type)
-    group = realize(label, args.max_order)
+    label, max_order = _type_and_budget(args)
+    group = realize(label, max_order)
     classes = group.classes
     if args.format == "json":
         import json
@@ -191,8 +212,8 @@ def cmd_realize(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    label = parse_type_label(args.type)
-    checks = run_verification(label, args.max_order)
+    label, max_order = _type_and_budget(args)
+    checks = run_verification(label, max_order)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -219,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--max-order",
         type=int,
-        default=MAX_ORDER,
-        help=f"override the group-order guard (default {MAX_ORDER})",
+        default=None,
+        help="bound on the group order |W| for chartable, irreps, realize and verify "
+        f"(default: groups are built up to {MAX_ORDER} elements)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("classify", help="classify a graph JSON file")
@@ -255,5 +277,14 @@ def main(argv=None, out=None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: ``python -m coxeterkit`` and the console script."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -483,10 +483,19 @@ def realize(label: TypeLabel, max_order: int = MAX_ORDER) -> RealizedGroup:
     ``max_order`` is only a guard: every budget that admits the type gets the
     same group object, which is built once.
     """
+    return _build_group(label, check_order(label, max_order))
+
+
+def check_order(label: TypeLabel, max_order: int) -> int:
+    """|W| of an A/B/D/I2 label; GuardError when it exceeds ``max_order``.
+
+    The one group-order budget: ``realize`` checks it, and so does every
+    type command of the CLI when ``--max-order`` is given.
+    """
     order = coxeter_group_order(label)  # raises UnsupportedTypeError for E/F/H
     if order > max_order:
         raise GuardError(f"|{label}| = {order} exceeds the bound {max_order}")
-    return _build_group(label, order)
+    return order
 
 
 @lru_cache(maxsize=None)

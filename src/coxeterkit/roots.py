@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .classify import TypeLabel
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, sign
 from .errors import (
     GuardError,
     InternalInconsistencyError,
@@ -26,9 +26,6 @@ from .errors import (
 from .graphs import CoxeterGraph, gram_matrix
 from .groups import MAX_ORDER, realize
 from .linalg import Matrix, invert_scalar, is_zero_scalar
-
-_SIGN_TOLERANCE = 1e-9
-
 
 def _dot(u, v, gram: Matrix | None):
     if gram is None:
@@ -82,21 +79,9 @@ def _common_conductor(vectors) -> int:
     return c
 
 
-def _sign_of(x) -> int:
-    if isinstance(x, Cyclotomic):
-        if x.is_zero():
-            return 0
-        f = x.to_float()
-        if abs(f) <= _SIGN_TOLERANCE:
-            raise InternalInconsistencyError(f"coordinate too close to zero for its sign: {x!r}")
-        return 1 if f > 0 else -1
-    q = Fraction(x)
-    return (q > 0) - (q < 0)
-
-
 def _lex_positive(v) -> bool:
     for x in v:
-        s = _sign_of(x)
+        s = sign(x)
         if s:
             return s > 0
     return False
@@ -260,7 +245,7 @@ def _verify_base(rs: RootSystem, base: list) -> None:
         x = mat.solve(list(v))
         if x is None:
             raise InternalInconsistencyError("root outside the span of the base")
-        signs = {_sign_of(c) for c in x}
+        signs = {sign(c) for c in x}
         if 1 in signs and -1 in signs:
             raise InternalInconsistencyError("root with mixed-sign base coefficients")
 

@@ -1,5 +1,12 @@
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from coxeterkit import cli
 from coxeterkit.cli import main
@@ -134,6 +141,43 @@ def test_realize_b2():
 def test_realize_respects_max_order():
     code, text = run_cli("--max-order", "5", "realize", "B2")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["chartable", "irreps", "realize", "verify"])
+def test_every_command_honours_max_order(command):
+    code, text = run_cli("--max-order", "10", command, "A3")
+    assert (code, text) == (3, "unsupported: |A3| = 24 exceeds the bound 10\n")
+    code, text = run_cli("--max-order", "24", command, "A3")
+    assert code == 0 and not text.startswith("unsupported")
+
+
+def test_max_order_leaves_exceptional_types_to_the_command():
+    code, text = run_cli("--max-order", "10", "verify", "H4")
+    assert code == 0 and len(text.strip().split("\n")) == 2
+    code, text = run_cli("--max-order", "10", "chartable", "E6")
+    assert (code, text) == (3, "unsupported: no character construction for E6\n")
+
+
+def test_closed_stdout_ends_quietly():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxeterkit", "chartable", "A3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.returncode != 1
+    if hasattr(signal, "SIGPIPE"):
+        assert proc.returncode == -signal.SIGPIPE
 
 
 def test_verify_a2():

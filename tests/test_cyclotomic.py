@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxeterkit.cyclotomic import Cyclotomic, cyclotomic_polynomial, real_cos_pi_over
-from coxeterkit.errors import ValidationError
+from coxeterkit.cyclotomic import Cyclotomic, cyclotomic_polynomial, real_cos_pi_over, sign
+from coxeterkit.errors import InternalInconsistencyError, ValidationError
 
 
 def test_real_cos_examples():
@@ -125,3 +125,40 @@ def test_power_and_division():
     assert z ** 7 == 1
     assert z ** -1 == Cyclotomic.zeta(7, 6)
     assert (Fraction(2) / z) * z == 2
+
+
+def test_sign_of_rationals_and_exact_zeros():
+    assert [sign(x) for x in (3, -2, 0, Fraction(-1, 7), Fraction(1, 10**30))] == [1, -1, 0, -1, 1]
+    assert sign(Cyclotomic.zeta(5) + Cyclotomic.zeta(5, 4) - Cyclotomic.zeta(10, 2) - Cyclotomic.zeta(10, 8)) == 0
+    assert sign(real_cos_pi_over(5) * 2 - Cyclotomic.zeta(10) - Cyclotomic.zeta(10, 9)) == 0
+    assert sign(-real_cos_pi_over(7)) == -1
+
+
+def test_sign_certifies_a_value_below_the_old_tolerance():
+    # cos(pi/5) = 0.8090169943749..., so this is about +4.9e-12, about a
+    # thousand times the derived error bound
+    x = real_cos_pi_over(5) - Fraction(80901699437, 10**11)
+    assert 4e-12 < x.to_float() < 6e-12
+    assert sign(x) == 1
+    assert sign(-x) == -1
+
+
+def test_sign_refuses_to_guess_inside_the_bound():
+    # about 4e-18 away from zero: nonzero, but below 2^-48 * sum |c_k|
+    x = real_cos_pi_over(5) - Fraction(80901699437494742, 10**17)
+    assert not x.is_zero()
+    with pytest.raises(InternalInconsistencyError):
+        sign(x)
+
+
+def test_values_are_stored_over_one_denominator():
+    x = Cyclotomic(12, {1: Fraction(1, 2), 5: Fraction(-2, 3), 13: Fraction(1, 6)})
+    assert x.terms == {1: Fraction(1, 2) + Fraction(1, 6), 5: Fraction(-2, 3)}
+    assert x._den == 3 and x._num == {1: 2, 5: -2}
+    # the normal form is computed once and kept
+    assert x._nf is None
+    x.is_zero()
+    nf = x._nf
+    assert nf == (((1, 4), (3, -2)), 3)
+    assert x.reduced() == {1: Fraction(2, 3) + Fraction(2, 3), 3: Fraction(-2, 3)}
+    assert x._nf is nf

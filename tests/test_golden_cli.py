@@ -2,8 +2,16 @@
 
 The digests in ``golden_cli.json`` were recorded before the index-based
 group kernel replaced element-object products, so any change in class
-order, representatives, sizes or character values shows up here.  Every
-command runs in-process; caches shared between the cases keep this cheap.
+order, representatives, sizes or character values shows up here.  The
+``classify`` cases, the ``float`` cases and the I2(11), I2(12) and I2(24)
+cases were recorded before the integer cyclotomic kernel replaced the
+Fraction-dict one; they pin the as-built printed form of cyclotomic values,
+down to the unreduced minors in non-finiteness witnesses.
+
+A key is ``"<command> <target> <format>"``.  The format is ``tsv``, ``json``
+or ``float`` (tsv with ``--float``).  For ``classify`` the target names a
+graph in ``GRAPHS``.  Every command runs in-process; caches shared between
+the cases keep this cheap.
 """
 
 import hashlib
@@ -17,11 +25,30 @@ from coxeterkit.cli import main
 
 GOLDENS = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
+# Non-finite graphs whose witness is an irrational minor (conductors 70, 10, 60, 60).
+GRAPHS = {
+    "path(5,7)": {"n": 3, "edges": [[0, 1, 5], [1, 2, 7]]},
+    "path(5,5)": {"n": 3, "edges": [[0, 1, 5], [1, 2, 5]]},
+    "path(4,5,6)": {"n": 4, "edges": [[0, 1, 4], [1, 2, 5], [2, 3, 6]]},
+    "triangle(6,6,5)": {"n": 3, "edges": [[0, 1, 6], [1, 2, 6], [0, 2, 5]]},
+}
+
+
+def run_case(key: str, tmp_dir: Path) -> tuple[int, str]:
+    """Exit code and stdout digest of the CLI run that ``key`` names."""
+    command, target, fmt = key.split(" ")
+    argv = ["--format", "tsv" if fmt == "float" else fmt]
+    if fmt == "float":
+        argv.append("--float")
+    if command == "classify":
+        path = tmp_dir / "graph.json"
+        path.write_text(json.dumps(GRAPHS[target]))
+        target = str(path)
+    out = io.StringIO()
+    code = main(argv + [command, target], out=out)
+    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
 
 @pytest.mark.parametrize("key", sorted(GOLDENS))
-def test_cli_output_matches_golden(key):
-    command, type_text, fmt = key.split(" ")
-    out = io.StringIO()
-    code = main(["--format", fmt, command, type_text], out=out)
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert (code, digest) == (GOLDENS[key]["exit"], GOLDENS[key]["sha256"])
+def test_cli_output_matches_golden(key, tmp_path):
+    assert run_case(key, tmp_path) == (GOLDENS[key]["exit"], GOLDENS[key]["sha256"])
