@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .cyclotomic import sign
 from .errors import (
+    GuardError,
     InternalInconsistencyError,
     UnsupportedTypeError,
     ValidationError,
@@ -20,6 +21,8 @@ from .errors import (
 from .graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
+
+VERTEX_GUARD = 48  # classify() refuses larger graphs with GuardError (exit 3)
 
 
 @dataclass(frozen=True, order=True)
@@ -219,12 +222,12 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
     return True, None
 
 
-def _not_finite_witness(g: CoxeterGraph) -> Witness:
-    """Preferred witness: an exactly-zero determinant, else the first negative minor."""
-    minors = gram_matrix(g).leading_principal_minors()
+def _not_finite_witness(minors: list) -> Witness:
+    """Preferred witness among a Gram matrix's leading minors: an exactly-zero
+    determinant, else the first non-positive minor."""
     det = minors[-1]
     if sign(det) == 0:
-        return Witness("zero-determinant", g.n, det)
+        return Witness("zero-determinant", len(minors), det)
     for k, m in enumerate(minors, start=1):
         if sign(m) <= 0:
             return Witness("nonpositive-minor", k, m)
@@ -325,19 +328,25 @@ def classify(g: CoxeterGraph) -> ClassificationResult:
     """Name each connected component, or mark it NotFinite with a witness.
 
     The structural match and the positive-definiteness test must agree on
-    every component; a mismatch raises InternalInconsistencyError.
+    every component; a mismatch raises InternalInconsistencyError.  Each
+    component's leading Gram minors are computed once and serve both the
+    test and the witness.  A graph of more than ``VERTEX_GUARD`` vertices
+    raises GuardError before any work.
     """
+    if g.n > VERTEX_GUARD:
+        raise GuardError(f"classify is capped at {VERTEX_GUARD} vertices, got {g.n}")
     results = []
     for comp, vertices in connected_components(g):
         label = _match_connected(comp)
-        pd, _ = is_positive_definite(comp)
+        minors = gram_matrix(comp).leading_principal_minors()
+        pd = all(sign(m) > 0 for m in minors)
         if (label is not None) != pd:
             raise InternalInconsistencyError(
                 f"catalog match ({label}) disagrees with positive definiteness ({pd}) "
                 f"on component {vertices}"
             )
         if label is None:
-            results.append(ComponentResult(vertices, None, _not_finite_witness(comp)))
+            results.append(ComponentResult(vertices, None, _not_finite_witness(minors)))
         else:
             results.append(ComponentResult(vertices, label, None))
     return ClassificationResult(tuple(results))

@@ -8,8 +8,9 @@ Commands:
     coxeterkit verify <type>       run the invariant suite for one type
 
 Exit codes: 0 success/finite, 1 input error, 2 not finite (or failed
-verification), 3 unsupported type or guard exceeded, 4 internal error (two
-independent computations disagreed: a bug, not bad input).  When stdout
+verification), 3 unsupported type or guard exceeded (classify takes at most
+``classify.VERTEX_GUARD`` vertices), 4 internal error (two independent
+computations disagreed: a bug, not bad input).  When stdout
 closes before the output is written (e.g. piped into ``head``), the process
 ends quietly on SIGPIPE, as ``cat`` does: no traceback, shell status 141.
 Output is byte-deterministic for a fixed command and input.
@@ -42,6 +43,7 @@ from .families import (
 )
 from .graphs import parse_graph_json
 from .groups import MAX_ORDER, check_order, element_text, realize
+from .linalg import as_integer
 from .reps import ClassFunction
 from .specht import hook_dimension, partition_text, partitions_of
 from .verify import run_verification
@@ -60,12 +62,6 @@ def format_value(v, float_mode: bool = False) -> str:
     if isinstance(v, Cyclotomic):
         return str(v)
     return str(Fraction(v))
-
-
-def _dim_int(v) -> int:
-    if isinstance(v, Cyclotomic):
-        return int(v.rational_value())
-    return int(Fraction(v))
 
 
 def _class_headers(domain) -> list[str]:
@@ -163,7 +159,7 @@ def cmd_irreps(args, out) -> int:
         rows = [(str(lbl), d) for lbl, _, d in dn_irreducibles(label.rank)]
     elif label.family == "I2":
         chars = dihedral_irreducibles(label.bond)
-        rows = [(c.name, _dim_int(c.identity_value)) for c in chars]
+        rows = [(c.name, as_integer(c.identity_value)) for c in chars]
     else:
         raise UnsupportedTypeError(f"irreducibles of {label} are out of scope")
     if args.format == "json":

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import Permutation, RealizedGroup, SignedPermutation, realize
-from .linalg import Matrix
+from .linalg import Matrix, as_integer
 from .reps import (
     ClassFunction,
     Representation,
@@ -513,15 +513,10 @@ def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
                     f"induced dihedral character disagrees with the closed form at {el}"
                 )
         out.append(ClassFunction(group, ind.values, f"2:{k}"))
-    total = sum(_square_int(ch.identity_value) for ch in out)
+    total = sum(as_integer(ch.identity_value) ** 2 for ch in out)
     if total != 2 * m or len(out) != group.classes.count:
         raise InternalInconsistencyError("dihedral character set is not complete")
     return tuple(out)
-
-
-def _square_int(v) -> int:
-    q = Fraction(v) if not isinstance(v, Cyclotomic) else v.rational_value()
-    return int(q) * int(q)
 
 
 def irreducible_characters(label: TypeLabel):

@@ -158,17 +158,20 @@ def matrix_from_graph(g: CoxeterGraph) -> CoxeterMatrix:
 def gram_matrix(g: CoxeterGraph) -> Matrix:
     """Matrix of the canonical bilinear form: -cos(pi/m(i,j)), unit diagonal.
 
-    Entries that happen to be rational are stored as Fractions.
+    Entries that happen to be rational are stored as Fractions.  Each
+    distinct label's entry is built once and shared by its cells.
     """
+    entry = {1: Fraction(1)}
     rows = []
     for i in range(g.n):
         row = []
         for j in range(g.n):
-            if i == j:
-                row.append(Fraction(1))
-            else:
-                c = -real_cos_pi_over(g.label(i, j))
-                row.append(c.rational_value() if c.is_rational() else c)
+            m = g.label(i, j)
+            c = entry.get(m)
+            if c is None:
+                c = -real_cos_pi_over(m)
+                c = entry[m] = c.rational_value() if c.is_rational() else c
+            row.append(c)
         rows.append(row)
     return Matrix(rows)
 

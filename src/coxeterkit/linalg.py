@@ -1,9 +1,12 @@
 """Dense exact linear algebra over Q and over cyclotomic fields.
 
-Rational matrices go through fraction-free (Bareiss-style) elimination;
-matrices with genuinely cyclotomic entries use plain Gaussian elimination
-with exact field division.  Intended sizes are small (ranks <= 10 or so for
-cyclotomic work, a few hundred for rational work).
+Determinants and leading principal minors come from one forward Gaussian
+elimination with exact field division (``_gauss_pivots``): over Fractions
+when every entry is rational, else over the entries as given.  Rank over Q
+uses integer fraction-free elimination on rows scaled to integers; inverse,
+solve, nullspace and field rank use Gauss-Jordan elimination.  Intended
+sizes are small (ranks <= 10 or so for cyclotomic work, a few hundred for
+rational work).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .cyclotomic import Cyclotomic
-from .errors import ValidationError
+from .errors import InternalInconsistencyError, ValidationError
 
 
 def is_zero_scalar(x) -> bool:
@@ -37,9 +40,19 @@ def as_rational(x) -> Fraction | None:
     """Fraction value of x, or None when x is irrational."""
     if isinstance(x, Cyclotomic):
         return x.rational_value() if x.is_rational() else None
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
         return Fraction(x)
     return None
+
+
+def as_integer(x) -> int:
+    """int value of x, which must be a rational integer (a dimension, say)."""
+    q = as_rational(x)
+    if q is None or q.denominator != 1:
+        raise InternalInconsistencyError(f"expected an integer, got {x}")
+    return q.numerator
 
 
 class Matrix:
@@ -168,17 +181,54 @@ class Matrix:
         return Matrix(out)
 
     def determinant(self):
+        """Exact determinant: a Fraction when every entry is rational."""
         if not self.is_square:
             raise ValidationError("determinant needs a square matrix")
         fr = self.rational_entries()
         if fr is not None:
-            return _bareiss_det(fr)
+            return Fraction(_field_det(fr))
         return _field_det([list(r) for r in self.entries])
 
     def leading_principal_minors(self) -> list:
+        """The determinants of the leading k x k blocks, k = 1..n, in one pass.
+
+        Gaussian elimination without row swaps reduces the leading k x k
+        block exactly as ``submatrix(k).determinant()`` would, so minor k is
+        the running product of the first k pivots (Sylvester's identity),
+        built in the same order and with the same as-built form.  A minor
+        whose block is rational is returned as a Fraction, as
+        ``determinant()`` returns it.  When pivot k is exactly zero, minor k
+        is 0 (a Fraction for a rational block), which is what
+        ``submatrix(k).determinant()`` returns when its last pivot vanishes;
+        every later block would need row swaps, so each later minor is
+        computed as ``submatrix(j).determinant()``.  O(n^3) when no pivot
+        before the last vanishes.
+        """
         if not self.is_square:
             raise ValidationError("principal minors need a square matrix")
-        return [self.submatrix(k).determinant() for k in range(1, self.rows + 1)]
+        n = self.rows
+        rational = self._rational_block_size()
+        minors = []
+        det = Fraction(1)
+        for k, (p, _) in enumerate(_gauss_pivots([list(r) for r in self.entries], swap=False), 1):
+            if p is None:
+                minors.append(Fraction(0) if k <= rational else 0)
+                break
+            det = det * p
+            if k <= rational and isinstance(det, Cyclotomic):
+                minors.append(det.rational_value())
+            else:
+                minors.append(det)
+        minors += [self.submatrix(k).determinant() for k in range(len(minors) + 1, n + 1)]
+        return minors
+
+    def _rational_block_size(self) -> int:
+        """Size of the largest leading square block with only rational entries."""
+        e = self.entries
+        for k in range(len(e)):
+            if any(as_rational(x) is None for j in range(k + 1) for x in (e[k][j], e[j][k])):
+                return k
+        return len(e)
 
     def rank(self) -> int:
         fr = self.rational_entries()
@@ -281,27 +331,6 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
     return Matrix(out)
 
 
-def _bareiss_det(a: list[list[Fraction]]):
-    """Fraction-free determinant (divisions are exact at every step)."""
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def _rational_rank(a: list[list[Fraction]]) -> int:
     """Rank over Q by integer fraction-free elimination (rows pre-scaled)."""
     rows = []
@@ -339,26 +368,55 @@ def _rational_rank(a: list[list[Fraction]]) -> int:
     return rank
 
 
-def _field_det(a: list[list]):
-    """Gaussian-elimination determinant with exact field division."""
+def _gauss_pivots(a: list[list], swap: bool):
+    """Pivots of forward Gaussian elimination on the square rows ``a``, in place.
+
+    Yields ``(pivot, swapped)`` per column.  When the diagonal entry is
+    exactly zero and ``swap`` is set, the first lower row with a nonzero
+    entry in that column is swapped up (``swapped`` is then True).  A column
+    left without a pivot yields ``(None, False)`` and ends the elimination.
+    Rows below a pivot are reduced on the later columns only, and the last
+    pivot is never inverted, since no row below it needs the inverse.
+    """
     n = len(a)
-    sign = 1
-    pivots = []
     for k in range(n):
-        piv = next((i for i in range(k, n) if not is_zero_scalar(a[i][k])), None)
-        if piv is None:
-            return 0
-        if piv != k:
+        swapped = False
+        if is_zero_scalar(a[k][k]):
+            piv = None
+            if swap:
+                piv = next((i for i in range(k + 1, n) if not is_zero_scalar(a[i][k])), None)
+            if piv is None:
+                yield None, False
+                return
             a[k], a[piv] = a[piv], a[k]
-            sign = -sign
+            swapped = True
         p = a[k][k]
-        pivots.append(p)
+        yield p, swapped
+        if k + 1 == n:
+            return
         pinv = invert_scalar(p)
+        top = a[k][k + 1:]
         for i in range(k + 1, n):
             c = a[i][k]
             if not is_zero_scalar(c):
                 f = c * pinv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+                a[i][k + 1:] = [x - f * y for x, y in zip(a[i][k + 1:], top)]
+
+
+def _field_det(a: list[list]):
+    """Gaussian-elimination determinant with exact field division.
+
+    The sign of the row swaps times the pivots, multiplied up in order; 0
+    when a column has no pivot.
+    """
+    sign = 1
+    pivots = []
+    for p, swapped in _gauss_pivots(a, swap=True):
+        if p is None:
+            return 0
+        if swapped:
+            sign = -sign
+        pivots.append(p)
     det = Fraction(sign)
     for p in pivots:
         det = det * p

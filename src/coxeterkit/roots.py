@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .classify import TypeLabel
+from .classify import TypeLabel, catalog_graph
 from .cyclotomic import Cyclotomic, sign
 from .errors import (
     GuardError,
@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedTypeError,
     ValidationError,
 )
-from .graphs import CoxeterGraph, gram_matrix
+from .graphs import gram_matrix
 from .groups import MAX_ORDER, realize
 from .linalg import Matrix, invert_scalar, is_zero_scalar
 
@@ -187,7 +187,7 @@ def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
         return RootSystem(tuple(roots), t)
     # I2(m): orbit of the simple-root basis vectors under the two simple
     # reflections, in simple-root coordinates with the graph's bilinear form.
-    gram = gram_matrix(catalog_graph_of(t))
+    gram = gram_matrix(catalog_graph(t))
     simples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
     cond = 2 * t.bond
     seen = {}
@@ -205,12 +205,6 @@ def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
         if _vector_key(nv, cond) not in seen:
             queue.append(nv)
     return RootSystem(tuple(seen.values()), t, gram)
-
-
-def catalog_graph_of(t: TypeLabel) -> CoxeterGraph:
-    from .classify import catalog_graph
-
-    return catalog_graph(t)
 
 
 def compute_base(rs: RootSystem) -> list[tuple]:

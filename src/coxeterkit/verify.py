@@ -25,7 +25,7 @@ from .families import (
     dihedral_irreducibles,
 )
 from .groups import MAX_ORDER, realize, verify_presentation
-from .linalg import as_rational
+from .linalg import as_integer
 from .reps import (
     Subgroup,
     induce_character,
@@ -35,11 +35,6 @@ from .reps import (
 )
 from .roots import compute_base, fixed_space_dimension, geometric_rep, root_system
 from .specht import hook_dimension, partitions_of, specht_module
-
-
-def _dim_int(value) -> int:
-    q = as_rational(value)
-    return int(q)
 
 
 def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple[str, bool, str]]:
@@ -113,7 +108,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         chars = irreducible_characters(label)
         group = chars[0].domain
         count_ok = len(chars) == group.classes.count
-        total = sum(_dim_int(c.identity_value) ** 2 for c in chars)
+        total = sum(as_integer(c.identity_value) ** 2 for c in chars)
         ok = count_ok and total == group.order
         return ok, f"{len(chars)} irreducibles, sum dim^2 = {total}"
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxeterkit.classify import (
+    VERTEX_GUARD,
     TypeLabel,
     affine_catalog,
     canonical_label,
@@ -13,9 +14,9 @@ from coxeterkit.classify import (
     is_positive_definite,
     parse_type_label,
 )
-from coxeterkit.errors import UnsupportedTypeError, ValidationError
+from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import INFINITY, CoxeterGraph, gram_matrix, subgraph
-from coxeterkit.linalg import is_zero_scalar
+from coxeterkit.linalg import Matrix, is_zero_scalar
 
 
 def test_type_label_validation():
@@ -122,6 +123,11 @@ def test_not_finite_witness_prefers_zero_determinant():
     res2 = classify(CoxeterGraph(3, [(0, 1, INFINITY), (1, 2, INFINITY), (0, 2, INFINITY)]))
     w = res2.components[0].witness
     assert w.kind == "nonpositive-minor" and w.index == 2
+    # the A~2 triangle leads: minor 3 = 0 (a zero pivot), but det != 0
+    g = CoxeterGraph(4, [(0, 1, 3), (1, 2, 3), (0, 2, 3), (2, 3, 3)])
+    w = classify(g).components[0].witness
+    assert (w.kind, w.index, str(w)) == ("nonpositive-minor", 3, "minor 3 = 0")
+    assert gram_matrix(g).determinant() != 0
 
 
 def test_group_orders():
@@ -213,3 +219,30 @@ def test_catalog_graph_examples():
     assert f4.label(1, 2) == 4  # the 4 sits on the middle edge
     e6 = catalog_graph(TypeLabel("E", 6))
     assert sorted(e6.degree(v) for v in range(6)) == [1, 1, 1, 2, 2, 3]
+
+
+def test_classify_computes_the_minors_once_per_component(monkeypatch):
+    calls = []
+    original = Matrix.leading_principal_minors
+
+    def counted(self):
+        calls.append(self.rows)
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "leading_principal_minors", counted)
+    # components: A2, the affine triangle (a witness), an indefinite path, A1
+    g = CoxeterGraph(
+        9, [(0, 1, 3), (2, 3, 3), (3, 4, 3), (2, 4, 3), (5, 6, INFINITY), (6, 7, 5)]
+    )
+    res = classify(g)
+    assert [str(c.label or c.witness) for c in res.components] == [
+        "A2", "det = 0", "minor 2 = 0", "A1"
+    ]
+    assert calls == [2, 3, 3, 1]
+
+
+def test_classify_vertex_guard():
+    path = CoxeterGraph(VERTEX_GUARD, [(i, i + 1, 3) for i in range(VERTEX_GUARD - 1)])
+    assert classify(path).labels() == [TypeLabel("A", VERTEX_GUARD)]
+    with pytest.raises(GuardError, match=f"{VERTEX_GUARD} vertices, got {VERTEX_GUARD + 1}"):
+        classify(CoxeterGraph(VERTEX_GUARD + 1))

@@ -66,6 +66,24 @@ def test_classify_json_format(tmp_path):
     assert [c["type"] for c in data["components"]] == ["A2", "B2"]
 
 
+def test_classify_vertex_guard_exits_at_once(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000000}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxeterkit", "classify", str(path)],
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout.decode() == (
+        "unsupported: classify is capped at 48 vertices, got 100000000\n"
+    )
+    assert b"Traceback" not in proc.stderr
+
+
 def test_chartable_a2_matches_worked_example():
     code, text = run_cli("chartable", "A2")
     assert code == 0

@@ -6,7 +6,9 @@ order, representatives, sizes or character values shows up here.  The
 ``classify`` cases, the ``float`` cases and the I2(11), I2(12) and I2(24)
 cases were recorded before the integer cyclotomic kernel replaced the
 Fraction-dict one; they pin the as-built printed form of cyclotomic values,
-down to the unreduced minors in non-finiteness witnesses.
+down to the unreduced minors in non-finiteness witnesses.  The
+``A~2+pendant`` and ``mixed(4,5,6)`` cases were recorded before the leading
+minors came from one elimination pass instead of one determinant each.
 
 A key is ``"<command> <target> <format>"``.  The format is ``tsv``, ``json``
 or ``float`` (tsv with ``--float``).  For ``classify`` the target names a
@@ -25,12 +27,20 @@ from coxeterkit.cli import main
 
 GOLDENS = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
-# Non-finite graphs whose witness is an irrational minor (conductors 70, 10, 60, 60).
+# The first four are non-finite graphs whose witness is an irrational minor
+# (conductors 70, 10, 60, 60).
 GRAPHS = {
     "path(5,7)": {"n": 3, "edges": [[0, 1, 5], [1, 2, 7]]},
     "path(5,5)": {"n": 3, "edges": [[0, 1, 5], [1, 2, 5]]},
     "path(4,5,6)": {"n": 4, "edges": [[0, 1, 4], [1, 2, 5], [2, 3, 6]]},
     "triangle(6,6,5)": {"n": 3, "edges": [[0, 1, 6], [1, 2, 6], [0, 2, 5]]},
+    # The A~2 triangle leads, so minor 3 = 0 while det != 0 (a zero pivot).
+    "A~2+pendant": {"n": 4, "edges": [[0, 1, 3], [1, 2, 3], [0, 2, 3], [2, 3, 3]]},
+    # B3 + A1, then I2(5), lead; the witness is the full determinant (conductor 120).
+    "mixed(4,5,6)": {
+        "n": 6,
+        "edges": [[0, 1, 4], [1, 2, 3], [3, 4, 5], [2, 5, 6], [4, 5, 3]],
+    },
 }
 
 
