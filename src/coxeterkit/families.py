@@ -3,9 +3,11 @@
 B_n is handled by the little-group method over its normal sign subgroup:
 orbits of sign characters, block stabilizers S_a x S_b, extension, and
 induction by the class-size formula.  D_n (n = 4 here) restricts the B_n
-characters down its index-2 inclusion; the two halves of each self-paired
-character are separated by explicitly splitting the induced module with a
-commutant eigenspace.  I2(m) induces from its rotation subgroup.
+characters down its index-2 inclusion.  A self-paired character (lam, lam)
+restricts to the sum of two irreducibles; each is induced by the same
+method from the little group of the sign character inside D_n, whose
+permutations are S_m wr S_2 (n = 2m), extended by one of the two extensions
+of chi_lam x chi_lam.  I2(m) induces from its rotation subgroup.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .errors import (
     ValidationError,
 )
 from .groups import Permutation, RealizedGroup, SignedPermutation, realize
-from .linalg import Matrix, as_integer
+from .linalg import as_integer
 from .reps import (
     ClassFunction,
-    Representation,
     Subgroup,
     induce_character,
     restrict_character,
@@ -38,7 +39,6 @@ from .specht import (
     hook_dimension,
     partition_text,
     partitions_of,
-    specht_module,
     symmetric_character_value,
     validate_partition,
 )
@@ -162,17 +162,39 @@ def _block_cycle_types(p: Permutation, a: int) -> tuple[tuple[int, ...], tuple[i
     return first.cycle_type(), second.cycle_type()
 
 
-@lru_cache(maxsize=None)
-def _little_subgroup(n: int, a: int) -> Subgroup:
-    """(sign subgroup) x (block permutations S_a x S_b) inside B_n."""
-    bn = realize(TypeLabel("B", n))
-    perms = _block_permutations(n, [list(range(a)), list(range(a, n))])
+def _signed_subgroup(group: RealizedGroup, perms) -> Subgroup:
+    """Sign vectors times the given permutations, inside B_n or D_n.
+
+    ``perms`` must be a group.  D_n keeps only the even sign vectors.
+    """
+    n = group.label.rank
+    even = group.label.family == "D"
     elements = [
         SignedPermutation(signs, p)
         for p in perms
         for signs in itertools.product((1, -1), repeat=n)
+        if not even or math.prod(signs) == 1
     ]
-    return Subgroup(bn, elements, verify=False)
+    return Subgroup(group, elements, verify=False)
+
+
+def _checked_class_function(sub: Subgroup, value, name: str) -> ClassFunction:
+    """``value`` at the class representatives, asserted constant on each class."""
+    classes = sub.classes
+    vals = [value(rep) for rep in classes.reps]
+    for k, el in enumerate(sub.elements):
+        if value(el) != vals[classes.class_of[k]]:
+            raise InternalInconsistencyError(
+                f"extended character of {name} is not a class function"
+            )
+    return ClassFunction(sub, vals, name)
+
+
+@lru_cache(maxsize=None)
+def _little_subgroup(n: int, a: int) -> Subgroup:
+    """(sign subgroup) x (block permutations S_a x S_b) inside B_n."""
+    perms = _block_permutations(n, [list(range(a)), list(range(a, n))])
+    return _signed_subgroup(realize(TypeLabel("B", n)), perms)
 
 
 def _extended_character(n: int, label: BipartitionLabel) -> ClassFunction:
@@ -183,7 +205,6 @@ def _extended_character(n: int, label: BipartitionLabel) -> ClassFunction:
     stabilize it.  Constancy on subgroup classes is asserted outright.
     """
     a = label.a
-    sub = _little_subgroup(n, a)
     phi = SignCharacter((0,) * a + (1,) * label.b)
 
     def value(el: SignedPermutation):
@@ -194,14 +215,7 @@ def _extended_character(n: int, label: BipartitionLabel) -> ClassFunction:
             * symmetric_character_value(label.mu, t1)
         )
 
-    classes = sub.classes
-    vals = [value(rep) for rep in classes.reps]
-    for el in sub.elements:
-        if value(el) != vals[classes.class_of[sub.index_of(el)]]:
-            raise InternalInconsistencyError(
-                f"extended character of {label} is not a class function"
-            )
-    return ClassFunction(sub, vals, str(label))
+    return _checked_class_function(_little_subgroup(n, a), value, str(label))
 
 
 def bn_dimension(n: int, label: BipartitionLabel) -> int:
@@ -283,144 +297,45 @@ def _pair_key(shape: tuple[int, ...]):
     return (sum(shape), shape)
 
 
-def _coset_representatives(group: RealizedGroup, sub: Subgroup) -> list:
-    reps = []
-    covered = set()
-    for i, x in enumerate(group.elements):
-        if i in covered:
-            continue
-        reps.append(x)
-        for h in sub.elements:
-            covered.add(group.index_of(x * h))
-    return reps
-
-
-def _induced_matrix_fn(n: int, lam: tuple[int, ...]):
-    """Block-matrix evaluator for the module induced from phi~ x (V x V).
-
-    Returns (matrix_at(element), dimension); valid for any element of B_n.
-    """
-    a = sum(lam)
-    bn = realize(TypeLabel("B", n))
-    sub = _little_subgroup(n, a)
-    phi = SignCharacter((0,) * a + (1,) * (n - a))
-    if a >= 2:
-        block_rep = specht_module(lam)
-        d_block = block_rep.dim
-    else:
-        block_rep = None
-        d_block = 1
-
-    def small(el: SignedPermutation) -> Matrix:
-        m = Matrix([[Fraction(phi.value(el.signs))]])
-        if block_rep is not None:
-            p0 = Permutation([el.perm(i) for i in range(a)])
-            p1 = Permutation([el.perm(i) - a for i in range(a, n)])
-            m = m.kron(block_rep.matrix_of(p0)).kron(block_rep.matrix_of(p1))
-        # a < 2: both blocks are trivial groups, so the matrix stays 1x1
-        return m
-
-    cosets = _coset_representatives(bn, sub)
-    k = len(cosets)
-    dim = k * d_block * d_block if block_rep is not None else k
-    coset_inv = [t.inverse() for t in cosets]
-
-    def at(g) -> Matrix:
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
-        d = dim // k
-        for i in range(k):
-            for j in range(k):
-                h = coset_inv[i] * g * cosets[j]
-                if sub.contains(h):
-                    blk = small(h)
-                    for p in range(d):
-                        for q in range(d):
-                            rows[i * d + p][j * d + q] = blk.entries[p][q]
-        return Matrix(rows)
-
-    return at, dim
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction:
-    if q < 0:
-        raise ValidationError("negative discriminant")
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        raise ValidationError(f"{q} is not a rational square")
-    return Fraction(rn, rd)
+@lru_cache(maxsize=None)
+def _swap_little_subgroup(n: int) -> Subgroup:
+    """(even signs) x| (S_m wr S_2) inside D_n, n = 2m: S_m x S_m and the block swap."""
+    m = n // 2
+    block = _block_permutations(n, [list(range(m)), list(range(m, n))])
+    swap = Permutation([(i + m) % n for i in range(n)])
+    return _signed_subgroup(realize(TypeLabel("D", n)), block + [swap * p for p in block])
 
 
 def _split_self_paired(n: int, lam: tuple[int, ...], dn: RealizedGroup):
-    """Split Res U(lam, lam) into its two halves by a commutant eigenspace.
+    """The two halves of Res chi_(lam,lam) on D_n, by little-group induction.
 
-    Returns the two characters on dn in a deterministic order (ascending
-    commutant eigenvalue).
+    With n = 2m, the sign character phi = psi(0^m, 1^m) is fixed on the
+    even sign vectors by the block swap i <-> i+m as well, so its little
+    group in D_n is (even signs) x| (S_m wr S_2).  chi_lam x chi_lam extends
+    to S_m wr S_2 in two ways xi_eps, eps = +-1: chi_lam(t0) chi_lam(t1) at a
+    block-preserving p, and eps chi_lam(beta) at a block-swapping p of cycle
+    type 2 beta.  Each half is induced from phi(s) xi_eps(p).  Convention:
+    the "+" half is eps = -1 and the "-" half is eps = +1.
     """
-    at, dim = _induced_matrix_fn(n, lam)
-    gen_mats = [at(g) for g in dn.generators]
-    rep = Representation(dn, gen_mats)  # relation check runs here
-    # commutant: all X with M X = X M for every generator image
-    rows = []
-    for m in gen_mats:
-        e = m.entries
-        for p in range(dim):
-            for q in range(dim):
-                row = [Fraction(0)] * (dim * dim)
-                for k in range(dim):
-                    row[k * dim + q] += Fraction(e[p][k])
-                    row[p * dim + k] -= Fraction(e[k][q])
-                rows.append(row)
-    basis = Matrix(rows).nullspace()
-    if len(basis) != 2:
-        raise InternalInconsistencyError(
-            f"commutant of Res U({lam},{lam}) has dimension {len(basis)}, expected 2"
-        )
-    ident = Matrix.identity(dim)
-    x = None
-    for vec in basis:
-        cand = Matrix([[vec[i * dim + j] for j in range(dim)] for i in range(dim)])
-        if not (cand - ident.scale(cand.entries[0][0])) == Matrix.zeros(dim, dim):
-            x = cand
-            break
-    if x is None:
-        raise InternalInconsistencyError("commutant contains no non-scalar element")
-    # minimal polynomial x^2 - c1 x - c0
-    x2 = x * x
-    lhs = Matrix([[x.entries[i][j], 1 if i == j else 0] for i in range(dim) for j in range(dim)])
-    rhs = [x2.entries[i][j] for i in range(dim) for j in range(dim)]
-    sol = lhs.solve(rhs)
-    if sol is None:
-        raise InternalInconsistencyError("commutant element has minimal degree > 2")
-    c1, c0 = sol
-    disc = _sqrt_fraction(c1 * c1 + 4 * c0)
-    eigs = sorted(((c1 - disc) / 2, (c1 + disc) / 2))
-    if eigs[0] == eigs[1]:
-        raise InternalInconsistencyError("commutant element is scalar after all")
-    spaces = []
-    for ev in eigs:
-        shifted = Matrix(
-            [[x.entries[i][j] - (ev if i == j else 0) for j in range(dim)] for i in range(dim)]
-        )
-        spaces.append(shifted.nullspace())
-    if {len(s) for s in spaces} != {dim // 2}:
-        raise InternalInconsistencyError("eigenspaces of the splitting element are unbalanced")
-    cols = [list(v) for v in spaces[0] + spaces[1]]
-    p = Matrix(list(zip(*cols)))
-    pinv = p.inverse()
-    half = dim // 2
-    values = ([], [])
-    for repel in dn.classes.reps:
-        t = pinv * at(repel) * p
-        for i in range(half):
-            for j in range(half, dim):
-                if t.entries[i][j] != 0 or t.entries[j][i] != 0:
-                    raise InternalInconsistencyError("splitting failed to block-diagonalize")
-        values[0].append(sum(t.entries[i][i] for i in range(half)))
-        values[1].append(sum(t.entries[i][i] for i in range(half, dim)))
-    plus = ClassFunction(dn, values[0], str(DnLabel(lam, lam, "+")))
-    minus = ClassFunction(dn, values[1], str(DnLabel(lam, lam, "-")))
-    return plus, minus
+    m = n // 2
+    sub = _swap_little_subgroup(n)
+    phi = SignCharacter((0,) * m + (1,) * m)
+    halves = []
+    for half, eps in (("+", -1), ("-", 1)):
+
+        def value(el: SignedPermutation, eps=eps):
+            if el.perm(0) < m:  # block-preserving
+                t0, t1 = _block_cycle_types(el.perm, m)
+                xi = symmetric_character_value(lam, t0) * symmetric_character_value(lam, t1)
+            else:  # block-swapping, of cycle type 2 beta
+                beta = tuple(c // 2 for c in el.perm.cycle_type())
+                xi = eps * symmetric_character_value(lam, beta)
+            return Fraction(phi.value(el.signs)) * xi
+
+        name = str(DnLabel(lam, lam, half))
+        chi = induce_character(_checked_class_function(sub, value, name), dn)
+        halves.append(ClassFunction(dn, chi.values, name))
+    return tuple(halves)
 
 
 @lru_cache(maxsize=None)
@@ -428,7 +343,8 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of D_n (n = 4).
 
     Restrictions of the B_n characters with lam != mu, deduplicated over
-    swaps, plus the explicitly split halves of the self-paired characters.
+    swaps, plus the two induced halves of each self-paired character, which
+    must sum to its restriction and differ.
     """
     label = TypeLabel("D", n)  # validates n >= 4
     if n > BN_CHARACTER_GUARD:
@@ -436,9 +352,11 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
     dn = realize(label)
     out = []
     seen = set()
+    self_paired = {}
     for blabel, chi, dim in hyperoctahedral_irreducibles(n):
         lam, mu = blabel.lam, blabel.mu
         if lam == mu:
+            self_paired[lam] = chi
             continue
         key = frozenset({lam, mu})
         res = restrict_character(chi, dn)
@@ -453,6 +371,10 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
         out.append((DnLabel(first, second), ClassFunction(dn, res.values, str(DnLabel(first, second))), dim))
     for lam in partitions_of(n // 2) if n % 2 == 0 else ():
         plus, minus = _split_self_paired(n, lam, dn)
+        if plus + minus != restrict_character(self_paired[lam], dn) or plus == minus:
+            raise InternalInconsistencyError(
+                f"the halves of {DnLabel(lam, lam)} do not split its restriction"
+            )
         half_dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
         out.append((DnLabel(lam, lam, "+"), plus, half_dim))
         out.append((DnLabel(lam, lam, "-"), minus, half_dim))

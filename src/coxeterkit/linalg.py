@@ -2,17 +2,16 @@
 
 Determinants and leading principal minors come from one forward Gaussian
 elimination with exact field division (``_gauss_pivots``): over Fractions
-when every entry is rational, else over the entries as given.  Rank over Q
-uses integer fraction-free elimination on rows scaled to integers; inverse,
-solve, nullspace and field rank use Gauss-Jordan elimination.  Intended
-sizes are small (ranks <= 10 or so for cyclotomic work, a few hundred for
-rational work).
+when every entry is rational, else over the entries as given.  Inverse,
+solve, nullspace and both ranks (over Q on the entries as Fractions, and
+over the field of the entries) use one Gauss-Jordan elimination,
+``_field_rref``.  Intended sizes are small (ranks <= 10 or so for
+cyclotomic work, a few hundred for rational work).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .cyclotomic import Cyclotomic
 from .errors import InternalInconsistencyError, ValidationError
@@ -231,10 +230,11 @@ class Matrix:
         return len(e)
 
     def rank(self) -> int:
+        """Rank over Q: ``field_rank`` of the entries as Fractions."""
         fr = self.rational_entries()
         if fr is None:
             raise ValidationError("rank is defined here for rational matrices only")
-        return _rational_rank(fr)
+        return Matrix(fr).field_rank()
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -329,43 +329,6 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
         i0 += b.rows
         j0 += b.cols
     return Matrix(out)
-
-
-def _rational_rank(a: list[list[Fraction]]) -> int:
-    """Rank over Q by integer fraction-free elimination (rows pre-scaled)."""
-    rows = []
-    for r in a:
-        den = 1
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in r]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        if g:
-            rows.append([x // g for x in ints])
-    ncols = len(a[0])
-    rank = 0
-    r0 = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r0, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        p = rows[r0][col]
-        for i in range(r0 + 1, len(rows)):
-            c = rows[i][col]
-            if c:
-                row = [p * x - c * y for x, y in zip(rows[i], rows[r0])]
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                rows[i] = [x // g for x in row] if g else row
-        rank += 1
-        r0 += 1
-        if r0 == len(rows):
-            break
-    return rank
 
 
 def _gauss_pivots(a: list[list], swap: bool):

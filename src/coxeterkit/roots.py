@@ -26,6 +26,7 @@ from .errors import (
 from .graphs import gram_matrix
 from .groups import MAX_ORDER, realize
 from .linalg import Matrix, invert_scalar, is_zero_scalar
+from .reps import Representation
 
 def _dot(u, v, gram: Matrix | None):
     if gram is None:
@@ -258,8 +259,9 @@ def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
     """The faithful reflection representation on the simple-root basis.
 
     Maps every group element to its matrix, built multiplicatively from the
-    generator images sigma_s; re-visits during the closure walk check the
-    homomorphism property, and injectivity is checked by distinct matrices.
+    generator images sigma_s along the group's word DAG.  The defining
+    relations are checked on those images, and injectivity by distinct
+    matrices.
     """
     if t.family not in ("A", "B", "D", "I2"):
         raise UnsupportedTypeError(f"no geometric realization for {t}")
@@ -282,13 +284,8 @@ def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
             rows.append(row)
         gens.append(Matrix(rows))
 
-    parent, genidx = group.word_dag()
-    mats: list[Matrix | None] = [None] * group.order
-    mats[0] = Matrix.identity(n)
-    order_ = list(range(group.order))
-    order_.sort(key=lambda i: _dag_depth(parent, i))
-    for i in order_[1:]:
-        mats[i] = gens[genidx[i]] * mats[parent[i]]
+    rep = Representation(group, gens)  # checks the defining relations
+    mats = [rep.matrix_of(el) for el in group.elements]
     # injectivity via canonical matrix fingerprints
     cond = 1
     for g in gens:
@@ -300,14 +297,6 @@ def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
             raise InternalInconsistencyError("geometric representation is not injective")
         seen[k] = i
     return {group.elements[i]: mats[i] for i in range(group.order)}
-
-
-def _dag_depth(parent, i) -> int:
-    d = 0
-    while parent[i] >= 0:
-        i = parent[i]
-        d += 1
-    return d
 
 
 def fixed_space_dimension(matrices: list[Matrix]) -> int:

@@ -185,6 +185,24 @@ def test_d4_split_halves():
         assert dim_int(plus.identity_value) == dim_int(minus.identity_value) == 3
 
 
+@pytest.mark.parametrize("lam", partitions_of(3), ids=str)
+def test_d6_split_halves_past_the_guard(lam):
+    """The little-group split works on D_6, which dn_irreducibles still guards."""
+    from coxeterkit.families import _extended_character, _split_self_paired
+    from coxeterkit.reps import induce_character
+
+    dn = realize(TypeLabel("D", 6))
+    plus, minus = _split_self_paired(6, lam, dn)
+    assert inner_product(plus, plus) == inner_product(minus, minus) == 1
+    assert inner_product(plus, minus) == 0
+    half = bn_dimension(6, BipartitionLabel(lam, lam)) // 2
+    assert dim_int(plus.identity_value) == dim_int(minus.identity_value) == half
+    parent = induce_character(
+        _extended_character(6, BipartitionLabel(lam, lam)), realize(TypeLabel("B", 6))
+    )
+    assert plus + minus == restrict_character(parent, dn)
+
+
 def test_dn_label_text():
     assert str(DnLabel((2,), (1, 1))) == "D:{2|1+1}"
     assert str(DnLabel((2,), (2,), "+")) == "D:(2,2,+)"

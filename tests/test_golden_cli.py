@@ -8,7 +8,10 @@ cases were recorded before the integer cyclotomic kernel replaced the
 Fraction-dict one; they pin the as-built printed form of cyclotomic values,
 down to the unreduced minors in non-finiteness witnesses.  The
 ``A~2+pendant`` and ``mixed(4,5,6)`` cases were recorded before the leading
-minors came from one elimination pass instead of one determinant each.
+minors came from one elimination pass instead of one determinant each.  The
+``chartable``, ``irreps`` and ``verify`` cases of D4 and the ``chartable``
+cases of B4 and A5 were recorded before the self-paired D_n characters were
+split by little-group induction instead of a commutant eigenspace.
 
 A key is ``"<command> <target> <format>"``.  The format is ``tsv``, ``json``
 or ``float`` (tsv with ``--float``).  For ``classify`` the target names a
