@@ -3,7 +3,14 @@
 Classifies Coxeter graphs against the full finite catalog and constructs,
 for the infinite families A_n, B_n, D_n and I2(m), concrete groups together
 with complete sets of irreducible characters, all in exact arithmetic.
+
+Importing the package loads only the classification chain (``classify``,
+``graphs``, ``linalg``, ``cyclotomic`` and ``errors``).  Every other name in
+``__all__`` is loaded from its module on first access (PEP 562), so a
+process pays only for the modules it uses.
 """
+
+import importlib
 
 from .classify import (
     ClassificationResult,
@@ -23,18 +30,6 @@ from .errors import (
     UnsupportedTypeError,
     ValidationError,
 )
-from .families import (
-    BipartitionLabel,
-    DnLabel,
-    SignCharacter,
-    bn_conjugacy_parametrization,
-    bipartitions,
-    dihedral_irreducibles,
-    dn_irreducibles,
-    hyperoctahedral_irreducibles,
-    irreducible_characters,
-    sign_character_orbits,
-)
 from .graphs import (
     INFINITY,
     CoxeterGraph,
@@ -47,45 +42,105 @@ from .graphs import (
     parse_graph_json,
     subgraph,
 )
-from .groups import (
-    DihedralElement,
-    Permutation,
-    RealizedGroup,
-    SignedPermutation,
-    conjugacy_classes,
-    cycle_type,
-    enumerate_group,
-    realize,
-    verify_presentation,
-)
 from .linalg import Matrix, determinant, leading_principal_minors, rank
-from .reps import (
-    ClassFunction,
-    GroupAlgebraElement,
-    Representation,
-    Subgroup,
-    character_of,
-    decompose,
-    direct_sum,
-    induce_character,
-    inner_product,
-    is_irreducible,
-    multiplicity,
-    natural_representation,
-    regular_representation,
-    restrict_character,
-    tensor_decompose,
-    trivial_character,
-)
-from .roots import RootSystem, compute_base, geometric_rep, reflect, root_system
-from .specht import (
-    hook_dimension,
-    partition_text,
-    partitions_of,
-    row_column_groups,
-    specht_module,
-    symmetric_character_table,
-    young_symmetrizer,
-)
+
+_LAZY = {
+    "families": (
+        "BipartitionLabel",
+        "DnLabel",
+        "SignCharacter",
+        "bn_conjugacy_parametrization",
+        "bipartitions",
+        "dihedral_irreducibles",
+        "dn_irreducibles",
+        "hyperoctahedral_irreducibles",
+        "irreducible_characters",
+        "sign_character_orbits",
+    ),
+    "groups": (
+        "DihedralElement",
+        "Permutation",
+        "RealizedGroup",
+        "SignedPermutation",
+        "conjugacy_classes",
+        "cycle_type",
+        "enumerate_group",
+        "realize",
+        "verify_presentation",
+    ),
+    "reps": (
+        "ClassFunction",
+        "GroupAlgebraElement",
+        "Representation",
+        "Subgroup",
+        "character_of",
+        "decompose",
+        "direct_sum",
+        "induce_character",
+        "inner_product",
+        "is_irreducible",
+        "multiplicity",
+        "natural_representation",
+        "regular_representation",
+        "restrict_character",
+        "tensor_decompose",
+        "trivial_character",
+    ),
+    "roots": ("RootSystem", "compute_base", "geometric_rep", "reflect", "root_system"),
+    "specht": (
+        "hook_dimension",
+        "partition_text",
+        "partitions_of",
+        "row_column_groups",
+        "specht_module",
+        "symmetric_character_table",
+        "young_symmetrizer",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = [
+    "ClassificationResult",
+    "TypeLabel",
+    "affine_catalog",
+    "catalog_graph",
+    "classify",
+    "coxeter_group_order",
+    "is_positive_definite",
+    "parse_type_label",
+    "Cyclotomic",
+    "Rational",
+    "cyclotomic_polynomial",
+    "real_cos_pi_over",
+    "CoxeterKitError",
+    "GuardError",
+    "InternalInconsistencyError",
+    "UnsupportedTypeError",
+    "ValidationError",
+    "INFINITY",
+    "CoxeterGraph",
+    "CoxeterMatrix",
+    "connected_components",
+    "gram_matrix",
+    "graph_from_matrix",
+    "graph_to_json",
+    "matrix_from_graph",
+    "parse_graph_json",
+    "subgraph",
+    "Matrix",
+    "determinant",
+    "leading_principal_minors",
+    "rank",
+    *_HOME,
+]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -9,7 +9,7 @@ in one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cyclotomic import sign
 from .errors import (
@@ -25,39 +25,37 @@ _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
 VERTEX_GUARD = 48  # classify() refuses larger graphs with GuardError (exit 3)
 
 
-@dataclass(frozen=True, order=True)
-class TypeLabel:
+class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
     """Name of an irreducible finite Coxeter type, e.g. A4, B3, I2(7).
 
     For classification output, single edges labeled 3 and 4 are always the
     canonical A2 and B2, so I2(m) labels carry m >= 5; dihedral realizations
-    accept any m >= 3.
+    accept any m >= 3.  ``bond`` is m for I2 and None otherwise.  Labels are
+    immutable, hashable and ordered as (family, rank, bond) tuples.
     """
 
-    family: str
-    rank: int
-    bond: int | None = None  # m, for I2 only
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}")
-        f, n = self.family, self.rank
+    def __new__(cls, family: str, rank: int, bond: int | None = None):
+        if family not in _FAMILIES:
+            raise ValidationError(f"unknown family {family!r}")
         ok = {
-            "A": n >= 1,
-            "B": n >= 1,  # B1 = Z/2 exists as a group; classification emits n >= 2
-            "D": n >= 4,
-            "E": n in (6, 7, 8),
-            "F": n == 4,
-            "H": n in (3, 4),
-            "I2": n == 2,
-        }[f]
+            "A": rank >= 1,
+            "B": rank >= 1,  # B1 = Z/2 exists as a group; classification emits n >= 2
+            "D": rank >= 4,
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "H": rank in (3, 4),
+            "I2": rank == 2,
+        }[family]
         if not ok:
-            raise ValidationError(f"invalid rank {n} for family {f}")
-        if f == "I2":
-            if not (isinstance(self.bond, int) and self.bond >= 3):
-                raise ValidationError(f"I2 needs a bond label m >= 3, got {self.bond!r}")
-        elif self.bond is not None:
+            raise ValidationError(f"invalid rank {rank} for family {family}")
+        if family == "I2":
+            if not (isinstance(bond, int) and bond >= 3):
+                raise ValidationError(f"I2 needs a bond label m >= 3, got {bond!r}")
+        elif bond is not None:
             raise ValidationError("bond label is only meaningful for I2")
+        return super().__new__(cls, family, rank, bond)
 
     def __str__(self) -> str:
         if self.family == "I2":
@@ -90,6 +88,9 @@ def canonical_label(t: TypeLabel) -> TypeLabel:
     if t.family == "I2" and t.bond == 4:
         return TypeLabel("B", 2)
     return t
+
+
+MAX_ORDER = 100_000  # default bound on |W| for every group built from a label
 
 
 def coxeter_group_order(t: TypeLabel) -> int:
@@ -167,13 +168,14 @@ def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
     return out
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Evidence that a graph is not of finite type."""
+class Witness(namedtuple("Witness", "kind index value")):
+    """Evidence that a graph is not of finite type.
 
-    kind: str  # "zero-determinant" or "nonpositive-minor"
-    index: int  # minor size (1-based); for zero-determinant this is n
-    value: object
+    ``kind`` is "zero-determinant" or "nonpositive-minor"; ``index`` is the
+    minor size (1-based), n for a zero determinant; ``value`` is the minor.
+    """
+
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "zero-determinant":
@@ -181,16 +183,14 @@ class Witness:
         return f"minor {self.index} = {self.value}"
 
 
-@dataclass(frozen=True)
-class ComponentResult:
-    vertices: tuple[int, ...]
-    label: TypeLabel | None
-    witness: Witness | None
+class ComponentResult(namedtuple("ComponentResult", "vertices label witness")):
+    """One connected component: its vertices, and a TypeLabel or a Witness."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    components: tuple[ComponentResult, ...]
+class ClassificationResult(namedtuple("ClassificationResult", "components")):
+    __slots__ = ()
 
     @property
     def is_finite(self) -> bool:

@@ -17,8 +17,15 @@ Output is byte-deterministic for a fixed command and input.
 
 ``--max-order N`` bounds the group order |W| for chartable, irreps, realize
 and verify alike: a type with |W| > N exits 3 before any work.  Without it,
-groups are built up to ``MAX_ORDER`` elements, and irreps of A_n and B_n,
-which come from formulas and need no group, are not bounded.
+groups are built up to ``classify.MAX_ORDER`` elements, and irreps of A_n
+and B_n, which come from formulas and need no group, are not bounded.
+
+Start-up: each process is one command, so a command loads only the modules
+it runs.  This module imports only the classification chain that the
+package loads anyway (``classify``, ``graphs``, ``linalg``, ``cyclotomic``,
+``errors``); each command imports the rest inside its own function.  So
+``classify`` never loads ``groups``, and ``realize`` never loads
+``families``, ``reps``, ``specht``, ``roots`` or ``verify``.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .classify import classify, parse_type_label
+from .classify import MAX_ORDER, classify, parse_type_label
 from .cyclotomic import Cyclotomic
 from .errors import (
     GuardError,
@@ -35,18 +42,8 @@ from .errors import (
     UnsupportedTypeError,
     ValidationError,
 )
-from .families import (
-    dihedral_irreducibles,
-    dn_irreducibles,
-    hyperoctahedral_dimensions,
-    irreducible_characters,
-)
 from .graphs import parse_graph_json
-from .groups import MAX_ORDER, check_order, element_text, realize
 from .linalg import as_integer
-from .reps import ClassFunction
-from .specht import hook_dimension, partition_text, partitions_of
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -64,22 +61,18 @@ def format_value(v, float_mode: bool = False) -> str:
     return str(Fraction(v))
 
 
-def _class_headers(domain) -> list[str]:
-    classes = domain.classes
-    return [f"{element_text(rep)} [{size}]" for rep, size in zip(classes.reps, classes.sizes)]
+def _print_table(chars: list, fmt: str, float_mode: bool, out) -> None:
+    """Write ClassFunctions on one domain as a character table."""
+    from .groups import element_text
 
-
-def _print_table(chars: list[ClassFunction], fmt: str, float_mode: bool, out) -> None:
-    domain = chars[0].domain
-    headers = _class_headers(domain)
+    classes = chars[0].domain.classes
+    reps = [element_text(rep) for rep in classes.reps]
     if fmt == "json":
         import json
 
-        classes = domain.classes
         data = {
             "classes": [
-                {"representative": element_text(rep), "size": size}
-                for rep, size in zip(classes.reps, classes.sizes)
+                {"representative": rep, "size": size} for rep, size in zip(reps, classes.sizes)
             ],
             "rows": [
                 {
@@ -91,6 +84,7 @@ def _print_table(chars: list[ClassFunction], fmt: str, float_mode: bool, out) ->
         }
         out.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
         return
+    headers = [f"{rep} [{size}]" for rep, size in zip(reps, classes.sizes)]
     out.write("\t".join(["irrep"] + headers) + "\n")
     for c in chars:
         cells = [c.name or ""] + [format_value(v, float_mode) for v in c.values]
@@ -136,12 +130,16 @@ def _type_and_budget(args) -> tuple:
     if args.max_order is None:
         return label, MAX_ORDER
     if label.family in ("A", "B", "D", "I2"):
+        from .groups import check_order
+
         check_order(label, args.max_order)
     return label, args.max_order
 
 
 def cmd_chartable(args, out) -> int:
     label, _ = _type_and_budget(args)
+    from .families import irreducible_characters
+
     chars = irreducible_characters(label)
     _print_table(chars, args.format, args.float, out)
     return EXIT_OK
@@ -151,13 +149,21 @@ def cmd_irreps(args, out) -> int:
     label, _ = _type_and_budget(args)
     rows: list[tuple[str, int]] = []
     if label.family == "A":
+        from .specht import hook_dimension, partition_text, partitions_of
+
         n = label.rank + 1
         rows = [(partition_text(s), hook_dimension(s)) for s in partitions_of(n)]
     elif label.family == "B":
+        from .families import hyperoctahedral_dimensions
+
         rows = [(str(lbl), d) for lbl, d in hyperoctahedral_dimensions(label.rank)]
     elif label.family == "D":
+        from .families import dn_irreducibles
+
         rows = [(str(lbl), d) for lbl, _, d in dn_irreducibles(label.rank)]
     elif label.family == "I2":
+        from .families import dihedral_irreducibles
+
         chars = dihedral_irreducibles(label.bond)
         rows = [(c.name, as_integer(c.identity_value)) for c in chars]
     else:
@@ -181,6 +187,8 @@ def cmd_irreps(args, out) -> int:
 
 def cmd_realize(args, out) -> int:
     label, max_order = _type_and_budget(args)
+    from .groups import element_text, realize
+
     group = realize(label, max_order)
     classes = group.classes
     if args.format == "json":
@@ -209,6 +217,8 @@ def cmd_realize(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     label, max_order = _type_and_budget(args)
+    from .verify import run_verification
+
     checks = run_verification(label, max_order)
     failed = 0
     for name, ok, detail in checks:

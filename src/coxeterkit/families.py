@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,15 +49,15 @@ BN_DIMENSION_GUARD = 8
 DIHEDRAL_GUARD = 24
 
 
-@dataclass(frozen=True)
-class SignCharacter:
+class SignCharacter(namedtuple("SignCharacter", "bits")):
     """Character of the sign subgroup {+-1}^n given by exponents in {0,1}^n."""
 
-    bits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+    def __new__(cls, bits: tuple[int, ...]):
+        if any(b not in (0, 1) for b in bits):
             raise ValidationError("sign character exponents must be 0 or 1")
+        return super().__new__(cls, bits)
 
     @property
     def n(self) -> int:
@@ -74,16 +74,15 @@ class SignCharacter:
         return "psi(" + ",".join(str(b) for b in self.bits) + ")"
 
 
-@dataclass(frozen=True)
-class BipartitionLabel:
+class BipartitionLabel(namedtuple("BipartitionLabel", "lam mu")):
     """Ordered pair of partitions with |lam| + |mu| = n."""
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        validate_partition(self.lam)
-        validate_partition(self.mu)
+    def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...]):
+        validate_partition(lam)
+        validate_partition(mu)
+        return super().__new__(cls, lam, mu)
 
     @property
     def a(self) -> int:
@@ -101,17 +100,18 @@ class BipartitionLabel:
         return f"B:({partition_text(self.lam)}|{partition_text(self.mu)})"
 
 
-@dataclass(frozen=True)
-class DnLabel:
-    """Unordered pair {lam, mu} for an irreducible restriction, or a split half."""
+class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
+    """Unordered pair {lam, mu} for an irreducible restriction, or a split half.
 
-    lam: tuple[int, ...]
-    mu: tuple[int, ...]
-    half: str | None = None  # "+" or "-" when lam == mu
+    ``half`` is "+" or "-" for a half of a self-paired (lam == mu) label.
+    """
 
-    def __post_init__(self):
-        if self.half is not None and (self.half not in "+-" or self.lam != self.mu):
+    __slots__ = ()
+
+    def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...], half: str | None = None):
+        if half is not None and (half not in "+-" or lam != mu):
             raise ValidationError("split labels need lam == mu and half in {+, -}")
+        return super().__new__(cls, lam, mu, half)
 
     def __str__(self):
         if self.half is None:
@@ -255,18 +255,13 @@ def hyperoctahedral_dimensions(n: int) -> list[tuple[BipartitionLabel, int]]:
     return [(label, bn_dimension(n, label)) for label in bipartitions(n)]
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
-    """Outcome of matching B_n conjugacy classes to pairs of partitions."""
+class ConjugacyReport(namedtuple("ConjugacyReport", "n class_count pair_count matching")):
+    """Outcome of matching B_n conjugacy classes to pairs of partitions.
 
-    n: int
-    class_count: int
-    pair_count: int
-    matching: tuple[tuple[int, tuple[tuple[int, ...], tuple[int, ...]]], ...]
+    ``matching`` holds (class index, (positive, negative) cycle type) pairs.
+    """
 
-    @property
-    def bijective(self) -> bool:
-        return self.class_count == self.pair_count == len({m for _, m in self.matching})
+    __slots__ = ()
 
 
 def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:

@@ -15,7 +15,6 @@ of 0 means INFINITY.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -246,6 +245,8 @@ def subgraph(g: CoxeterGraph, remove_vertices=(), lower_labels=None) -> CoxeterG
 
 def parse_graph_json(text: str) -> CoxeterGraph:
     """Parse the graph JSON format; raises ValidationError with position info."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -265,5 +266,7 @@ def parse_graph_json(text: str) -> CoxeterGraph:
 
 
 def graph_to_json(g: CoxeterGraph) -> str:
+    import json
+
     edges = [[i, j, 0 if m is INFINITY else m] for i, j, m in g.edges()]
     return json.dumps({"n": g.n, "edges": edges}, sort_keys=True)

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .classify import TypeLabel, catalog_graph, coxeter_group_order
+from .classify import MAX_ORDER, TypeLabel, catalog_graph, coxeter_group_order
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .graphs import CoxeterGraph
 from .linalg import Matrix
-
-MAX_ORDER = 100_000
 
 
 class Permutation:
@@ -166,12 +164,6 @@ class SignedPermutation:
     def size(self) -> int:
         return self.perm.size
 
-    def is_even(self) -> bool:
-        prod = 1
-        for s in self.signs:
-            prod *= s
-        return prod == 1
-
     def __mul__(self, other):
         if not isinstance(other, SignedPermutation):
             return NotImplemented
@@ -292,11 +284,12 @@ def element_text(el) -> str:
     return el.text()
 
 
-@dataclass(frozen=True)
-class ConjugacyClasses:
-    reps: tuple  # first element of each class in enumeration order
-    sizes: tuple[int, ...]
-    class_of: tuple[int, ...]  # element index -> class index
+class ConjugacyClasses(namedtuple("ConjugacyClasses", "reps sizes class_of")):
+    """Classes of an enumerated group: ``reps`` (the first element of each
+    class, in enumeration order), ``sizes``, and ``class_of`` (element index
+    -> class index)."""
+
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -369,11 +362,6 @@ class RealizedGroup:
         except KeyError:
             raise ValidationError(f"element {el!r} does not belong to {self.label}") from None
 
-    def multiply(self, a, b):
-        self.index_of(a)
-        self.index_of(b)
-        return a * b
-
     def generator_tables(self) -> tuple[tuple[int, ...], ...]:
         """Left action of each generator on indices: i -> index(s * elements[i])."""
         if self._tables is None:
@@ -388,9 +376,6 @@ class RealizedGroup:
             self._inverses = tuple([self.index[g.inverse()] for g in self.elements])
         return self._inverses
 
-    def inverse_index(self, i: int) -> int:
-        return self._inverse_table()[i]
-
     @property
     def classes(self) -> ConjugacyClasses:
         if self._classes is None:
@@ -402,9 +387,6 @@ class RealizedGroup:
             ]
             self._classes = conjugacy_orbits(self.elements, conjugations)
         return self._classes
-
-    def class_of_element(self, el) -> int:
-        return self.classes.class_of[self.index_of(el)]
 
     def word_dag(self):
         """BFS factorization: parent[i], gen[i] with elements[i] = gen * parent.

@@ -3,8 +3,8 @@
 Determinants and leading principal minors come from one forward Gaussian
 elimination with exact field division (``_gauss_pivots``): over Fractions
 when every entry is rational, else over the entries as given.  Inverse,
-solve, nullspace and both ranks (over Q on the entries as Fractions, and
-over the field of the entries) use one Gauss-Jordan elimination,
+solve and both ranks (over Q on the entries as Fractions, and over the
+field of the entries) use one Gauss-Jordan elimination,
 ``_field_rref``.  Intended sizes are small (ranks <= 10 or so for
 cyclotomic work, a few hundred for rational work).
 """
@@ -142,9 +142,6 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         return Matrix([[c * a for a in r] for r in self.entries])
 
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.entries)))
-
     def trace(self):
         if not self.is_square:
             raise ValidationError("trace needs a square matrix")
@@ -171,13 +168,6 @@ class Matrix:
                 row.append(q)
             out.append(row)
         return out
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for ra in self.entries:
-            for rb in other.entries:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
 
     def determinant(self):
         """Exact determinant: a Fraction when every entry is rational."""
@@ -285,26 +275,6 @@ class Matrix:
                 return None
         return x
 
-    def nullspace(self) -> list[list]:
-        """Basis of the right nullspace; exact, works over Q and Q(zeta)."""
-        n = self.cols
-        reduced = _field_rref([list(r) for r in self.entries], ncols=n)
-        pivot_cols = []
-        for r in reduced:
-            j = next((j for j in range(n) if not is_zero_scalar(r[j])), None)
-            if j is not None:
-                pivot_cols.append(j)
-        free = [j for j in range(n) if j not in pivot_cols]
-        basis = []
-        for f in free:
-            v = [0] * n
-            v[f] = 1
-            for j, r in zip(pivot_cols, reduced):
-                if not is_zero_scalar(r[f]):
-                    v[j] = -(r[f] * invert_scalar(r[j]))
-            basis.append(v)
-        return basis
-
     def field_rank(self) -> int:
         """Rank via division-based elimination; valid for cyclotomic entries too."""
         n = self.cols
@@ -390,7 +360,7 @@ def _field_rref(a: list[list], ncols: int) -> list[list]:
     """Gauss-Jordan elimination over the first ncols columns.
 
     Each pivot column is cleared above and below its pivot (pivots are not
-    scaled to 1); ``nullspace`` relies on that.
+    scaled to 1); ``inverse`` and ``solve`` divide by them.
     """
     r0 = 0
     nrows = len(a)

@@ -99,9 +99,6 @@ class Subgroup:
             self._classes = conjugacy_orbits(self.elements, conjugations)
         return self._classes
 
-    def class_of_element(self, el) -> int:
-        return self.classes.class_of[self.index_of(el)]
-
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
 
@@ -209,8 +206,8 @@ class Representation:
             for j in range(i, len(self.matrices)):
                 m = graph.label(i, j)
                 p = self.matrices[i] * self.matrices[j]
-                acc = Matrix.identity(self.dim)
-                for _ in range(m):
+                acc = p
+                for _ in range(m - 1):
                     acc = acc * p
                 if not acc.is_identity():
                     raise ValidationError(
@@ -331,10 +328,6 @@ class GroupAlgebraElement:
 
     def __init__(self, coeffs: dict):
         self.coeffs = {g: Fraction(c) for g, c in coeffs.items() if c}
-
-    @classmethod
-    def from_element(cls, g) -> "GroupAlgebraElement":
-        return cls({g: Fraction(1)})
 
     def __add__(self, other):
         out = dict(self.coeffs)

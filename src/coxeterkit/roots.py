@@ -11,11 +11,10 @@ Vectors are plain tuples of int/Fraction/Cyclotomic entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .classify import TypeLabel, catalog_graph
+from .classify import MAX_ORDER, TypeLabel, catalog_graph
 from .cyclotomic import Cyclotomic, sign
 from .errors import (
     GuardError,
@@ -24,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import gram_matrix
-from .groups import MAX_ORDER, realize
+from .groups import realize
 from .linalg import Matrix, invert_scalar, is_zero_scalar
 from .reps import Representation
 
@@ -88,25 +87,44 @@ def _lex_positive(v) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """Finite set of roots, closed under its own reflections.
 
     Construction mechanically checks the three axioms: finiteness of the
     nonzero root list, intersection of each root line with the system being
     exactly {root, -root}, and stability under every root reflection.
+    Immutable; equality and hashing compare (roots, label, gram).
     """
 
-    roots: tuple
-    label: TypeLabel
-    gram: Matrix | None = None
-    _conductor: int = field(init=False, default=1, repr=False, compare=False)
+    __slots__ = ("roots", "label", "gram", "_conductor")
 
-    def __post_init__(self):
-        roots = tuple(tuple(v) for v in self.roots)
+    def __init__(self, roots, label: TypeLabel, gram: Matrix | None = None):
+        roots = tuple(tuple(v) for v in roots)
         object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_conductor", _common_conductor(roots))
         self._check_axioms()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RootSystem is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RootSystem is immutable; cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.roots, self.label, self.gram)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"RootSystem(roots={self.roots!r}, label={self.label!r}, gram={self.gram!r})"
 
     def _check_axioms(self):
         cond = self._conductor

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from .classify import (
+    MAX_ORDER,
     TypeLabel,
     canonical_label,
     catalog_graph,
@@ -24,7 +25,7 @@ from .families import (
     irreducible_characters,
     dihedral_irreducibles,
 )
-from .groups import MAX_ORDER, realize, verify_presentation
+from .groups import realize, verify_presentation
 from .linalg import as_integer
 from .reps import (
     Subgroup,

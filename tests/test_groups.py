@@ -50,7 +50,7 @@ def test_mixed_operands_rejected():
         Permutation.identity(3) * SignedPermutation.identity(3)
     group = realize(TypeLabel("A", 2))
     with pytest.raises(ValidationError):
-        group.multiply(Permutation.identity(3), Permutation.identity(4))
+        group.index_of(Permutation.identity(4))
 
 
 def test_signed_product_matches_matrix_model():

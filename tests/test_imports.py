@@ -1,9 +1,14 @@
-"""Every name a library module imports is used in that module.
+"""Import hygiene of the package, checked with ``ast``.
 
-Only ``ast`` is used: a name bound by an import statement must appear as a
-``Name`` load (or as the root of an attribute chain) somewhere in the same
-module, or be listed in ``__all__``.  ``from __future__`` imports are
-exempt, and so is the package ``__init__``, which imports to re-export.
+Every name a library module imports is used in that module: a name bound
+by an import statement must appear as a ``Name`` load (or as the root of an
+attribute chain) somewhere in the same module, or be listed in ``__all__``.
+``from __future__`` imports are exempt, and so is the package
+``__init__``, which imports to re-export.
+
+Every name in ``coxeterkit.__all__`` resolves, eagerly or on first access,
+to the object its one home module defines; and no module imports
+``dataclasses``, whose own imports cost every process several milliseconds.
 """
 
 import ast
@@ -11,10 +16,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parents[1] / "src" / "coxeterkit").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = Path(__file__).parents[1] / "src" / "coxeterkit"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,3 +57,69 @@ def test_detector_flags_unused_and_spares_used_names():
         "    return sys.argv, a.b.c, z\n"
     )
     assert unused_imports(source) == ["os (line 2)", "w (line 4)"]
+
+
+# -- the package namespace: eager chain, lazy rest ------------------------------
+
+
+def top_level_names(source: str) -> set:
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    import importlib
+
+    import coxeterkit
+
+    defined = {p.stem: top_level_names(p.read_text()) for p in SOURCES}
+    assert len(set(coxeterkit.__all__)) == len(coxeterkit.__all__)
+    for name in coxeterkit.__all__:
+        homes = [m for m, names in defined.items() if name in names]
+        assert len(homes) == 1, (name, homes)
+        home = importlib.import_module(f"coxeterkit.{homes[0]}")
+        assert getattr(coxeterkit, name) is getattr(home, name), name
+
+
+def test_classify_attribute_is_the_function():
+    import coxeterkit
+
+    assert callable(coxeterkit.classify)
+    assert coxeterkit.classify.__module__ == "coxeterkit.classify"
+
+
+def test_star_import_binds_every_exported_name():
+    import coxeterkit
+
+    namespace = {}
+    exec("from coxeterkit import *", namespace)
+    assert set(coxeterkit.__all__) <= set(namespace)
+    for name in coxeterkit.__all__:
+        assert namespace[name] is getattr(coxeterkit, name)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    import coxeterkit
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        coxeterkit.no_such_name
+    assert not hasattr(coxeterkit, "MODULE_GUARD")
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "dataclasses" for m in modules), path.name

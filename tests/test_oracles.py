@@ -57,7 +57,7 @@ def brute_force_induce(chi: ClassFunction, group) -> list:
         for x in group.elements:
             y = x.inverse() * rep * x
             if sub.contains(y):
-                acc = acc + chi.values[sub.class_of_element(y)]
+                acc = acc + chi.values[sub.classes.class_of[sub.index_of(y)]]
         values.append(Fraction(1, sub.order) * acc)
     return values
 

@@ -1,0 +1,155 @@
+"""Start-up cost: each CLI command loads only the modules it runs.
+
+Every check on loaded modules runs in a fresh interpreter, because the test
+process itself has long since imported the whole package.  The value
+classes (named tuples and one plain class) are pinned here too: they keep
+the repr, validation, immutability, hashing and ordering they had as frozen
+dataclasses.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from coxeterkit.classify import TypeLabel, Witness
+from coxeterkit.errors import ValidationError
+from coxeterkit.families import BipartitionLabel, DnLabel, SignCharacter
+from coxeterkit.groups import realize
+from coxeterkit.roots import RootSystem
+
+SRC = Path(__file__).parents[1] / "src"
+ALL_MODULES = {p.stem for p in (SRC / "coxeterkit").glob("*.py")} - {"__init__", "__main__"}
+CHAIN = {"classify", "cyclotomic", "errors", "graphs", "linalg"}
+BASE = CHAIN | {"cli"}
+
+PROBE = """
+import io, json, sys
+from coxeterkit import cli
+code = cli.main(sys.argv[1:], out=io.StringIO())
+loaded = sorted(m[len("coxeterkit."):] for m in sys.modules if m.startswith("coxeterkit."))
+print(json.dumps([code, loaded]))
+"""
+
+
+def fresh_python(source: str, *argv: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return proc.stdout
+
+
+def modules_after(*argv: str) -> set:
+    code, loaded = json.loads(fresh_python(PROBE, *argv))
+    assert code == 0
+    return set(loaded)
+
+
+def test_package_import_loads_only_the_classification_chain():
+    source = "import sys, coxeterkit; print(sorted(m for m in sys.modules if m.startswith('coxeterkit.')))"
+    assert fresh_python(source).strip() == repr(sorted(f"coxeterkit.{m}" for m in CHAIN))
+
+
+def test_classify_never_loads_groups(tmp_path):
+    path = tmp_path / "b3.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}')
+    assert modules_after("classify", str(path)) == BASE
+
+
+def test_realize_loads_only_groups():
+    assert modules_after("realize", "A3") == BASE | {"groups"}
+
+
+def test_irreps_of_type_a_skips_families():
+    assert modules_after("irreps", "A3") == BASE | {"groups", "reps", "specht"}
+
+
+def test_irreps_of_a_dihedral_type_skips_roots_and_verify():
+    assert modules_after("irreps", "I2(5)") == BASE | {"groups", "reps", "specht", "families"}
+
+
+def test_chartable_skips_roots_and_verify():
+    assert modules_after("chartable", "A2") == BASE | {"groups", "reps", "specht", "families"}
+
+
+def test_verify_loads_everything():
+    assert modules_after("verify", "A2") == ALL_MODULES
+
+
+# -- value classes ---------------------------------------------------------------
+
+
+def test_type_label_repr_and_str():
+    assert repr(TypeLabel("A", 3)) == "TypeLabel(family='A', rank=3, bond=None)"
+    assert repr(TypeLabel("I2", 2, 7)) == "TypeLabel(family='I2', rank=2, bond=7)"
+    assert str(TypeLabel("I2", 2, 7)) == "I2(7)"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("X", 3), "unknown family 'X'"),
+    (("D", 3), "invalid rank 3 for family D"),
+    (("I2", 2), "I2 needs a bond label m >= 3, got None"),
+    (("A", 2, 5), "bond label is only meaningful for I2"),
+])
+def test_type_label_validation(args, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        TypeLabel(*args)
+
+
+def test_label_validation_in_families():
+    with pytest.raises(ValidationError):
+        SignCharacter((0, 2))
+    with pytest.raises(ValidationError):
+        BipartitionLabel((1, 2), ())
+    with pytest.raises(ValidationError):
+        DnLabel((2,), (1, 1), "+")
+    assert DnLabel((1,), (1,), "-").half == "-"
+
+
+def test_values_are_immutable():
+    label = TypeLabel("B", 3)
+    with pytest.raises(AttributeError):
+        label.rank = 4
+    with pytest.raises(AttributeError):
+        label.extra = 1
+    classes = realize(TypeLabel("A", 2)).classes
+    with pytest.raises(AttributeError):
+        classes.sizes = ()
+    rs = RootSystem(((Fraction(1),), (Fraction(-1),)), TypeLabel("A", 1))
+    with pytest.raises(AttributeError):
+        rs.roots = ()
+    with pytest.raises(AttributeError):
+        del rs.label
+
+
+def test_equal_values_hash_equal():
+    assert TypeLabel("I2", 2, 5) == TypeLabel("I2", 2, 5)
+    assert hash(TypeLabel("I2", 2, 5)) == hash(TypeLabel("I2", 2, 5))
+    assert len({TypeLabel("A", 2), TypeLabel("A", 2), TypeLabel("B", 2)}) == 2
+    assert hash(BipartitionLabel((1,), (1,))) == hash(BipartitionLabel((1,), (1,)))
+    assert Witness("zero-determinant", 3, 0) == Witness("zero-determinant", 3, 0)
+    # labels are lru_cache keys: an equal label finds the cached group
+    assert realize(TypeLabel("A", 3)) is realize(TypeLabel("A", 3))
+
+
+def test_labels_sort_as_family_rank_bond():
+    labels = [TypeLabel("I2", 2, 7), TypeLabel("B", 3), TypeLabel("A", 4), TypeLabel("I2", 2, 5),
+              TypeLabel("A", 2)]
+    assert [str(t) for t in sorted(labels)] == ["A2", "A4", "B3", "I2(5)", "I2(7)"]
+
+
+def test_root_system_repr_equality_and_hash():
+    rs = RootSystem(((Fraction(1),), (Fraction(-1),)), TypeLabel("A", 1))
+    same = RootSystem([[Fraction(1)], [Fraction(-1)]], TypeLabel("A", 1))
+    assert repr(rs) == (
+        "RootSystem(roots=((Fraction(1, 1),), (Fraction(-1, 1),)), "
+        "label=TypeLabel(family='A', rank=1, bond=None), gram=None)"
+    )
+    assert rs == same and hash(rs) == hash(same)
