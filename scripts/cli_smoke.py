@@ -23,10 +23,12 @@ COMMANDS = [
     ["irreps", "D4"],
     ["irreps", "I2(5)"],
     ["chartable", "A3"],
+    ["chartable", "A6"],
     ["--format", "json", "chartable", "B2"],
     ["--float", "chartable", "I2(5)"],
     ["--max-order", "1000", "irreps", "D4"],
     ["verify", "A3"],
+    ["verify", "A4"],
 ]
 
 

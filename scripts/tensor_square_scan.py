@@ -14,11 +14,8 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from coxeterkit.reps import tensor_decompose  # noqa: E402
-from coxeterkit.specht import (  # noqa: E402
-    partition_text,
-    partitions_of,
-    symmetric_character_table,
-)
+from coxeterkit.specht import symmetric_character_table  # noqa: E402
+from coxeterkit.tableaux import partition_text, partitions_of  # noqa: E402
 
 
 def run(max_n: int) -> None:

@@ -46,11 +46,9 @@ from .linalg import Matrix, determinant, leading_principal_minors, rank
 
 _LAZY = {
     "families": (
-        "BipartitionLabel",
         "DnLabel",
         "SignCharacter",
         "bn_conjugacy_parametrization",
-        "bipartitions",
         "dihedral_irreducibles",
         "dn_irreducibles",
         "hyperoctahedral_irreducibles",
@@ -88,13 +86,17 @@ _LAZY = {
     ),
     "roots": ("RootSystem", "compute_base", "geometric_rep", "reflect", "root_system"),
     "specht": (
-        "hook_dimension",
-        "partition_text",
-        "partitions_of",
         "row_column_groups",
         "specht_module",
         "symmetric_character_table",
         "young_symmetrizer",
+    ),
+    "tableaux": (
+        "BipartitionLabel",
+        "bipartitions",
+        "hook_dimension",
+        "partition_text",
+        "partitions_of",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}

@@ -24,8 +24,9 @@ Start-up: each process is one command, so a command loads only the modules
 it runs.  This module imports only the classification chain that the
 package loads anyway (``classify``, ``graphs``, ``linalg``, ``cyclotomic``,
 ``errors``); each command imports the rest inside its own function.  So
-``classify`` never loads ``groups``, and ``realize`` never loads
-``families``, ``reps``, ``specht``, ``roots`` or ``verify``.
+``classify`` never loads ``groups``, ``realize`` never loads
+``families``, ``reps``, ``specht``, ``roots`` or ``verify``, and ``irreps``
+of A_n and B_n load only the group-free ``tableaux``.
 """
 
 from __future__ import annotations
@@ -149,12 +150,12 @@ def cmd_irreps(args, out) -> int:
     label, _ = _type_and_budget(args)
     rows: list[tuple[str, int]] = []
     if label.family == "A":
-        from .specht import hook_dimension, partition_text, partitions_of
+        from .tableaux import hook_dimension, partition_text, partitions_of
 
         n = label.rank + 1
         rows = [(partition_text(s), hook_dimension(s)) for s in partitions_of(n)]
     elif label.family == "B":
-        from .families import hyperoctahedral_dimensions
+        from .tableaux import hyperoctahedral_dimensions
 
         rows = [(str(lbl), d) for lbl, d in hyperoctahedral_dimensions(label.rank)]
     elif label.family == "D":

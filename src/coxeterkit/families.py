@@ -36,16 +36,19 @@ from .reps import (
 )
 from .specht import (
     _block_permutations,
-    hook_dimension,
+    symmetric_character_table,
+    symmetric_character_value,
+)
+from .tableaux import (
+    BipartitionLabel,
+    bipartitions,
+    bn_dimension,
     partition_text,
     partitions_of,
-    symmetric_character_value,
-    validate_partition,
 )
 
 SIGN_ORBIT_GUARD = 8
 BN_CHARACTER_GUARD = 4
-BN_DIMENSION_GUARD = 8
 DIHEDRAL_GUARD = 24
 
 
@@ -74,32 +77,6 @@ class SignCharacter(namedtuple("SignCharacter", "bits")):
         return "psi(" + ",".join(str(b) for b in self.bits) + ")"
 
 
-class BipartitionLabel(namedtuple("BipartitionLabel", "lam mu")):
-    """Ordered pair of partitions with |lam| + |mu| = n."""
-
-    __slots__ = ()
-
-    def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...]):
-        validate_partition(lam)
-        validate_partition(mu)
-        return super().__new__(cls, lam, mu)
-
-    @property
-    def a(self) -> int:
-        return sum(self.lam)
-
-    @property
-    def b(self) -> int:
-        return sum(self.mu)
-
-    @property
-    def n(self) -> int:
-        return self.a + self.b
-
-    def __str__(self):
-        return f"B:({partition_text(self.lam)}|{partition_text(self.mu)})"
-
-
 class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
     """Unordered pair {lam, mu} for an irreducible restriction, or a split half.
 
@@ -117,16 +94,6 @@ class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
         if self.half is None:
             return f"D:{{{partition_text(self.lam)}|{partition_text(self.mu)}}}"
         return f"D:({partition_text(self.lam)},{partition_text(self.mu)},{self.half})"
-
-
-def bipartitions(n: int) -> list[BipartitionLabel]:
-    """All ordered pairs, largest first block first (the trivial label leads)."""
-    out = []
-    for a in range(n, -1, -1):
-        for lam in partitions_of(a):
-            for mu in partitions_of(n - a):
-                out.append(BipartitionLabel(lam, mu))
-    return out
 
 
 def sign_character_orbits(n: int) -> list[tuple[SignCharacter, Subgroup]]:
@@ -218,12 +185,6 @@ def _extended_character(n: int, label: BipartitionLabel) -> ClassFunction:
     return _checked_class_function(_little_subgroup(n, a), value, str(label))
 
 
-def bn_dimension(n: int, label: BipartitionLabel) -> int:
-    return (
-        math.comb(n, label.a) * hook_dimension(label.lam) * hook_dimension(label.mu)
-    )
-
-
 @lru_cache(maxsize=None)
 def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of B_n; exact.
@@ -246,13 +207,6 @@ def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassF
             )
         out.append((label, ClassFunction(bn, chi.values, str(label)), dim))
     return tuple(out)
-
-
-def hyperoctahedral_dimensions(n: int) -> list[tuple[BipartitionLabel, int]]:
-    """(label, dimension) for every irreducible of B_n, by the formula only."""
-    if n < 1 or n > BN_DIMENSION_GUARD:
-        raise GuardError(f"dimension lists capped at n = {BN_DIMENSION_GUARD}")
-    return [(label, bn_dimension(n, label)) for label in bipartitions(n)]
 
 
 class ConjugacyReport(namedtuple("ConjugacyReport", "n class_count pair_count matching")):
@@ -438,14 +392,8 @@ def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
 
 def irreducible_characters(label: TypeLabel):
     """Uniform entry point: the complete named character list for a type."""
-    from .specht import symmetric_character_table
-
     if label.family == "A":
-        table = symmetric_character_table(label.rank + 1)
-        named = []
-        for shape, chi in zip(partitions_of(label.rank + 1), table):
-            named.append(ClassFunction(chi.domain, chi.values, partition_text(shape)))
-        return named
+        return list(symmetric_character_table(label.rank + 1))
     if label.family == "B":
         return [chi for _, chi, _ in hyperoctahedral_irreducibles(label.rank)]
     if label.family == "D":

@@ -226,20 +226,6 @@ class Matrix:
             raise ValidationError("rank is defined here for rational matrices only")
         return Matrix(fr).field_rank()
 
-    def inverse(self) -> "Matrix":
-        if not self.is_square:
-            raise ValidationError("inverse needs a square matrix")
-        n = self.rows
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.entries)]
-        reduced = _field_rref(aug, ncols=n)
-        out = []
-        for i in range(n):
-            if is_zero_scalar(reduced[i][i]):
-                raise ValidationError("matrix is singular")
-            pinv = invert_scalar(reduced[i][i])
-            out.append([pinv * x for x in reduced[i][n:]])
-        return Matrix(out)
-
     def solve(self, b):
         """Solution x of self @ x = b (b a sequence), or None if inconsistent.
 
@@ -360,7 +346,7 @@ def _field_rref(a: list[list], ncols: int) -> list[list]:
     """Gauss-Jordan elimination over the first ncols columns.
 
     Each pivot column is cleared above and below its pivot (pivots are not
-    scaled to 1); ``inverse`` and ``solve`` divide by them.
+    scaled to 1); ``solve`` divides by them.
     """
     r0 = 0
     nrows = len(a)

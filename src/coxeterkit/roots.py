@@ -10,7 +10,7 @@ Vectors are plain tuples of int/Fraction/Cyclotomic entries.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -27,20 +27,44 @@ from .groups import realize
 from .linalg import Matrix, invert_scalar, is_zero_scalar
 from .reps import Representation
 
-def _dot(u, v, gram: Matrix | None):
+
+def _reflector(alpha, gram: Matrix | None):
+    """The reflection in alpha, as alpha and the covector 2 G alpha / (alpha, alpha).
+
+    The reflection sends lam to lam - <covector, lam> alpha; G is the
+    identity unless a Gram matrix is supplied.  Both vectors are kept as
+    their nonzero (coordinate, entry) pairs.
+    """
     if gram is None:
-        acc = 0
-        for a, b in zip(u, v):
-            acc = acc + a * b
-        return acc
-    acc = 0
-    for i, a in enumerate(u):
-        if is_zero_scalar(a):
-            continue
-        for j, b in enumerate(v):
-            if not is_zero_scalar(b):
-                acc = acc + a * gram.entries[i][j] * b
-    return acc
+        image = alpha
+    else:
+        image = [0] * len(alpha)
+        for i, a in enumerate(alpha):
+            if not is_zero_scalar(a):
+                for j, g in enumerate(gram.entries[i]):
+                    image[j] = image[j] + a * g
+    norm = 0
+    for a, x in zip(alpha, image):
+        norm = norm + a * x
+    if is_zero_scalar(norm):
+        raise ValidationError("cannot reflect in a vector of zero norm")
+    scale = 2 * invert_scalar(norm)
+    covector = tuple((j, scale * x) for j, x in enumerate(image) if not is_zero_scalar(x))
+    support = tuple((j, a) for j, a in enumerate(alpha) if not is_zero_scalar(a))
+    return support, covector
+
+
+def _reflect(reflector, lam):
+    support, covector = reflector
+    coeff = 0
+    for j, c in covector:
+        coeff = coeff + c * lam[j]
+    if is_zero_scalar(coeff):
+        return lam
+    out = list(lam)
+    for j, a in support:
+        out[j] = out[j] - coeff * a
+    return tuple(out)
 
 
 def reflect(alpha, lam, gram: Matrix | None = None):
@@ -53,17 +77,13 @@ def reflect(alpha, lam, gram: Matrix | None = None):
     lam = tuple(lam)
     if len(alpha) != len(lam):
         raise ValidationError("vectors of different lengths")
-    norm = _dot(alpha, alpha, gram)
-    if is_zero_scalar(norm):
-        raise ValidationError("cannot reflect in a vector of zero norm")
-    coeff = (2 * _dot(lam, alpha, gram)) * invert_scalar(norm)
-    return tuple(x - coeff * a for x, a in zip(lam, alpha))
+    return _reflect(_reflector(alpha, gram), lam)
 
 
 def _scalar_key(x, conductor: int):
     if isinstance(x, Cyclotomic):
         return x.canonical_key(conductor)
-    return ("q", Fraction(x))
+    return ("q", x)  # an int and a Fraction of equal value compare and hash alike
 
 
 def _vector_key(v, conductor: int):
@@ -77,6 +97,13 @@ def _common_conductor(vectors) -> int:
             if isinstance(x, Cyclotomic):
                 c = lcm(c, x.conductor)
     return c
+
+
+def _direction_key(v, conductor: int):
+    """Key of the line through v: v scaled so its first nonzero coordinate is 1."""
+    first = next(x for x in v if not is_zero_scalar(x))
+    inv = invert_scalar(first)
+    return _vector_key(tuple(x * inv for x in v), conductor)
 
 
 def _lex_positive(v) -> bool:
@@ -128,36 +155,27 @@ class RootSystem:
 
     def _check_axioms(self):
         cond = self._conductor
-        keys = {}
+        keys = set()
         for v in self.roots:
             if all(is_zero_scalar(x) for x in v):
                 raise ValidationError("zero vector in root system")
             k = _vector_key(v, cond)
             if k in keys:
                 raise ValidationError("repeated root")
-            keys[k] = v
+            keys.add(k)
         for v in self.roots:
-            # line through v meets the system in exactly {v, -v}
-            neg = _vector_key(tuple(-x for x in v), cond)
-            if neg not in keys:
+            if _vector_key(tuple(-x for x in v), cond) not in keys:
                 raise ValidationError("root system is not symmetric under negation")
-            for w in self.roots:
-                if self._proportional(v, w):
-                    kw = _vector_key(w, cond)
-                    if kw != _vector_key(v, cond) and kw != neg:
-                        raise ValidationError("a root line contains more than two roots")
+        # each line holds v and -v, two distinct roots, so it meets the
+        # system in exactly {v, -v} when its key occurs exactly twice
+        lines = Counter(_direction_key(v, cond) for v in self.roots)
+        if any(count != 2 for count in lines.values()):
+            raise ValidationError("a root line contains more than two roots")
         for alpha in self.roots:
-            image = {_vector_key(reflect(alpha, v, self.gram), cond) for v in self.roots}
-            if image != set(keys):
+            r = _reflector(alpha, self.gram)
+            image = {_vector_key(_reflect(r, v), cond) for v in self.roots}
+            if image != keys:
                 raise ValidationError("root system is not stable under its reflections")
-
-    @staticmethod
-    def _proportional(v, w) -> bool:
-        # all 2x2 minors vanish
-        for (a, b), (c, d) in itertools.combinations(zip(v, w), 2):
-            if not is_zero_scalar(a * d - b * c):
-                return False
-        return True
 
     @property
     def count(self) -> int:
@@ -208,16 +226,17 @@ def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
     # reflections, in simple-root coordinates with the graph's bilinear form.
     gram = gram_matrix(catalog_graph(t))
     simples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    reflectors = [_reflector(s, gram) for s in simples]
     cond = 2 * t.bond
     seen = {}
-    queue = [tuple(v) for v in simples]
+    queue = list(simples)
     for v in queue:
         k = _vector_key(v, cond)
         if k in seen:
             continue
         seen[k] = v
-        for s in simples:
-            w = reflect(s, v, gram)
+        for r in reflectors:
+            w = _reflect(r, v)
             if _vector_key(w, cond) not in seen:
                 queue.append(w)
         nv = tuple(-x for x in v)
@@ -236,15 +255,15 @@ def compute_base(rs: RootSystem) -> list[tuple]:
     positive roots" would fail).  The defining property -- every root is a
     one-signed combination of the base -- is re-verified by exact solves.
     """
-    cond = rs._conductor
     positives = [v for v in rs.roots if _lex_positive(v)]
     base = []
     for alpha in positives:
-        ka = _vector_key(alpha, cond)
+        r = _reflector(alpha, rs.gram)
         for beta in positives:
-            if _vector_key(beta, cond) == ka:
+            # the roots are distinct, so only alpha itself is skipped
+            if beta is alpha:
                 continue
-            if not _lex_positive(reflect(alpha, beta, rs.gram)):
+            if not _lex_positive(_reflect(r, beta)):
                 break
         else:
             base.append(alpha)
@@ -265,11 +284,12 @@ def _verify_base(rs: RootSystem, base: list) -> None:
 
 def reflection_matrix(alpha, dim: int, gram: Matrix | None = None) -> Matrix:
     """Matrix of the reflection in alpha on coordinate space of size dim."""
+    r = _reflector(tuple(alpha), gram)
     cols = []
     for i in range(dim):
         e = [Fraction(0)] * dim
         e[i] = Fraction(1)
-        cols.append(reflect(alpha, tuple(e), gram))
+        cols.append(_reflect(r, tuple(e)))
     return Matrix(list(zip(*cols)))
 
 

@@ -1,105 +1,36 @@
-"""Partitions, Young tableaux, Young symmetrizers and Specht-type modules.
+"""Young symmetrizers, Specht modules and the character table of S_n.
 
-A module for a partition of n is realized as the left ideal generated by
-the Young symmetrizer inside the rational group algebra of S_n, with a
-basis extracted by exact integer echelon reduction over the n!-dimensional
-coordinate space.  Guards keep this at desk scale (n <= 6 for modules).
+The paper's construction is kept here: the row and column groups of the
+identity tableau and the Young symmetrizer they give in the group algebra
+of S_n.  The irreducible modules themselves come from Young's seminormal
+form in ``tableaux``: the basis is the standard tableaux, the adjacent
+transpositions act by checked sparse columns, and a character value is the
+trace of a class's word in them, so no computation runs over the n!
+elements.  Guards keep modules and tables at n <= 7.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .groups import Permutation, realize
 from .linalg import Matrix
 from .reps import ClassFunction, GroupAlgebraElement, Representation, Subgroup
+from .tableaux import (
+    cycle_word,
+    partition_text,
+    partitions_of,
+    seminormal_action,
+    validate_partition,
+    word_trace,
+)
 
-PARTITION_GUARD = 40
-MODULE_GUARD = 6
+MODULE_GUARD = 7
 SYMMETRIZER_GUARD = 7
-
-
-def partition_text(shape: tuple[int, ...]) -> str:
-    """Text form '5+3+1'; the empty partition prints as '-'."""
-    return "+".join(str(p) for p in shape) if shape else "-"
-
-
-def parse_partition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if text in ("-", ""):
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split("+"))
-    except ValueError as e:
-        raise ValidationError(f"bad partition text {text!r}") from e
-    return validate_partition(parts)
-
-
-def validate_partition(parts) -> tuple[int, ...]:
-    parts = tuple(parts)
-    if any(not isinstance(p, int) or p <= 0 for p in parts):
-        raise ValidationError(f"partition parts must be positive integers: {parts!r}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValidationError(f"partition parts must be weakly decreasing: {parts!r}")
-    return parts
-
-
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n in reverse-lexicographic order; () for n = 0."""
-    if n < 0:
-        raise ValidationError("partitions are defined for n >= 0")
-    if n > PARTITION_GUARD:
-        raise GuardError(f"partition enumeration capped at n = {PARTITION_GUARD}")
-    if n == 0:
-        return ((),)
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
-
-
-def hook_lengths(shape) -> list[list[int]]:
-    shape = validate_partition(shape)
-    cols = [0] * (shape[0] if shape else 0)
-    for row_len in shape:
-        for j in range(row_len):
-            cols[j] += 1
-    return [
-        [(row_len - j) + (cols[j] - i) - 1 for j in range(row_len)]
-        for i, row_len in enumerate(shape)
-    ]
-
-
-def hook_product(shape) -> int:
-    h = 1
-    for row in hook_lengths(shape):
-        for x in row:
-            h *= x
-    return h
-
-
-def hook_dimension(shape) -> int:
-    """n!/(product of hook numbers); always an exact integer."""
-    shape = validate_partition(shape)
-    n = sum(shape)
-    h = hook_product(shape)
-    q, r = divmod(math.factorial(n), h)
-    if r:
-        raise InternalInconsistencyError(f"hook product {h} does not divide {n}!")
-    return q
 
 
 def identity_tableau_rows(shape) -> list[list[int]]:
@@ -168,43 +99,13 @@ def young_symmetrizer(shape) -> GroupAlgebraElement:
     return out
 
 
-def _echelon_insert(rows: list, vec: dict) -> dict | None:
-    """Reduce an integer sparse vector against pivot rows; return the new row.
-
-    ``rows`` holds (pivot_column, row_dict) sorted by pivot column; rows and
-    the result are gcd-normalized with a positive pivot entry.
-    """
-    for pivcol, row in rows:
-        c = vec.get(pivcol)
-        if c:
-            p = row[pivcol]
-            new = {k: v * p for k, v in vec.items()}
-            for k, v in row.items():
-                t = new.get(k, 0) - c * v
-                if t:
-                    new[k] = t
-                else:
-                    new.pop(k, None)
-            vec = new
-        if not vec:
-            return None
-    if not vec:
-        return None
-    g = 0
-    for v in vec.values():
-        g = gcd(g, v)
-    pivcol = min(vec)
-    sign = 1 if vec[pivcol] > 0 else -1
-    return {k: sign * v // g for k, v in vec.items()}
-
-
 @lru_cache(maxsize=None)
 def specht_module(shape) -> Representation:
-    """Irreducible S_n-module generated by the Young symmetrizer.
+    """Irreducible S_n-module of a shape, in Young's seminormal form.
 
-    The basis is the first maximal independent family among the vectors
-    g * c (g in canonical element order); generator matrices are solved
-    exactly in that basis.
+    The basis is the shape's standard tableaux; the generator matrices are
+    the checked sparse columns of ``seminormal_action``, written out dense
+    over their common denominator.
     """
     shape = validate_partition(shape)
     n = sum(shape)
@@ -212,83 +113,41 @@ def specht_module(shape) -> Representation:
         raise ValidationError("need a partition of n >= 2")
     if n > MODULE_GUARD:
         raise GuardError(f"module construction capped at n = {MODULE_GUARD}")
-    group = realize(TypeLabel("A", n - 1))
-    c = young_symmetrizer(shape)
-    coeffs = [int(v) for v in c.coeffs.values()]
-    tables = group.generator_tables()
-    parent, genidx = group.word_dag()
-    # columns[i]: indices of elements[i] * g over the terms g of c, in the
-    # order of coeffs; elements[i] = s * elements[parent[i]], so a column
-    # tuple is its BFS parent's relabelled through the table of s
-    columns = [None] * group.order
-    columns[0] = tuple(group.index_of(g) for g in c.coeffs)
-
-    def columns_of(i: int) -> tuple:
-        chain = []
-        while columns[i] is None:
-            chain.append(i)
-            i = parent[i]
-        cols = columns[i]
-        for j in reversed(chain):
-            table = tables[genidx[j]]
-            cols = columns[j] = tuple([table[k] for k in cols])
-        return cols
-
-    def vector_of(cols) -> dict:
-        # coordinates of a translate of c in the group-element basis
-        return dict(zip(cols, coeffs))
-
-    rows: list[tuple[int, dict]] = []
-    basis: list[int] = []
-    for si in range(group.order):
-        new = _echelon_insert(rows, vector_of(columns_of(si)))
-        if new is not None:
-            rows.append((min(new), new))
-            rows.sort(key=lambda t: t[0])
-            basis.append(si)
-    dim = len(basis)
-    basis_vectors = [vector_of(columns_of(si)) for si in basis]
-    pivot_cols = sorted(pc for pc, _ in rows)
-    square = Matrix(
-        [[Fraction(basis_vectors[j].get(pc, 0)) for j in range(dim)] for pc in pivot_cols]
-    )
-    # integer inverse over one common denominator: expand is exact in ints
-    inverse = square.inverse().entries
-    den = math.lcm(*(x.denominator for row in inverse for x in row))
-    solve_int = [[int(x * den) for x in row] for row in inverse]
-
-    def expand(vec: dict) -> list[Fraction]:
-        rhs = [vec.get(pc, 0) for pc in pivot_cols]
-        nums = [sum(a * b for a, b in zip(row, rhs)) for row in solve_int]
-        check: dict[int, int] = {}
-        for num, basis_vec in zip(nums, basis_vectors):
-            if num:
-                for k, v in basis_vec.items():
-                    check[k] = check.get(k, 0) + num * v
-        if {k: t for k, t in check.items() if t} != {k: den * v for k, v in vec.items()}:
-            raise InternalInconsistencyError("vector escaped the extracted basis")
-        return [Fraction(num, den) for num in nums]
-
+    action, scale = seminormal_action(shape)
     mats = []
-    for table in tables:
-        cols = [expand(vector_of([table[k] for k in columns_of(si)])) for si in basis]
-        mats.append(Matrix(list(zip(*cols))))
-    rep = Representation(group, mats, name=partition_text(shape))
-    if rep.dim != hook_dimension(shape):
-        raise InternalInconsistencyError(
-            f"module dimension {rep.dim} disagrees with the hook formula for {shape}"
-        )
-    return rep
+    for columns in action:
+        rows = [[Fraction(0)] * len(columns) for _ in columns]
+        for t, column in enumerate(columns):
+            for u, a in column:
+                rows[u][t] = Fraction(a, scale)
+        mats.append(Matrix(rows))
+    return Representation(realize(TypeLabel("A", n - 1)), mats, name=partition_text(shape))
 
 
 @lru_cache(maxsize=None)
 def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
-    """Characters of all irreducible modules of S_n, indexed by partitions_of(n)."""
+    """Characters of all irreducible modules of S_n, indexed by partitions_of(n).
+
+    Each value is the trace of a class's adjacent-transposition word in the
+    seminormal form, placed at the class of that cycle type in the
+    realized group's class order.
+    """
     if n < 2:
         raise ValidationError("character table needs n >= 2")
     if n > MODULE_GUARD:
         raise GuardError(f"character tables capped at n = {MODULE_GUARD}")
-    return tuple(specht_module(shape).character() for shape in partitions_of(n))
+    group = realize(TypeLabel("A", n - 1))
+    words = [(k, cycle_word(cycle)) for cycle, k in _class_index_by_cycle_type(n).items()]
+    if len(words) != group.classes.count:
+        raise InternalInconsistencyError(f"classes of S_{n} share a cycle type")
+    table = []
+    for shape in partitions_of(n):
+        action, scale = seminormal_action(shape)
+        values = [None] * len(words)
+        for k, word in words:
+            values[k] = word_trace(action, scale, word)
+        table.append(ClassFunction(group, values, partition_text(shape)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from .reps import (
     trivial_character,
 )
 from .roots import compute_base, fixed_space_dimension, geometric_rep, root_system
-from .specht import hook_dimension, partitions_of, specht_module
+from .tableaux import hook_dimension, partitions_of, standard_tableaux
 
 
 def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple[str, bool, str]]:
@@ -147,7 +147,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         def hooks():
             n = label.rank + 1
             for shape in partitions_of(n):
-                if specht_module(shape).dim != hook_dimension(shape):
+                if len(standard_tableaux(shape)) != hook_dimension(shape):
                     return False, f"hook mismatch at {shape}"
             return True, "module dims equal hook dims"
 

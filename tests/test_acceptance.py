@@ -42,14 +42,11 @@ from coxeterkit.reps import (
     trivial_character,
 )
 from coxeterkit.specht import (
-    hook_dimension,
-    hook_lengths,
-    hook_product,
-    partitions_of,
     specht_module,
     symmetric_character_table,
     symmetric_character_value,
 )
+from coxeterkit.tableaux import hook_dimension, hook_lengths, hook_product, partitions_of
 
 
 def report(num, ok, detail):

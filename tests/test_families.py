@@ -14,13 +14,12 @@ from coxeterkit.families import (
     bn_dimension,
     dihedral_irreducibles,
     dn_irreducibles,
-    hyperoctahedral_dimensions,
     hyperoctahedral_irreducibles,
     sign_character_orbits,
 )
 from coxeterkit.groups import DihedralElement, realize
 from coxeterkit.reps import inner_product, restrict_character
-from coxeterkit.specht import partitions_of
+from coxeterkit.tableaux import hyperoctahedral_dimensions, partitions_of
 
 
 def dim_int(value) -> int:
@@ -97,7 +96,7 @@ def test_b3_orthonormality():
 
 
 def test_bn_dimension_law():
-    from coxeterkit.specht import hook_dimension
+    from coxeterkit.tableaux import hook_dimension
 
     for n in (2, 3):
         for label, chi, d in hyperoctahedral_irreducibles(n):

@@ -11,7 +11,11 @@ down to the unreduced minors in non-finiteness witnesses.  The
 minors came from one elimination pass instead of one determinant each.  The
 ``chartable``, ``irreps`` and ``verify`` cases of D4 and the ``chartable``
 cases of B4 and A5 were recorded before the self-paired D_n characters were
-split by little-group induction instead of a commutant eigenspace.
+split by little-group induction instead of a commutant eigenspace.  The
+``chartable A6`` cases (S_7) were recorded when the S_n characters moved to
+Young's seminormal form and their guard rose from n = 6 to 7, after every
+value had matched the Murnaghan-Nakayama oracle in ``test_oracles.py``;
+before that, these commands exited 3.
 
 A key is ``"<command> <target> <format>"``.  The format is ``tsv``, ``json``
 or ``float`` (tsv with ``--float``).  For ``classify`` the target names a

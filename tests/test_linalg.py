@@ -93,14 +93,11 @@ def test_gauss_and_bareiss_agree():
     assert m.determinant() == lifted.determinant()
 
 
-def test_solve_and_inverse():
+def test_solve():
     a = Matrix([[1, 2], [3, 4]])
     assert a.solve([5, 11]) == [Fraction(1), Fraction(2)]
-    assert a.inverse() * a == Matrix.identity(2)
     singular = Matrix([[1, 2], [2, 4]])
     assert singular.solve([1, 3]) is None
-    with pytest.raises(ValidationError):
-        singular.inverse()
 
 
 def test_field_rank_with_cyclotomic_entries():

@@ -1,4 +1,4 @@
-"""Brute-force oracles for the index-based group kernel.
+"""Brute-force oracles for the index-based group kernel and the S_n characters.
 
 The library computes conjugacy classes as orbits under conjugation by
 generators and induces characters by the class-size formula.  The routines
@@ -6,9 +6,16 @@ below are the direct definitions they replaced: classes by conjugating with
 every element, and induction by the sum over the whole group.  They share no
 code with the kernel beyond element products and, for induction, the
 subgroup's class lookup, which the class oracle checks on every subgroup used.
+
+The S_n characters come from Young's seminormal form.  Two oracles check
+them: the left ideal that the Young symmetrizer spans in the group algebra
+(the construction the seminormal form replaced), and the Murnaghan-Nakayama
+rim-hook rule, which shares no code with either.
 """
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -20,9 +27,23 @@ from coxeterkit.families import (
     _rotation_subgroup,
     bipartitions,
 )
+from coxeterkit.errors import InternalInconsistencyError
 from coxeterkit.groups import ConjugacyClasses, realize
-from coxeterkit.reps import ClassFunction, Subgroup, induce_character, trivial_character
-from coxeterkit.specht import partitions_of, row_column_groups
+from coxeterkit.linalg import Matrix
+from coxeterkit.reps import (
+    ClassFunction,
+    Representation,
+    Subgroup,
+    induce_character,
+    trivial_character,
+)
+from coxeterkit.specht import (
+    row_column_groups,
+    specht_module,
+    symmetric_character_table,
+    young_symmetrizer,
+)
+from coxeterkit.tableaux import partition_text, partitions_of
 
 A_LABELS = [TypeLabel("A", n) for n in range(1, 6)]
 B_LABELS = [TypeLabel("B", n) for n in range(2, 5)]
@@ -132,3 +153,160 @@ def test_rotation_induction_matches_brute_force(label):
             sub, [Cyclotomic.zeta(m, k * el.rotation) for el in sub.classes.reps]
         )
         assert_induces_like_oracle(chi, group)
+
+
+# -- S_n characters ---------------------------------------------------------------
+
+
+def _echelon_insert(rows: list, vec: dict) -> dict | None:
+    """Reduce an integer sparse vector against pivot rows; return the new row.
+
+    ``rows`` holds (pivot_column, row_dict) sorted by pivot column; rows and
+    the result are gcd-normalized with a positive pivot entry.
+    """
+    for pivcol, row in rows:
+        c = vec.get(pivcol)
+        if c:
+            p = row[pivcol]
+            new = {k: v * p for k, v in vec.items()}
+            for k, v in row.items():
+                t = new.get(k, 0) - c * v
+                if t:
+                    new[k] = t
+                else:
+                    new.pop(k, None)
+            vec = new
+        if not vec:
+            return None
+    if not vec:
+        return None
+    g = 0
+    for v in vec.values():
+        g = math.gcd(g, v)
+    pivcol = min(vec)
+    sign = 1 if vec[pivcol] > 0 else -1
+    return {k: sign * v // g for k, v in vec.items()}
+
+
+def symmetrizer_span_module(shape) -> Representation:
+    """The left ideal QS_n * c of the Young symmetrizer c, as a representation.
+
+    The basis is the first maximal independent family among the vectors
+    g * c (g in canonical element order), found by integer echelon
+    reduction over the n!-dimensional coordinate space; the generator
+    matrices are solved exactly in that basis, and every solve is checked.
+    """
+    n = sum(shape)
+    group = realize(TypeLabel("A", n - 1))
+    c = young_symmetrizer(shape)
+
+    def vector_of(g) -> dict:
+        # coordinates of g * c in the group-element basis
+        return {group.index_of(g * h): int(v) for h, v in c.coeffs.items()}
+
+    rows: list[tuple[int, dict]] = []
+    basis = []
+    for g in group.elements:
+        new = _echelon_insert(rows, vector_of(g))
+        if new is not None:
+            rows.append((min(new), new))
+            rows.sort(key=lambda t: t[0])
+            basis.append(g)
+    dim = len(basis)
+    basis_vectors = [vector_of(g) for g in basis]
+    pivot_cols = sorted(pc for pc, _ in rows)
+    square = Matrix(
+        [[Fraction(basis_vectors[j].get(pc, 0)) for j in range(dim)] for pc in pivot_cols]
+    )
+
+    def expand(vec: dict) -> list[Fraction]:
+        coords = square.solve([vec.get(pc, 0) for pc in pivot_cols])
+        assert coords is not None, "the pivot columns of the basis are singular"
+        check: dict = {}
+        for x, basis_vec in zip(coords, basis_vectors):
+            for k, v in basis_vec.items():
+                check[k] = check.get(k, 0) + x * v
+        if {k: t for k, t in check.items() if t} != vec:
+            raise InternalInconsistencyError("vector escaped the extracted basis")
+        return coords
+
+    mats = []
+    for s in group.generators:
+        cols = [expand(vector_of(s * g)) for g in basis]
+        mats.append(Matrix(list(zip(*cols))))
+    return Representation(group, mats, name=partition_text(shape))
+
+
+def own_partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
+    """Partitions of n, by their own recursion."""
+    cap = n if cap is None else cap
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, cap), 0, -1) for rest in own_partitions(n - k, k)]
+
+
+@lru_cache(maxsize=None)
+def murnaghan_nakayama(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
+    """chi_shape at cycle type ``cycle``, by removing rim hooks on beta-sets.
+
+    With beta-set B = {shape_i + (l - 1 - i)}, removing a rim hook of length
+    k is replacing some b in B by b - k >= 0 not in B, with sign (-1)^(number
+    of beta-numbers strictly between b - k and b).
+    """
+    if not cycle:
+        return 1 if not shape else 0
+    k, rest = cycle[0], cycle[1:]
+    length = len(shape)
+    beta = {part + (length - 1 - i) for i, part in enumerate(shape)}
+    total = 0
+    for b in beta:
+        if b - k < 0 or b - k in beta:
+            continue
+        height = sum(1 for x in beta if b - k < x < b)
+        new = sorted((beta - {b}) | {b - k}, reverse=True)
+        smaller = tuple(x - (length - 1 - i) for i, x in enumerate(new))
+        total += (-1) ** height * murnaghan_nakayama(tuple(p for p in smaller if p > 0), rest)
+    return total
+
+
+def table_by_labels(n: int) -> dict:
+    """{(shape, cycle type): value} of ``symmetric_character_table(n)``."""
+    reps = realize(TypeLabel("A", n - 1)).classes.reps
+    out = {}
+    for shape, chi in zip(partitions_of(n), symmetric_character_table(n)):
+        for rep, value in zip(reps, chi.values):
+            out[(shape, rep.cycle_type())] = value
+    return out
+
+
+def test_murnaghan_nakayama_oracle_small_cases():
+    assert murnaghan_nakayama((2, 1), (1, 1, 1)) == 2
+    assert murnaghan_nakayama((2, 1), (2, 1)) == 0
+    assert murnaghan_nakayama((2, 1), (3,)) == -1
+    assert murnaghan_nakayama((3, 1, 1), (5,)) == 1
+    assert murnaghan_nakayama((2, 2, 1), (5,)) == 0
+    for n in range(1, 8):
+        assert sum(murnaghan_nakayama(s, (1,) * n) ** 2 for s in own_partitions(n)) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_character_table_matches_murnaghan_nakayama(n):
+    want = {
+        (shape, cycle): murnaghan_nakayama(shape, cycle)
+        for shape in own_partitions(n)
+        for cycle in own_partitions(n)
+    }
+    assert table_by_labels(n) == want
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_character_table_matches_the_symmetrizer_span(n):
+    for shape, chi in zip(partitions_of(n), symmetric_character_table(n)):
+        rep = symmetrizer_span_module(shape)
+        assert rep.character().values == chi.values, shape
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_seminormal_module_character_is_the_table_row(n):
+    for shape, chi in zip(partitions_of(n), symmetric_character_table(n)):
+        assert specht_module(shape).character().values == chi.values, shape

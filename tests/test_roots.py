@@ -64,11 +64,11 @@ def test_square_root_system_validates():
 
 
 def test_root_axioms_rejected_when_broken():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="more than two roots"):
         RootSystem(((1, 0), (-1, 0), (2, 0), (-2, 0)), TypeLabel("A", 1))  # line has 4 roots
-    with pytest.raises(ValidationError):
-        RootSystem(((1, 0), (0, 1)), TypeLabel("A", 1))  # not closed under negation
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="symmetric under negation"):
+        RootSystem(((1, 0), (0, 1)), TypeLabel("A", 1))
+    with pytest.raises(ValidationError, match="stable under its reflections"):
         RootSystem(((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)), TypeLabel("B", 2))
 
 

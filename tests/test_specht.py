@@ -10,18 +10,24 @@ from coxeterkit.errors import GuardError, ValidationError
 from coxeterkit.groups import Permutation, realize
 from coxeterkit.reps import inner_product, is_irreducible
 from coxeterkit.specht import (
-    hook_dimension,
-    hook_lengths,
-    hook_product,
-    parse_partition,
-    partition_text,
-    partitions_of,
     row_column_blocks,
     row_column_groups,
     specht_module,
     symmetric_character_table,
     symmetric_character_value,
     young_symmetrizer,
+)
+from coxeterkit.tableaux import (
+    cycle_word,
+    hook_dimension,
+    hook_lengths,
+    hook_product,
+    parse_partition,
+    partition_text,
+    partitions_of,
+    seminormal_action,
+    standard_tableaux,
+    word_trace,
 )
 
 
@@ -118,6 +124,34 @@ def test_hook_completeness_identity():
         assert sum(hook_dimension(s) ** 2 for s in partitions_of(n)) == math.factorial(n)
 
 
+def test_standard_tableaux_are_a_basis_of_hook_size():
+    assert standard_tableaux((2, 1)) == ((0, 0, 1), (0, 1, 0))
+    assert standard_tableaux((3,)) == ((0, 0, 0),)
+    for n in range(1, 9):
+        for shape in partitions_of(n):
+            tableaux = standard_tableaux(shape)
+            assert len(tableaux) == len(set(tableaux)) == hook_dimension(shape)
+            assert list(tableaux) == sorted(tableaux)
+
+
+def test_seminormal_action_of_the_hook_shape():
+    # s_1 on (2,1): rho = -2 at the row-reading tableau, +2 at the other one
+    action, scale = seminormal_action((2, 1))
+    assert scale == 4
+    assert action[0] == (((0, 4),), ((1, -4),))
+    assert action[1] == (((0, -2), (1, 3)), ((1, 2), (0, 4)))
+
+
+def test_cycle_words_and_their_traces():
+    assert cycle_word((3, 2, 1)) == (0, 1, 3)
+    assert cycle_word((1, 1, 1)) == ()
+    for n in range(2, 7):
+        for cycle in partitions_of(n):
+            assert len(cycle_word(cycle)) == n - len(cycle)
+    action, scale = seminormal_action((2, 1))
+    assert [word_trace(action, scale, cycle_word(c)) for c in partitions_of(3)] == [-1, 0, 2]
+
+
 def test_specht_dimensions_small():
     assert specht_module((2, 1)).dim == 2
     assert specht_module((4,)).dim == 1
@@ -145,7 +179,9 @@ def test_specht_matches_hooks_up_to_five():
 
 def test_specht_guard():
     with pytest.raises(GuardError):
-        specht_module((7,))
+        specht_module((8,))
+    with pytest.raises(GuardError):
+        symmetric_character_table(8)
 
 
 def test_character_table_small_n():

@@ -68,15 +68,21 @@ def test_realize_loads_only_groups():
 
 
 def test_irreps_of_type_a_skips_families():
-    assert modules_after("irreps", "A3") == BASE | {"groups", "reps", "specht"}
+    assert modules_after("irreps", "A3") == BASE | {"tableaux"}
+
+
+def test_irreps_of_type_b_builds_no_group():
+    assert modules_after("irreps", "B3") == BASE | {"tableaux"}
 
 
 def test_irreps_of_a_dihedral_type_skips_roots_and_verify():
-    assert modules_after("irreps", "I2(5)") == BASE | {"groups", "reps", "specht", "families"}
+    tables = {"groups", "reps", "specht", "tableaux", "families"}
+    assert modules_after("irreps", "I2(5)") == BASE | tables
 
 
 def test_chartable_skips_roots_and_verify():
-    assert modules_after("chartable", "A2") == BASE | {"groups", "reps", "specht", "families"}
+    tables = {"groups", "reps", "specht", "tableaux", "families"}
+    assert modules_after("chartable", "A2") == BASE | tables
 
 
 def test_verify_loads_everything():
