@@ -5,10 +5,13 @@ Usage: python scripts/cli_smoke.py
 
 The commands import their modules inside their own functions, so an
 in-process test that has already loaded the whole package cannot catch a
-broken function-local import; a fresh process per command does.  Exits 1
-at the first command that does not exit 0.
+broken function-local import; a fresh process per command does.  The
+``classify`` runs on the two non-finite graphs have a time limit, so that
+a slow classify on them fails here.  Exits 1 at the first command that
+exits with another code than expected or runs out of time.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +19,15 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CLASSIFY_TIMEOUT_S = 5
+# file name -> (graph, expected exit code of classify)
+GRAPHS = {
+    "b3.json": ({"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}, 0),
+    "path-7-11-13-17.json": (
+        {"n": 5, "edges": [[0, 1, 7], [1, 2, 11], [2, 3, 13], [3, 4, 17]]}, 2),
+    "k18-4.json": (
+        {"n": 18, "edges": [[i, j, 4] for i in range(18) for j in range(i + 1, 18)]}, 2),
+}
 COMMANDS = [
     ["realize", "A3"],
     ["irreps", "A3"],
@@ -35,14 +47,22 @@ COMMANDS = [
 def run() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     with tempfile.TemporaryDirectory() as tmp:
-        graph = Path(tmp) / "b3.json"
-        graph.write_text('{"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}')
-        for argv in [["classify", str(graph)], *COMMANDS]:
-            proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],
-                                  capture_output=True, text=True, env=env)
+        runs = []
+        for name, (graph, code) in GRAPHS.items():
+            path = Path(tmp) / name
+            path.write_text(json.dumps(graph))
+            runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
+        runs += [(argv, 0, None) for argv in COMMANDS]
+        for argv, want, timeout in runs:
+            try:
+                proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],
+                                      capture_output=True, text=True, env=env, timeout=timeout)
+            except subprocess.TimeoutExpired:
+                print(f"timeout after {timeout} s  coxeterkit {' '.join(argv)}")
+                return 1
             lines = proc.stdout.count("\n")
             print(f"exit {proc.returncode}  {lines:4d} lines  coxeterkit {' '.join(argv)}")
-            if proc.returncode != 0:
+            if proc.returncode != want:
                 sys.stdout.write(proc.stdout + proc.stderr)
                 return 1
     return 0

@@ -1,9 +1,11 @@
 """Recognition of finite Coxeter graphs against the Dynkin+ catalog.
 
-Matching is structural (path/fork shape plus bond labels); the positive-
-definiteness test of the Gram matrix then runs as an independent check,
-and any disagreement between the two raises, since it can only mean a bug
-in one of them.
+Matching is structural (path/fork shape plus bond labels).  Exact
+arithmetic then checks every verdict independently: a matched component by
+Sylvester's criterion on the sparse pivots of its Gram matrix, a rejected
+one by certifying a minimal rejected induced subgraph as affine or
+hyperbolic.  Any disagreement between the two raises, since it can only
+mean a bug in one of them.
 """
 
 from __future__ import annotations
@@ -168,16 +170,22 @@ def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
     return out
 
 
-class Witness(namedtuple("Witness", "kind index value")):
+class Witness(namedtuple("Witness", "kind index value vertices", defaults=(None,))):
     """Evidence that a graph is not of finite type.
 
-    ``kind`` is "zero-determinant" or "nonpositive-minor"; ``index`` is the
-    minor size (1-based), n for a zero determinant; ``value`` is the minor.
+    From ``classify``: ``kind`` is "affine" (determinant 0) or "hyperbolic"
+    (determinant < 0) for a minimal non-finite induced subgraph, whose
+    original vertices, sorted, are ``vertices``; ``index`` is their count
+    and ``value`` is None.  From ``is_positive_definite``: ``kind`` is
+    "zero-determinant" or "nonpositive-minor", ``index`` the minor size
+    (1-based), n for a zero determinant, and ``value`` the minor.
     """
 
     __slots__ = ()
 
     def __str__(self):
+        if self.vertices is not None:
+            return f"{self.kind} subgraph on vertices {','.join(map(str, self.vertices))}"
         if self.kind == "zero-determinant":
             return "det = 0"
         return f"minor {self.index} = {self.value}"
@@ -220,18 +228,6 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
             kind = "zero-determinant" if (k == g.n and s == 0) else "nonpositive-minor"
             return False, Witness(kind, k, m)
     return True, None
-
-
-def _not_finite_witness(minors: list) -> Witness:
-    """Preferred witness among a Gram matrix's leading minors: an exactly-zero
-    determinant, else the first non-positive minor."""
-    det = minors[-1]
-    if sign(det) == 0:
-        return Witness("zero-determinant", len(minors), det)
-    for k, m in enumerate(minors, start=1):
-        if sign(m) <= 0:
-            return Witness("nonpositive-minor", k, m)
-    raise InternalInconsistencyError("witness requested for a positive definite graph")
 
 
 def _path_sequence(g: CoxeterGraph):
@@ -327,28 +323,32 @@ def _match_connected(g: CoxeterGraph) -> TypeLabel | None:
 def classify(g: CoxeterGraph) -> ClassificationResult:
     """Name each connected component, or mark it NotFinite with a witness.
 
-    The structural match and the positive-definiteness test must agree on
-    every component; a mismatch raises InternalInconsistencyError.  Each
-    component's leading Gram minors are computed once and serve both the
-    test and the witness.  A graph of more than ``VERTEX_GUARD`` vertices
-    raises GuardError before any work.
+    A component the catalog matches must also pass Sylvester's criterion on
+    the sparse pivots of its Gram matrix (rank 2: a finite bond).  A
+    component it rejects is shrunk to a minimal rejected connected induced
+    subgraph, which exact arithmetic must certify as affine or hyperbolic;
+    the witness names it by its original vertices.  Either disagreement
+    raises InternalInconsistencyError.  No dense Gram matrix is built; the
+    checks live in ``certify``, loaded on the first call.  A graph of more
+    than ``VERTEX_GUARD`` vertices raises GuardError before any work.
     """
     if g.n > VERTEX_GUARD:
         raise GuardError(f"classify is capped at {VERTEX_GUARD} vertices, got {g.n}")
+    from .certify import certify, minimal_rejected, positive_definite
+
     results = []
     for comp, vertices in connected_components(g):
         label = _match_connected(comp)
-        minors = gram_matrix(comp).leading_principal_minors()
-        pd = all(sign(m) > 0 for m in minors)
-        if (label is not None) != pd:
-            raise InternalInconsistencyError(
-                f"catalog match ({label}) disagrees with positive definiteness ({pd}) "
-                f"on component {vertices}"
-            )
         if label is None:
-            results.append(ComponentResult(vertices, None, _not_finite_witness(minors)))
-        else:
+            part, sub = minimal_rejected(comp, _match_connected)
+            witness = Witness(certify(sub), len(part), None, tuple(vertices[k] for k in part))
+            results.append(ComponentResult(vertices, None, witness))
+        elif positive_definite(comp):
             results.append(ComponentResult(vertices, label, None))
+        else:
+            raise InternalInconsistencyError(
+                f"catalog match {label} is not positive definite on component {vertices}"
+            )
     return ClassificationResult(tuple(results))
 
 

@@ -34,7 +34,7 @@ def _is_valid_label(m) -> bool:
 class CoxeterGraph:
     """Labeled graph of a Coxeter system; immutable after construction."""
 
-    __slots__ = ("n", "labels")
+    __slots__ = ("n", "labels", "_adjacency")
 
     def __init__(self, n: int, edges=()):
         if not isinstance(n, int) or n < 1:
@@ -62,6 +62,7 @@ class CoxeterGraph:
                 labels[key] = m
         self.n = n
         self.labels = labels
+        self._adjacency = None
 
     def label(self, i: int, j: int):
         """m(i, j); 1 on the diagonal, 2 for non-adjacent pairs."""
@@ -72,17 +73,24 @@ class CoxeterGraph:
     def edges(self) -> list[tuple[int, int, object]]:
         return [(i, j, m) for (i, j), m in sorted(self.labels.items(), key=_edge_sort)]
 
+    def _adjacent(self, i: int) -> list[int]:
+        """Sorted neighbours of i, from adjacency built on the first call;
+        the caller must not change the list."""
+        adj = self._adjacency
+        if adj is None:
+            adj = self._adjacency = [[] for _ in range(self.n)]
+            for a, b in self.labels:
+                adj[a].append(b)
+                adj[b].append(a)
+            for vs in adj:
+                vs.sort()
+        return adj[i]
+
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.labels:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return list(self._adjacent(i))
 
     def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
+        return len(self._adjacent(i))
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterGraph):
@@ -154,6 +162,12 @@ def matrix_from_graph(g: CoxeterGraph) -> CoxeterMatrix:
     )
 
 
+def gram_entry(m):
+    """-cos(pi/m), the Gram entry of a bond m: a Fraction when it is rational."""
+    c = -real_cos_pi_over(m)
+    return c.rational_value() if c.is_rational() else c
+
+
 def gram_matrix(g: CoxeterGraph) -> Matrix:
     """Matrix of the canonical bilinear form: -cos(pi/m(i,j)), unit diagonal.
 
@@ -168,11 +182,21 @@ def gram_matrix(g: CoxeterGraph) -> Matrix:
             m = g.label(i, j)
             c = entry.get(m)
             if c is None:
-                c = -real_cos_pi_over(m)
-                c = entry[m] = c.rational_value() if c.is_rational() else c
+                c = entry[m] = gram_entry(m)
             row.append(c)
         rows.append(row)
     return Matrix(rows)
+
+
+def _induced(labels: dict, keep) -> CoxeterGraph:
+    """Trusted constructor: the graph that valid ``labels`` induce on the
+    increasing vertex sequence ``keep``, renumbered 0..len(keep)-1 in order."""
+    back = {v: k for k, v in enumerate(keep)}
+    g = object.__new__(CoxeterGraph)
+    g.n = len(back)
+    g.labels = {(back[i], back[j]): m for (i, j), m in labels.items() if i in back and j in back}
+    g._adjacency = None
+    return g
 
 
 def connected_components(g: CoxeterGraph) -> list[tuple[CoxeterGraph, tuple[int, ...]]]:
@@ -193,16 +217,10 @@ def connected_components(g: CoxeterGraph) -> list[tuple[CoxeterGraph, tuple[int,
             if v in comp:
                 continue
             comp.add(v)
-            stack.extend(w for w in g.neighbors(v) if w not in comp)
+            stack.extend(w for w in g._adjacent(v) if w not in comp)
         seen |= comp
         vertices = tuple(sorted(comp))
-        back = {v: k for k, v in enumerate(vertices)}
-        edges = [
-            (back[i], back[j], m)
-            for (i, j), m in g.labels.items()
-            if i in comp and j in comp
-        ]
-        comps.append((CoxeterGraph(len(vertices), edges), vertices))
+        comps.append((_induced(g.labels, vertices), vertices))
     return comps
 
 
@@ -234,13 +252,7 @@ def subgraph(g: CoxeterGraph, remove_vertices=(), lower_labels=None) -> CoxeterG
     keep = [v for v in range(g.n) if v not in remove]
     if not keep:
         raise ValidationError("cannot remove every vertex")
-    back = {v: k for k, v in enumerate(keep)}
-    edges = [
-        (back[i], back[j], m)
-        for (i, j), m in labels.items()
-        if i not in remove and j not in remove
-    ]
-    return CoxeterGraph(len(keep), edges)
+    return _induced(labels, keep)
 
 
 def parse_graph_json(text: str) -> CoxeterGraph:

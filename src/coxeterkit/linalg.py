@@ -2,11 +2,11 @@
 
 Determinants and leading principal minors come from one forward Gaussian
 elimination with exact field division (``_gauss_pivots``): over Fractions
-when every entry is rational, else over the entries as given.  Inverse,
-solve and both ranks (over Q on the entries as Fractions, and over the
-field of the entries) use one Gauss-Jordan elimination,
-``_field_rref``.  Intended sizes are small (ranks <= 10 or so for
-cyclotomic work, a few hundred for rational work).
+when every entry is rational, else over the entries as given.  Solve (for
+one or many right-hand sides) and both ranks (over Q on the entries as
+Fractions, and over the field of the entries) use one Gauss-Jordan
+elimination, ``_field_rref``.  Intended sizes are small (ranks <= 10 or so
+for cyclotomic work, a few hundred for rational work).
 """
 
 from __future__ import annotations
@@ -231,35 +231,39 @@ class Matrix:
 
         Free variables, if any, are set to zero.
         """
-        if len(b) != self.rows:
+        return self.solve_each([b])[0]
+
+    def solve_each(self, bs) -> list:
+        """``solve(b)`` for every b in bs, from one Gauss-Jordan elimination
+        that carries every b as a right-hand side."""
+        if any(len(b) != self.rows for b in bs):
             raise ValidationError("right-hand side length mismatch")
-        aug = [list(r) + [b[i]] for i, r in enumerate(self.entries)]
         n = self.cols
-        reduced = _field_rref(aug, ncols=n)
-        x = [0] * n
-        pivots = []
-        for r in reduced:
+        aug = [list(r) + [b[i] for b in bs] for i, r in enumerate(self.entries)]
+        xs = [[0] * n for _ in bs]
+        consistent = [True] * len(bs)
+        for r in _field_rref(aug, ncols=n):
             j = next((j for j in range(n) if not is_zero_scalar(r[j])), None)
             if j is None:
-                if not is_zero_scalar(r[n]):
-                    return None
-            else:
-                pivots.append((j, r))
-        for j, r in pivots:
-            acc = r[n]
-            for k in range(j + 1, n):
-                if not is_zero_scalar(r[k]) and not is_zero_scalar(x[k]):
-                    acc = acc - r[k] * x[k]
-            x[j] = acc * invert_scalar(r[j])
+                for t, c in enumerate(r[n:]):
+                    consistent[t] = consistent[t] and is_zero_scalar(c)
+                continue
+            # pivot columns are cleared above and below and free variables
+            # are zero, so each pivot row gives its variable directly
+            pinv = invert_scalar(r[j])
+            for x, c in zip(xs, r[n:]):
+                x[j] = c * pinv
         # confirm consistency on every row (cheap at these sizes)
-        for i, row in enumerate(self.entries):
-            acc = 0
-            for k, a in enumerate(row):
-                if not is_zero_scalar(x[k]):
-                    acc = acc + a * x[k]
-            if not is_zero_scalar(acc - b[i]):
-                return None
-        return x
+        for t, (x, b) in enumerate(zip(xs, bs)):
+            for i, row in enumerate(self.entries):
+                acc = 0
+                for k, a in enumerate(row):
+                    if not is_zero_scalar(x[k]):
+                        acc = acc + a * x[k]
+                if not is_zero_scalar(acc - b[i]):
+                    consistent[t] = False
+                    break
+        return [x if ok else None for x, ok in zip(xs, consistent)]
 
     def field_rank(self) -> int:
         """Rank via division-based elimination; valid for cyclotomic entries too."""

@@ -253,7 +253,8 @@ def compute_base(rs: RootSystem) -> list[tuple]:
     positive root negative (this characterization is valid for the
     non-crystallographic dihedral systems too, where "not a sum of two
     positive roots" would fail).  The defining property -- every root is a
-    one-signed combination of the base -- is re-verified by exact solves.
+    one-signed combination of the base -- is re-verified by one exact
+    elimination of the base with every root as a right-hand side.
     """
     positives = [v for v in rs.roots if _lex_positive(v)]
     base = []
@@ -273,8 +274,7 @@ def compute_base(rs: RootSystem) -> list[tuple]:
 
 def _verify_base(rs: RootSystem, base: list) -> None:
     mat = Matrix(list(zip(*base)))  # columns are the base vectors
-    for v in rs.roots:
-        x = mat.solve(list(v))
+    for x in mat.solve_each(rs.roots):
         if x is None:
             raise InternalInconsistencyError("root outside the span of the base")
         signs = {sign(c) for c in x}

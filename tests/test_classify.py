@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coxeterkit.certify as certify_module
 from coxeterkit.classify import (
     VERTEX_GUARD,
     TypeLabel,
+    Witness,
     affine_catalog,
     canonical_label,
     catalog_graph,
@@ -14,6 +16,7 @@ from coxeterkit.classify import (
     is_positive_definite,
     parse_type_label,
 )
+from coxeterkit.cyclotomic import real_cos_pi_over, sign
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import INFINITY, CoxeterGraph, gram_matrix, subgraph
 from coxeterkit.linalg import Matrix, is_zero_scalar
@@ -116,18 +119,24 @@ def test_affine_examples():
 
 
 def test_not_finite_witness_prefers_zero_determinant():
+    """The witness is a minimal non-finite subgraph: affine (det = 0) where
+    one is reached first, even inside a graph whose own determinant is not 0."""
     triangle = CoxeterGraph(3, [(0, 1, 3), (1, 2, 3), (0, 2, 3)])
-    res = classify(triangle)
-    assert res.components[0].witness.kind == "zero-determinant"
-    # an indefinite graph gets a negative-minor witness
+    w = classify(triangle).components[0].witness
+    assert w == Witness("affine", 3, None, (0, 1, 2))
+    assert str(w) == "affine subgraph on vertices 0,1,2"
+    # the indefinite triangle of unbounded bonds shrinks to one affine bond
     res2 = classify(CoxeterGraph(3, [(0, 1, INFINITY), (1, 2, INFINITY), (0, 2, INFINITY)]))
-    w = res2.components[0].witness
-    assert w.kind == "nonpositive-minor" and w.index == 2
-    # the A~2 triangle leads: minor 3 = 0 (a zero pivot), but det != 0
+    assert res2.components[0].witness == Witness("affine", 2, None, (1, 2))
+    # the A~2 triangle with a pendant vertex: det != 0, the triangle is affine
     g = CoxeterGraph(4, [(0, 1, 3), (1, 2, 3), (0, 2, 3), (2, 3, 3)])
-    w = classify(g).components[0].witness
-    assert (w.kind, w.index, str(w)) == ("nonpositive-minor", 3, "minor 3 = 0")
+    assert str(classify(g)) == "NotFinite (affine subgraph on vertices 0,1,2)"
     assert gram_matrix(g).determinant() != 0
+    # a Lannér path, and vertices named in the numbering of the whole graph
+    g = CoxeterGraph(7, [(0, 1, 3), (2, 3, 5), (3, 4, 3), (4, 5, 4), (5, 6, 3)])
+    assert str(classify(g)) == "A2 + NotFinite (hyperbolic subgraph on vertices 2,3,4,5)"
+    ok, dense = is_positive_definite(subgraph(g, remove_vertices=[0, 1, 6]))
+    assert not ok and dense.index == 4 and sign(dense.value) < 0
 
 
 def test_group_orders():
@@ -222,23 +231,42 @@ def test_catalog_graph_examples():
 
 
 def test_classify_computes_the_minors_once_per_component(monkeypatch):
-    calls = []
-    original = Matrix.leading_principal_minors
+    """No dense minors: at most one sparse pivot pass per component, none for
+    ranks 2 and 3, whose checks are closed forms."""
+    minors, passes = [], []
+    original = certify_module.pivot_signs
 
-    def counted(self):
-        calls.append(self.rows)
-        return original(self)
+    def counted(g):
+        passes.append(g.n)
+        return original(g)
 
-    monkeypatch.setattr(Matrix, "leading_principal_minors", counted)
-    # components: A2, the affine triangle (a witness), an indefinite path, A1
+    monkeypatch.setattr(Matrix, "leading_principal_minors", lambda self: minors.append(self))
+    monkeypatch.setattr(certify_module, "pivot_signs", counted)
+    # components: A2, the affine triangle, an indefinite path, A1, B3, the
+    # Lannér path (5,3,4) on 4 vertices
     g = CoxeterGraph(
-        9, [(0, 1, 3), (2, 3, 3), (3, 4, 3), (2, 4, 3), (5, 6, INFINITY), (6, 7, 5)]
+        16,
+        [(0, 1, 3), (2, 3, 3), (3, 4, 3), (2, 4, 3), (5, 6, INFINITY), (6, 7, 5),
+         (9, 10, 4), (10, 11, 3), (12, 13, 5), (13, 14, 3), (14, 15, 4)],
     )
     res = classify(g)
-    assert [str(c.label or c.witness) for c in res.components] == [
-        "A2", "det = 0", "minor 2 = 0", "A1"
-    ]
-    assert calls == [2, 3, 3, 1]
+    assert str(res) == (
+        "A2 + NotFinite (affine subgraph on vertices 2,3,4) + NotFinite (affine subgraph "
+        "on vertices 5,6) + A1 + B3 + NotFinite (hyperbolic subgraph on vertices 12,13,14,15)"
+    )
+    assert minors == [] and passes == [1, 3, 4]
+
+
+@pytest.mark.parametrize("m", range(3, 61))
+def test_rank_two_pivot_is_sin_squared(m):
+    """classify checks an edge m by the closed form det = sin^2(pi/m) > 0; the
+    cyclotomic pivot that the closed form replaces is that value, and
+    positive, for every m here."""
+    g = CoxeterGraph(2, [(0, 1, m)])
+    one, det = gram_matrix(g).leading_principal_minors()
+    assert one == 1 and det == 1 - real_cos_pi_over(m) ** 2 and sign(det) == 1
+    assert certify_module.pivot_signs(g) == [1, 1]
+    assert classify(g).is_finite
 
 
 def test_classify_vertex_guard():

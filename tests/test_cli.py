@@ -32,7 +32,7 @@ def test_classify_affine_triangle(tmp_path):
     path.write_text('{"n": 3, "edges": [[0,1,3],[1,2,3],[0,2,3]]}')
     code, text = run_cli("classify", str(path))
     assert code == 2
-    assert text.strip() == "NotFinite (det = 0)"
+    assert text.strip() == "NotFinite (affine subgraph on vertices 0,1,2)"
 
 
 def test_classify_bad_label(tmp_path):

@@ -112,6 +112,19 @@ def test_connected_components():
     assert len(connected_components(edgeless)) == 3
 
 
+def test_neighbors_and_degree_from_the_adjacency():
+    g = CoxeterGraph(5, [(3, 1, 3), (1, 0, 4), (1, 4, 5)])
+    assert [g.neighbors(v) for v in range(5)] == [[1], [0, 3, 4], [], [1], [1]]
+    assert [g.degree(v) for v in range(5)] == [1, 3, 0, 1, 1]
+    g.neighbors(1).append(2)  # a fresh list each call
+    assert g.neighbors(1) == [0, 3, 4]
+    # built adjacency is not part of equality
+    assert g == CoxeterGraph(5, [(0, 1, 4), (1, 3, 3), (1, 4, 5)])
+    comp, vertices = connected_components(g)[0]
+    assert vertices == (0, 1, 3, 4) and comp.neighbors(1) == [0, 2, 3]
+    assert comp == CoxeterGraph(4, [(0, 1, 4), (1, 2, 3), (1, 3, 5)])
+
+
 def test_subgraph_operations():
     b3 = CoxeterGraph(3, [(0, 1, 4), (1, 2, 3)])
     a2 = subgraph(b3, remove_vertices=[0])

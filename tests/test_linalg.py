@@ -98,6 +98,11 @@ def test_solve():
     assert a.solve([5, 11]) == [Fraction(1), Fraction(2)]
     singular = Matrix([[1, 2], [2, 4]])
     assert singular.solve([1, 3]) is None
+    # one elimination for many right-hand sides: a free variable is set to 0
+    assert singular.solve_each([[1, 3], [1, 2], [0, 0]]) == [None, [Fraction(1), 0], [0, 0]]
+    z = Cyclotomic.zeta(5)
+    b = Matrix([[1, z], [0, 2]])
+    assert b.solve_each([[1 + z, 2], [1, 0]]) == [b.solve([1 + z, 2]), [1, 0]] == [[1, 1], [1, 0]]
 
 
 def test_field_rank_with_cyclotomic_entries():

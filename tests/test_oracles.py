@@ -11,16 +11,36 @@ The S_n characters come from Young's seminormal form.  Two oracles check
 them: the left ideal that the Young symmetrizer spans in the group algebra
 (the construction the seminormal form replaced), and the Murnaghan-Nakayama
 rim-hook rule, which shares no code with either.
+
+``classify`` decides finiteness by sparse pivots in leaf-first order and
+certifies a non-finite component by a minimal non-finite subgraph.  The
+oracles are the dense leading Gram minors: ``is_positive_definite``, and a
+Leibniz expansion of each leading minor for the certificates, whose sign is
+read off the as-built value so that no normal form is taken at the large
+conductors of triangles such as (37, 39, 40).
 """
 
+import collections
+import itertools
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxeterkit.classify import TypeLabel
-from coxeterkit.cyclotomic import Cyclotomic
+from coxeterkit.certify import positive_definite
+from coxeterkit.classify import (
+    TypeLabel,
+    affine_catalog,
+    catalog_graph,
+    classification_catalog,
+    classify,
+    is_positive_definite,
+)
+from coxeterkit.cyclotomic import Cyclotomic, sign
 from coxeterkit.families import (
     _extended_character,
     _little_subgroup,
@@ -28,6 +48,7 @@ from coxeterkit.families import (
     bipartitions,
 )
 from coxeterkit.errors import InternalInconsistencyError
+from coxeterkit.graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix, subgraph
 from coxeterkit.groups import ConjugacyClasses, realize
 from coxeterkit.linalg import Matrix
 from coxeterkit.reps import (
@@ -310,3 +331,150 @@ def test_character_table_matches_the_symmetrizer_span(n):
 def test_seminormal_module_character_is_the_table_row(n):
     for shape, chi in zip(partitions_of(n), symmetric_character_table(n)):
         assert specht_module(shape).character().values == chi.values, shape
+
+
+def as_built_sign(x) -> int:
+    """sign(x), read where possible from the float value of x's as-built terms.
+
+    A cyclotomic value sum_k c_k zeta_N^k is within 23u * sum_k |c_k| of its
+    float evaluation (the bound ``sign`` derives for its normal form holds
+    for any form), so a float beyond 2^-40 * sum_k |c_k| has the sign of x.
+    Only a value closer to zero than that is reduced exactly.
+    """
+    if isinstance(x, Cyclotomic):
+        terms = x.terms
+        f = math.fsum(float(c) * math.cos(2 * math.pi * k / x.conductor) for k, c in terms.items())
+        if abs(f) > math.ldexp(float(sum(abs(c) for c in terms.values())), -40):
+            return 1 if f > 0 else -1
+    return sign(x)
+
+
+def leibniz_minor_signs(g: CoxeterGraph) -> list[int]:
+    """Signs of the leading principal minors of g's Gram matrix, each by the
+    sum over permutations: no elimination and no division."""
+    gram = gram_matrix(g)
+    out = []
+    for k in range(1, g.n + 1):
+        det = 0
+        for perm in itertools.permutations(range(k)):
+            term = -1 if sum(perm[i] > perm[j] for i, j in itertools.combinations(range(k), 2)) % 2 else 1
+            entries = [gram[i, j] for i, j in enumerate(perm)]
+            if all(x != 0 for x in entries):  # each entry at its own small conductor
+                for x in entries:
+                    term = term * x
+                det = det + term
+        out.append(as_built_sign(det))
+    return out
+
+
+def induced(g: CoxeterGraph, vertices) -> CoxeterGraph:
+    return subgraph(g, remove_vertices=[v for v in range(g.n) if v not in vertices])
+
+
+CLASSIFY_DEADLINE_S = 1.0
+
+
+def check_classification(g: CoxeterGraph):
+    """classify(g) within the deadline, every verdict against the dense minors.
+
+    A finite component is positive definite.  A certificate is not: every
+    proper leading minor is positive and the determinant is 0 (affine) or
+    negative (hyperbolic), and each of its proper connected induced
+    subgraphs is positive definite.
+    """
+    start = time.perf_counter()
+    result = classify(g)
+    assert time.perf_counter() - start < CLASSIFY_DEADLINE_S
+    for comp in result.components:
+        if comp.label is not None:
+            assert is_positive_definite(induced(g, comp.vertices))[0], comp
+            continue
+        w = comp.witness
+        assert set(w.vertices) <= set(comp.vertices) and w.index == len(w.vertices)
+        cert = induced(g, w.vertices)
+        last = 0 if w.kind == "affine" else -1
+        if cert.n > 6:
+            ok, dense = is_positive_definite(cert)
+            assert not ok and dense.index == cert.n and sign(dense.value) == last, w
+            continue
+        assert leibniz_minor_signs(cert) == [1] * (cert.n - 1) + [last], w
+        for size in range(1, cert.n):
+            for keep in itertools.combinations(range(cert.n), size):
+                part = induced(cert, keep)
+                if len(connected_components(part)) == 1:
+                    assert is_positive_definite(part)[0], (w, keep)
+    return result
+
+
+def random_graph(rng) -> CoxeterGraph:
+    """A graph on 1-6 vertices with an edge density drawn per graph.  Labels
+    are mostly 3, 4 and 5, which give finite trees and the affine and Lannér
+    certificates of rank 4 to 6; one in ten is from 6..40 and one in twenty
+    is unbounded."""
+    n, density = rng.randint(1, 6), rng.random()
+    edges = []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            r = rng.random()
+            m = INFINITY if r < 0.05 else rng.randint(6, 40) if r < 0.15 else rng.choice([3, 3, 3, 3, 4, 5])
+            edges.append((i, j, m))
+    return CoxeterGraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_classify_matches_dense_minors(rng):
+    check_classification(random_graph(rng))
+
+
+def one_vertex_extensions():
+    """Each finite catalog graph of rank 2-5 with one new vertex joined to one
+    of its vertices by a bond 3, 4 or 5, and each affine graph of rank <= 6:
+    these hold the affine and Lannér certificates of rank 4-6 that random
+    graphs seldom reach."""
+    for t in classification_catalog(5, [5, 6, 7]):
+        g = catalog_graph(t)
+        for v in range(g.n):
+            for m in (3, 4, 5):
+                yield CoxeterGraph(g.n + 1, g.edges() + [(v, g.n, m)])
+    yield from (g for _, g in affine_catalog(5))
+
+
+def test_one_vertex_extensions_match_dense_minors():
+    kinds = collections.Counter()
+    for g in one_vertex_extensions():
+        assert positive_definite(g) == is_positive_definite(g)[0], g
+        for c in check_classification(g).components:
+            if c.witness is not None:
+                kinds[c.witness.kind, c.witness.index] += 1
+    assert kinds["affine", 6] > 0 and kinds["hyperbolic", 4] > 0 and kinds["hyperbolic", 5] > 0
+
+
+def complete(n, m):
+    return CoxeterGraph(n, [(i, j, m) for i in range(n) for j in range(i + 1, n)])
+
+
+def path(*labels):
+    return CoxeterGraph(len(labels) + 1, [(i, i + 1, m) for i, m in enumerate(labels)])
+
+
+@pytest.mark.parametrize(
+    "g, text",
+    [
+        (complete(18, 4), "NotFinite (hyperbolic subgraph on vertices 15,16,17)"),
+        (complete(48, 3), "NotFinite (affine subgraph on vertices 45,46,47)"),
+        (
+            CoxeterGraph(48, [(i, (i + 1) % 48, 3) for i in range(48)]),
+            "NotFinite (affine subgraph on vertices " + ",".join(map(str, range(48))) + ")",
+        ),
+        (path(7, 11, 13, 17), "NotFinite (hyperbolic subgraph on vertices 2,3,4)"),
+        (path(5, 7, 11, 13, 17), "NotFinite (hyperbolic subgraph on vertices 3,4,5)"),
+        (path(37, 39), "NotFinite (hyperbolic subgraph on vertices 0,1,2)"),
+        (CoxeterGraph(3, [(0, 1, 37), (1, 2, 39), (0, 2, 40)]),
+         "NotFinite (hyperbolic subgraph on vertices 0,1,2)"),
+    ],
+    ids=["K18(4)", "K48(3)", "cycle48", "path(7,11,13,17)", "path(5,7,11,13,17)",
+         "path(37,39)", "triangle(37,39,40)"],
+)
+def test_classify_hard_cases_match_dense_minors(g, text):
+    assert str(check_classification(g)) == text

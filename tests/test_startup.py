@@ -60,7 +60,7 @@ def test_package_import_loads_only_the_classification_chain():
 def test_classify_never_loads_groups(tmp_path):
     path = tmp_path / "b3.json"
     path.write_text('{"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}')
-    assert modules_after("classify", str(path)) == BASE
+    assert modules_after("classify", str(path)) == BASE | {"certify"}
 
 
 def test_realize_loads_only_groups():
