@@ -7,7 +7,8 @@ The commands import their modules inside their own functions, so an
 in-process test that has already loaded the whole package cannot catch a
 broken function-local import; a fresh process per command does.  The
 ``classify`` runs on the two non-finite graphs have a time limit, so that
-a slow classify on them fails here.  Exits 1 at the first command that
+a slow classify on them fails here, and so does ``chartable B6``, the
+largest B_n table under the guard.  Exits 1 at the first command that
 exits with another code than expected or runs out of time.
 """
 
@@ -20,6 +21,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLASSIFY_TIMEOUT_S = 5
+TABLE_TIMEOUT_S = 10
 # file name -> (graph, expected exit code of classify)
 GRAPHS = {
     "b3.json": ({"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}, 0),
@@ -37,6 +39,7 @@ COMMANDS = [
     ["chartable", "A3"],
     ["chartable", "A6"],
     ["--format", "json", "chartable", "B2"],
+    ["chartable", "D4"],
     ["--float", "chartable", "I2(5)"],
     ["--max-order", "1000", "irreps", "D4"],
     ["verify", "A3"],
@@ -53,6 +56,7 @@ def run() -> int:
             path.write_text(json.dumps(graph))
             runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
         runs += [(argv, 0, None) for argv in COMMANDS]
+        runs.append((["chartable", "B6"], 0, TABLE_TIMEOUT_S))
         for argv, want, timeout in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],

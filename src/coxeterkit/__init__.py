@@ -47,13 +47,11 @@ from .linalg import Matrix, determinant, leading_principal_minors, rank
 _LAZY = {
     "families": (
         "DnLabel",
-        "SignCharacter",
         "bn_conjugacy_parametrization",
         "dihedral_irreducibles",
         "dn_irreducibles",
         "hyperoctahedral_irreducibles",
         "irreducible_characters",
-        "sign_character_orbits",
     ),
     "groups": (
         "DihedralElement",

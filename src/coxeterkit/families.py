@@ -1,19 +1,28 @@
 """Irreducible characters of the B, D and I2 families.
 
-B_n is handled by the little-group method over its normal sign subgroup:
-orbits of sign characters, block stabilizers S_a x S_b, extension, and
-induction by the class-size formula.  D_n (n = 4 here) restricts the B_n
-characters down its index-2 inclusion.  A self-paired character (lam, lam)
-restricts to the sum of two irreducibles; each is induced by the same
-method from the little group of the sign character inside D_n, whose
-permutations are S_m wr S_2 (n = 2m), extended by one of the two extensions
-of chi_lam x chi_lam.  I2(m) induces from its rotation subgroup.
+B_n's irreducibles chi_(lam,mu) are the little-group inductions from the
+block stabilizer B_a x B_b (a = |lam|) of chi_lam and (sign of the second
+block) chi_mu.  The induction has a closed form (Geck-Pfeiffer, *Characters
+of Finite Coxeter Groups and Iwahori-Hecke Algebras*, ch. 5): if w has
+cycles of lengths l_i and signs e_i (the product of w's signs over cycle i),
+
+    chi_(lam,mu)(w) = sum over sets S of cycles with sum_(i in S) l_i = |lam|
+                      of chi_lam(l_S) chi_mu(l_(not S)) prod_(i not in S) e_i.
+
+It depends on the signed cycle type only, a complete class invariant, so it
+is evaluated once per class.  The same formula at the classes of D_n (even
+sign vectors) gives Res chi_(lam,mu), irreducible for lam != mu and equal
+to Res chi_(mu,lam).  For n = 2m, Res chi_(lam,lam) splits into the halves
+(Res chi_(lam,lam) -+ delta) / 2, the "+" half taking -delta.  delta is 0
+except on the classes whose cycles are all positive of even length, 2 beta:
+there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
+the sign-free permutation and minus that on its partner class.  I2(m)
+induces from its rotation subgroup.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -26,19 +35,10 @@ from .errors import (
     UnsupportedTypeError,
     ValidationError,
 )
-from .groups import Permutation, RealizedGroup, SignedPermutation, realize
+from .groups import RealizedGroup, SignedPermutation, realize
 from .linalg import as_integer
-from .reps import (
-    ClassFunction,
-    Subgroup,
-    induce_character,
-    restrict_character,
-)
-from .specht import (
-    _block_permutations,
-    symmetric_character_table,
-    symmetric_character_value,
-)
+from .reps import ClassFunction, Subgroup, induce_character
+from .specht import symmetric_character_table, symmetric_character_value
 from .tableaux import (
     BipartitionLabel,
     bipartitions,
@@ -47,34 +47,8 @@ from .tableaux import (
     partitions_of,
 )
 
-SIGN_ORBIT_GUARD = 8
-BN_CHARACTER_GUARD = 4
+BN_CHARACTER_GUARD = 6
 DIHEDRAL_GUARD = 24
-
-
-class SignCharacter(namedtuple("SignCharacter", "bits")):
-    """Character of the sign subgroup {+-1}^n given by exponents in {0,1}^n."""
-
-    __slots__ = ()
-
-    def __new__(cls, bits: tuple[int, ...]):
-        if any(b not in (0, 1) for b in bits):
-            raise ValidationError("sign character exponents must be 0 or 1")
-        return super().__new__(cls, bits)
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def value(self, signs) -> int:
-        out = 1
-        for s, b in zip(signs, self.bits):
-            if b:
-                out *= s
-        return out
-
-    def __str__(self):
-        return "psi(" + ",".join(str(b) for b in self.bits) + ")"
 
 
 class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
@@ -96,116 +70,64 @@ class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
         return f"D:({partition_text(self.lam)},{partition_text(self.mu)},{self.half})"
 
 
-def sign_character_orbits(n: int) -> list[tuple[SignCharacter, Subgroup]]:
-    """Orbit representatives of S_n on sign characters, with their stabilizers.
-
-    The representative with i ones carries them in the trailing coordinates,
-    and its stabilizer is the block subgroup S_a x S_b (a = n - i zeros).
-    For n = 1 the acting group is trivial and the stabilizer slot is None.
-    """
-    if n > SIGN_ORBIT_GUARD:
-        raise GuardError(f"sign-character orbits capped at n = {SIGN_ORBIT_GUARD}")
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    sn = realize(TypeLabel("A", n - 1)) if n >= 2 else None
+def _cycle_splits(group: RealizedGroup) -> list[dict]:
+    """Per class of B_n or D_n, {(t0, t1): c} over the ways to deal the
+    cycles to two blocks: t0, t1 the cycle types dealt, c the sum over those
+    ways of the product of the signs of the cycles in t1."""
     out = []
-    for ones in range(n + 1):
-        a = n - ones
-        rep = SignCharacter((0,) * a + (1,) * ones)
-        if sn is None:
-            out.append((rep, None))
-            continue
-        blocks = [list(range(a)), list(range(a, n))]
-        elements = _block_permutations(n, blocks)
-        out.append((rep, Subgroup(sn, elements, verify=False)))
+    for rep in group.classes.reps:
+        pos, neg = rep.signed_cycle_type()
+        cycles = sorted([(length, 1) for length in pos] + [(length, -1) for length in neg], reverse=True)
+        splits = {}
+        for picks in itertools.product((0, 1), repeat=len(cycles)):
+            blocks, sign = ([], []), 1
+            for (length, eps), b in zip(cycles, picks):
+                blocks[b].append(length)
+                sign *= eps if b else 1
+            key = (tuple(blocks[0]), tuple(blocks[1]))
+            splits[key] = splits.get(key, 0) + sign
+        out.append(splits)
     return out
 
 
-def _block_cycle_types(p: Permutation, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cycle types of a block permutation on {0..a-1} and {a..n-1}."""
-    n = p.size
-    first = Permutation([p(i) for i in range(a)]) if a else Permutation(())
-    second = Permutation([p(i) - a for i in range(a, n)]) if n > a else Permutation(())
-    return first.cycle_type(), second.cycle_type()
-
-
-def _signed_subgroup(group: RealizedGroup, perms) -> Subgroup:
-    """Sign vectors times the given permutations, inside B_n or D_n.
-
-    ``perms`` must be a group.  D_n keeps only the even sign vectors.
-    """
-    n = group.label.rank
-    even = group.label.family == "D"
-    elements = [
-        SignedPermutation(signs, p)
-        for p in perms
-        for signs in itertools.product((1, -1), repeat=n)
-        if not even or math.prod(signs) == 1
-    ]
-    return Subgroup(group, elements, verify=False)
-
-
-def _checked_class_function(sub: Subgroup, value, name: str) -> ClassFunction:
-    """``value`` at the class representatives, asserted constant on each class."""
-    classes = sub.classes
-    vals = [value(rep) for rep in classes.reps]
-    for k, el in enumerate(sub.elements):
-        if value(el) != vals[classes.class_of[k]]:
-            raise InternalInconsistencyError(
-                f"extended character of {name} is not a class function"
-            )
-    return ClassFunction(sub, vals, name)
-
-
-@lru_cache(maxsize=None)
-def _little_subgroup(n: int, a: int) -> Subgroup:
-    """(sign subgroup) x (block permutations S_a x S_b) inside B_n."""
-    perms = _block_permutations(n, [list(range(a)), list(range(a, n))])
-    return _signed_subgroup(realize(TypeLabel("B", n)), perms)
-
-
-def _extended_character(n: int, label: BipartitionLabel) -> ClassFunction:
-    """Character phi~ (x) (chi_lam x chi_mu) on the little subgroup.
-
-    phi~(s, p) = phi(s): the sign character extends by ignoring the block
-    permutation, which is well-defined precisely because the blocks
-    stabilize it.  Constancy on subgroup classes is asserted outright.
-    """
-    a = label.a
-    phi = SignCharacter((0,) * a + (1,) * label.b)
-
-    def value(el: SignedPermutation):
-        t0, t1 = _block_cycle_types(el.perm, a)
-        return (
-            Fraction(phi.value(el.signs))
-            * symmetric_character_value(label.lam, t0)
-            * symmetric_character_value(label.mu, t1)
+def _bipartition_values(splits: list[dict], lam, mu) -> list[Fraction]:
+    """chi_(lam,mu) at each class, by the closed form over the cycle splits."""
+    a = sum(lam)
+    return [
+        sum(
+            (
+                c * symmetric_character_value(lam, t0) * symmetric_character_value(mu, t1)
+                for (t0, t1), c in by_split.items()
+                if c and sum(t0) == a
+            ),
+            Fraction(0),
         )
-
-    return _checked_class_function(_little_subgroup(n, a), value, str(label))
+        for by_split in splits
+    ]
 
 
 @lru_cache(maxsize=None)
 def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of B_n; exact.
 
-    Characters are computed by inducing the extended little-group
-    characters; n is capped where full class data is feasible.
+    Each character is the closed form on signed cycle types, checked against
+    the dimension formula; n is capped where full class data is feasible.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
     if n > BN_CHARACTER_GUARD:
         raise GuardError(f"full B_n characters capped at n = {BN_CHARACTER_GUARD}")
     bn = realize(TypeLabel("B", n))
+    splits = _cycle_splits(bn)
     out = []
     for label in bipartitions(n):
-        chi = induce_character(_extended_character(n, label), bn)
+        chi = ClassFunction(bn, _bipartition_values(splits, label.lam, label.mu), str(label))
         dim = bn_dimension(n, label)
         if chi.identity_value != dim:
             raise InternalInconsistencyError(
-                f"induced dimension of {label} disagrees with the index formula"
+                f"the dimension of {label} disagrees with the index formula"
             )
-        out.append((label, ClassFunction(bn, chi.values, str(label)), dim))
+        out.append((label, chi, dim))
     return tuple(out)
 
 
@@ -246,87 +168,58 @@ def _pair_key(shape: tuple[int, ...]):
     return (sum(shape), shape)
 
 
-@lru_cache(maxsize=None)
-def _swap_little_subgroup(n: int) -> Subgroup:
-    """(even signs) x| (S_m wr S_2) inside D_n, n = 2m: S_m x S_m and the block swap."""
-    m = n // 2
-    block = _block_permutations(n, [list(range(m)), list(range(m, n))])
-    swap = Permutation([(i + m) % n for i in range(n)])
-    return _signed_subgroup(realize(TypeLabel("D", n)), block + [swap * p for p in block])
-
-
-def _split_self_paired(n: int, lam: tuple[int, ...], dn: RealizedGroup):
-    """The two halves of Res chi_(lam,lam) on D_n, by little-group induction.
-
-    With n = 2m, the sign character phi = psi(0^m, 1^m) is fixed on the
-    even sign vectors by the block swap i <-> i+m as well, so its little
-    group in D_n is (even signs) x| (S_m wr S_2).  chi_lam x chi_lam extends
-    to S_m wr S_2 in two ways xi_eps, eps = +-1: chi_lam(t0) chi_lam(t1) at a
-    block-preserving p, and eps chi_lam(beta) at a block-swapping p of cycle
-    type 2 beta.  Each half is induced from phi(s) xi_eps(p).  Convention:
-    the "+" half is eps = -1 and the "-" half is eps = +1.
-    """
-    m = n // 2
-    sub = _swap_little_subgroup(n)
-    phi = SignCharacter((0,) * m + (1,) * m)
-    halves = []
+def _split_halves(dn: RealizedGroup, splits: list[dict], lam: tuple[int, ...]):
+    """(label, character, dimension) of the halves (Res chi_(lam,lam) -+ delta) / 2."""
+    n = dn.label.rank
+    classes = dn.classes
+    delta = []
+    for k, rep in enumerate(classes.reps):
+        pos, neg = rep.signed_cycle_type()
+        if neg or any(length % 2 for length in pos):
+            delta.append(0)
+            continue
+        beta = tuple(length // 2 for length in pos)
+        unsigned = classes.class_of[dn.index_of(SignedPermutation((1,) * n, rep.perm))]
+        sign = 1 if unsigned == k else -1
+        delta.append(sign * 2 ** len(beta) * symmetric_character_value(lam, beta))
+    whole = _bipartition_values(splits, lam, lam)
+    dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
+    out = []
     for half, eps in (("+", -1), ("-", 1)):
-
-        def value(el: SignedPermutation, eps=eps):
-            if el.perm(0) < m:  # block-preserving
-                t0, t1 = _block_cycle_types(el.perm, m)
-                xi = symmetric_character_value(lam, t0) * symmetric_character_value(lam, t1)
-            else:  # block-swapping, of cycle type 2 beta
-                beta = tuple(c // 2 for c in el.perm.cycle_type())
-                xi = eps * symmetric_character_value(lam, beta)
-            return Fraction(phi.value(el.signs)) * xi
-
-        name = str(DnLabel(lam, lam, half))
-        chi = induce_character(_checked_class_function(sub, value, name), dn)
-        halves.append(ClassFunction(dn, chi.values, name))
-    return tuple(halves)
+        values = [(w + eps * d) / 2 for w, d in zip(whole, delta)]
+        label = DnLabel(lam, lam, half)
+        if values[0] != dim or any(v.denominator != 1 for v in values):
+            raise InternalInconsistencyError(f"{label} is not a character of dimension {dim}")
+        out.append((label, ClassFunction(dn, values, str(label)), dim))
+    if out[0][1] == out[1][1]:
+        raise InternalInconsistencyError(f"the halves of {DnLabel(lam, lam)} coincide")
+    return out
 
 
 @lru_cache(maxsize=None)
 def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
-    """(label, character, dimension) for every irreducible of D_n (n = 4).
+    """(label, character, dimension) for every irreducible of D_n.
 
-    Restrictions of the B_n characters with lam != mu, deduplicated over
-    swaps, plus the two induced halves of each self-paired character, which
-    must sum to its restriction and differ.
+    The closed form for each unordered pair lam != mu, then the two halves of
+    each self-paired label; no B_n group is built.
     """
     label = TypeLabel("D", n)  # validates n >= 4
     if n > BN_CHARACTER_GUARD:
         raise GuardError(f"D_n irreducibles capped at n = {BN_CHARACTER_GUARD}")
     dn = realize(label)
+    splits = _cycle_splits(dn)
     out = []
     seen = set()
-    self_paired = {}
-    for blabel, chi, dim in hyperoctahedral_irreducibles(n):
+    for blabel in bipartitions(n):
         lam, mu = blabel.lam, blabel.mu
-        if lam == mu:
-            self_paired[lam] = chi
+        if lam == mu or frozenset((lam, mu)) in seen:
             continue
-        key = frozenset({lam, mu})
-        res = restrict_character(chi, dn)
-        if key in seen:
-            # the swapped partner must restrict identically
-            prev = next(c for l, c, _ in out if l.half is None and {l.lam, l.mu} == set(key))
-            if prev != res:
-                raise InternalInconsistencyError("swapped labels restrict differently")
-            continue
-        seen.add(key)
-        first, second = sorted((lam, mu), key=_pair_key, reverse=True)
-        out.append((DnLabel(first, second), ClassFunction(dn, res.values, str(DnLabel(first, second))), dim))
+        seen.add(frozenset((lam, mu)))
+        dlabel = DnLabel(*sorted((lam, mu), key=_pair_key, reverse=True))
+        chi = ClassFunction(dn, _bipartition_values(splits, lam, mu), str(dlabel))
+        out.append((dlabel, chi, bn_dimension(n, blabel)))
     for lam in partitions_of(n // 2) if n % 2 == 0 else ():
-        plus, minus = _split_self_paired(n, lam, dn)
-        if plus + minus != restrict_character(self_paired[lam], dn) or plus == minus:
-            raise InternalInconsistencyError(
-                f"the halves of {DnLabel(lam, lam)} do not split its restriction"
-            )
-        half_dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
-        out.append((DnLabel(lam, lam, "+"), plus, half_dim))
-        out.append((DnLabel(lam, lam, "-"), minus, half_dim))
+        out.extend(_split_halves(dn, splits, lam))
     return tuple(out)
 
 

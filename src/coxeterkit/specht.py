@@ -156,17 +156,27 @@ def _class_index_by_cycle_type(n: int) -> dict[tuple[int, ...], int]:
     return {rep.cycle_type(): k for k, rep in enumerate(group.classes.reps)}
 
 
+@lru_cache(maxsize=None)
+def _character_values(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+    """{(shape, cycle type): value} over the character table of S_n."""
+    classes = _class_index_by_cycle_type(n)
+    return {
+        (shape, cycle): chi.values[k]
+        for shape, chi in zip(partitions_of(n), symmetric_character_table(n))
+        for cycle, k in classes.items()
+    }
+
+
 def symmetric_character_value(shape, cycle: tuple[int, ...]) -> Fraction:
     """Character value of the shape's module at a given cycle type.
 
     Partitions of 0 and 1 index the one-dimensional characters of the
     (trivial) groups S_0 and S_1, so the value is 1 there.
     """
-    shape = validate_partition(shape)
-    n = sum(shape)
-    if n <= 1:
+    shape = tuple(shape)
+    if shape in ((), (1,)):
         return Fraction(1)
-    table = symmetric_character_table(n)
-    idx = list(partitions_of(n)).index(shape)
-    cls = _class_index_by_cycle_type(n)[tuple(cycle)]
-    return table[idx].values[cls]
+    try:
+        return _character_values(sum(shape))[shape, tuple(cycle)]
+    except KeyError:
+        raise ValidationError(f"no character value at shape {shape!r}, cycle type {cycle!r}") from None

@@ -110,7 +110,7 @@ def test_chartable_unsupported_exceptional():
 
 
 def test_chartable_guard_exceeded():
-    code, text = run_cli("chartable", "B5")
+    code, text = run_cli("chartable", "B7")
     assert code == 3
 
 

@@ -15,10 +15,9 @@ from coxeterkit.families import (
     dihedral_irreducibles,
     dn_irreducibles,
     hyperoctahedral_irreducibles,
-    sign_character_orbits,
 )
-from coxeterkit.groups import DihedralElement, realize
-from coxeterkit.reps import inner_product, restrict_character
+from coxeterkit.groups import DihedralElement, Permutation, realize
+from coxeterkit.reps import ClassFunction, Subgroup, inner_product, restrict_character
 from coxeterkit.tableaux import hyperoctahedral_dimensions, partitions_of
 
 
@@ -26,26 +25,6 @@ def dim_int(value) -> int:
     if isinstance(value, Cyclotomic):
         return int(value.rational_value())
     return int(Fraction(value))
-
-
-def test_sign_character_orbits():
-    orbits = sign_character_orbits(3)
-    assert len(orbits) == 4
-    assert [rep.bits for rep, _ in orbits] == [
-        (0, 0, 0),
-        (0, 0, 1),
-        (0, 1, 1),
-        (1, 1, 1),
-    ]
-    assert [stab.order for _, stab in orbits] == [6, 2, 2, 6]
-    assert len(sign_character_orbits(1)) == 2
-    orbits4 = sign_character_orbits(4)
-    assert orbits4[2][1].order == 4  # two ones: stabilizer S_2 x S_2
-
-
-def test_sign_orbit_guard():
-    with pytest.raises(GuardError):
-        sign_character_orbits(9)
 
 
 def test_bipartition_count():
@@ -113,22 +92,38 @@ def test_dimension_only_listing():
     dims = hyperoctahedral_dimensions(8)
     assert sum(d * d for _, d in dims) == 2 ** 8 * math.factorial(8)
     with pytest.raises(GuardError):
-        hyperoctahedral_irreducibles(5)
+        hyperoctahedral_irreducibles(7)
 
 
 def test_extended_block_characters_satisfy_reciprocity():
-    """Each induced B_n character pairs with its building block by adjunction."""
-    from coxeterkit.families import _extended_character
+    """Each B_n character is induced from its block stabilizer B_a x B_b.
+
+    The extension chi_lam x (sign of the second block) chi_mu, built here on
+    the stabilizer, induces to a character of norm 1 that pairs with the
+    closed form by Frobenius reciprocity.
+    """
     from coxeterkit.reps import induce_character
+    from coxeterkit.specht import symmetric_character_value
 
     for n in (2, 3):
         bn = realize(TypeLabel("B", n))
-        for label in bipartitions(n):
-            chi = _extended_character(n, label)
-            ind = induce_character(chi, bn)
-            lhs = inner_product(ind, ind)
-            rhs = inner_product(chi, restrict_character(ind, chi.domain))
-            assert lhs == rhs == 1, str(label)
+        for label, chi, _ in hyperoctahedral_irreducibles(n):
+            a = label.a
+            block = [g for g in bn.elements if all((g.perm(i) < a) == (i < a) for i in range(n))]
+            sub = Subgroup(bn, block)
+            values = []
+            for rep in sub.classes.reps:
+                first = Permutation([rep.perm(i) for i in range(a)])
+                second = Permutation([rep.perm(i) - a for i in range(a, n)])
+                values.append(
+                    math.prod(rep.signs[a:])
+                    * symmetric_character_value(label.lam, first.cycle_type())
+                    * symmetric_character_value(label.mu, second.cycle_type())
+                )
+            ext = ClassFunction(sub, values, str(label))
+            ind = induce_character(ext, bn)
+            assert inner_product(ind, ind) == 1, str(label)
+            assert inner_product(chi, ind) == inner_product(restrict_character(chi, sub), ext) == 1
 
 
 def test_b2_and_square_dihedral_coincide_in_size():
@@ -187,18 +182,17 @@ def test_d4_split_halves():
 
 @pytest.mark.parametrize("lam", partitions_of(3), ids=str)
 def test_d6_split_halves_past_the_guard(lam):
-    """The little-group split works on D_6, which dn_irreducibles still guards."""
-    from coxeterkit.families import _extended_character, _split_self_paired
-    from coxeterkit.reps import induce_character
-
-    dn = realize(TypeLabel("D", 6))
-    plus, minus = _split_self_paired(6, lam, dn)
+    """The halves of (lam, lam) on D_6 are orthonormal and split its restriction."""
+    table = dn_irreducibles(6)
+    plus = next(chi for lbl, chi, _ in table if lbl.half == "+" and lbl.lam == lam)
+    minus = next(chi for lbl, chi, _ in table if lbl.half == "-" and lbl.lam == lam)
+    dn = plus.domain
     assert inner_product(plus, plus) == inner_product(minus, minus) == 1
     assert inner_product(plus, minus) == 0
     half = bn_dimension(6, BipartitionLabel(lam, lam)) // 2
     assert dim_int(plus.identity_value) == dim_int(minus.identity_value) == half
-    parent = induce_character(
-        _extended_character(6, BipartitionLabel(lam, lam)), realize(TypeLabel("B", 6))
+    parent = next(
+        chi for lbl, chi, _ in hyperoctahedral_irreducibles(6) if lbl == BipartitionLabel(lam, lam)
     )
     assert plus + minus == restrict_character(parent, dn)
 
@@ -267,7 +261,7 @@ def test_dihedral_guard():
 
 def test_dn_guard():
     with pytest.raises(GuardError):
-        dn_irreducibles(5)
+        dn_irreducibles(7)
 
 
 def test_enumeration_guard_via_order():

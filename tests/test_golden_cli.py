@@ -12,10 +12,15 @@ split by little-group induction instead of a commutant eigenspace.  The
 ``chartable A6`` cases (S_7) were recorded when the S_n characters moved to
 Young's seminormal form and their guard rose from n = 6 to 7, after every
 value had matched the Murnaghan-Nakayama oracle in ``test_oracles.py``;
-before that, these commands exited 3.  The non-finite ``classify`` cases
-(all six graphs in ``GRAPHS``) were re-recorded when the witness became a
-minimal non-finite subgraph named by its vertices, instead of a leading
-Gram minor.
+before that, these commands exited 3.  The ``chartable`` cases of B5, D5,
+B6 and D6 (tsv) were recorded when the B_n and D_n characters moved to a
+closed form on signed cycle types and their guard rose from n = 4 to 6:
+each digest equals that of the little-group induction with its guard
+lifted, and every value matches the bipartition Murnaghan-Nakayama oracle
+in ``test_oracles.py``; before that, these commands exited 3.  The
+non-finite ``classify`` cases (all six graphs in ``GRAPHS``) were
+re-recorded when the witness became a minimal non-finite subgraph named by
+its vertices, instead of a leading Gram minor.
 
 A key is ``"<command> <target> <format>"``.  The format is ``tsv``, ``json``
 or ``float`` (tsv with ``--float``).  For ``classify`` the target names a

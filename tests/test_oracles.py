@@ -12,6 +12,11 @@ them: the left ideal that the Young symmetrizer spans in the group algebra
 (the construction the seminormal form replaced), and the Murnaghan-Nakayama
 rim-hook rule, which shares no code with either.
 
+The B_n and D_n characters are a closed form on signed cycle types.  Two
+oracles check them: the paper's construction, induction from the block
+stabilizer B_a x B_(n-a) summed over the whole group, and the bipartition
+Murnaghan-Nakayama rule, which shares no code with the closed form.
+
 ``classify`` decides finiteness by sparse pivots in leaf-first order and
 certifies a non-finite component by a minimal non-finite subgraph.  The
 oracles are the dense leading Gram minors: ``is_positive_definite``, and a
@@ -42,10 +47,10 @@ from coxeterkit.classify import (
 )
 from coxeterkit.cyclotomic import Cyclotomic, sign
 from coxeterkit.families import (
-    _extended_character,
-    _little_subgroup,
     _rotation_subgroup,
     bipartitions,
+    dn_irreducibles,
+    hyperoctahedral_irreducibles,
 )
 from coxeterkit.errors import InternalInconsistencyError
 from coxeterkit.graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix, subgraph
@@ -122,10 +127,46 @@ def test_group_classes_match_brute_force(label):
     assert group.classes == brute_force_classes(group)
 
 
+def little_subgroup(n: int, a: int) -> Subgroup:
+    """The block stabilizer B_a x B_(n-a) inside B_n: every sign vector times
+    the permutations that keep {0..a-1} and {a..n-1}."""
+    group = realize(TypeLabel("B", n))
+    keeps = [g for g in group.elements if all((g.perm(i) < a) == (i < a) for i in range(n))]
+    return Subgroup(group, keeps, verify=False)
+
+
+def block_cycle_type(p, points) -> tuple[int, ...]:
+    """Cycle type of a permutation on a set of points it keeps."""
+    seen, lengths = set(), []
+    for start in points:
+        j, length = start, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = p(j), length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def extended_character(n: int, label) -> ClassFunction:
+    """The little-group character of label (lam, mu) on B_a x B_(n-a): chi_lam
+    on the first block times (product of the second block's signs) chi_mu on
+    the second, with the S_m values from the Murnaghan-Nakayama oracle."""
+    a = label.a
+    sub = little_subgroup(n, a)
+    values = [
+        math.prod(rep.signs[a:])
+        * murnaghan_nakayama(label.lam, block_cycle_type(rep.perm, range(a)))
+        * murnaghan_nakayama(label.mu, block_cycle_type(rep.perm, range(a, n)))
+        for rep in sub.classes.reps
+    ]
+    return ClassFunction(sub, values, str(label))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_little_subgroup_classes_match_brute_force(n):
     for a in range(n + 1):
-        sub = _little_subgroup(n, a)
+        sub = little_subgroup(n, a)
         assert sub.classes == brute_force_classes(sub)
 
 
@@ -149,10 +190,14 @@ def test_young_subgroup_induction_matches_brute_force(label):
 
 @pytest.mark.parametrize("label", B_LABELS, ids=str)
 def test_little_group_induction_matches_brute_force(label):
+    """The paper's construction, induction from the little group summed over
+    all of B_n, gives the closed-form characters value by value."""
     n = label.rank
     group = realize(label)
-    for blabel in bipartitions(n):
-        assert_induces_like_oracle(_extended_character(n, blabel), group)
+    for blabel, chi, _ in hyperoctahedral_irreducibles(n):
+        ext = extended_character(n, blabel)
+        assert_induces_like_oracle(ext, group)
+        assert brute_force_induce(ext, group) == list(chi.values), str(blabel)
 
 
 def test_d4_induction_matches_brute_force():
@@ -266,28 +311,61 @@ def own_partitions(n: int, cap: int | None = None) -> list[tuple[int, ...]]:
     return [(k,) + rest for k in range(min(n, cap), 0, -1) for rest in own_partitions(n - k, k)]
 
 
-@lru_cache(maxsize=None)
-def murnaghan_nakayama(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
-    """chi_shape at cycle type ``cycle``, by removing rim hooks on beta-sets.
+def rim_hooks(shape: tuple[int, ...], k: int):
+    """(sign, smaller shape) for each rim hook of length k, on beta-sets.
 
     With beta-set B = {shape_i + (l - 1 - i)}, removing a rim hook of length
     k is replacing some b in B by b - k >= 0 not in B, with sign (-1)^(number
     of beta-numbers strictly between b - k and b).
     """
-    if not cycle:
-        return 1 if not shape else 0
-    k, rest = cycle[0], cycle[1:]
     length = len(shape)
     beta = {part + (length - 1 - i) for i, part in enumerate(shape)}
-    total = 0
     for b in beta:
         if b - k < 0 or b - k in beta:
             continue
         height = sum(1 for x in beta if b - k < x < b)
         new = sorted((beta - {b}) | {b - k}, reverse=True)
         smaller = tuple(x - (length - 1 - i) for i, x in enumerate(new))
-        total += (-1) ** height * murnaghan_nakayama(tuple(p for p in smaller if p > 0), rest)
-    return total
+        yield (-1) ** height, tuple(p for p in smaller if p > 0)
+
+
+@lru_cache(maxsize=None)
+def murnaghan_nakayama(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
+    """chi_shape at cycle type ``cycle``, by removing rim hooks."""
+    if not cycle:
+        return 1 if not shape else 0
+    k, rest = cycle[0], cycle[1:]
+    return sum(sign * murnaghan_nakayama(smaller, rest) for sign, smaller in rim_hooks(shape, k))
+
+
+@lru_cache(maxsize=None)
+def bipartition_rim_hooks(lam, mu, cycles) -> int:
+    """chi_(lam,mu) of B_n at signed cycles ((length, sign), ...), by the
+    bipartition Murnaghan-Nakayama rule (Geck-Pfeiffer, ch. 5): a cycle of
+    length k and sign s is removed as a k-rim hook of lam, or as one of mu
+    with the extra factor s."""
+    if not cycles:
+        return 1 if not lam and not mu else 0
+    (k, s), rest = cycles[0], cycles[1:]
+    return sum(
+        sign * bipartition_rim_hooks(smaller, mu, rest) for sign, smaller in rim_hooks(lam, k)
+    ) + s * sum(
+        sign * bipartition_rim_hooks(lam, smaller, rest) for sign, smaller in rim_hooks(mu, k)
+    )
+
+
+def signed_cycles(w) -> tuple[tuple[int, int], ...]:
+    """(length, product of the signs over the cycle) for each cycle of a signed
+    permutation, longest first."""
+    seen, out = set(), []
+    for start in range(w.size):
+        j, length, sign = start, 0, 1
+        while j not in seen:
+            seen.add(j)
+            j, length, sign = w.perm(j), length + 1, sign * w.signs[j]
+        if length:
+            out.append((length, sign))
+    return tuple(sorted(out, reverse=True))
 
 
 def table_by_labels(n: int) -> dict:
@@ -331,6 +409,48 @@ def test_character_table_matches_the_symmetrizer_span(n):
 def test_seminormal_module_character_is_the_table_row(n):
     for shape, chi in zip(partitions_of(n), symmetric_character_table(n)):
         assert specht_module(shape).character().values == chi.values, shape
+
+
+def test_bipartition_rim_hook_oracle_small_cases():
+    # B_1 = {+-1}: (1|-) is trivial and (-|1) is the sign
+    assert bipartition_rim_hooks((1,), (), ((1, -1),)) == 1
+    assert bipartition_rim_hooks((), (1,), ((1, -1),)) == -1
+    for n in range(1, 6):
+        total = sum(
+            bipartition_rim_hooks(lam, mu, ((1, 1),) * n) ** 2
+            for a in range(n + 1)
+            for lam in own_partitions(a)
+            for mu in own_partitions(n - a)
+        )
+        assert total == 2 ** n * math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bn_characters_match_the_rim_hook_rule(n):
+    reps = realize(TypeLabel("B", n)).classes.reps
+    for label, chi, _ in hyperoctahedral_irreducibles(n):
+        want = [bipartition_rim_hooks(label.lam, label.mu, signed_cycles(w)) for w in reps]
+        assert list(chi.values) == want, str(label)
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+def test_dn_characters_match_the_rim_hook_rule(n):
+    """Each {lam, mu} row with lam != mu is the rim-hook value of (lam, mu) and
+    of (mu, lam); the two halves of (lam, lam) sum to its rim-hook value."""
+    table = dn_irreducibles(n)
+    reps = table[0][1].domain.classes.reps
+    halves = collections.defaultdict(list)
+    for label, chi, _ in table:
+        if label.half is not None:
+            halves[label.lam].append(chi.values)
+            continue
+        for lam, mu in ((label.lam, label.mu), (label.mu, label.lam)):
+            want = [bipartition_rim_hooks(lam, mu, signed_cycles(w)) for w in reps]
+            assert list(chi.values) == want, str(label)
+    assert sorted(halves) == (sorted(own_partitions(n // 2)) if n % 2 == 0 else [])
+    for lam, (plus, minus) in halves.items():
+        want = [bipartition_rim_hooks(lam, lam, signed_cycles(w)) for w in reps]
+        assert [p + m for p, m in zip(plus, minus)] == want, lam
 
 
 def as_built_sign(x) -> int:

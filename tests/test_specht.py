@@ -229,3 +229,7 @@ def test_symmetric_character_value_lookup():
     assert symmetric_character_value((2, 1), (3,)) == -1
     assert symmetric_character_value((), ()) == 1
     assert symmetric_character_value((1,), (1,)) == 1
+    assert symmetric_character_value([2, 1], [3]) == -1
+    for shape, cycle in (((1, 2), (3,)), ((2, 1), (2, 2)), ((2, 1), (4,))):
+        with pytest.raises(ValidationError):
+            symmetric_character_value(shape, cycle)

@@ -19,7 +19,7 @@ import pytest
 
 from coxeterkit.classify import TypeLabel, Witness
 from coxeterkit.errors import ValidationError
-from coxeterkit.families import BipartitionLabel, DnLabel, SignCharacter
+from coxeterkit.families import BipartitionLabel, DnLabel
 from coxeterkit.groups import realize
 from coxeterkit.roots import RootSystem
 
@@ -85,6 +85,21 @@ def test_chartable_skips_roots_and_verify():
     assert modules_after("chartable", "A2") == BASE | tables
 
 
+BUILT = """
+import io, sys
+from coxeterkit import cli, groups
+built, build = set(), groups._build_group
+groups._build_group = lambda label, order: built.add(str(label)) or build(label, order)
+code = cli.main(sys.argv[1:], out=io.StringIO())
+print(code, sorted(built))
+"""
+
+
+def test_chartable_of_type_d_builds_no_b_group():
+    # the closed form runs at D_4's own classes, with the S_m tables of m <= 4
+    assert fresh_python(BUILT, "chartable", "D4").strip() == "0 ['A1', 'A2', 'A3', 'D4']"
+
+
 def test_verify_loads_everything():
     assert modules_after("verify", "A2") == ALL_MODULES
 
@@ -110,8 +125,6 @@ def test_type_label_validation(args, message):
 
 
 def test_label_validation_in_families():
-    with pytest.raises(ValidationError):
-        SignCharacter((0, 2))
     with pytest.raises(ValidationError):
         BipartitionLabel((1, 2), ())
     with pytest.raises(ValidationError):
