@@ -8,8 +8,9 @@ in-process test that has already loaded the whole package cannot catch a
 broken function-local import; a fresh process per command does.  The
 ``classify`` runs on the two non-finite graphs have a time limit, so that
 a slow classify on them fails here, and so does ``chartable B6``, the
-largest B_n table under the guard.  Exits 1 at the first command that
-exits with another code than expected or runs out of time.
+largest B_n table under the guard, or a slow ``verify`` of B6, D6 or
+I2(24), the largest types each verify path takes.  Exits 1 at the first
+command that exits with another code than expected or runs out of time.
 """
 
 import json
@@ -56,7 +57,8 @@ def run() -> int:
             path.write_text(json.dumps(graph))
             runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
         runs += [(argv, 0, None) for argv in COMMANDS]
-        runs.append((["chartable", "B6"], 0, TABLE_TIMEOUT_S))
+        for argv in (["chartable", "B6"], ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"]):
+            runs.append((argv, 0, TABLE_TIMEOUT_S))
         for argv, want, timeout in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],

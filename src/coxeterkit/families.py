@@ -16,8 +16,9 @@ to Res chi_(mu,lam).  For n = 2m, Res chi_(lam,lam) splits into the halves
 (Res chi_(lam,lam) -+ delta) / 2, the "+" half taking -delta.  delta is 0
 except on the classes whose cycles are all positive of even length, 2 beta:
 there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
-the sign-free permutation and minus that on its partner class.  I2(m)
-induces from its rotation subgroup.
+the sign-free permutation and minus that on its partner class.  The B_n
+and D_n values are ints throughout.  I2(m) induces from its rotation
+subgroup.
 """
 
 from __future__ import annotations
@@ -90,17 +91,14 @@ def _cycle_splits(group: RealizedGroup) -> list[dict]:
     return out
 
 
-def _bipartition_values(splits: list[dict], lam, mu) -> list[Fraction]:
+def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
     """chi_(lam,mu) at each class, by the closed form over the cycle splits."""
     a = sum(lam)
     return [
         sum(
-            (
-                c * symmetric_character_value(lam, t0) * symmetric_character_value(mu, t1)
-                for (t0, t1), c in by_split.items()
-                if c and sum(t0) == a
-            ),
-            Fraction(0),
+            c * symmetric_character_value(lam, t0) * symmetric_character_value(mu, t1)
+            for (t0, t1), c in by_split.items()
+            if c and sum(t0) == a
         )
         for by_split in splits
     ]
@@ -169,7 +167,10 @@ def _pair_key(shape: tuple[int, ...]):
 
 
 def _split_halves(dn: RealizedGroup, splits: list[dict], lam: tuple[int, ...]):
-    """(label, character, dimension) of the halves (Res chi_(lam,lam) -+ delta) / 2."""
+    """(label, character, dimension) of the halves (Res chi_(lam,lam) -+ delta) / 2.
+
+    The halving is exact integer division; an odd value raises.
+    """
     n = dn.label.rank
     classes = dn.classes
     delta = []
@@ -186,11 +187,11 @@ def _split_halves(dn: RealizedGroup, splits: list[dict], lam: tuple[int, ...]):
     dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
     out = []
     for half, eps in (("+", -1), ("-", 1)):
-        values = [(w + eps * d) / 2 for w, d in zip(whole, delta)]
+        doubled = [w + eps * d for w, d in zip(whole, delta)]
         label = DnLabel(lam, lam, half)
-        if values[0] != dim or any(v.denominator != 1 for v in values):
+        if doubled[0] != 2 * dim or any(v % 2 for v in doubled):
             raise InternalInconsistencyError(f"{label} is not a character of dimension {dim}")
-        out.append((label, ClassFunction(dn, values, str(label)), dim))
+        out.append((label, ClassFunction(dn, [v // 2 for v in doubled], str(label)), dim))
     if out[0][1] == out[1][1]:
         raise InternalInconsistencyError(f"the halves of {DnLabel(lam, lam)} coincide")
     return out

@@ -1,6 +1,6 @@
 """Root systems, bases, reflections, and the geometric representation.
 
-Types A, B and D are realized with rational coordinates in the standard
+Types A, B and D are realized with integer coordinates in the standard
 inner product.  I2(m) is realized in the basis of its two simple roots,
 carrying the canonical bilinear form of its graph, which keeps every
 coordinate inside the real subfield of Q(zeta_2m).
@@ -33,7 +33,8 @@ def _reflector(alpha, gram: Matrix | None):
 
     The reflection sends lam to lam - <covector, lam> alpha; G is the
     identity unless a Gram matrix is supplied.  Both vectors are kept as
-    their nonzero (coordinate, entry) pairs.
+    their nonzero (coordinate, entry) pairs; an integral covector of an int
+    vector stays int, so reflections of int vectors stay int.
     """
     if gram is None:
         image = alpha
@@ -48,8 +49,11 @@ def _reflector(alpha, gram: Matrix | None):
         norm = norm + a * x
     if is_zero_scalar(norm):
         raise ValidationError("cannot reflect in a vector of zero norm")
-    scale = 2 * invert_scalar(norm)
-    covector = tuple((j, scale * x) for j, x in enumerate(image) if not is_zero_scalar(x))
+    if isinstance(norm, int) and all(isinstance(x, int) and 2 * x % norm == 0 for x in image):
+        covector = tuple((j, 2 * x // norm) for j, x in enumerate(image) if x)
+    else:
+        scale = 2 * invert_scalar(norm)
+        covector = tuple((j, scale * x) for j, x in enumerate(image) if not is_zero_scalar(x))
     support = tuple((j, a) for j, a in enumerate(alpha) if not is_zero_scalar(a))
     return support, covector
 
@@ -120,18 +124,25 @@ class RootSystem:
     Construction mechanically checks the three axioms: finiteness of the
     nonzero root list, intersection of each root line with the system being
     exactly {root, -root}, and stability under every root reflection.
+    Stability is swept over one root of each pair {v, -v}, both as the root
+    that reflects and as the root reflected: s_-a = s_a, s_a(-v) = -s_a(v)
+    and the system is already closed under negation, so s_a maps the system
+    into itself once it maps those roots into it, and onto it because s_a is
+    injective.  That is (|roots| / 2)^2 reflections in place of |roots|^2.
     Immutable; equality and hashing compare (roots, label, gram).
     """
 
-    __slots__ = ("roots", "label", "gram", "_conductor")
+    __slots__ = ("roots", "label", "gram", "_conductor", "_keys")
 
     def __init__(self, roots, label: TypeLabel, gram: Matrix | None = None):
         roots = tuple(tuple(v) for v in roots)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_conductor", _common_conductor(roots))
-        self._check_axioms()
+        # reflections in the Gram form can leave the roots' own field
+        rows = roots if gram is None else roots + gram.entries
+        object.__setattr__(self, "_conductor", _common_conductor(rows))
+        object.__setattr__(self, "_keys", self._check_axioms())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RootSystem is immutable; cannot assign {name!r}")
@@ -153,7 +164,8 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem(roots={self.roots!r}, label={self.label!r}, gram={self.gram!r})"
 
-    def _check_axioms(self):
+    def _check_axioms(self) -> frozenset:
+        """Raise on the first failed axiom; return the set of root keys."""
         cond = self._conductor
         keys = set()
         for v in self.roots:
@@ -163,33 +175,32 @@ class RootSystem:
             if k in keys:
                 raise ValidationError("repeated root")
             keys.add(k)
+        halves, picked = [], set()
         for v in self.roots:
-            if _vector_key(tuple(-x for x in v), cond) not in keys:
+            negative = _vector_key(tuple(-x for x in v), cond)
+            if negative not in keys:
                 raise ValidationError("root system is not symmetric under negation")
+            if negative not in picked:  # v comes first in its pair {v, -v}
+                halves.append(v)
+                picked.add(_vector_key(v, cond))
         # each line holds v and -v, two distinct roots, so it meets the
         # system in exactly {v, -v} when its key occurs exactly twice
         lines = Counter(_direction_key(v, cond) for v in self.roots)
         if any(count != 2 for count in lines.values()):
             raise ValidationError("a root line contains more than two roots")
-        for alpha in self.roots:
+        for alpha in halves:
             r = _reflector(alpha, self.gram)
-            image = {_vector_key(_reflect(r, v), cond) for v in self.roots}
-            if image != keys:
-                raise ValidationError("root system is not stable under its reflections")
+            for v in halves:
+                if _vector_key(_reflect(r, v), cond) not in keys:
+                    raise ValidationError("root system is not stable under its reflections")
+        return frozenset(keys)
 
     @property
     def count(self) -> int:
         return len(self.roots)
 
     def contains(self, v) -> bool:
-        k = _vector_key(tuple(v), self._conductor)
-        return any(k == _vector_key(w, self._conductor) for w in self.roots)
-
-
-def _unit(n: int, i: int, value=1):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(value)
-    return tuple(v)
+        return _vector_key(tuple(v), self._conductor) in self._keys
 
 
 def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
@@ -205,21 +216,23 @@ def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
         for i in range(dim):
             for j in range(dim):
                 if i != j:
-                    v = [Fraction(0)] * dim
-                    v[i], v[j] = Fraction(1), Fraction(-1)
+                    v = [0] * dim
+                    v[i], v[j] = 1, -1
                     roots.append(tuple(v))
         return RootSystem(tuple(roots), t)
     if t.family in ("B", "D"):
         if t.family == "B":
             for i in range(n):
-                roots.append(_unit(n, i, 1))
-                roots.append(_unit(n, i, -1))
+                for si in (1, -1):
+                    v = [0] * n
+                    v[i] = si
+                    roots.append(tuple(v))
         for i in range(n):
             for j in range(i + 1, n):
                 for si in (1, -1):
                     for sj in (1, -1):
-                        v = [Fraction(0)] * n
-                        v[i], v[j] = Fraction(si), Fraction(sj)
+                        v = [0] * n
+                        v[i], v[j] = si, sj
                         roots.append(tuple(v))
         return RootSystem(tuple(roots), t)
     # I2(m): orbit of the simple-root basis vectors under the two simple

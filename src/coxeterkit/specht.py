@@ -18,7 +18,7 @@ from functools import lru_cache
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .groups import Permutation, realize
-from .linalg import Matrix
+from .linalg import Matrix, as_integer
 from .reps import ClassFunction, GroupAlgebraElement, Representation, Subgroup
 from .tableaux import (
     cycle_word,
@@ -129,8 +129,8 @@ def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
     """Characters of all irreducible modules of S_n, indexed by partitions_of(n).
 
     Each value is the trace of a class's adjacent-transposition word in the
-    seminormal form, placed at the class of that cycle type in the
-    realized group's class order.
+    seminormal form, checked to be an integer and stored as an int, placed
+    at the class of that cycle type in the realized group's class order.
     """
     if n < 2:
         raise ValidationError("character table needs n >= 2")
@@ -145,7 +145,7 @@ def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
         action, scale = seminormal_action(shape)
         values = [None] * len(words)
         for k, word in words:
-            values[k] = word_trace(action, scale, word)
+            values[k] = as_integer(word_trace(action, scale, word))
         table.append(ClassFunction(group, values, partition_text(shape)))
     return tuple(table)
 
@@ -157,7 +157,7 @@ def _class_index_by_cycle_type(n: int) -> dict[tuple[int, ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _character_values(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction]:
+def _character_values(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """{(shape, cycle type): value} over the character table of S_n."""
     classes = _class_index_by_cycle_type(n)
     return {
@@ -167,7 +167,7 @@ def _character_values(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], F
     }
 
 
-def symmetric_character_value(shape, cycle: tuple[int, ...]) -> Fraction:
+def symmetric_character_value(shape, cycle: tuple[int, ...]) -> int:
     """Character value of the shape's module at a given cycle type.
 
     Partitions of 0 and 1 index the one-dimensional characters of the
@@ -175,7 +175,7 @@ def symmetric_character_value(shape, cycle: tuple[int, ...]) -> Fraction:
     """
     shape = tuple(shape)
     if shape in ((), (1,)):
-        return Fraction(1)
+        return 1
     try:
         return _character_values(sum(shape))[shape, tuple(cycle)]
     except KeyError:

@@ -5,7 +5,8 @@ import pytest
 
 from coxeterkit.classify import TypeLabel
 from coxeterkit.cyclotomic import Cyclotomic
-from coxeterkit.errors import GuardError
+from coxeterkit import families
+from coxeterkit.errors import GuardError, InternalInconsistencyError
 from coxeterkit.families import (
     BipartitionLabel,
     DnLabel,
@@ -15,6 +16,7 @@ from coxeterkit.families import (
     dihedral_irreducibles,
     dn_irreducibles,
     hyperoctahedral_irreducibles,
+    irreducible_characters,
 )
 from coxeterkit.groups import DihedralElement, Permutation, realize
 from coxeterkit.reps import ClassFunction, Subgroup, inner_product, restrict_character
@@ -195,6 +197,30 @@ def test_d6_split_halves_past_the_guard(lam):
         chi for lbl, chi, _ in hyperoctahedral_irreducibles(6) if lbl == BipartitionLabel(lam, lam)
     )
     assert plus + minus == restrict_character(parent, dn)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_dn_values_are_ints(n):
+    for label, chi, _ in dn_irreducibles(n):
+        assert all(type(v) is int for v in chi.values), str(label)
+
+
+@pytest.mark.parametrize("label", [TypeLabel("A", 5), TypeLabel("B", 4)], ids=str)
+def test_a_and_b_values_are_ints(label):
+    for chi in irreducible_characters(label):
+        assert all(type(v) is int for v in chi.values), chi.name
+
+
+def test_split_halves_reject_an_odd_value(monkeypatch):
+    dn = realize(TypeLabel("D", 4))
+    splits = families._cycle_splits(dn)
+    exact = families._bipartition_values
+    monkeypatch.setattr(
+        families, "_bipartition_values",
+        lambda s, lam, mu: [v + (k == 1) for k, v in enumerate(exact(s, lam, mu))],
+    )
+    with pytest.raises(InternalInconsistencyError, match="is not a character"):
+        families._split_halves(dn, splits, (2,))
 
 
 def test_dn_label_text():

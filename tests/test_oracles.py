@@ -23,6 +23,12 @@ oracles are the dense leading Gram minors: ``is_positive_definite``, and a
 Leibniz expansion of each leading minor for the certificates, whose sign is
 read off the as-built value so that no normal form is taken at the large
 conductors of triangles such as (37, 39, 40).
+
+``RootSystem`` sweeps stability over one root of each pair {v, -v}.  Its
+oracle is the full sweep that reflects every root in every root and compares
+the image set with the system, with its own reflection formula and keys.
+``character_orthonormality`` sums the upper triangle of the unnormalised
+Gram matrix; its oracle is one ``inner_product`` per ordered pair.
 """
 
 import collections
@@ -33,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxeterkit.certify import positive_definite
@@ -51,8 +57,9 @@ from coxeterkit.families import (
     bipartitions,
     dn_irreducibles,
     hyperoctahedral_irreducibles,
+    irreducible_characters,
 )
-from coxeterkit.errors import InternalInconsistencyError
+from coxeterkit.errors import InternalInconsistencyError, ValidationError
 from coxeterkit.graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix, subgraph
 from coxeterkit.groups import ConjugacyClasses, realize
 from coxeterkit.linalg import Matrix
@@ -61,8 +68,10 @@ from coxeterkit.reps import (
     Representation,
     Subgroup,
     induce_character,
+    inner_product,
     trivial_character,
 )
+from coxeterkit.roots import RootSystem, root_system
 from coxeterkit.specht import (
     row_column_groups,
     specht_module,
@@ -70,6 +79,7 @@ from coxeterkit.specht import (
     young_symmetrizer,
 )
 from coxeterkit.tableaux import partition_text, partitions_of
+from coxeterkit.verify import character_orthonormality
 
 A_LABELS = [TypeLabel("A", n) for n in range(1, 6)]
 B_LABELS = [TypeLabel("B", n) for n in range(2, 5)]
@@ -598,3 +608,192 @@ def path(*labels):
 )
 def test_classify_hard_cases_match_dense_minors(g, text):
     assert str(check_classification(g)) == text
+
+
+# -- root-system axioms: the full sweep ------------------------------------------
+
+
+def full_sweep_axioms(roots, gram=None) -> str | None:
+    """The message of the first root-system axiom the vectors fail, or None.
+
+    Checks in ``RootSystem``'s order: no zero vector, no repeat, closure
+    under negation, {v, -v} the only roots on each line, then reflects every
+    root in every root and compares the image set with the system.
+    """
+    roots = [tuple(x if isinstance(x, Cyclotomic) else Fraction(x) for x in v) for v in roots]
+    rows = roots + list(gram.entries if gram is not None else ())
+    conductor = math.lcm(1, *(x.conductor for v in rows for x in v if isinstance(x, Cyclotomic)))
+
+    def is_zero(x):
+        return x.is_zero() if isinstance(x, Cyclotomic) else x == 0
+
+    def key(v):
+        return tuple(x.canonical_key(conductor) if isinstance(x, Cyclotomic) else ("q", x) for x in v)
+
+    def form(u, v):
+        if gram is None:
+            return sum((a * b for a, b in zip(u, v)), Fraction(0))
+        pairs = itertools.product(range(len(u)), repeat=2)
+        return sum((u[i] * gram.entries[i][j] * v[j] for i, j in pairs), Fraction(0))
+
+    keys = set()
+    for v in roots:
+        if all(is_zero(x) for x in v):
+            return "zero vector in root system"
+        if key(v) in keys:
+            return "repeated root"
+        keys.add(key(v))
+    if any(key(tuple(-x for x in v)) not in keys for v in roots):
+        return "root system is not symmetric under negation"
+    lines = collections.Counter()
+    for v in roots:
+        first = next(x for x in v if not is_zero(x))
+        lines[key(tuple(x / first for x in v))] += 1
+    if any(count != 2 for count in lines.values()):
+        return "a root line contains more than two roots"
+    for alpha in roots:
+        norm = form(alpha, alpha)
+        if is_zero(norm):
+            return "cannot reflect in a vector of zero norm"
+        image = set()
+        for v in roots:
+            c = 2 * form(alpha, v) / norm
+            image.add(key(tuple(x - c * a for x, a in zip(v, alpha))))
+        if image != keys:
+            return "root system is not stable under its reflections"
+    return None
+
+
+def axiom_verdict(roots, gram=None) -> str | None:
+    try:
+        RootSystem(roots, TypeLabel("B", 2), gram)
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+SQUARE = ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (1, -1), (-1, 1), (-1, -1))
+AXIOM_SEEDS = [
+    (tuple(root_system(TypeLabel(*t)).roots), root_system(TypeLabel(*t)).gram)
+    for t in (("A", 2), ("B", 2), ("I2", 2, 5), ("I2", 2, 6))
+] + [(SQUARE, None)]
+
+
+@st.composite
+def perturbed_root_sets(draw):
+    """A seed system cut to a subset (of roots, or of whole pairs {v, -v}),
+    then changed by a few scalings, shifts, repeats, sums, zero vectors or
+    pairs {2v, -2v}."""
+    roots, gram = draw(st.sampled_from(AXIOM_SEEDS))
+    keep = draw(st.lists(st.booleans(), min_size=len(roots), max_size=len(roots)))
+    if draw(st.booleans()):
+        negative = [
+            next(j for j, w in enumerate(roots) if all(a == -b for a, b in zip(v, w)))
+            for v in roots
+        ]
+        roots = [v for i, v in enumerate(roots) if keep[min(i, negative[i])]]
+    else:
+        roots = [v for v, k in zip(roots, keep) if k]
+    ops = st.sampled_from(["scale", "shift", "repeat", "sum", "zero", "line"])
+    for op in draw(st.lists(ops, max_size=3)) if roots else ():
+        pick = st.integers(0, len(roots) - 1)
+        i = draw(pick)
+        v = roots[i]
+        if op == "scale":
+            c = draw(st.sampled_from([-1, 2, -2]))
+            roots[i] = tuple(c * x for x in v)
+        elif op == "shift":
+            j = draw(st.integers(0, len(v) - 1))
+            roots[i] = tuple(x + (k == j) for k, x in enumerate(v))
+        elif op == "repeat":
+            roots.append(v)
+        elif op == "sum":
+            roots.append(tuple(x + y for x, y in zip(v, roots[draw(pick)])))
+        elif op == "zero":
+            roots.append(tuple(0 * x for x in v))
+        else:
+            roots += [tuple(2 * x for x in v), tuple(-2 * x for x in v)]
+    return draw(st.permutations(roots)), gram
+
+
+I2_5_GRAM = AXIOM_SEEDS[2][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_root_sets())
+@example(([(1, 0), (-1, 0)], I2_5_GRAM))  # rational roots, cyclotomic form: accepted
+@example(([(1, 0), (-1, 0), (0, 1), (0, -1)], I2_5_GRAM))  # not stable
+def test_root_axioms_match_the_full_sweep(case):
+    roots, gram = case
+    assert axiom_verdict(roots, gram) == full_sweep_axioms(roots, gram)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [TypeLabel(*t) for t in (("A", 2), ("A", 5), ("B", 3), ("B", 6), ("D", 4), ("D", 6),
+                             ("I2", 2, 5), ("I2", 2, 12), ("I2", 2, 24))],
+    ids=str,
+)
+def test_standard_root_systems_pass_the_full_sweep(label):
+    rs = root_system(label)
+    assert full_sweep_axioms(rs.roots, rs.gram) is None
+
+
+@pytest.mark.parametrize("label", [TypeLabel("A", 3), TypeLabel("B", 4), TypeLabel("D", 5)], ids=str)
+def test_int_and_fraction_root_systems_are_equal(label):
+    built = root_system(label)
+    assert all(type(x) is int for v in built.roots for x in v)
+    as_fractions = RootSystem([tuple(Fraction(x) for x in v) for v in built.roots], label)
+    assert as_fractions == built
+    assert hash(as_fractions) == hash(built)
+
+
+# -- character orthonormality: one inner product per ordered pair ------------------
+
+
+def pairwise_orthonormality(chars) -> tuple[bool, str]:
+    for i, a in enumerate(chars):
+        for j, b in enumerate(chars):
+            if inner_product(a, b) != (1 if i == j else 0):
+                return False, f"<chi_{i}, chi_{j}> != delta"
+    return True, "character Gram matrix is the identity"
+
+
+GRAM_LABELS = (
+    [TypeLabel("A", n) for n in range(2, 7)]
+    + [TypeLabel("B", n) for n in range(2, 6)]
+    + [TypeLabel("D", n) for n in (4, 5)]
+    + I2_LABELS
+)
+
+
+@pytest.mark.parametrize("label", GRAM_LABELS, ids=str)
+def test_gram_pass_matches_pairwise_inner_products(label):
+    chars = irreducible_characters(label)
+    want = pairwise_orthonormality(chars)
+    assert want == (True, "character Gram matrix is the identity")
+    assert character_orthonormality(chars) == want
+
+
+def add_at(column, change):
+    return lambda values: [v + change if k == column else v for k, v in enumerate(values)]
+
+
+@pytest.mark.parametrize(
+    "label, row, breaking",
+    [
+        (TypeLabel("A", 4), 3, add_at(2, 1)),
+        (TypeLabel("B", 3), 0, add_at(4, -2)),
+        (TypeLabel("B", 3), 2, lambda values: [2 * v for v in values]),  # fails at (2, 2) only
+        (TypeLabel("D", 4), 5, add_at(1, 1)),
+        (TypeLabel("I2", 2, 7), 4, add_at(1, Cyclotomic.zeta(7))),
+    ],
+    ids=["A4", "B3", "B3-diagonal", "D4", "I2(7)"],
+)
+def test_broken_table_fails_on_the_same_pair(label, row, breaking):
+    chars = list(irreducible_characters(label))
+    chi = chars[row]
+    chars[row] = ClassFunction(chi.domain, breaking(chi.values), chi.name)
+    want = pairwise_orthonormality(chars)
+    assert not want[0]
+    assert character_orthonormality(chars) == want

@@ -72,6 +72,19 @@ def test_root_axioms_rejected_when_broken():
         RootSystem(((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)), TypeLabel("B", 2))
 
 
+@pytest.mark.parametrize("label", ROOT_LABELS, ids=str)
+def test_contains(label):
+    rs = root_system(label)
+    for v in rs.roots:
+        assert rs.contains(v)
+        assert rs.contains(tuple(-x for x in v))
+        assert not rs.contains(tuple(2 * x for x in v))
+    assert not rs.contains(rs.roots[0][:-1])
+    if label.family != "I2":
+        assert rs.contains(tuple(Fraction(x) for x in rs.roots[0]))
+        assert not rs.contains((Fraction(1, 2),) * len(rs.roots[0]))
+
+
 def test_unsupported_types():
     with pytest.raises(UnsupportedTypeError):
         root_system(TypeLabel("E", 6))
