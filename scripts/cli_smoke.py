@@ -7,9 +7,10 @@ The commands import their modules inside their own functions, so an
 in-process test that has already loaded the whole package cannot catch a
 broken function-local import; a fresh process per command does.  The
 ``classify`` runs on the two non-finite graphs have a time limit, so that
-a slow classify on them fails here, and so does ``chartable B6``, the
-largest B_n table under the guard, or a slow ``verify`` of B6, D6 or
-I2(24), the largest types each verify path takes.  Exits 1 at the first
+a slow classify on them fails here, and so does a slow ``chartable`` of
+A8, B8 or D8, the largest table of each family under its guard, a slow
+``realize B6``, or a slow ``verify`` of B6, D6 or I2(24), the largest
+types each verify path takes.  Exits 1 at the first
 command that exits with another code than expected or runs out of time.
 """
 
@@ -57,7 +58,8 @@ def run() -> int:
             path.write_text(json.dumps(graph))
             runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
         runs += [(argv, 0, None) for argv in COMMANDS]
-        for argv in (["chartable", "B6"], ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"]):
+        for argv in (["chartable", "A8"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
+                     ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
         for argv, want, timeout in runs:
             try:

@@ -4,10 +4,12 @@ Classifies Coxeter graphs against the full finite catalog and constructs,
 for the infinite families A_n, B_n, D_n and I2(m), concrete groups together
 with complete sets of irreducible characters, all in exact arithmetic.
 
-Importing the package loads only the classification chain (``classify``,
-``graphs``, ``linalg``, ``cyclotomic`` and ``errors``).  Every other name in
-``__all__`` is loaded from its module on first access (PEP 562), so a
-process pays only for the modules it uses.
+Importing the package loads only ``classify`` and ``errors``.  Every other
+name in ``__all__`` is loaded from its module on first access (PEP 562), so
+a process pays only for the modules it uses: ``classify`` itself loads the
+graph and arithmetic modules on its first call.  ``classify`` stays eager,
+since a later ``import coxeterkit.classify`` would otherwise rebind the
+package's ``classify`` name to the submodule.
 """
 
 import importlib
@@ -22,7 +24,6 @@ from .classify import (
     is_positive_definite,
     parse_type_label,
 )
-from .cyclotomic import Cyclotomic, Rational, cyclotomic_polynomial, real_cos_pi_over
 from .errors import (
     CoxeterKitError,
     GuardError,
@@ -30,23 +31,10 @@ from .errors import (
     UnsupportedTypeError,
     ValidationError,
 )
-from .graphs import (
-    INFINITY,
-    CoxeterGraph,
-    CoxeterMatrix,
-    connected_components,
-    gram_matrix,
-    graph_from_matrix,
-    graph_to_json,
-    matrix_from_graph,
-    parse_graph_json,
-    subgraph,
-)
-from .linalg import Matrix, determinant, leading_principal_minors, rank
 
 _LAZY = {
+    "cyclotomic": ("Cyclotomic", "Rational", "cyclotomic_polynomial", "real_cos_pi_over"),
     "families": (
-        "DnLabel",
         "bn_conjugacy_parametrization",
         "dihedral_irreducibles",
         "dn_irreducibles",
@@ -82,6 +70,19 @@ _LAZY = {
         "tensor_decompose",
         "trivial_character",
     ),
+    "graphs": (
+        "INFINITY",
+        "CoxeterGraph",
+        "CoxeterMatrix",
+        "connected_components",
+        "gram_matrix",
+        "graph_from_matrix",
+        "graph_to_json",
+        "matrix_from_graph",
+        "parse_graph_json",
+        "subgraph",
+    ),
+    "linalg": ("Matrix", "determinant", "leading_principal_minors", "rank"),
     "roots": ("RootSystem", "compute_base", "geometric_rep", "reflect", "root_system"),
     "specht": (
         "row_column_groups",
@@ -91,6 +92,7 @@ _LAZY = {
     ),
     "tableaux": (
         "BipartitionLabel",
+        "DnLabel",
         "bipartitions",
         "hook_dimension",
         "partition_text",
@@ -108,29 +110,11 @@ __all__ = [
     "coxeter_group_order",
     "is_positive_definite",
     "parse_type_label",
-    "Cyclotomic",
-    "Rational",
-    "cyclotomic_polynomial",
-    "real_cos_pi_over",
     "CoxeterKitError",
     "GuardError",
     "InternalInconsistencyError",
     "UnsupportedTypeError",
     "ValidationError",
-    "INFINITY",
-    "CoxeterGraph",
-    "CoxeterMatrix",
-    "connected_components",
-    "gram_matrix",
-    "graph_from_matrix",
-    "graph_to_json",
-    "matrix_from_graph",
-    "parse_graph_json",
-    "subgraph",
-    "Matrix",
-    "determinant",
-    "leading_principal_minors",
-    "rank",
     *_HOME,
 ]
 

@@ -6,6 +6,10 @@ Sylvester's criterion on the sparse pivots of its Gram matrix, a rejected
 one by certifying a minimal rejected induced subgraph as affine or
 hyperbolic.  Any disagreement between the two raises, since it can only
 mean a bug in one of them.
+
+The graph and arithmetic modules (``graphs``, ``cyclotomic``, ``linalg``)
+are loaded inside the functions that use them, so the commands that only
+parse a type label never load them.
 """
 
 from __future__ import annotations
@@ -13,14 +17,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .cyclotomic import sign
 from .errors import (
     GuardError,
     InternalInconsistencyError,
     UnsupportedTypeError,
     ValidationError,
 )
-from .graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
 
@@ -117,6 +119,8 @@ def catalog_graph(t: TypeLabel) -> CoxeterGraph:
     F4:  path with the middle edge labeled 4.  H3/H4: terminal edge labeled 5.
     I2(m): one edge labeled m.
     """
+    from .graphs import CoxeterGraph
+
     f, n = t.family, t.rank
     path = [(i, i + 1, 3) for i in range(n - 1)]
     if f == "A":
@@ -143,6 +147,8 @@ def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
     ``max_rank`` (a subscript-n graph has n+1 vertices).  D~n starts at
     n = 4, the smallest subscript for which D_n itself is defined.
     """
+    from .graphs import INFINITY, CoxeterGraph
+
     out: list[tuple[str, CoxeterGraph]] = []
     out.append(("A~1", CoxeterGraph(2, [(0, 1, INFINITY)])))
     for n in range(2, max_rank + 1):
@@ -221,6 +227,9 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
 
     On failure the witness carries the first non-positive minor.
     """
+    from .cyclotomic import sign
+    from .graphs import gram_matrix
+
     minors = gram_matrix(g).leading_principal_minors()
     for k, m in enumerate(minors, start=1):
         s = sign(m)
@@ -267,7 +276,7 @@ def _arm_lengths(g: CoxeterGraph, branch: int):
 
 def _match_connected(g: CoxeterGraph) -> TypeLabel | None:
     """Structural match of a connected graph against the catalog."""
-    if any(m is INFINITY for m in g.labels.values()):
+    if any(m is math.inf for m in g.labels.values()):  # graphs.INFINITY
         return None
     if g.n == 1:
         return TypeLabel("A", 1)
@@ -334,7 +343,8 @@ def classify(g: CoxeterGraph) -> ClassificationResult:
     """
     if g.n > VERTEX_GUARD:
         raise GuardError(f"classify is capped at {VERTEX_GUARD} vertices, got {g.n}")
-    from .certify import certify, minimal_rejected, positive_definite
+    # one import statement per call: certify holds graphs' connected_components
+    from .certify import certify, connected_components, minimal_rejected, positive_definite
 
     results = []
     for comp, vertices in connected_components(g):

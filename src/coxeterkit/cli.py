@@ -17,16 +17,19 @@ Output is byte-deterministic for a fixed command and input.
 
 ``--max-order N`` bounds the group order |W| for chartable, irreps, realize
 and verify alike: a type with |W| > N exits 3 before any work.  Without it,
-groups are built up to ``classify.MAX_ORDER`` elements, and irreps of A_n
-and B_n, which come from formulas and need no group, are not bounded.
+``realize`` and ``verify`` stop at ``classify.MAX_ORDER`` elements; the
+tables and irreps of A_n, B_n and D_n come from closed forms on (signed)
+cycle types, build no group and are bounded by their own guards only.
 
 Start-up: each process is one command, so a command loads only the modules
-it runs.  This module imports only the classification chain that the
-package loads anyway (``classify``, ``graphs``, ``linalg``, ``cyclotomic``,
-``errors``); each command imports the rest inside its own function.  So
-``classify`` never loads ``groups``, ``realize`` never loads
-``families``, ``reps``, ``specht``, ``roots`` or ``verify``, and ``irreps``
-of A_n and B_n load only the group-free ``tableaux``.
+it runs.  This module imports only what the package loads anyway
+(``classify`` and ``errors``); each command imports the rest inside its own
+function, and ``classify`` loads ``graphs``, ``cyclotomic`` and ``linalg``
+only when it classifies.  So ``classify`` never loads ``groups``, and
+for A_n, B_n and D_n, ``irreps`` loads only the group-free ``tableaux``,
+``realize`` only ``groups`` and ``tableaux``, and ``chartable`` adds
+``reps``, ``specht`` and ``families`` but none of the classifier's
+modules.
 """
 
 from __future__ import annotations
@@ -36,15 +39,12 @@ import sys
 from fractions import Fraction
 
 from .classify import MAX_ORDER, classify, parse_type_label
-from .cyclotomic import Cyclotomic
 from .errors import (
     GuardError,
     InternalInconsistencyError,
     UnsupportedTypeError,
     ValidationError,
 )
-from .graphs import parse_graph_json
-from .linalg import as_integer
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -54,12 +54,10 @@ EXIT_INTERNAL = 4
 
 
 def format_value(v, float_mode: bool = False) -> str:
-    if float_mode:
-        f = v.to_float() if isinstance(v, Cyclotomic) else float(Fraction(v))
-        return f"{f:.12g}"
-    if isinstance(v, Cyclotomic):
-        return str(v)
-    return str(Fraction(v))
+    """A rational (int or Fraction) or a Cyclotomic, exact or as a float."""
+    if isinstance(v, (int, Fraction)):
+        return f"{float(Fraction(v)):.12g}" if float_mode else str(Fraction(v))
+    return f"{v.to_float():.12g}" if float_mode else str(v)
 
 
 def _print_table(chars: list, fmt: str, float_mode: bool, out) -> None:
@@ -99,6 +97,8 @@ def cmd_classify(args, out) -> int:
     except OSError as e:
         out.write(f"error: {e}\n")
         return EXIT_INPUT
+    from .graphs import parse_graph_json
+
     graph = parse_graph_json(text)
     result = classify(graph)
     if args.format == "json":
@@ -159,11 +159,12 @@ def cmd_irreps(args, out) -> int:
 
         rows = [(str(lbl), d) for lbl, d in hyperoctahedral_dimensions(label.rank)]
     elif label.family == "D":
-        from .families import dn_irreducibles
+        from .tableaux import dn_dimensions
 
-        rows = [(str(lbl), d) for lbl, _, d in dn_irreducibles(label.rank)]
+        rows = [(str(lbl), d) for lbl, d in dn_dimensions(label.rank)]
     elif label.family == "I2":
         from .families import dihedral_irreducibles
+        from .linalg import as_integer
 
         chars = dihedral_irreducibles(label.bond)
         rows = [(c.name, as_integer(c.identity_value)) for c in chars]
@@ -188,9 +189,14 @@ def cmd_irreps(args, out) -> int:
 
 def cmd_realize(args, out) -> int:
     label, max_order = _type_and_budget(args)
-    from .groups import element_text, realize
+    from .groups import check_order, class_data, coxeter_generators, element_text, realize
 
-    group = realize(label, max_order)
+    if label.family in ("A", "B", "D"):
+        check_order(label, max_order)
+        group, generators = class_data(label), coxeter_generators(label)
+    else:
+        group = realize(label, max_order)
+        generators = group.generators
     classes = group.classes
     if args.format == "json":
         import json
@@ -198,7 +204,7 @@ def cmd_realize(args, out) -> int:
         data = {
             "type": str(label),
             "order": group.order,
-            "generators": [element_text(g) for g in group.generators],
+            "generators": [element_text(g) for g in generators],
             "classes": [
                 {"representative": element_text(rep), "size": size}
                 for rep, size in zip(classes.reps, classes.sizes)
@@ -208,7 +214,7 @@ def cmd_realize(args, out) -> int:
         return EXIT_OK
     out.write(f"type\t{label}\n")
     out.write(f"order\t{group.order}\n")
-    for i, g in enumerate(group.generators):
+    for i, g in enumerate(generators):
         out.write(f"generator {i}\t{element_text(g)}\n")
     out.write(f"classes\t{classes.count}\n")
     for rep, size in zip(classes.reps, classes.sizes):

@@ -16,9 +16,13 @@ to Res chi_(mu,lam).  For n = 2m, Res chi_(lam,lam) splits into the halves
 (Res chi_(lam,lam) -+ delta) / 2, the "+" half taking -delta.  delta is 0
 except on the classes whose cycles are all positive of even length, 2 beta:
 there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
-the sign-free permutation and minus that on its partner class.  The B_n
-and D_n values are ints throughout.  I2(m) induces from its rotation
-subgroup.
+the sign-free permutation and minus that on its partner class (the class
+of ``diagonal_parity`` 1).  The B_n and D_n characters live on the
+closed-form ``class_data``, so no group is built, and their values are ints
+throughout.  I2(m) induces from its rotation subgroup.  The S_n tables
+(``specht``) and the arithmetic of ``cyclotomic`` and ``linalg`` are
+imported where they are used, so the dihedral and the A/B/D paths each
+load only their own.
 """
 
 from __future__ import annotations
@@ -29,49 +33,21 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classify import TypeLabel
-from .cyclotomic import Cyclotomic
 from .errors import (
     GuardError,
     InternalInconsistencyError,
     UnsupportedTypeError,
     ValidationError,
 )
-from .groups import RealizedGroup, SignedPermutation, realize
-from .linalg import as_integer
+from .groups import ClassData, RealizedGroup, class_data, diagonal_parity, realize
 from .reps import ClassFunction, Subgroup, induce_character
-from .specht import symmetric_character_table, symmetric_character_value
-from .tableaux import (
-    BipartitionLabel,
-    bipartitions,
-    bn_dimension,
-    partition_text,
-    partitions_of,
-)
+from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
 
-BN_CHARACTER_GUARD = 6
+BN_CHARACTER_GUARD = 8
 DIHEDRAL_GUARD = 24
 
 
-class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
-    """Unordered pair {lam, mu} for an irreducible restriction, or a split half.
-
-    ``half`` is "+" or "-" for a half of a self-paired (lam == mu) label.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...], half: str | None = None):
-        if half is not None and (half not in "+-" or lam != mu):
-            raise ValidationError("split labels need lam == mu and half in {+, -}")
-        return super().__new__(cls, lam, mu, half)
-
-    def __str__(self):
-        if self.half is None:
-            return f"D:{{{partition_text(self.lam)}|{partition_text(self.mu)}}}"
-        return f"D:({partition_text(self.lam)},{partition_text(self.mu)},{self.half})"
-
-
-def _cycle_splits(group: RealizedGroup) -> list[dict]:
+def _cycle_splits(group: ClassData) -> list[dict]:
     """Per class of B_n or D_n, {(t0, t1): c} over the ways to deal the
     cycles to two blocks: t0, t1 the cycle types dealt, c the sum over those
     ways of the product of the signs of the cycles in t1."""
@@ -93,6 +69,8 @@ def _cycle_splits(group: RealizedGroup) -> list[dict]:
 
 def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
     """chi_(lam,mu) at each class, by the closed form over the cycle splits."""
+    from .specht import symmetric_character_value
+
     a = sum(lam)
     return [
         sum(
@@ -104,22 +82,29 @@ def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
     ]
 
 
+def bn_characters_on(domain: ClassData) -> list[tuple[BipartitionLabel, ClassFunction]]:
+    """chi_(lam,mu) for every label of B_n, by the closed form at the classes
+    of ``domain``: B_n's class data, or D_n's, where it gives Res chi_(lam,mu)."""
+    splits = _cycle_splits(domain)
+    return [
+        (label, ClassFunction(domain, _bipartition_values(splits, label.lam, label.mu), str(label)))
+        for label in bipartitions(domain.label.rank)
+    ]
+
+
 @lru_cache(maxsize=None)
 def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of B_n; exact.
 
     Each character is the closed form on signed cycle types, checked against
-    the dimension formula; n is capped where full class data is feasible.
+    the dimension formula; n is capped where a fresh table stays fast.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
     if n > BN_CHARACTER_GUARD:
         raise GuardError(f"full B_n characters capped at n = {BN_CHARACTER_GUARD}")
-    bn = realize(TypeLabel("B", n))
-    splits = _cycle_splits(bn)
     out = []
-    for label in bipartitions(n):
-        chi = ClassFunction(bn, _bipartition_values(splits, label.lam, label.mu), str(label))
+    for label, chi in bn_characters_on(class_data(TypeLabel("B", n))):
         dim = bn_dimension(n, label)
         if chi.identity_value != dim:
             raise InternalInconsistencyError(
@@ -162,26 +147,22 @@ def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:
 # -- D_n via index-2 restriction ------------------------------------------
 
 
-def _pair_key(shape: tuple[int, ...]):
-    return (sum(shape), shape)
-
-
-def _split_halves(dn: RealizedGroup, splits: list[dict], lam: tuple[int, ...]):
+def _split_halves(dn: ClassData, splits: list[dict], lam: tuple[int, ...]):
     """(label, character, dimension) of the halves (Res chi_(lam,lam) -+ delta) / 2.
 
     The halving is exact integer division; an odd value raises.
     """
+    from .specht import symmetric_character_value
+
     n = dn.label.rank
-    classes = dn.classes
     delta = []
-    for k, rep in enumerate(classes.reps):
+    for rep in dn.classes.reps:
         pos, neg = rep.signed_cycle_type()
         if neg or any(length % 2 for length in pos):
             delta.append(0)
             continue
         beta = tuple(length // 2 for length in pos)
-        unsigned = classes.class_of[dn.index_of(SignedPermutation((1,) * n, rep.perm))]
-        sign = 1 if unsigned == k else -1
+        sign = -1 if diagonal_parity(rep) else 1
         delta.append(sign * 2 ** len(beta) * symmetric_character_value(lam, beta))
     whole = _bipartition_values(splits, lam, lam)
     dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
@@ -201,26 +182,22 @@ def _split_halves(dn: RealizedGroup, splits: list[dict], lam: tuple[int, ...]):
 def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of D_n.
 
-    The closed form for each unordered pair lam != mu, then the two halves of
-    each self-paired label; no B_n group is built.
+    In the order of ``tableaux.dn_dimensions``: the closed form for each
+    unordered pair lam != mu (Res chi_(lam,mu) = Res chi_(mu,lam)), then the
+    two halves of each self-paired label; no group is built.
     """
     label = TypeLabel("D", n)  # validates n >= 4
     if n > BN_CHARACTER_GUARD:
         raise GuardError(f"D_n irreducibles capped at n = {BN_CHARACTER_GUARD}")
-    dn = realize(label)
+    dn = class_data(label)
     splits = _cycle_splits(dn)
     out = []
-    seen = set()
-    for blabel in bipartitions(n):
-        lam, mu = blabel.lam, blabel.mu
-        if lam == mu or frozenset((lam, mu)) in seen:
-            continue
-        seen.add(frozenset((lam, mu)))
-        dlabel = DnLabel(*sorted((lam, mu), key=_pair_key, reverse=True))
-        chi = ClassFunction(dn, _bipartition_values(splits, lam, mu), str(dlabel))
-        out.append((dlabel, chi, bn_dimension(n, blabel)))
-    for lam in partitions_of(n // 2) if n % 2 == 0 else ():
-        out.extend(_split_halves(dn, splits, lam))
+    for dlabel, dim in dn_dimensions(n):
+        if dlabel.half is None:
+            chi = ClassFunction(dn, _bipartition_values(splits, dlabel.lam, dlabel.mu), str(dlabel))
+            out.append((dlabel, chi, dim))
+        elif dlabel.half == "+":
+            out.extend(_split_halves(dn, splits, dlabel.lam))
     return tuple(out)
 
 
@@ -243,6 +220,9 @@ def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
     """
     if not (3 <= m <= DIHEDRAL_GUARD):
         raise GuardError(f"dihedral characters need 3 <= m <= {DIHEDRAL_GUARD}")
+    from .cyclotomic import Cyclotomic
+    from .linalg import as_integer
+
     group = realize(TypeLabel("I2", 2, m))
     cm = _rotation_subgroup(group)
     reps = group.classes.reps
@@ -287,6 +267,8 @@ def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
 def irreducible_characters(label: TypeLabel):
     """Uniform entry point: the complete named character list for a type."""
     if label.family == "A":
+        from .specht import symmetric_character_table
+
         return list(symmetric_character_table(label.rank + 1))
     if label.family == "B":
         return [chi for _, chi, _ in hyperoctahedral_irreducibles(label.rank)]

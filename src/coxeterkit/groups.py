@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .classify import MAX_ORDER, TypeLabel, catalog_graph, coxeter_group_order
-from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .graphs import CoxeterGraph
-from .linalg import Matrix
+from .errors import GuardError, InternalInconsistencyError, UnsupportedTypeError, ValidationError
 
 
 class Permutation:
@@ -103,6 +101,8 @@ class Permutation:
         return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
     def natural_matrix(self) -> Matrix:
+        from .linalg import Matrix
+
         n = self.size
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -196,6 +196,8 @@ class SignedPermutation:
         return all(s == 1 for s in self.signs) and self.perm.is_identity()
 
     def natural_matrix(self) -> Matrix:
+        from .linalg import Matrix
+
         n = self.size
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -285,9 +287,9 @@ def element_text(el) -> str:
 
 
 class ConjugacyClasses(namedtuple("ConjugacyClasses", "reps sizes class_of")):
-    """Classes of an enumerated group: ``reps`` (the first element of each
-    class, in enumeration order), ``sizes``, and ``class_of`` (element index
-    -> class index)."""
+    """Classes of a group: ``reps`` (the first element of each class, in
+    enumeration order), ``sizes``, and ``class_of`` (element index -> class
+    index; None for the closed-form ``ClassData``, which has no indices)."""
 
     __slots__ = ()
 
@@ -362,6 +364,9 @@ class RealizedGroup:
         except KeyError:
             raise ValidationError(f"element {el!r} does not belong to {self.label}") from None
 
+    def class_index(self, el) -> int:
+        return self.classes.class_of[self.index_of(el)]
+
     def generator_tables(self) -> tuple[tuple[int, ...], ...]:
         """Left action of each generator on indices: i -> index(s * elements[i])."""
         if self._tables is None:
@@ -419,6 +424,154 @@ class RealizedGroup:
 
     def __repr__(self):
         return f"RealizedGroup({self.label}, order={self.order})"
+
+
+# -- class data in closed form ---------------------------------------------
+
+
+def _lex_first_images(lengths) -> tuple[int, ...]:
+    """Images of the lex-first permutation with these cycle lengths: the
+    cycles in increasing length, each on consecutive points."""
+    images: list[int] = []
+    for k in sorted(lengths):
+        start = len(images)
+        images.extend(range(start + 1, start + k))
+        images.append(start)
+    return tuple(images)
+
+
+def _lex_first_signs(pos, neg) -> tuple[int, ...]:
+    """Lex-first signs (+1 before -1) that make ``neg`` the negative cycles of
+    ``_lex_first_images(pos + neg)``: of the cycles of each length, the last
+    ones are negative, each by a -1 on its last point."""
+    negative, left = Counter(neg), Counter(pos + neg)
+    signs: list[int] = []
+    for k in sorted(pos + neg):
+        left[k] -= 1
+        signs += [1] * (k - 1) + [-1 if left[k] < negative[k] else 1]
+    return tuple(signs)
+
+
+def _centralizer_order(lengths, weight: int = 1) -> int:
+    """Product over the distinct lengths k of (weight * k)^m_k * m_k!."""
+    return math.prod((weight * k) ** m * math.factorial(m) for k, m in Counter(lengths).items())
+
+
+def diagonal_parity(w: SignedPermutation) -> int:
+    """Parity of the sign flips of a diagonal d with d w d^-1 sign-free.
+
+    Defined when every cycle of w is positive: d is fixed up to a sign on
+    each cycle, so the parity does not depend on d when the cycles have
+    even length.  It tells apart the two D_n classes into which such a B_n
+    class splits; 0 is the class of the sign-free permutation.
+    """
+    flips = 0
+    for cyc in w.perm.cycles(include_fixed=True):
+        d = 1
+        for i in cyc[1:]:
+            d *= w.signs[i]
+            flips += d < 0
+    return flips % 2
+
+
+def _class_key(el, family: str):
+    """Complete conjugacy invariant in W(A_n), W(B_n) or W(D_n)."""
+    if family == "A":
+        return el.cycle_type()
+    pos, neg = el.signed_cycle_type()
+    if family == "D" and not neg and all(k % 2 == 0 for k in pos):
+        return pos, neg, diagonal_parity(el)
+    return pos, neg
+
+
+def _enumeration_key(el):
+    """Sort key of ``_build_group``'s element order."""
+    if isinstance(el, Permutation):
+        return el.images
+    return el.perm.images, tuple([s < 0 for s in el.signs])
+
+
+class ClassData:
+    """Conjugacy classes of A_n, B_n or D_n from (signed) cycle types alone.
+
+    A group-free domain for class functions, with the ``label``, ``order``
+    and ``classes`` of the RealizedGroup: each class is represented by its
+    lex-first element (permutation images, then signs with +1 before -1),
+    and the classes are sorted by it.  That is the enumeration order of
+    ``_build_group`` with the first-seen representatives of
+    ``conjugacy_orbits``, so both give the same reps and sizes in the same
+    order.  Sizes are n!/z_lam for S_n and 2^n n!/(z_alpha z_beta), with
+    (2k)^m_k m_k! in z, for B_n; a D_n class whose cycles are all positive
+    of even length is half of its B_n class, the halves told apart by
+    ``diagonal_parity``.  ``classes.class_of`` is None; ``class_index``
+    finds an element's class from its invariant instead.
+    """
+
+    __slots__ = ("label", "order", "classes", "_index")
+
+    def __init__(self, label: TypeLabel, reps, sizes):
+        self.label = label
+        self.order = coxeter_group_order(label)
+        self.classes = ConjugacyClasses(tuple(reps), tuple(sizes), None)
+        self._index = {_class_key(rep, label.family): k for k, rep in enumerate(reps)}
+        if sum(sizes) != self.order or len(self._index) != len(reps):
+            raise InternalInconsistencyError(f"closed-form classes of {label} do not partition W")
+
+    def class_index(self, el) -> int:
+        try:
+            return self._index[_class_key(el, self.label.family)]
+        except (AttributeError, KeyError):
+            raise ValidationError(f"element {el!r} does not belong to {self.label}") from None
+
+    def __repr__(self):
+        return f"ClassData({self.label}, order={self.order})"
+
+
+@lru_cache(maxsize=None)
+def class_data(label: TypeLabel) -> ClassData:
+    """Closed-form class data of an A/B/D label; nothing is enumerated."""
+    from .tableaux import partitions_of
+
+    f, n = label.family, label.rank
+    found = []
+    if f == "A":
+        for lam in partitions_of(n + 1):
+            rep = Permutation._trusted(_lex_first_images(lam))
+            found.append((rep, math.factorial(n + 1) // _centralizer_order(lam)))
+    elif f in ("B", "D"):
+        order_b = 2 ** n * math.factorial(n)
+        for a in range(n, -1, -1):
+            for pos in partitions_of(a):
+                for neg in partitions_of(n - a):
+                    if f == "D" and len(neg) % 2:
+                        continue
+                    perm = Permutation._trusted(_lex_first_images(pos + neg))
+                    size = order_b // (_centralizer_order(pos, 2) * _centralizer_order(neg, 2))
+                    if f == "D" and not neg and all(k % 2 == 0 for k in pos):
+                        # split: the lex-first element of the half of parity 1
+                        size //= 2
+                        odd = (1,) * (n - 2) + (-1, -1)
+                        found.append((SignedPermutation._trusted(odd, perm), size))
+                    signs = _lex_first_signs(pos, neg)
+                    found.append((SignedPermutation._trusted(signs, perm), size))
+    else:
+        raise UnsupportedTypeError(f"closed-form class data covers A, B and D, not {label}")
+    found.sort(key=lambda pair: _enumeration_key(pair[0]))
+    return ClassData(label, [rep for rep, _ in found], [size for _, size in found])
+
+
+def coxeter_generators(label: TypeLabel) -> list:
+    """The concrete Coxeter generators of an A/B/D/I2 label, in catalog vertex order."""
+    f, n = label.family, label.rank
+    if f == "A":
+        return _type_a_generators(n)
+    if f == "B":
+        return _type_b_generators(n)
+    if f == "D":
+        return _type_d_generators(n)
+    if f == "I2":
+        return [DihedralElement(label.bond, 0, True), DihedralElement(label.bond, 1, True)]
+    raise UnsupportedTypeError(f"no concrete generators for {label}")
 
 
 def _type_a_generators(n: int):
@@ -484,12 +637,11 @@ def check_order(label: TypeLabel, max_order: int) -> int:
 def _build_group(label: TypeLabel, order: int) -> RealizedGroup:
     f, n = label.family, label.rank
     graph = catalog_graph(label)
+    gens = coxeter_generators(label)
     # itertools yields valid permutations and signs, so no re-validation
     if f == "A":
-        gens = _type_a_generators(n)
         elements = [Permutation._trusted(p) for p in itertools.permutations(range(n + 1))]
     elif f in ("B", "D"):
-        gens = _type_b_generators(n) if f == "B" else _type_d_generators(n)
         elements = [
             SignedPermutation._trusted(s, Permutation._trusted(p))
             for p in itertools.permutations(range(n))
@@ -497,9 +649,7 @@ def _build_group(label: TypeLabel, order: int) -> RealizedGroup:
             if f == "B" or math.prod(s) == 1
         ]
     else:
-        m = label.bond
-        gens = [DihedralElement(m, 0, True), DihedralElement(m, 1, True)]
-        elements = _enumerate_closure(gens, DihedralElement.identity(m), order)
+        elements = _enumerate_closure(gens, DihedralElement.identity(label.bond), order)
     group = RealizedGroup(label, graph, gens, elements)
     if group.order != order:
         raise InternalInconsistencyError(

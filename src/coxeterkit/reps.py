@@ -5,7 +5,10 @@ are evaluated by walking the group's BFS factorization and memoized.
 Subgroup classes are orbits under conjugation by a generating set, and
 induction uses the class-size formula, so neither sums over the whole
 group.  All character arithmetic is exact (Fractions and cyclotomic
-values); there is no floating fallback anywhere in this module.
+values); there is no floating fallback anywhere in this module.  The
+matrix and scalar helpers of ``linalg`` are imported where they are used,
+so a character table of A_n, B_n or D_n loads neither ``linalg`` nor
+``cyclotomic``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from fractions import Fraction
 
 from .errors import InternalInconsistencyError, ValidationError
 from .groups import ConjugacyClasses, RealizedGroup, conjugacy_orbits
-from .linalg import Matrix, as_rational, block_diag, conjugate_scalar
 
 
 class Subgroup:
@@ -61,6 +63,9 @@ class Subgroup:
         except ValidationError:
             return False
 
+    def class_index(self, el) -> int:
+        return self.classes.class_of[self.index_of(el)]
+
     def _generating_set(self) -> list:
         """Generators picked greedily in element order, closing under each.
 
@@ -104,7 +109,13 @@ class Subgroup:
 
 
 class ClassFunction:
-    """Values on conjugacy classes of a group or subgroup, in class order."""
+    """Values on conjugacy classes, in class order.
+
+    The domain is a RealizedGroup, a Subgroup or the group-free
+    ``groups.ClassData``.  Two domains with the same order, class
+    representatives and sizes carry the same class functions, so a table on
+    the closed-form class data meets characters on the enumerated group.
+    """
 
     __slots__ = ("domain", "values", "name")
 
@@ -123,7 +134,7 @@ class ClassFunction:
         return self.values[0]
 
     def value_at(self, el):
-        return self.values[self.domain.classes.class_of[self.domain.index_of(el)]]
+        return self.values[self.domain.class_index(el)]
 
     def pointwise(self, other: "ClassFunction") -> "ClassFunction":
         _same_domain(self, other)
@@ -136,13 +147,15 @@ class ClassFunction:
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.domain is other.domain and all(
+        return _same_class_data(self.domain, other.domain) and all(
             a == b for a, b in zip(self.values, other.values)
         )
 
     __hash__ = None
 
     def conjugate(self) -> "ClassFunction":
+        from .linalg import conjugate_scalar
+
         return ClassFunction(self.domain, [conjugate_scalar(v) for v in self.values], self.name)
 
     def __repr__(self):
@@ -150,13 +163,24 @@ class ClassFunction:
         return f"ClassFunction{label}({[str(v) for v in self.values]})"
 
 
+def _same_class_data(a, b) -> bool:
+    if a is b:
+        return True
+    if a.order != b.order:
+        return False
+    x, y = a.classes, b.classes
+    return x.sizes == y.sizes and x.reps == y.reps
+
+
 def _same_domain(f: ClassFunction, g: ClassFunction):
-    if f.domain is not g.domain:
+    if not _same_class_data(f.domain, g.domain):
         raise ValidationError("class functions live on different class data")
 
 
 def inner_product(f: ClassFunction, g: ClassFunction):
     """(1/|G|) sum over G of f(x) conj(g(x)), computed classwise; exact."""
+    from .linalg import conjugate_scalar
+
     _same_domain(f, g)
     sizes = f.domain.classes.sizes
     acc = 0
@@ -184,6 +208,8 @@ class Representation:
     """
 
     def __init__(self, group: RealizedGroup, matrices, name: str | None = None):
+        from .linalg import Matrix
+
         matrices = tuple(matrices)
         if len(matrices) != len(group.generators):
             raise ValidationError("need one matrix per generator")
@@ -247,6 +273,8 @@ def character_of(rho: Representation) -> ClassFunction:
 def direct_sum(rho: Representation, psi: Representation) -> Representation:
     if rho.group is not psi.group:
         raise ValidationError("direct sum needs representations of one group")
+    from .linalg import block_diag
+
     mats = [block_diag([a, b]) for a, b in zip(rho.matrices, psi.matrices)]
     return Representation(rho.group, mats)
 
@@ -257,6 +285,8 @@ def is_irreducible(rho: Representation) -> bool:
 
 
 def _as_multiplicity(value) -> int:
+    from .linalg import as_rational
+
     q = as_rational(value)
     if q is None or q.denominator != 1 or q < 0:
         raise ValidationError(f"inner product {value!r} is not a nonnegative integer")
@@ -302,7 +332,7 @@ def induce_character(chi: ClassFunction, group: RealizedGroup) -> ClassFunction:
     gclasses, hclasses = group.classes, sub.classes
     sums = [0] * gclasses.count
     for rep, size, value in zip(hclasses.reps, hclasses.sizes, chi.values):
-        k = gclasses.class_of[group.index_of(rep)]
+        k = group.class_index(rep)
         sums[k] = sums[k] + size * value
     vals = [
         Fraction(group.order, sub.order * size) * acc
@@ -378,6 +408,8 @@ def natural_representation(group: RealizedGroup) -> Representation:
 
 def regular_representation(group: RealizedGroup) -> Representation:
     """Left-multiplication permutation matrices on the group itself."""
+    from .linalg import Matrix
+
     n = group.order
     mats = []
     for table in group.generator_tables():

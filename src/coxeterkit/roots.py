@@ -200,7 +200,13 @@ class RootSystem:
         return len(self.roots)
 
     def contains(self, v) -> bool:
-        return _vector_key(tuple(v), self._conductor) in self._keys
+        """Is v a root?  Keys are compared at the lcm of v's conductor and the
+        system's, so an entry from a field the roots do not reach is answered."""
+        v = tuple(v)
+        cond = lcm(self._conductor, _common_conductor((v,)))
+        if cond == self._conductor:
+            return _vector_key(v, cond) in self._keys
+        return _vector_key(v, cond) in {_vector_key(r, cond) for r in self.roots}
 
 
 def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:

@@ -6,7 +6,9 @@ of S_n.  The irreducible modules themselves come from Young's seminormal
 form in ``tableaux``: the basis is the standard tableaux, the adjacent
 transpositions act by checked sparse columns, and a character value is the
 trace of a class's word in them, so no computation runs over the n!
-elements.  Guards keep modules and tables at n <= 7.
+elements, and the table's classes are the closed-form ``class_data``, so
+no group is built either.  Guards keep modules at n <= 7 and tables at
+n <= ``TABLE_GUARD``.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from functools import lru_cache
 
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .groups import Permutation, realize
-from .linalg import Matrix, as_integer
+from .groups import Permutation, class_data, realize
 from .reps import ClassFunction, GroupAlgebraElement, Representation, Subgroup
 from .tableaux import (
     cycle_word,
@@ -31,6 +32,7 @@ from .tableaux import (
 
 MODULE_GUARD = 7
 SYMMETRIZER_GUARD = 7
+TABLE_GUARD = 9
 
 
 def identity_tableau_rows(shape) -> list[list[int]]:
@@ -113,6 +115,8 @@ def specht_module(shape) -> Representation:
         raise ValidationError("need a partition of n >= 2")
     if n > MODULE_GUARD:
         raise GuardError(f"module construction capped at n = {MODULE_GUARD}")
+    from .linalg import Matrix
+
     action, scale = seminormal_action(shape)
     mats = []
     for columns in action:
@@ -129,41 +133,32 @@ def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
     """Characters of all irreducible modules of S_n, indexed by partitions_of(n).
 
     Each value is the trace of a class's adjacent-transposition word in the
-    seminormal form, checked to be an integer and stored as an int, placed
-    at the class of that cycle type in the realized group's class order.
+    seminormal form, an int (``word_trace`` checks it is integral), in the
+    closed-form class order.
     """
     if n < 2:
         raise ValidationError("character table needs n >= 2")
-    if n > MODULE_GUARD:
-        raise GuardError(f"character tables capped at n = {MODULE_GUARD}")
-    group = realize(TypeLabel("A", n - 1))
-    words = [(k, cycle_word(cycle)) for cycle, k in _class_index_by_cycle_type(n).items()]
-    if len(words) != group.classes.count:
-        raise InternalInconsistencyError(f"classes of S_{n} share a cycle type")
+    if n > TABLE_GUARD:
+        raise GuardError(f"character tables capped at n = {TABLE_GUARD}")
+    group = class_data(TypeLabel("A", n - 1))
+    words = [cycle_word(rep.cycle_type()) for rep in group.classes.reps]
     table = []
     for shape in partitions_of(n):
         action, scale = seminormal_action(shape)
-        values = [None] * len(words)
-        for k, word in words:
-            values[k] = as_integer(word_trace(action, scale, word))
+        values = [word_trace(action, scale, word) for word in words]
         table.append(ClassFunction(group, values, partition_text(shape)))
     return tuple(table)
 
 
 @lru_cache(maxsize=None)
-def _class_index_by_cycle_type(n: int) -> dict[tuple[int, ...], int]:
-    group = realize(TypeLabel("A", n - 1))
-    return {rep.cycle_type(): k for k, rep in enumerate(group.classes.reps)}
-
-
-@lru_cache(maxsize=None)
 def _character_values(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
     """{(shape, cycle type): value} over the character table of S_n."""
-    classes = _class_index_by_cycle_type(n)
+    table = symmetric_character_table(n)
+    cycles = [rep.cycle_type() for rep in table[0].domain.classes.reps]
     return {
-        (shape, cycle): chi.values[k]
-        for shape, chi in zip(partitions_of(n), symmetric_character_table(n))
-        for cycle, k in classes.items()
+        (shape, cycle): value
+        for shape, chi in zip(partitions_of(n), table)
+        for cycle, value in zip(cycles, chi.values)
     }
 
 

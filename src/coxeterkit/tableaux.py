@@ -1,7 +1,8 @@
 """Partitions, hooks, standard tableaux and Young's seminormal form.
 
-Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n labels: the
-partition and bipartition lists, the hook-length and B_n dimension formulas,
+Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n and D_n
+labels: the partition and bipartition lists, the hook-length and B_n/D_n
+dimension formulas,
 and the irreducible S_n-modules in Young's seminormal form (Okounkov and
 Vershik, "A new approach to representation theory of symmetric groups",
 Selecta Math. 1996).  The basis of the module of a shape is its standard
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import GuardError, InternalInconsistencyError, ValidationError
@@ -216,15 +216,22 @@ def cycle_word(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(word)
 
 
-def word_trace(action, scale: int, word) -> Fraction:
-    """Trace of a word in the adjacent transpositions, one basis vector at a time."""
+def word_trace(action, scale: int, word) -> int:
+    """Trace of a word in the adjacent transpositions, one basis vector at a time.
+
+    The trace is a character value of S_n, so an integer: a remainder
+    raises InternalInconsistencyError.
+    """
     total = 0
     for t in range(len(action[0])):
         vec = {t: 1}
         for i in reversed(word):
             vec = _apply(action[i], vec)
         total += vec.get(t, 0)
-    return Fraction(total, scale ** len(word))
+    value, remainder = divmod(total, scale ** len(word))
+    if remainder:
+        raise InternalInconsistencyError(f"the trace of {word} is not an integer")
+    return value
 
 
 # -- labels and dimensions of B_n --------------------------------------------
@@ -277,3 +284,53 @@ def hyperoctahedral_dimensions(n: int) -> list[tuple[BipartitionLabel, int]]:
     if n < 1 or n > BN_DIMENSION_GUARD:
         raise GuardError(f"dimension lists capped at n = {BN_DIMENSION_GUARD}")
     return [(label, bn_dimension(n, label)) for label in bipartitions(n)]
+
+
+# -- labels and dimensions of D_n --------------------------------------------
+
+
+class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
+    """Unordered pair {lam, mu} for an irreducible restriction, or a split half.
+
+    ``half`` is "+" or "-" for a half of a self-paired (lam == mu) label.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...], half: str | None = None):
+        if half is not None and (half not in "+-" or lam != mu):
+            raise ValidationError("split labels need lam == mu and half in {+, -}")
+        return super().__new__(cls, lam, mu, half)
+
+    def __str__(self):
+        if self.half is None:
+            return f"D:{{{partition_text(self.lam)}|{partition_text(self.mu)}}}"
+        return f"D:({partition_text(self.lam)},{partition_text(self.mu)},{self.half})"
+
+
+def _pair_key(shape: tuple[int, ...]):
+    return (sum(shape), shape)
+
+
+def dn_dimensions(n: int) -> list[tuple[DnLabel, int]]:
+    """(label, dimension) for every irreducible of D_n, by the formula only.
+
+    Res chi_(lam,mu) for each unordered pair lam != mu, first seen in the
+    order of ``bipartitions``, keeps the B_n dimension; for n = 2m, each
+    self-paired (lam, lam) gives the halves "+" and "-" of half of it.
+    """
+    if n < 4:
+        raise ValidationError("D_n needs n >= 4")
+    if n > BN_DIMENSION_GUARD:
+        raise GuardError(f"dimension lists capped at n = {BN_DIMENSION_GUARD}")
+    out, seen = [], set()
+    for label in bipartitions(n):
+        pair = frozenset((label.lam, label.mu))
+        if label.lam != label.mu and pair not in seen:
+            seen.add(pair)
+            lam, mu = sorted(pair, key=_pair_key, reverse=True)
+            out.append((DnLabel(lam, mu), bn_dimension(n, label)))
+    for lam in partitions_of(n // 2) if n % 2 == 0 else ():
+        half = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
+        out += [(DnLabel(lam, lam, "+"), half), (DnLabel(lam, lam, "-"), half)]
+    return out

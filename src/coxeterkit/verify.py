@@ -11,6 +11,12 @@ root-system axioms (``RootSystem``) reflect only one root of each pair
 system has already been checked closed under negation.  Orthonormality is
 one pass over the upper triangle of the Hermitian Gram matrix, in int
 arithmetic for A/B/D (``character_orthonormality``).
+
+The A/B/D characters are computed on the closed-form class data; the
+character checks move them onto the enumerated group once its orbit
+classes equal that class data, rep for rep and size for size.
+``index-two-dichotomy`` evaluates the B_n closed form at D_n's own
+classes, which is the restriction, so it builds no B_n group.
 """
 
 from __future__ import annotations
@@ -25,16 +31,17 @@ from .classify import (
     coxeter_group_order,
     is_positive_definite,
 )
-from .errors import CoxeterKitError, ValidationError
+from .errors import CoxeterKitError, InternalInconsistencyError, ValidationError
 from .families import (
+    bn_characters_on,
     bn_conjugacy_parametrization,
-    hyperoctahedral_irreducibles,
     irreducible_characters,
     dihedral_irreducibles,
 )
-from .groups import realize, verify_presentation
+from .groups import class_data, realize, verify_presentation
 from .linalg import as_integer, conjugate_scalar
 from .reps import (
+    ClassFunction,
     Subgroup,
     induce_character,
     inner_product,
@@ -113,7 +120,10 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
 
     def character_set():
         nonlocal chars
-        chars = irreducible_characters(label)
+        found = irreducible_characters(label)
+        if label.family != "I2":
+            found = _on_group(found, realize(label, max_order))
+        chars = found
         group = chars[0].domain
         count_ok = len(chars) == group.classes.count
         total = sum(as_integer(c.identity_value) ** 2 for c in chars)
@@ -168,9 +178,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
 
     if label.family == "D":
         def dichotomy():
-            dn = realize(label, max_order)
-            for blabel, chi, _ in hyperoctahedral_irreducibles(label.rank):
-                res = restrict_character(chi, dn)
+            for blabel, res in bn_characters_on(class_data(label)):
                 norm = inner_product(res, res)
                 want = 2 if blabel.lam == blabel.mu else 1
                 if norm != want:
@@ -211,6 +219,17 @@ def character_orthonormality(chars) -> tuple[bool, str]:
             if total != (group.order if i == j else 0):
                 return False, f"<chi_{i}, chi_{j}> != delta"
     return True, "character Gram matrix is the identity"
+
+
+def _on_group(chars, group) -> list:
+    """The characters, moved from closed-form class data onto the enumerated
+    group; raises unless both have the same reps and sizes in the same order."""
+    data = chars[0].domain.classes
+    if (data.reps, data.sizes) != (group.classes.reps, group.classes.sizes):
+        raise InternalInconsistencyError(
+            f"closed-form classes of {group.label} differ from the orbit classes"
+        )
+    return [ClassFunction(group, chi.values, chi.name) for chi in chars]
 
 
 def _in_sample_subgroup(g, label: TypeLabel) -> bool:

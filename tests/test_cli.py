@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -110,8 +111,9 @@ def test_chartable_unsupported_exceptional():
 
 
 def test_chartable_guard_exceeded():
-    code, text = run_cli("chartable", "B7")
-    assert code == 3
+    for target in ("A9", "B9", "D9"):
+        code, text = run_cli("chartable", target)
+        assert code == 3, target
 
 
 def test_bad_type_string():
@@ -147,6 +149,39 @@ def test_irreps_b8_dimensions_only():
     assert code == 0
     dims = [int(l.split("\t")[1]) for l in text.strip().split("\n")]
     assert sum(d * d for d in dims) == 2 ** 8 * 40320
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_irreps_of_d_past_the_table_guard_are_dimensions_only(n):
+    code, text = run_cli("irreps", f"D{n}")
+    assert code == 0
+    dims = [int(l.split("\t")[1]) for l in text.strip().split("\n")]
+    assert sum(d * d for d in dims) == 2 ** (n - 1) * math.factorial(n)
+    code, text = run_cli("irreps", "D9")
+    assert code == 3
+
+
+def test_realize_keeps_the_order_bound():
+    code, text = run_cli("realize", "A8")
+    assert (code, text) == (3, "unsupported: |A8| = 362880 exceeds the bound 100000\n")
+    code, text = run_cli("realize", "B6")
+    assert code == 0 and "order\t46080" in text and "classes\t65" in text
+
+
+def test_verify_past_the_order_bound_fails_each_enumerating_check():
+    """The B_7 characters exist, but the group does not: the character checks
+    that need it are skipped, not run on class data without elements."""
+    code, text = run_cli("verify", "B7")
+    assert code == 2
+    names = [line.split("\t")[1] for line in text.strip().split("\n")]
+    assert "character-completeness" in names and "frobenius-reciprocity" not in names
+
+
+def test_tables_past_the_order_bound_keep_max_order():
+    code, text = run_cli("chartable", "B8")
+    assert code == 0 and len(text.strip().split("\n")) == 186
+    code, text = run_cli("--max-order", "100000", "chartable", "B8")
+    assert (code, text) == (3, "unsupported: |B8| = 10321920 exceeds the bound 100000\n")
 
 
 def test_realize_b2():

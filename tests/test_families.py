@@ -94,7 +94,7 @@ def test_dimension_only_listing():
     dims = hyperoctahedral_dimensions(8)
     assert sum(d * d for _, d in dims) == 2 ** 8 * math.factorial(8)
     with pytest.raises(GuardError):
-        hyperoctahedral_irreducibles(7)
+        hyperoctahedral_irreducibles(9)
 
 
 def test_extended_block_characters_satisfy_reciprocity():
@@ -287,7 +287,7 @@ def test_dihedral_guard():
 
 def test_dn_guard():
     with pytest.raises(GuardError):
-        dn_irreducibles(7)
+        dn_irreducibles(9)
 
 
 def test_enumeration_guard_via_order():

@@ -18,7 +18,13 @@ closed form on signed cycle types and their guard rose from n = 4 to 6:
 each digest equals that of the little-group induction with its guard
 lifted, and every value matches the bipartition Murnaghan-Nakayama oracle
 in ``test_oracles.py``; before that, these commands exited 3.  The
-non-finite ``classify`` cases (all six graphs in ``GRAPHS``) were
+``chartable`` cases of A7, A8, B7, B8, D7 and D8 (tsv and json) were
+recorded when the A/B/D tables moved to closed-form class data, with no
+group built, and the guards rose to S_9 and B_8/D_8: every value matches
+the Murnaghan-Nakayama and bipartition rim-hook oracles of
+``test_oracles.py``, and for n <= 8 (S_n), 6 (B_n, D_n) the class data
+equals the orbit classes (``test_groups.py``); before that, these commands
+exited 3.  The non-finite ``classify`` cases (all six graphs in ``GRAPHS``) were
 re-recorded when the witness became a minimal non-finite subgraph named by
 its vertices, instead of a leading Gram minor.
 

@@ -9,8 +9,11 @@ from coxeterkit.groups import (
     DihedralElement,
     Permutation,
     SignedPermutation,
+    class_data,
     conjugacy_classes,
+    coxeter_generators,
     cycle_type,
+    diagonal_parity,
     element_order,
     enumerate_group,
     realize,
@@ -207,3 +210,102 @@ def test_dihedral_class_structure_even_odd():
     g6 = realize(TypeLabel("I2", 2, 6))
     refl_classes6 = [rep for rep in g6.classes.reps if rep.reflected]
     assert len(refl_classes6) == 2
+
+
+# -- closed-form class data against the orbit classes -----------------------------
+
+CLASS_DATA_LABELS = (
+    [TypeLabel("A", n) for n in range(1, 8)]
+    + [TypeLabel("B", n) for n in range(2, 7)]
+    + [TypeLabel("D", n) for n in range(4, 7)]
+)
+
+
+@pytest.mark.parametrize("label", CLASS_DATA_LABELS, ids=str)
+def test_class_data_equals_the_orbit_classes(label):
+    """S_2-S_8, B_2-B_6 and D_4-D_6: the same reps and sizes in the same order."""
+    data, group = class_data(label), realize(label)
+    assert data.order == group.order
+    assert data.classes.reps == group.classes.reps
+    assert data.classes.sizes == group.classes.sizes
+    assert data.classes.class_of is None
+    assert class_data(label) is data
+
+
+INDEX_LABELS = (
+    [TypeLabel("A", n) for n in range(1, 6)]
+    + [TypeLabel("B", n) for n in range(2, 5)]
+    + [TypeLabel("D", 4), TypeLabel("D", 5)]
+)
+
+
+@pytest.mark.parametrize("label", INDEX_LABELS, ids=str)
+def test_class_index_is_the_orbit_class_of_every_element(label):
+    data, group = class_data(label), realize(label)
+    assert [data.class_index(x) for x in group.elements] == list(group.classes.class_of)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_diagonal_parity_tells_the_split_halves_apart(n):
+    """On each B_n class that splits in D_n, the parity is constant on each
+    half, 0 on the half of the sign-free permutation and 1 on the other."""
+    group = realize(TypeLabel("D", n))
+    classes = group.classes
+    parities = {}
+    for x, k in zip(group.elements, classes.class_of):
+        pos, neg = x.signed_cycle_type()
+        if not neg and all(length % 2 == 0 for length in pos):
+            parities.setdefault(k, set()).add(diagonal_parity(x))
+            sign_free = SignedPermutation((1,) * n, x.perm)
+            assert diagonal_parity(sign_free) == 0
+            same = classes.class_of[group.index_of(sign_free)] == k
+            assert diagonal_parity(x) == (0 if same else 1)
+    assert parities and all(len(p) == 1 for p in parities.values())
+    assert sorted(p for s in parities.values() for p in s).count(1) == len(parities) // 2
+
+
+def test_class_index_rejects_foreign_elements():
+    d4 = class_data(TypeLabel("D", 4))
+    with pytest.raises(ValidationError):
+        d4.class_index(SignedPermutation.sign_flip(4, 0))  # odd: in B_4 only
+    with pytest.raises(ValidationError):
+        d4.class_index(Permutation.identity(4))
+    with pytest.raises(ValidationError):
+        class_data(TypeLabel("A", 3)).class_index(Permutation.identity(5))
+
+
+def test_class_data_past_the_enumeration_bound():
+    """No group is built, so |W| > MAX_ORDER is no obstacle."""
+    b8 = class_data(TypeLabel("B", 8))
+    assert b8.order == 2 ** 8 * 40320 > MAX_ORDER
+    assert b8.classes.count == 185 and sum(b8.classes.sizes) == b8.order
+    with pytest.raises(UnsupportedTypeError):
+        class_data(TypeLabel("I2", 2, 5))
+
+
+@pytest.mark.parametrize("label", SMALL_LABELS, ids=str)
+def test_coxeter_generators_are_the_groups(label):
+    assert tuple(coxeter_generators(label)) == realize(label).generators
+
+
+def test_verify_fails_when_the_class_data_leaves_the_orbits(monkeypatch):
+    """The character checks run on the enumerated group only after its orbit
+    classes equal the characters' class data."""
+    from types import SimpleNamespace
+
+    from coxeterkit import verify
+    from coxeterkit.reps import ClassFunction
+
+    label = TypeLabel("A", 3)
+    chars = verify.irreducible_characters(label)
+    data = chars[0].domain
+    moved = SimpleNamespace(order=data.order, classes=data.classes._replace(reps=data.classes.reps[::-1]))
+    monkeypatch.setattr(
+        verify, "irreducible_characters",
+        lambda _: [ClassFunction(moved, chi.values, chi.name) for chi in chars],
+    )
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_verification(label)}
+    assert checks["character-completeness"] == (
+        False, "error: closed-form classes of A3 differ from the orbit classes"
+    )
+    assert "character-orthonormality" not in checks

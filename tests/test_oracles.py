@@ -398,7 +398,7 @@ def test_murnaghan_nakayama_oracle_small_cases():
         assert sum(murnaghan_nakayama(s, (1,) * n) ** 2 for s in own_partitions(n)) == math.factorial(n)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_character_table_matches_murnaghan_nakayama(n):
     want = {
         (shape, cycle): murnaghan_nakayama(shape, cycle)
@@ -406,6 +406,14 @@ def test_character_table_matches_murnaghan_nakayama(n):
         for cycle in own_partitions(n)
     }
     assert table_by_labels(n) == want
+
+
+def test_s9_table_past_the_enumeration_bound_matches_murnaghan_nakayama():
+    """|S_9| exceeds MAX_ORDER, so the classes are the table's own class data."""
+    table = symmetric_character_table(9)
+    reps = table[0].domain.classes.reps
+    for shape, chi in zip(own_partitions(9), table):
+        assert list(chi.values) == [murnaghan_nakayama(shape, w.cycle_type()) for w in reps], shape
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -443,7 +451,17 @@ def test_bn_characters_match_the_rim_hook_rule(n):
         assert list(chi.values) == want, str(label)
 
 
-@pytest.mark.parametrize("n", range(4, 7))
+@pytest.mark.parametrize("n", [7, 8])
+def test_bn_characters_past_the_enumeration_bound_match_the_rim_hook_rule(n):
+    """|B_7| and |B_8| exceed MAX_ORDER, so the classes are the table's own class data."""
+    table = hyperoctahedral_irreducibles(n)
+    reps = table[0][1].domain.classes.reps
+    for label, chi, _ in table:
+        want = [bipartition_rim_hooks(label.lam, label.mu, signed_cycles(w)) for w in reps]
+        assert list(chi.values) == want, str(label)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
 def test_dn_characters_match_the_rim_hook_rule(n):
     """Each {lam, mu} row with lam != mu is the rim-hook value of (lam, mu) and
     of (mu, lam); the two halves of (lam, lam) sum to its rim-hook value."""

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -233,3 +234,19 @@ def test_group_algebra_arithmetic():
     assert (x + y) == GroupAlgebraElement({e: 2})
     assert 3 * y == GroupAlgebraElement({e: 3, t: -3})
     assert len(x * x) == 2  # 2e + 2t
+
+
+def test_class_functions_meet_only_on_equal_class_data():
+    """The S_n table lives on closed-form class data, not on the group, yet
+    meets the group's characters; a domain with the same order and sizes
+    but other representatives does not."""
+    group = realize(TypeLabel("A", 2))
+    table = symmetric_character_table(3)
+    data = table[0].domain
+    assert data is not group
+    assert inner_product(natural_representation(group).character(), table[0]) == 1
+    moved = SimpleNamespace(order=data.order, classes=data.classes._replace(reps=data.classes.reps[::-1]))
+    chi = ClassFunction(moved, table[0].values)
+    with pytest.raises(ValidationError, match="different class data"):
+        inner_product(chi, table[0])
+    assert chi != table[0]

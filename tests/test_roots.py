@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxeterkit.classify import TypeLabel, coxeter_group_order
+from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.errors import UnsupportedTypeError, ValidationError
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
@@ -83,6 +84,18 @@ def test_contains(label):
     if label.family != "I2":
         assert rs.contains(tuple(Fraction(x) for x in rs.roots[0]))
         assert not rs.contains((Fraction(1, 2),) * len(rs.roots[0]))
+
+
+def test_contains_answers_outside_the_key_conductor():
+    """An entry whose conductor does not divide the system's is keyed at the lcm."""
+    z5 = Cyclotomic.zeta(5)
+    assert root_system(TypeLabel("A", 2)).contains((z5, 0, 0)) is False
+    i7 = root_system(TypeLabel("I2", 2, 7))
+    assert i7.contains((z5, 0)) is False
+    # a root written with a zero of conductor 5 is still a root
+    zero = z5 - z5 + Cyclotomic.zeta(5, 2) - Cyclotomic.zeta(5, 2)
+    assert i7.contains(tuple(x + zero for x in i7.roots[0])) is True
+    assert root_system(TypeLabel("B", 3)).contains((1 + zero, -1, 0)) is True
 
 
 def test_unsupported_types():

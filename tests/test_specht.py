@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxeterkit.classify import TypeLabel
-from coxeterkit.errors import GuardError, ValidationError
+from coxeterkit.errors import GuardError, InternalInconsistencyError, ValidationError
 from coxeterkit.groups import Permutation, realize
 from coxeterkit.reps import inner_product, is_irreducible
 from coxeterkit.specht import (
@@ -149,7 +149,14 @@ def test_cycle_words_and_their_traces():
         for cycle in partitions_of(n):
             assert len(cycle_word(cycle)) == n - len(cycle)
     action, scale = seminormal_action((2, 1))
-    assert [word_trace(action, scale, cycle_word(c)) for c in partitions_of(3)] == [-1, 0, 2]
+    traces = [word_trace(action, scale, cycle_word(c)) for c in partitions_of(3)]
+    assert traces == [-1, 0, 2] and all(type(t) is int for t in traces)
+
+
+def test_a_trace_with_a_remainder_raises():
+    action, scale = seminormal_action((3,))  # s_0 acts as scale * 1
+    with pytest.raises(InternalInconsistencyError, match="not an integer"):
+        word_trace(action, 2 * scale, (0,))
 
 
 def test_specht_dimensions_small():
@@ -181,7 +188,7 @@ def test_specht_guard():
     with pytest.raises(GuardError):
         specht_module((8,))
     with pytest.raises(GuardError):
-        symmetric_character_table(8)
+        symmetric_character_table(10)
 
 
 def test_character_table_small_n():

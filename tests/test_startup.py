@@ -25,8 +25,10 @@ from coxeterkit.roots import RootSystem
 
 SRC = Path(__file__).parents[1] / "src"
 ALL_MODULES = {p.stem for p in (SRC / "coxeterkit").glob("*.py")} - {"__init__", "__main__"}
-CHAIN = {"classify", "cyclotomic", "errors", "graphs", "linalg"}
+CHAIN = {"classify", "errors"}
 BASE = CHAIN | {"cli"}
+# what classify() loads on its first call, and what no A/B/D table needs
+CLASSIFIER = {"certify", "cyclotomic", "graphs", "linalg"}
 
 PROBE = """
 import io, json, sys
@@ -60,11 +62,17 @@ def test_package_import_loads_only_the_classification_chain():
 def test_classify_never_loads_groups(tmp_path):
     path = tmp_path / "b3.json"
     path.write_text('{"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}')
-    assert modules_after("classify", str(path)) == BASE | {"certify"}
+    assert modules_after("classify", str(path)) == BASE | CLASSIFIER
 
 
 def test_realize_loads_only_groups():
-    assert modules_after("realize", "A3") == BASE | {"groups"}
+    # and the partitions of tableaux, for the closed-form class data
+    assert modules_after("realize", "A3") == BASE | {"groups", "tableaux"}
+
+
+@pytest.mark.parametrize("target", ["A4", "B3", "D4"])
+def test_realize_of_a_permutation_type_loads_no_classifier(target):
+    assert not modules_after("realize", target) & CLASSIFIER
 
 
 def test_irreps_of_type_a_skips_families():
@@ -75,14 +83,25 @@ def test_irreps_of_type_b_builds_no_group():
     assert modules_after("irreps", "B3") == BASE | {"tableaux"}
 
 
+def test_irreps_of_type_d_uses_the_dimension_formula_only():
+    assert modules_after("irreps", "D4") == BASE | {"tableaux"}
+
+
 def test_irreps_of_a_dihedral_type_skips_roots_and_verify():
-    tables = {"groups", "reps", "specht", "tableaux", "families"}
+    # the dihedral group carries its catalog graph, so graphs is loaded;
+    # the S_n tables of specht are not
+    tables = {"groups", "reps", "tableaux", "families", "graphs", "cyclotomic", "linalg"}
     assert modules_after("irreps", "I2(5)") == BASE | tables
 
 
 def test_chartable_skips_roots_and_verify():
     tables = {"groups", "reps", "specht", "tableaux", "families"}
     assert modules_after("chartable", "A2") == BASE | tables
+
+
+@pytest.mark.parametrize("target", ["A4", "B3", "D4"])
+def test_chartable_of_a_permutation_type_loads_no_classifier(target):
+    assert not modules_after("chartable", target) & CLASSIFIER
 
 
 BUILT = """
@@ -96,8 +115,14 @@ print(code, sorted(built))
 
 
 def test_chartable_of_type_d_builds_no_b_group():
-    # the closed form runs at D_4's own classes, with the S_m tables of m <= 4
-    assert fresh_python(BUILT, "chartable", "D4").strip() == "0 ['A1', 'A2', 'A3', 'D4']"
+    # the closed form runs at D_4's own class data, with the S_m tables of m <= 4
+    assert fresh_python(BUILT, "chartable", "D4").strip() == "0 []"
+
+
+@pytest.mark.parametrize("command", ["chartable", "realize"])
+@pytest.mark.parametrize("target", ["A4", "B3", "D4"])
+def test_permutation_type_tables_build_no_group(command, target):
+    assert fresh_python(BUILT, command, target).strip() == "0 []"
 
 
 def test_verify_loads_everything():
