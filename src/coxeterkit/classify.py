@@ -343,8 +343,8 @@ def classify(g: CoxeterGraph) -> ClassificationResult:
     """
     if g.n > VERTEX_GUARD:
         raise GuardError(f"classify is capped at {VERTEX_GUARD} vertices, got {g.n}")
-    # one import statement per call: certify holds graphs' connected_components
-    from .certify import certify, connected_components, minimal_rejected, positive_definite
+    from .certify import certify, minimal_rejected, positive_definite
+    from .graphs import connected_components
 
     results = []
     for comp, vertices in connected_components(g):

@@ -84,7 +84,10 @@ def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
 
 def bn_characters_on(domain: ClassData) -> list[tuple[BipartitionLabel, ClassFunction]]:
     """chi_(lam,mu) for every label of B_n, by the closed form at the classes
-    of ``domain``: B_n's class data, or D_n's, where it gives Res chi_(lam,mu)."""
+    of ``domain``: B_n's class data, or D_n's, where it gives Res chi_(lam,mu).
+    n is capped as for the full table: each class costs 2^(its cycle count)."""
+    if domain.label.rank > BN_CHARACTER_GUARD:
+        raise GuardError(f"full B_n characters capped at n = {BN_CHARACTER_GUARD}")
     splits = _cycle_splits(domain)
     return [
         (label, ClassFunction(domain, _bipartition_values(splits, label.lam, label.mu), str(label)))

@@ -15,8 +15,9 @@ arithmetic for A/B/D (``character_orthonormality``).
 The A/B/D characters are computed on the closed-form class data; the
 character checks move them onto the enumerated group once its orbit
 classes equal that class data, rep for rep and size for size.
-``index-two-dichotomy`` evaluates the B_n closed form at D_n's own
-classes, which is the restriction, so it builds no B_n group.
+``index-two-dichotomy`` checks the group-order bound, then evaluates the
+B_n closed form at D_n's own classes, which is the restriction, so it
+builds no B_n group.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from .families import (
     irreducible_characters,
     dihedral_irreducibles,
 )
-from .groups import class_data, realize, verify_presentation
+from .groups import check_order, class_data, realize, verify_presentation
 from .linalg import as_integer, conjugate_scalar
 from .reps import (
     ClassFunction,
     Subgroup,
+    _same_class_data,
     induce_character,
     inner_product,
     restrict_character,
@@ -120,10 +122,11 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
 
     def character_set():
         nonlocal chars
-        found = irreducible_characters(label)
-        if label.family != "I2":
-            found = _on_group(found, realize(label, max_order))
-        chars = found
+        if label.family == "I2":
+            chars = irreducible_characters(label)
+        else:
+            group = realize(label, max_order)  # the order bound before any table
+            chars = _on_group(irreducible_characters(label), group)
         group = chars[0].domain
         count_ok = len(chars) == group.classes.count
         total = sum(as_integer(c.identity_value) ** 2 for c in chars)
@@ -178,6 +181,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
 
     if label.family == "D":
         def dichotomy():
+            check_order(label, max_order)
             for blabel, res in bn_characters_on(class_data(label)):
                 norm = inner_product(res, res)
                 want = 2 if blabel.lam == blabel.mu else 1
@@ -224,8 +228,7 @@ def character_orthonormality(chars) -> tuple[bool, str]:
 def _on_group(chars, group) -> list:
     """The characters, moved from closed-form class data onto the enumerated
     group; raises unless both have the same reps and sizes in the same order."""
-    data = chars[0].domain.classes
-    if (data.reps, data.sizes) != (group.classes.reps, group.classes.sizes):
+    if not _same_class_data(chars[0].domain, group):
         raise InternalInconsistencyError(
             f"closed-form classes of {group.label} differ from the orbit classes"
         )

@@ -177,6 +177,24 @@ def test_verify_past_the_order_bound_fails_each_enumerating_check():
     assert "character-completeness" in names and "frobenius-reciprocity" not in names
 
 
+@pytest.mark.parametrize("label", ["D7", "D20"])
+def test_verify_past_the_order_bound_fails_the_dichotomy_at_once(label):
+    """index-two-dichotomy checks |W| before it builds any signed cycle type:
+    a large D_n fails there with the order error, as the other checks do."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxeterkit", "verify", label],
+        capture_output=True,
+        env=env,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    lines = dict(line.split("\t")[1:] for line in proc.stdout.decode().strip().split("\n"))
+    assert lines["index-two-dichotomy"].startswith(f"error: |{label}| = ")
+    assert lines["index-two-dichotomy"].endswith(" exceeds the bound 100000")
+
+
 def test_tables_past_the_order_bound_keep_max_order():
     code, text = run_cli("chartable", "B8")
     assert code == 0 and len(text.strip().split("\n")) == 186

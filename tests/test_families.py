@@ -11,6 +11,7 @@ from coxeterkit.families import (
     BipartitionLabel,
     DnLabel,
     bipartitions,
+    bn_characters_on,
     bn_conjugacy_parametrization,
     bn_dimension,
     dihedral_irreducibles,
@@ -288,6 +289,13 @@ def test_dihedral_guard():
 def test_dn_guard():
     with pytest.raises(GuardError):
         dn_irreducibles(9)
+
+
+def test_bn_characters_on_class_data_past_the_guard_raises():
+    from coxeterkit.groups import class_data
+
+    with pytest.raises(GuardError, match="capped at n = 8"):
+        bn_characters_on(class_data(TypeLabel("D", 9)))
 
 
 def test_enumeration_guard_via_order():
