@@ -10,7 +10,9 @@ broken function-local import; a fresh process per command does.  The
 a slow classify on them fails here, and so does a slow ``chartable`` of
 A8, B8 or D8, the largest table of each family under its guard, a slow
 ``realize B6``, or a slow ``verify`` of B6, D6 or I2(24), the largest
-types each verify path takes.  Exits 1 at the first
+types each verify path takes.  So does a slow ``irreps`` or ``chartable``
+of I2(24), or ``realize I2(5000)``, whose 10000 elements the closed-form
+class data never enumerates.  Exits 1 at the first
 command that exits with another code than expected or runs out of time.
 """
 
@@ -59,7 +61,8 @@ def run() -> int:
             runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
         runs += [(argv, 0, None) for argv in COMMANDS]
         for argv in (["chartable", "A8"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
-                     ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"]):
+                     ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"], ["irreps", "I2(24)"],
+                     ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
         for argv, want, timeout in runs:
             try:

@@ -68,14 +68,19 @@ class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
 
 
 def parse_type_label(text: str) -> TypeLabel:
+    """"A4", "I2(7)", ...: one of ABDEFH and ASCII digits, or "I2(" ASCII
+    digits ")", after ``strip()``; anything else is a ValidationError."""
     text = text.strip()
-    if text.startswith("I2(") and text.endswith(")"):
+    dihedral = text.startswith("I2(") and text.endswith(")")
+    digits = text[3:-1] if dihedral else text[1:]
+    if (dihedral or text[:1] in tuple("ABDEFH")) and digits.isascii() and digits.isdigit():
         try:
-            return TypeLabel("I2", 2, int(text[3:-1]))
-        except ValueError as e:
+            if dihedral:
+                return TypeLabel("I2", 2, int(digits))
+            n = int(digits)
+        except ValueError as e:  # the digit limit, or an I2 bond below 3
             raise ValidationError(f"bad type string {text!r}") from e
-    if text and text[0] in "ABDEFH" and text[1:].isdigit():
-        return TypeLabel(text[0], int(text[1:]))
+        return TypeLabel(text[0], n)
     raise ValidationError(f"bad type string {text!r}")
 
 

@@ -18,18 +18,19 @@ Output is byte-deterministic for a fixed command and input.
 ``--max-order N`` bounds the group order |W| for chartable, irreps, realize
 and verify alike: a type with |W| > N exits 3 before any work.  Without it,
 ``realize`` and ``verify`` stop at ``classify.MAX_ORDER`` elements; the
-tables and irreps of A_n, B_n and D_n come from closed forms on (signed)
-cycle types, build no group and are bounded by their own guards only.
+tables and irreps of A_n, B_n, D_n and I2(m) come from closed forms on the
+class data, build no group and are bounded by their own guards only.
 
 Start-up: each process is one command, so a command loads only the modules
 it runs.  This module imports only what the package loads anyway
 (``classify`` and ``errors``); each command imports the rest inside its own
 function, and ``classify`` loads ``graphs``, ``cyclotomic`` and ``linalg``
-only when it classifies.  So ``classify`` never loads ``groups``, and
-for A_n, B_n and D_n, ``irreps`` loads only the group-free ``tableaux``,
-``realize`` only ``groups`` and ``tableaux``, and ``chartable`` adds
-``reps``, ``specht`` and ``families`` but none of the classifier's
-modules.
+only when it classifies.  So ``classify`` never loads ``groups``.  For
+A_n, B_n, D_n and I2(m), ``irreps`` loads only the group-free ``tableaux``,
+``realize`` only ``groups`` (and ``tableaux`` for A/B/D), and
+``chartable`` adds ``reps`` and ``families``, with ``specht`` for A/B/D and
+``cyclotomic`` for I2(m), but none of the classifier's modules.  Only
+``verify`` enumerates a group.
 """
 
 from __future__ import annotations
@@ -163,11 +164,9 @@ def cmd_irreps(args, out) -> int:
 
         rows = [(str(lbl), d) for lbl, d in dn_dimensions(label.rank)]
     elif label.family == "I2":
-        from .families import dihedral_irreducibles
-        from .linalg import as_integer
+        from .tableaux import dihedral_dimensions
 
-        chars = dihedral_irreducibles(label.bond)
-        rows = [(c.name, as_integer(c.identity_value)) for c in chars]
+        rows = dihedral_dimensions(label.bond)
     else:
         raise UnsupportedTypeError(f"irreducibles of {label} are out of scope")
     if args.format == "json":
@@ -189,14 +188,10 @@ def cmd_irreps(args, out) -> int:
 
 def cmd_realize(args, out) -> int:
     label, max_order = _type_and_budget(args)
-    from .groups import check_order, class_data, coxeter_generators, element_text, realize
+    from .groups import check_order, class_data, coxeter_generators, element_text
 
-    if label.family in ("A", "B", "D"):
-        check_order(label, max_order)
-        group, generators = class_data(label), coxeter_generators(label)
-    else:
-        group = realize(label, max_order)
-        generators = group.generators
+    check_order(label, max_order)  # raises UnsupportedTypeError for E/F/H
+    group, generators = class_data(label), coxeter_generators(label)
     classes = group.classes
     if args.format == "json":
         import json

@@ -19,10 +19,10 @@ there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
 the sign-free permutation and minus that on its partner class (the class
 of ``diagonal_parity`` 1).  The B_n and D_n characters live on the
 closed-form ``class_data``, so no group is built, and their values are ints
-throughout.  I2(m) induces from its rotation subgroup.  The S_n tables
-(``specht``) and the arithmetic of ``cyclotomic`` and ``linalg`` are
-imported where they are used, so the dihedral and the A/B/D paths each
-load only their own.
+throughout.  So do the I2(m) characters, which are the classical closed
+forms on rotations and reflections.  The S_n tables (``specht``) and the
+cyclotomic arithmetic are imported where they are used, so the dihedral and
+the A/B/D paths each load only their own.
 """
 
 from __future__ import annotations
@@ -39,12 +39,18 @@ from .errors import (
     UnsupportedTypeError,
     ValidationError,
 )
-from .groups import ClassData, RealizedGroup, class_data, diagonal_parity, realize
-from .reps import ClassFunction, Subgroup, induce_character
-from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
+from .groups import ClassData, class_data, diagonal_parity, realize
+from .reps import ClassFunction
+from .tableaux import (
+    BipartitionLabel,
+    DnLabel,
+    bipartitions,
+    bn_dimension,
+    dihedral_dimensions,
+    dn_dimensions,
+)
 
 BN_CHARACTER_GUARD = 8
-DIHEDRAL_GUARD = 24
 
 
 def _cycle_splits(group: ClassData) -> list[dict]:
@@ -207,62 +213,35 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
 # -- dihedral groups -------------------------------------------------------
 
 
-def _rotation_subgroup(group: RealizedGroup) -> Subgroup:
-    rotations = [g for g in group.elements if not g.reflected]
-    return Subgroup(group, rotations, verify=False)
-
-
 @lru_cache(maxsize=None)
 def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
     """Complete irreducible characters of the dihedral group of order 2m.
 
-    One-dimensional characters first (two, plus two more for even m), then
-    the two-dimensional inductions from the rotation subgroup for
-    1 <= k < m/2.  Each induction is checked against the closed form:
-    zeta^jk + zeta^-jk on the rotation r^j, zero on reflections.
+    In the order and with the names of ``tableaux.dihedral_dimensions``, in
+    closed form on the class data (Serre, *Linear Representations of Finite
+    Groups*, 5.3): "1:(a,b)" is a^j on r^j and a^j b on r^j s, and "2:k" is
+    zeta^jk + zeta^-jk on r^j and 0 on reflections.  ``verify`` checks the
+    2-dimensional ones against the induction from the rotation subgroup.
     """
-    if not (3 <= m <= DIHEDRAL_GUARD):
-        raise GuardError(f"dihedral characters need 3 <= m <= {DIHEDRAL_GUARD}")
+    rows = dihedral_dimensions(m)  # raises past tableaux.DIHEDRAL_GUARD
     from .cyclotomic import Cyclotomic
-    from .linalg import as_integer
 
-    group = realize(TypeLabel("I2", 2, m))
-    cm = _rotation_subgroup(group)
+    group = class_data(TypeLabel("I2", 2, m))
     reps = group.classes.reps
     out = []
-
-    def one_dim(rsign: int, ssign: int, name: str) -> ClassFunction:
-        vals = [
-            Fraction(rsign ** el.rotation * (ssign if el.reflected else 1)) for el in reps
-        ]
-        return ClassFunction(group, vals, name)
-
-    out.append(one_dim(1, 1, "1:(1,1)"))
-    out.append(one_dim(1, -1, "1:(1,-1)"))
-    if m % 2 == 0:
-        out.append(one_dim(-1, 1, "1:(-1,1)"))
-        out.append(one_dim(-1, -1, "1:(-1,-1)"))
-    for k in range(1, (m + 1) // 2):
-        if 2 * k == m:
-            break
-        phi = ClassFunction(
-            cm,
-            [Cyclotomic.zeta(m, k * el.rotation) for el in cm.classes.reps],
-        )
-        ind = induce_character(phi, group)
-        for el, v in zip(reps, ind.values):
-            want = (
-                Cyclotomic.zeta(m, k * el.rotation) + Cyclotomic.zeta(m, -k * el.rotation)
-                if not el.reflected
-                else Cyclotomic.zero()
-            )
-            if not (v == want):
-                raise InternalInconsistencyError(
-                    f"induced dihedral character disagrees with the closed form at {el}"
-                )
-        out.append(ClassFunction(group, ind.values, f"2:{k}"))
-    total = sum(as_integer(ch.identity_value) ** 2 for ch in out)
-    if total != 2 * m or len(out) != group.classes.count:
+    for name, dim in rows:
+        if dim == 1:
+            a, b = map(int, name[3:-1].split(","))
+            values = [Fraction(a ** el.rotation * (b if el.reflected else 1)) for el in reps]
+        else:
+            k = int(name[2:])
+            values = [
+                Fraction(0) if el.reflected
+                else Cyclotomic.zeta(m, k * el.rotation) + Cyclotomic.zeta(m, -k * el.rotation)
+                for el in reps
+            ]
+        out.append(ClassFunction(group, values, name))
+    if sum(dim * dim for _, dim in rows) != 2 * m or len(out) != group.classes.count:
         raise InternalInconsistencyError("dihedral character set is not complete")
     return tuple(out)
 

@@ -475,13 +475,19 @@ def diagonal_parity(w: SignedPermutation) -> int:
 
 
 def _class_key(el, family: str):
-    """Complete conjugacy invariant in W(A_n), W(B_n) or W(D_n)."""
+    """Complete conjugacy invariant in W(A_n), W(B_n), W(D_n) or W(I2(m));
+    in I2(m), r^k s keeps the parity of k for even m, and r^k meets r^-k only."""
     if family == "A":
         return el.cycle_type()
-    pos, neg = el.signed_cycle_type()
-    if family == "D" and not neg and all(k % 2 == 0 for k in pos):
-        return pos, neg, diagonal_parity(el)
-    return pos, neg
+    if family != "I2":
+        pos, neg = el.signed_cycle_type()
+        if family == "D" and not neg and all(k % 2 == 0 for k in pos):
+            return pos, neg, diagonal_parity(el)
+        return pos, neg
+    m, k = el.m, el.rotation
+    if el.reflected:
+        return m, True, k % 2 if m % 2 == 0 else 0
+    return m, False, min(k, m - k)
 
 
 def _enumeration_key(el):
@@ -492,7 +498,7 @@ def _enumeration_key(el):
 
 
 class ClassData:
-    """Conjugacy classes of A_n, B_n or D_n from (signed) cycle types alone.
+    """Conjugacy classes of A_n, B_n, D_n or I2(m) in closed form.
 
     A group-free domain for class functions, with the ``label``, ``order``
     and ``classes`` of the RealizedGroup: each class is represented by its
@@ -503,8 +509,11 @@ class ClassData:
     order.  Sizes are n!/z_lam for S_n and 2^n n!/(z_alpha z_beta), with
     (2k)^m_k m_k! in z, for B_n; a D_n class whose cycles are all positive
     of even length is half of its B_n class, the halves told apart by
-    ``diagonal_parity``.  ``classes.class_of`` is None; ``class_index``
-    finds an element's class from its invariant instead.
+    ``diagonal_parity``.  The classes of I2(m) are e, s (size m, or m/2
+    for even m), r s (m/2, even m only) and r^k for 1 <= k <= m/2 (size 2,
+    or 1 for r^(m/2)), again in enumeration order.  ``classes.class_of`` is
+    None; ``class_index`` finds an element's class from its invariant
+    instead.
     """
 
     __slots__ = ("label", "order", "classes", "_index")
@@ -529,10 +538,18 @@ class ClassData:
 
 @lru_cache(maxsize=None)
 def class_data(label: TypeLabel) -> ClassData:
-    """Closed-form class data of an A/B/D label; nothing is enumerated."""
+    """Closed-form class data of an A/B/D/I2 label; nothing is enumerated."""
+    f, n = label.family, label.rank
+    if f == "I2":
+        # e, the reflections (s; r s too for even m), the rotation pairs {r^k, r^-k}
+        m = label.bond
+        mirrors = (0,) if m % 2 else (0, 1)
+        reps = [DihedralElement.identity(m)] + [DihedralElement(m, k, True) for k in mirrors]
+        reps += [DihedralElement(m, k, False) for k in range(1, m // 2 + 1)]
+        sizes = [1] + [m // len(mirrors)] * len(mirrors) + [2] * ((m - 1) // 2) + [1] * (1 - m % 2)
+        return ClassData(label, reps, sizes)
     from .tableaux import partitions_of
 
-    f, n = label.family, label.rank
     found = []
     if f == "A":
         for lam in partitions_of(n + 1):
@@ -555,7 +572,7 @@ def class_data(label: TypeLabel) -> ClassData:
                     signs = _lex_first_signs(pos, neg)
                     found.append((SignedPermutation._trusted(signs, perm), size))
     else:
-        raise UnsupportedTypeError(f"closed-form class data covers A, B and D, not {label}")
+        raise UnsupportedTypeError(f"closed-form class data covers A, B, D and I2, not {label}")
     found.sort(key=lambda pair: _enumeration_key(pair[0]))
     return ClassData(label, [rep for rep, _ in found], [size for _, size in found])
 

@@ -1,11 +1,10 @@
 """Partitions, hooks, standard tableaux and Young's seminormal form.
 
-Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n and D_n
-labels: the partition and bipartition lists, the hook-length and B_n/D_n
-dimension formulas,
-and the irreducible S_n-modules in Young's seminormal form (Okounkov and
-Vershik, "A new approach to representation theory of symmetric groups",
-Selecta Math. 1996).  The basis of the module of a shape is its standard
+Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n, D_n and
+I2(m) labels: the partition and bipartition lists, the hook-length,
+B_n/D_n and dihedral dimension formulas, and the irreducible S_n-modules
+in Young's seminormal form (Okounkov and Vershik, "A new approach to
+representation theory of symmetric groups", Selecta Math. 1996).  The basis of the module of a shape is its standard
 tableaux, and the adjacent transposition s_i = (i, i+1) acts through the
 axial distance of i and i+1, so a character value is the trace of a short
 word in sparse columns.  Nothing here builds a group.
@@ -21,6 +20,7 @@ from .errors import GuardError, InternalInconsistencyError, ValidationError
 
 PARTITION_GUARD = 40
 BN_DIMENSION_GUARD = 8
+DIHEDRAL_GUARD = 24
 
 
 def partition_text(shape: tuple[int, ...]) -> str:
@@ -334,3 +334,18 @@ def dn_dimensions(n: int) -> list[tuple[DnLabel, int]]:
         half = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
         out += [(DnLabel(lam, lam, "+"), half), (DnLabel(lam, lam, "-"), half)]
     return out
+
+
+# -- labels and dimensions of I2(m) ------------------------------------------
+
+
+def dihedral_dimensions(m: int) -> list[tuple[str, int]]:
+    """(name, dimension) for every irreducible of I2(m), by the formula only.
+
+    First "1:(a,b)", the character sending r to a and s to b (a = -1 only
+    for even m), then "2:k" for 1 <= k < m/2, with zeta^jk + zeta^-jk on r^j.
+    """
+    if not (3 <= m <= DIHEDRAL_GUARD):
+        raise GuardError(f"dihedral characters need 3 <= m <= {DIHEDRAL_GUARD}")
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))[: 4 - 2 * (m % 2)]
+    return [(f"1:({a},{b})", 1) for a, b in signs] + [(f"2:{k}", 2) for k in range(1, (m + 1) // 2)]

@@ -12,9 +12,11 @@ system has already been checked closed under negation.  Orthonormality is
 one pass over the upper triangle of the Hermitian Gram matrix, in int
 arithmetic for A/B/D (``character_orthonormality``).
 
-The A/B/D characters are computed on the closed-form class data; the
-character checks move them onto the enumerated group once its orbit
+The A/B/D and I2 characters are computed on the closed-form class data;
+the character checks move them onto the enumerated group once its orbit
 classes equal that class data, rep for rep and size for size.
+``induction-closed-form`` induces each 2-dimensional I2(m) character from
+the rotation subgroup and compares it with the closed form.
 ``index-two-dichotomy`` checks the group-order bound, then evaluates the
 B_n closed form at D_n's own classes, which is the restriction, so it
 builds no B_n group.
@@ -32,6 +34,7 @@ from .classify import (
     coxeter_group_order,
     is_positive_definite,
 )
+from .cyclotomic import Cyclotomic
 from .errors import CoxeterKitError, InternalInconsistencyError, ValidationError
 from .families import (
     bn_characters_on,
@@ -123,11 +126,12 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
     def character_set():
         nonlocal chars
         if label.family == "I2":
-            chars = irreducible_characters(label)
+            table = irreducible_characters(label)  # the dihedral guard first
+            group = realize(label, max_order)
         else:
             group = realize(label, max_order)  # the order bound before any table
-            chars = _on_group(irreducible_characters(label), group)
-        group = chars[0].domain
+            table = irreducible_characters(label)
+        chars = _on_group(table, group)
         count_ok = len(chars) == group.classes.count
         total = sum(as_integer(c.identity_value) ** 2 for c in chars)
         ok = count_ok and total == group.order
@@ -136,12 +140,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
     def reciprocity():
         group = chars[0].domain
         rng = random.Random(20240 + label.rank)
-        if label.family == "I2":
-            rotations = [g for g in group.elements if not g.reflected]
-            sub = Subgroup(group, rotations, verify=False)
-        else:
-            half = [g for g in group.elements if _in_sample_subgroup(g, label)]
-            sub = Subgroup(group, half, verify=False)
+        sub = _sample_subgroup(group)
         chi = trivial_character(sub)
         ind = induce_character(chi, group)
         for phi in rng.sample(chars, min(3, len(chars))):
@@ -193,7 +192,14 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
 
     if label.family == "I2":
         def formula():
-            dihedral_irreducibles(label.bond)  # closed form asserted inside
+            m = label.bond
+            two_dim = [chi for chi in dihedral_irreducibles(m) if chi.name.startswith("2:")]
+            group = realize(label, max_order)
+            rotations = _sample_subgroup(group)
+            for k, chi in enumerate(two_dim, 1):
+                zeta_k = [Cyclotomic.zeta(m, k * el.rotation) for el in rotations.classes.reps]
+                if induce_character(ClassFunction(rotations, zeta_k), group) != chi:
+                    return False, f"the induction of zeta^{k} from the rotations is not {chi.name}"
             return True, "inductions match the closed form"
 
         record("induction-closed-form", formula)
@@ -235,8 +241,14 @@ def _on_group(chars, group) -> list:
     return [ClassFunction(group, chi.values, chi.name) for chi in chars]
 
 
-def _in_sample_subgroup(g, label: TypeLabel) -> bool:
-    """Fixed small subgroup used for the reciprocity spot check."""
+def _sample_subgroup(group) -> Subgroup:
+    """Fixed small subgroup used for the reciprocity spot check; for I2(m),
+    the rotations, which ``induction-closed-form`` induces from."""
+    label = group.label
     if label.family == "A":
-        return g(label.rank) == label.rank  # point stabilizer S_n <= S_{n+1}
-    return all(s == 1 for s in g.signs)  # plain permutations inside B_n / D_n
+        keep = [g for g in group.elements if g(label.rank) == label.rank]  # S_n <= S_{n+1}
+    elif label.family == "I2":
+        keep = [g for g in group.elements if not g.reflected]
+    else:
+        keep = [g for g in group.elements if all(s == 1 for s in g.signs)]  # S_n <= B_n, D_n
+    return Subgroup(group, keep, verify=False)

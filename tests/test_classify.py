@@ -43,6 +43,20 @@ def test_parse_type_label():
         parse_type_label("Q3")
     with pytest.raises(ValidationError):
         parse_type_label("I2(x)")
+    assert parse_type_label(" B03 ") == TypeLabel("B", 3)
+    assert parse_type_label("I2(07)") == TypeLabel("I2", 2, 7)
+
+
+@pytest.mark.parametrize("text", [
+    "I2(1_0)", "I2(+7)", "I2( 7)", "A\u0663", "B\u00b2", "I2(\u0667)", "A+3", "A-1", "A 3",
+    "A1_0", "I", "I2()", "", "A", "I2(2)", "A" + "1" * 5000, "I2(" + "9" * 5000 + ")",
+], ids=lambda text: text if len(text) < 20 else f"{len(text)}-chars")
+def test_type_strings_are_a_family_and_ascii_digits(text):
+    """int() would take underscores, signs and non-ASCII digits; the parser
+    takes ASCII digits only, and a number past int()'s digit limit is a bad
+    type string too, never a bare ValueError."""
+    with pytest.raises(ValidationError, match="bad type string"):
+        parse_type_label(text)
 
 
 def test_positive_definite_examples():

@@ -121,6 +121,23 @@ def test_bad_type_string():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text", ["I2(1_0)", "A\u0663", "I2(+7)", "B\u00b2", "A" + "7" * 5000],
+    ids=lambda text: text if len(text) < 20 else f"{len(text)}-chars",
+)
+def test_type_strings_outside_ascii_digits_exit_1_without_a_traceback(text):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONIOENCODING="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxeterkit", "irreps", text],
+        capture_output=True, text=True, encoding="utf-8", env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == f"error: bad type string {text!r}\n"
+    assert proc.stderr == ""
+
+
 def test_chartable_float_mode():
     code, text = run_cli("--float", "chartable", "I2(5)")
     assert code == 0
@@ -166,6 +183,10 @@ def test_realize_keeps_the_order_bound():
     assert (code, text) == (3, "unsupported: |A8| = 362880 exceeds the bound 100000\n")
     code, text = run_cli("realize", "B6")
     assert code == 0 and "order\t46080" in text and "classes\t65" in text
+    code, text = run_cli("realize", "I2(50001)")
+    assert (code, text) == (3, "unsupported: |I2(50001)| = 100002 exceeds the bound 100000\n")
+    code, text = run_cli("realize", "I2(50000)")
+    assert code == 0 and "order\t100000" in text and "classes\t25003" in text
 
 
 def test_verify_past_the_order_bound_fails_each_enumerating_check():

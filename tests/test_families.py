@@ -21,7 +21,7 @@ from coxeterkit.families import (
 )
 from coxeterkit.groups import DihedralElement, Permutation, realize
 from coxeterkit.reps import ClassFunction, Subgroup, inner_product, restrict_character
-from coxeterkit.tableaux import hyperoctahedral_dimensions, partitions_of
+from coxeterkit.tableaux import dihedral_dimensions, hyperoctahedral_dimensions, partitions_of
 
 
 def dim_int(value) -> int:
@@ -284,6 +284,33 @@ def test_dihedral_guard():
         dihedral_irreducibles(25)
     with pytest.raises(GuardError):
         dihedral_irreducibles(2)
+
+
+def test_dihedral_names_and_dimensions_need_no_group():
+    assert dihedral_dimensions(5) == [("1:(1,1)", 1), ("1:(1,-1)", 1), ("2:1", 2), ("2:2", 2)]
+    assert [name for name, _ in dihedral_dimensions(6)] == [
+        "1:(1,1)", "1:(1,-1)", "1:(-1,1)", "1:(-1,-1)", "2:1", "2:2",
+    ]
+    for m in (8, 24):
+        chars = dihedral_irreducibles(m)
+        assert [(c.name, dim_int(c.identity_value)) for c in chars] == dihedral_dimensions(m)
+    with pytest.raises(GuardError, match="dihedral characters need 3 <= m <= 24"):
+        dihedral_dimensions(25)
+
+
+def test_verify_induces_each_two_dimensional_character(monkeypatch):
+    """``induction-closed-form`` fails when a closed-form character is not the
+    induction of its zeta^k; here 2:1 and 2:2 trade places."""
+    from coxeterkit import verify
+
+    table = dihedral_irreducibles(7)
+    swapped = table[:2] + (table[3], table[2]) + table[4:]
+    monkeypatch.setattr(verify, "dihedral_irreducibles", lambda m: swapped)
+    checks = {name: (ok, detail) for name, ok, detail in verify.run_verification(TypeLabel("I2", 2, 7))}
+    assert checks["induction-closed-form"] == (
+        False, "the induction of zeta^1 from the rotations is not 2:2"
+    )
+    assert checks["character-completeness"][0]
 
 
 def test_dn_guard():

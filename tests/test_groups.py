@@ -218,12 +218,14 @@ CLASS_DATA_LABELS = (
     [TypeLabel("A", n) for n in range(1, 8)]
     + [TypeLabel("B", n) for n in range(2, 7)]
     + [TypeLabel("D", n) for n in range(4, 7)]
+    + [TypeLabel("I2", 2, m) for m in range(3, 49)]
 )
 
 
 @pytest.mark.parametrize("label", CLASS_DATA_LABELS, ids=str)
 def test_class_data_equals_the_orbit_classes(label):
-    """S_2-S_8, B_2-B_6 and D_4-D_6: the same reps and sizes in the same order."""
+    """S_2-S_8, B_2-B_6, D_4-D_6 and I2(3)-I2(48): the same reps and sizes
+    in the same order."""
     data, group = class_data(label), realize(label)
     assert data.order == group.order
     assert data.classes.reps == group.classes.reps
@@ -236,6 +238,7 @@ INDEX_LABELS = (
     [TypeLabel("A", n) for n in range(1, 6)]
     + [TypeLabel("B", n) for n in range(2, 5)]
     + [TypeLabel("D", 4), TypeLabel("D", 5)]
+    + [TypeLabel("I2", 2, m) for m in range(3, 25)]
 )
 
 
@@ -274,13 +277,26 @@ def test_class_index_rejects_foreign_elements():
         class_data(TypeLabel("A", 3)).class_index(Permutation.identity(5))
 
 
+@pytest.mark.parametrize("foreign", [
+    DihedralElement(7, 1, False),  # without m in the key, it would read as r of I2(6)
+    DihedralElement(8, 1, True),
+    Permutation.identity(6),
+    SignedPermutation.sign_flip(2, 0),
+])
+def test_dihedral_class_index_rejects_foreign_elements(foreign):
+    with pytest.raises(ValidationError):
+        class_data(TypeLabel("I2", 2, 6)).class_index(foreign)
+
+
 def test_class_data_past_the_enumeration_bound():
     """No group is built, so |W| > MAX_ORDER is no obstacle."""
     b8 = class_data(TypeLabel("B", 8))
     assert b8.order == 2 ** 8 * 40320 > MAX_ORDER
     assert b8.classes.count == 185 and sum(b8.classes.sizes) == b8.order
+    i2 = class_data(TypeLabel("I2", 2, MAX_ORDER))
+    assert i2.order == 2 * MAX_ORDER and i2.classes.count == MAX_ORDER // 2 + 3
     with pytest.raises(UnsupportedTypeError):
-        class_data(TypeLabel("I2", 2, 5))
+        class_data(TypeLabel("E", 6))
 
 
 @pytest.mark.parametrize("label", SMALL_LABELS, ids=str)

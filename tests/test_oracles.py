@@ -53,8 +53,8 @@ from coxeterkit.classify import (
 )
 from coxeterkit.cyclotomic import Cyclotomic, sign
 from coxeterkit.families import (
-    _rotation_subgroup,
     bipartitions,
+    dihedral_irreducibles,
     dn_irreducibles,
     hyperoctahedral_irreducibles,
     irreducible_characters,
@@ -79,7 +79,7 @@ from coxeterkit.specht import (
     young_symmetrizer,
 )
 from coxeterkit.tableaux import partition_text, partitions_of
-from coxeterkit.verify import character_orthonormality
+from coxeterkit.verify import _sample_subgroup, character_orthonormality
 
 A_LABELS = [TypeLabel("A", n) for n in range(1, 6)]
 B_LABELS = [TypeLabel("B", n) for n in range(2, 5)]
@@ -182,7 +182,7 @@ def test_little_subgroup_classes_match_brute_force(n):
 
 @pytest.mark.parametrize("label", I2_LABELS, ids=str)
 def test_rotation_subgroup_classes_match_brute_force(label):
-    sub = _rotation_subgroup(realize(label))
+    sub = _sample_subgroup(realize(label))
     assert sub.classes == brute_force_classes(sub)
 
 
@@ -222,13 +222,29 @@ def test_d4_induction_matches_brute_force():
 @pytest.mark.parametrize("label", I2_LABELS, ids=str)
 def test_rotation_induction_matches_brute_force(label):
     group = realize(label)
-    sub = _rotation_subgroup(group)
+    sub = _sample_subgroup(group)
     m = label.bond
     for k in range(m):
         chi = ClassFunction(
             sub, [Cyclotomic.zeta(m, k * el.rotation) for el in sub.classes.reps]
         )
         assert_induces_like_oracle(chi, group)
+
+
+@pytest.mark.parametrize("m", range(3, 25))
+def test_dihedral_closed_form_is_the_rotation_induction(m):
+    """Each 2-dimensional closed-form character is the induction of zeta^k
+    from the rotations, value by value and in printed form."""
+    group = realize(TypeLabel("I2", 2, m))
+    sub = _sample_subgroup(group)
+    two_dim = [chi for chi in dihedral_irreducibles(m) if chi.name.startswith("2:")]
+    assert len(two_dim) == (m - 1) // 2
+    for k, chi in enumerate(two_dim, 1):
+        phi = ClassFunction(sub, [Cyclotomic.zeta(m, k * el.rotation) for el in sub.classes.reps])
+        assert_induces_like_oracle(phi, group)
+        want = brute_force_induce(phi, group)
+        assert list(chi.values) == want, chi.name
+        assert [str(v) for v in chi.values] == [str(v) for v in want], chi.name
 
 
 # -- S_n characters ---------------------------------------------------------------

@@ -88,10 +88,12 @@ def test_irreps_of_type_d_uses_the_dimension_formula_only():
 
 
 def test_irreps_of_a_dihedral_type_skips_roots_and_verify():
-    # the dihedral group carries its catalog graph, so graphs is loaded;
-    # the S_n tables of specht are not
-    tables = {"groups", "reps", "tableaux", "families", "graphs", "cyclotomic", "linalg"}
-    assert modules_after("irreps", "I2(5)") == BASE | tables
+    assert modules_after("irreps", "I2(5)") == BASE | {"tableaux"}
+
+
+@pytest.mark.parametrize("argv", [("realize", "I2(5)"), ("chartable", "I2(12)")])
+def test_dihedral_tables_load_no_classifier_graph_or_elimination(argv):
+    assert not modules_after(*argv) & {"graphs", "linalg", "certify"}
 
 
 def test_chartable_skips_roots_and_verify():
@@ -122,6 +124,12 @@ def test_chartable_of_type_d_builds_no_b_group():
 @pytest.mark.parametrize("command", ["chartable", "realize"])
 @pytest.mark.parametrize("target", ["A4", "B3", "D4"])
 def test_permutation_type_tables_build_no_group(command, target):
+    assert fresh_python(BUILT, command, target).strip() == "0 []"
+
+
+@pytest.mark.parametrize("command", ["chartable", "irreps", "realize"])
+@pytest.mark.parametrize("target", ["I2(5)", "I2(12)"])
+def test_dihedral_tables_build_no_group(command, target):
     assert fresh_python(BUILT, command, target).strip() == "0 []"
 
 
