@@ -12,8 +12,13 @@ A8, B8 or D8, the largest table of each family under its guard, a slow
 ``realize B6``, or a slow ``verify`` of B6, D6 or I2(24), the largest
 types each verify path takes.  So does a slow ``irreps`` or ``chartable``
 of I2(24), or ``realize I2(5000)``, whose 10000 elements the closed-form
-class data never enumerates.  Exits 1 at the first
-command that exits with another code than expected or runs out of time.
+class data never enumerates, or a slow guard exit of ``realize A2000``
+or ``verify A3000000``, whose orders are far past the bound.  ``chartable``
+with no type is a usage error, exit 1.  The children run with
+``PYTHONDONTWRITEBYTECODE=1``, so every one compiles what it loads, as a
+fresh benchmark job does, and no ``__pycache__`` is left behind.  Exits 1
+at the first command that exits with another code than expected or runs
+out of time.
 """
 
 import json
@@ -52,7 +57,8 @@ COMMANDS = [
 
 
 def run() -> int:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+               PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
         runs = []
         for name, (graph, code) in GRAPHS.items():
@@ -64,6 +70,8 @@ def run() -> int:
                      ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"], ["irreps", "I2(24)"],
                      ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
+        runs += [(["realize", "A2000"], 3, TABLE_TIMEOUT_S), (["verify", "A3000000"], 2, TABLE_TIMEOUT_S),
+                 (["chartable"], 1, TABLE_TIMEOUT_S)]
         for argv, want, timeout in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],

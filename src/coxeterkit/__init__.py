@@ -7,23 +7,15 @@ with complete sets of irreducible characters, all in exact arithmetic.
 Importing the package loads only ``classify`` and ``errors``.  Every other
 name in ``__all__`` is loaded from its module on first access (PEP 562), so
 a process pays only for the modules it uses: ``classify`` itself loads the
-graph and arithmetic modules on its first call.  ``classify`` stays eager,
-since a later ``import coxeterkit.classify`` would otherwise rebind the
-package's ``classify`` name to the submodule.
+classifier (``catalog``) and its graph and arithmetic modules on its first
+call.  ``classify`` stays eager, and light, since a later ``import
+coxeterkit.classify`` would otherwise rebind the package's ``classify``
+name to the submodule.
 """
 
 import importlib
 
-from .classify import (
-    ClassificationResult,
-    TypeLabel,
-    affine_catalog,
-    catalog_graph,
-    classify,
-    coxeter_group_order,
-    is_positive_definite,
-    parse_type_label,
-)
+from .classify import TypeLabel, classify, coxeter_group_order, parse_type_label
 from .errors import (
     CoxeterKitError,
     GuardError,
@@ -33,27 +25,14 @@ from .errors import (
 )
 
 _LAZY = {
+    "catalog": ("ClassificationResult", "affine_catalog", "catalog_graph", "is_positive_definite"),
+    "classes": ("ClassFunction", "irreducible_characters"),
     "cyclotomic": ("Cyclotomic", "Rational", "cyclotomic_polynomial", "real_cos_pi_over"),
-    "families": (
-        "bn_conjugacy_parametrization",
-        "dihedral_irreducibles",
-        "dn_irreducibles",
-        "hyperoctahedral_irreducibles",
-        "irreducible_characters",
-    ),
-    "groups": (
-        "DihedralElement",
-        "Permutation",
-        "RealizedGroup",
-        "SignedPermutation",
-        "conjugacy_classes",
-        "cycle_type",
-        "enumerate_group",
-        "realize",
-        "verify_presentation",
-    ),
+    "dihedral": ("DihedralElement", "dihedral_irreducibles"),
+    "families": ("bn_conjugacy_parametrization", "dn_irreducibles", "hyperoctahedral_irreducibles"),
+    "groups": ("RealizedGroup", "conjugacy_classes", "enumerate_group", "realize", "verify_presentation"),
+    "permutations": ("Permutation", "SignedPermutation", "cycle_type"),
     "reps": (
-        "ClassFunction",
         "GroupAlgebraElement",
         "Representation",
         "Subgroup",
@@ -102,13 +81,9 @@ _LAZY = {
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
-    "ClassificationResult",
     "TypeLabel",
-    "affine_catalog",
-    "catalog_graph",
     "classify",
     "coxeter_group_order",
-    "is_positive_definite",
     "parse_type_label",
     "CoxeterKitError",
     "GuardError",

@@ -1,32 +1,22 @@
-"""Recognition of finite Coxeter graphs against the Dynkin+ catalog.
+"""Type labels, group orders, and the entry point of the classifier.
 
-Matching is structural (path/fork shape plus bond labels).  Exact
-arithmetic then checks every verdict independently: a matched component by
-Sylvester's criterion on the sparse pivots of its Gram matrix, a rejected
-one by certifying a minimal rejected induced subgraph as affine or
-hyperbolic.  Any disagreement between the two raises, since it can only
-mean a bug in one of them.
-
-The graph and arithmetic modules (``graphs``, ``cyclotomic``, ``linalg``)
-are loaded inside the functions that use them, so the commands that only
-parse a type label never load them.
+This is the light front that ``import coxeterkit`` loads: the
+``TypeLabel`` value, its parser, the group-order formulas with the one
+group-order budget (``check_order``), and ``classify``.  The classifier
+itself is ``catalog``, which ``classify`` imports on its first call,
+together with the graph and arithmetic modules; so a command that only
+names a type compiles none of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
-from .errors import (
-    GuardError,
-    InternalInconsistencyError,
-    UnsupportedTypeError,
-    ValidationError,
-)
+from .errors import GuardError, UnsupportedTypeError, ValidationError
 
 _FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
-
-VERTEX_GUARD = 48  # classify() refuses larger graphs with GuardError (exit 3)
 
 
 class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
@@ -102,236 +92,47 @@ def canonical_label(t: TypeLabel) -> TypeLabel:
 MAX_ORDER = 100_000  # default bound on |W| for every group built from a label
 
 
-def coxeter_group_order(t: TypeLabel) -> int:
+def _order_factors(t: TypeLabel):
+    """Factors whose product is |W|: (n+1)! for A_n, 2^n n! for B_n,
+    2^(n-1) n! for D_n and 2m for I2(m), each factor at least 2."""
+    n = t.rank
     if t.family == "A":
-        return math.factorial(t.rank + 1)
+        return range(2, n + 2)
     if t.family == "B":
-        return 2 ** t.rank * math.factorial(t.rank)
+        return range(2, 2 * n + 1, 2)
     if t.family == "D":
-        return 2 ** (t.rank - 1) * math.factorial(t.rank)
+        return itertools.chain((n,), range(2, 2 * n - 1, 2))
     if t.family == "I2":
-        return 2 * t.bond
+        return (2, t.bond)
     raise UnsupportedTypeError(f"group order of exceptional type {t} is out of scope")
 
 
-def catalog_graph(t: TypeLabel) -> CoxeterGraph:
-    """Canonical graph of the type, with a fixed vertex numbering.
+def coxeter_group_order(t: TypeLabel) -> int:
+    return math.prod(_order_factors(t))
 
-    A_n: the path 0-1-...-(n-1).
-    B_n: edge (0,1) labeled 4, then the path 1-2-...-(n-1).
-    D_n: tips 0 and 1 joined to the branch vertex 2, then the path 2-3-...-(n-1).
-    E_n: path 0-...-(n-2) with vertex n-1 attached to vertex 2.
-    F4:  path with the middle edge labeled 4.  H3/H4: terminal edge labeled 5.
-    I2(m): one edge labeled m.
+
+_PRINTABLE = 10 ** 4300  # str() refuses ints of more digits, by default
+
+
+def check_order(label: TypeLabel, max_order: int) -> int:
+    """|W| of an A/B/D/I2 label; GuardError when it exceeds ``max_order``.
+
+    The one group-order budget: ``realize`` checks it, and so does every
+    type command of the CLI when ``--max-order`` is given.  The order is a
+    running product that stops once it passes both the bound and the
+    largest order the message can print, so a huge rank costs no more than
+    a few thousand multiplications; past that, the message leaves the
+    order out.
     """
-    from .graphs import CoxeterGraph
-
-    f, n = t.family, t.rank
-    path = [(i, i + 1, 3) for i in range(n - 1)]
-    if f == "A":
-        return CoxeterGraph(n, path)
-    if f == "B":
-        if n == 1:
-            return CoxeterGraph(1)
-        return CoxeterGraph(n, [(0, 1, 4)] + [(i, i + 1, 3) for i in range(1, n - 1)])
-    if f == "D":
-        return CoxeterGraph(n, [(0, 2, 3), (1, 2, 3)] + [(i, i + 1, 3) for i in range(2, n - 1)])
-    if f == "E":
-        return CoxeterGraph(n, [(i, i + 1, 3) for i in range(n - 2)] + [(2, n - 1, 3)])
-    if f == "F":
-        return CoxeterGraph(4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)])
-    if f == "H":
-        return CoxeterGraph(n, [(0, 1, 5)] + [(i, i + 1, 3) for i in range(1, n - 1)])
-    return CoxeterGraph(2, [(0, 1, t.bond)])
-
-
-def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
-    """The standard connected positive semi-definite (determinant-zero) graphs.
-
-    Parameterized families are instantiated with subscript n up to
-    ``max_rank`` (a subscript-n graph has n+1 vertices).  D~n starts at
-    n = 4, the smallest subscript for which D_n itself is defined.
-    """
-    from .graphs import INFINITY, CoxeterGraph
-
-    out: list[tuple[str, CoxeterGraph]] = []
-    out.append(("A~1", CoxeterGraph(2, [(0, 1, INFINITY)])))
-    for n in range(2, max_rank + 1):
-        cycle = [(i, (i + 1) % (n + 1), 3) for i in range(n + 1)]
-        out.append((f"A~{n}", CoxeterGraph(n + 1, cycle)))
-    out.append(("B~2=C~2", CoxeterGraph(3, [(0, 1, 4), (1, 2, 4)])))
-    for n in range(3, max_rank + 1):
-        edges = [(0, 2, 3), (1, 2, 3)]
-        edges += [(i, i + 1, 3) for i in range(2, n - 1)]
-        edges.append((n - 1, n, 4))
-        out.append((f"B~{n}", CoxeterGraph(n + 1, edges)))
-    for n in range(3, max_rank + 1):
-        edges = [(0, 1, 4)] + [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 1, n, 4)]
-        out.append((f"C~{n}", CoxeterGraph(n + 1, edges)))
-    for n in range(4, max_rank + 1):
-        edges = [(0, 2, 3), (1, 2, 3)]
-        edges += [(i, i + 1, 3) for i in range(2, n - 2)]
-        edges += [(n - 1, n - 2, 3), (n, n - 2, 3)]
-        out.append((f"D~{n}", CoxeterGraph(n + 1, edges)))
-    out.append(("E~6", CoxeterGraph(7, [(i, i + 1, 3) for i in range(4)] + [(2, 5, 3), (5, 6, 3)])))
-    out.append(("E~7", CoxeterGraph(8, [(i, i + 1, 3) for i in range(6)] + [(3, 7, 3)])))
-    out.append(("E~8", CoxeterGraph(9, [(i, i + 1, 3) for i in range(7)] + [(2, 8, 3)])))
-    out.append(("F~4", CoxeterGraph(5, [(0, 1, 3), (1, 2, 3), (2, 3, 4), (3, 4, 3)])))
-    out.append(("G~2", CoxeterGraph(3, [(0, 1, 3), (1, 2, 6)])))
-    return out
-
-
-class Witness(namedtuple("Witness", "kind index value vertices", defaults=(None,))):
-    """Evidence that a graph is not of finite type.
-
-    From ``classify``: ``kind`` is "affine" (determinant 0) or "hyperbolic"
-    (determinant < 0) for a minimal non-finite induced subgraph, whose
-    original vertices, sorted, are ``vertices``; ``index`` is their count
-    and ``value`` is None.  From ``is_positive_definite``: ``kind`` is
-    "zero-determinant" or "nonpositive-minor", ``index`` the minor size
-    (1-based), n for a zero determinant, and ``value`` the minor.
-    """
-
-    __slots__ = ()
-
-    def __str__(self):
-        if self.vertices is not None:
-            return f"{self.kind} subgraph on vertices {','.join(map(str, self.vertices))}"
-        if self.kind == "zero-determinant":
-            return "det = 0"
-        return f"minor {self.index} = {self.value}"
-
-
-class ComponentResult(namedtuple("ComponentResult", "vertices label witness")):
-    """One connected component: its vertices, and a TypeLabel or a Witness."""
-
-    __slots__ = ()
-
-
-class ClassificationResult(namedtuple("ClassificationResult", "components")):
-    __slots__ = ()
-
-    @property
-    def is_finite(self) -> bool:
-        return all(c.label is not None for c in self.components)
-
-    def labels(self) -> list[TypeLabel]:
-        if not self.is_finite:
-            raise ValidationError("graph has a non-finite component")
-        return [c.label for c in self.components]
-
-    def __str__(self):
-        parts = []
-        for c in self.components:
-            parts.append(str(c.label) if c.label is not None else f"NotFinite ({c.witness})")
-        return " + ".join(parts)
-
-
-def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
-    """All leading principal minors of the Gram matrix positive?
-
-    On failure the witness carries the first non-positive minor.
-    """
-    from .cyclotomic import sign
-    from .graphs import gram_matrix
-
-    minors = gram_matrix(g).leading_principal_minors()
-    for k, m in enumerate(minors, start=1):
-        s = sign(m)
-        if s <= 0:
-            kind = "zero-determinant" if (k == g.n and s == 0) else "nonpositive-minor"
-            return False, Witness(kind, k, m)
-    return True, None
-
-
-def _path_sequence(g: CoxeterGraph):
-    """Bond labels along a path graph, or None if g is not a path."""
-    if g.n == 1:
-        return []
-    degs = [g.degree(v) for v in range(g.n)]
-    ends = [v for v in range(g.n) if degs[v] == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs) or len(g.labels) != g.n - 1:
-        return None
-    seq = []
-    prev, cur = None, min(ends)
-    while True:
-        nxt = [w for w in g.neighbors(cur) if w != prev]
-        if not nxt:
-            break
-        seq.append(g.label(cur, nxt[0]))
-        prev, cur = cur, nxt[0]
-    return seq
-
-
-def _arm_lengths(g: CoxeterGraph, branch: int):
-    """Edge counts of the three arms hanging off a degree-3 vertex."""
-    arms = []
-    for start in g.neighbors(branch):
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [w for w in g.neighbors(cur) if w != prev]
-            if len(nxt) != 1:
-                break
-            length += 1
-            prev, cur = cur, nxt[0]
-        arms.append((length, cur))
-    return arms
-
-
-def _match_connected(g: CoxeterGraph) -> TypeLabel | None:
-    """Structural match of a connected graph against the catalog."""
-    if any(m is math.inf for m in g.labels.values()):  # graphs.INFINITY
-        return None
-    if g.n == 1:
-        return TypeLabel("A", 1)
-    degs = [g.degree(v) for v in range(g.n)]
-    if max(degs) >= 4:
-        return None
-    branches = [v for v in range(g.n) if degs[v] == 3]
-    if len(branches) > 1:
-        return None
-    if branches:
-        if any(m != 3 for m in g.labels.values()):
-            return None
-        if len(g.labels) != g.n - 1:  # a cycle through the branch vertex
-            return None
-        arms = _arm_lengths(g, branches[0])
-        ends = [v for _, v in arms]
-        if len(set(ends)) != 3 or any(g.degree(v) != 1 for v in ends):
-            return None
-        lengths = sorted(length for length, _ in arms)
-        if lengths[0] == lengths[1] == 1:
-            return TypeLabel("D", lengths[2] + 3)
-        if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
-            return TypeLabel("E", lengths[2] + 4)
-        return None
-    seq = _path_sequence(g)
-    if seq is None:
-        return None
-    if g.n == 2:
-        m = seq[0]
-        if m == 3:
-            return TypeLabel("A", 2)
-        if m == 4:
-            return TypeLabel("B", 2)
-        return TypeLabel("I2", 2, m)
-    heavy = [(k, m) for k, m in enumerate(seq) if m != 3]
-    if not heavy:
-        return TypeLabel("A", g.n)
-    if len(heavy) > 1:
-        return None
-    pos, m = heavy[0]
-    terminal = pos in (0, len(seq) - 1)
-    if m == 4:
-        if terminal:
-            return TypeLabel("B", g.n)
-        if g.n == 4:
-            return TypeLabel("F", 4)
-        return None
-    if m == 5 and terminal and g.n in (3, 4):
-        return TypeLabel("H", g.n)
-    return None
+    cap = max(max_order + 1, _PRINTABLE)
+    order = 1
+    for factor in _order_factors(label):  # raises UnsupportedTypeError for E/F/H
+        order *= factor
+        if order >= cap:
+            raise GuardError(f"|{label}| exceeds the bound {max_order}")
+    if order > max_order:
+        raise GuardError(f"|{label}| = {order} exceeds the bound {max_order}")
+    return order
 
 
 def classify(g: CoxeterGraph) -> ClassificationResult:
@@ -343,38 +144,10 @@ def classify(g: CoxeterGraph) -> ClassificationResult:
     subgraph, which exact arithmetic must certify as affine or hyperbolic;
     the witness names it by its original vertices.  Either disagreement
     raises InternalInconsistencyError.  No dense Gram matrix is built; the
-    checks live in ``certify``, loaded on the first call.  A graph of more
-    than ``VERTEX_GUARD`` vertices raises GuardError before any work.
+    work is ``catalog.classify_components``, loaded on the first call.  A
+    graph of more than ``catalog.VERTEX_GUARD`` vertices raises GuardError
+    before any work.
     """
-    if g.n > VERTEX_GUARD:
-        raise GuardError(f"classify is capped at {VERTEX_GUARD} vertices, got {g.n}")
-    from .certify import certify, minimal_rejected, positive_definite
-    from .graphs import connected_components
+    from .catalog import classify_components
 
-    results = []
-    for comp, vertices in connected_components(g):
-        label = _match_connected(comp)
-        if label is None:
-            part, sub = minimal_rejected(comp, _match_connected)
-            witness = Witness(certify(sub), len(part), None, tuple(vertices[k] for k in part))
-            results.append(ComponentResult(vertices, None, witness))
-        elif positive_definite(comp):
-            results.append(ComponentResult(vertices, label, None))
-        else:
-            raise InternalInconsistencyError(
-                f"catalog match {label} is not positive definite on component {vertices}"
-            )
-    return ClassificationResult(tuple(results))
-
-
-def classification_catalog(max_rank: int = 8, dihedral_bonds=range(5, 13)) -> list[TypeLabel]:
-    """Every catalog label of rank <= max_rank (I2 over the given bonds)."""
-    out = [TypeLabel("A", n) for n in range(1, max_rank + 1)]
-    out += [TypeLabel("B", n) for n in range(2, max_rank + 1)]
-    out += [TypeLabel("D", n) for n in range(4, max_rank + 1)]
-    out += [TypeLabel("E", n) for n in (6, 7, 8) if n <= max_rank]
-    if max_rank >= 4:
-        out.append(TypeLabel("F", 4))
-    out += [TypeLabel("H", n) for n in (3, 4) if n <= max_rank]
-    out += [TypeLabel("I2", 2, m) for m in dihedral_bonds]
-    return out
+    return classify_components(g)

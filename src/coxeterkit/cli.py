@@ -7,12 +7,13 @@ Commands:
     coxeterkit realize <type>      order, generators and conjugacy classes
     coxeterkit verify <type>       run the invariant suite for one type
 
-Exit codes: 0 success/finite, 1 input error, 2 not finite (or failed
-verification), 3 unsupported type or guard exceeded (classify takes at most
-``classify.VERTEX_GUARD`` vertices), 4 internal error (two independent
-computations disagreed: a bug, not bad input).  When stdout
-closes before the output is written (e.g. piped into ``head``), the process
-ends quietly on SIGPIPE, as ``cat`` does: no traceback, shell status 141.
+Exit codes: 0 success/finite, 1 input error (a usage error too), 2 not
+finite (or failed verification), 3 unsupported type or guard exceeded
+(classify takes at most ``catalog.VERTEX_GUARD`` vertices), 4 internal
+error (two independent computations disagreed: a bug, not bad input).
+When stdout closes before the output is written (e.g. piped into
+``head``), the process ends quietly on SIGPIPE, as ``cat`` does: no
+traceback, shell status 141.
 Output is byte-deterministic for a fixed command and input.
 
 ``--max-order N`` bounds the group order |W| for chartable, irreps, realize
@@ -21,16 +22,18 @@ and verify alike: a type with |W| > N exits 3 before any work.  Without it,
 tables and irreps of A_n, B_n, D_n and I2(m) come from closed forms on the
 class data, build no group and are bounded by their own guards only.
 
-Start-up: each process is one command, so a command loads only the modules
-it runs.  This module imports only what the package loads anyway
+Start-up: each process is one command, and with no bytecode cache it
+compiles every module it loads, so a command loads only its own family's
+code.  This module imports only what the package loads anyway
 (``classify`` and ``errors``); each command imports the rest inside its own
-function, and ``classify`` loads ``graphs``, ``cyclotomic`` and ``linalg``
-only when it classifies.  So ``classify`` never loads ``groups``.  For
-A_n, B_n, D_n and I2(m), ``irreps`` loads only the group-free ``tableaux``,
-``realize`` only ``groups`` (and ``tableaux`` for A/B/D), and
-``chartable`` adds ``reps`` and ``families``, with ``specht`` for A/B/D and
-``cyclotomic`` for I2(m), but none of the classifier's modules.  Only
-``verify`` enumerates a group.
+function.  ``classify`` loads the classifier (``catalog``, with
+``certify``, ``graphs``, ``cyclotomic`` and ``linalg``) and never a group
+module.  ``irreps`` loads only the dimension module of the family:
+``tableaux`` for A/B/D, ``dihedral`` for I2(m).  ``realize`` adds the
+group-free ``classes``, with ``permutations`` for A/B/D; ``chartable``
+adds ``specht`` for A_n, ``specht`` and ``families`` for B_n and D_n, and
+``cyclotomic`` for I2(m).  None of them loads the enumeration engine
+(``groups``, ``reps``) or the classifier; only ``verify`` does.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .classify import MAX_ORDER, classify, parse_type_label
+from .classify import MAX_ORDER, check_order, classify, parse_type_label
 from .errors import (
     GuardError,
     InternalInconsistencyError,
@@ -63,7 +66,7 @@ def format_value(v, float_mode: bool = False) -> str:
 
 def _print_table(chars: list, fmt: str, float_mode: bool, out) -> None:
     """Write ClassFunctions on one domain as a character table."""
-    from .groups import element_text
+    from .classes import element_text
 
     classes = chars[0].domain.classes
     reps = [element_text(rep) for rep in classes.reps]
@@ -132,15 +135,13 @@ def _type_and_budget(args) -> tuple:
     if args.max_order is None:
         return label, MAX_ORDER
     if label.family in ("A", "B", "D", "I2"):
-        from .groups import check_order
-
         check_order(label, args.max_order)
     return label, args.max_order
 
 
 def cmd_chartable(args, out) -> int:
     label, _ = _type_and_budget(args)
-    from .families import irreducible_characters
+    from .classes import irreducible_characters
 
     chars = irreducible_characters(label)
     _print_table(chars, args.format, args.float, out)
@@ -164,7 +165,7 @@ def cmd_irreps(args, out) -> int:
 
         rows = [(str(lbl), d) for lbl, d in dn_dimensions(label.rank)]
     elif label.family == "I2":
-        from .tableaux import dihedral_dimensions
+        from .dihedral import dihedral_dimensions
 
         rows = dihedral_dimensions(label.bond)
     else:
@@ -188,7 +189,7 @@ def cmd_irreps(args, out) -> int:
 
 def cmd_realize(args, out) -> int:
     label, max_order = _type_and_budget(args)
-    from .groups import check_order, class_data, coxeter_generators, element_text
+    from .classes import class_data, coxeter_generators, element_text
 
     check_order(label, max_order)  # raises UnsupportedTypeError for E/F/H
     group, generators = class_data(label), coxeter_generators(label)
@@ -270,8 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        if e.code != 2:  # --help exits 0
+            raise
+        return EXIT_INPUT  # a usage error; argparse has written it to stderr
     try:
         return args.fn(args, out)
     except (UnsupportedTypeError, GuardError) as e:

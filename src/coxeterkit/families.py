@@ -1,4 +1,4 @@
-"""Irreducible characters of the B, D and I2 families.
+"""Irreducible characters of the B and D families.
 
 B_n's irreducibles chi_(lam,mu) are the little-group inductions from the
 block stabilizer B_a x B_b (a = |lam|) of chi_lam and (sign of the second
@@ -19,36 +19,24 @@ there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
 the sign-free permutation and minus that on its partner class (the class
 of ``diagonal_parity`` 1).  The B_n and D_n characters live on the
 closed-form ``class_data``, so no group is built, and their values are ints
-throughout.  So do the I2(m) characters, which are the classical closed
-forms on rotations and reflections.  The S_n tables (``specht``) and the
-cyclotomic arithmetic are imported where they are used, so the dihedral and
-the A/B/D paths each load only their own.
+throughout.  The S_n tables come from ``specht``; only
+``bn_conjugacy_parametrization``, which ``verify`` runs, builds a group and
+imports ``groups`` to do so.  The I2(m) characters are in ``dihedral``,
+and ``classes.irreducible_characters`` dispatches to both.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
+from .classes import ClassData, ClassFunction, class_data
 from .classify import TypeLabel
-from .errors import (
-    GuardError,
-    InternalInconsistencyError,
-    UnsupportedTypeError,
-    ValidationError,
-)
-from .groups import ClassData, class_data, diagonal_parity, realize
-from .reps import ClassFunction
-from .tableaux import (
-    BipartitionLabel,
-    DnLabel,
-    bipartitions,
-    bn_dimension,
-    dihedral_dimensions,
-    dn_dimensions,
-)
+from .errors import GuardError, InternalInconsistencyError, ValidationError
+from .permutations import diagonal_parity
+from .specht import symmetric_character_value
+from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
 
 BN_CHARACTER_GUARD = 8
 
@@ -75,8 +63,6 @@ def _cycle_splits(group: ClassData) -> list[dict]:
 
 def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
     """chi_(lam,mu) at each class, by the closed form over the cycle splits."""
-    from .specht import symmetric_character_value
-
     a = sum(lam)
     return [
         sum(
@@ -139,6 +125,8 @@ def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:
     """
     if n > BN_CHARACTER_GUARD:
         raise GuardError(f"class parametrization capped at n = {BN_CHARACTER_GUARD}")
+    from .groups import realize
+
     bn = realize(TypeLabel("B", n))
     matching = []
     for k, rep in enumerate(bn.classes.reps):
@@ -161,8 +149,6 @@ def _split_halves(dn: ClassData, splits: list[dict], lam: tuple[int, ...]):
 
     The halving is exact integer division; an odd value raises.
     """
-    from .specht import symmetric_character_value
-
     n = dn.label.rank
     delta = []
     for rep in dn.classes.reps:
@@ -208,54 +194,3 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
         elif dlabel.half == "+":
             out.extend(_split_halves(dn, splits, dlabel.lam))
     return tuple(out)
-
-
-# -- dihedral groups -------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
-    """Complete irreducible characters of the dihedral group of order 2m.
-
-    In the order and with the names of ``tableaux.dihedral_dimensions``, in
-    closed form on the class data (Serre, *Linear Representations of Finite
-    Groups*, 5.3): "1:(a,b)" is a^j on r^j and a^j b on r^j s, and "2:k" is
-    zeta^jk + zeta^-jk on r^j and 0 on reflections.  ``verify`` checks the
-    2-dimensional ones against the induction from the rotation subgroup.
-    """
-    rows = dihedral_dimensions(m)  # raises past tableaux.DIHEDRAL_GUARD
-    from .cyclotomic import Cyclotomic
-
-    group = class_data(TypeLabel("I2", 2, m))
-    reps = group.classes.reps
-    out = []
-    for name, dim in rows:
-        if dim == 1:
-            a, b = map(int, name[3:-1].split(","))
-            values = [Fraction(a ** el.rotation * (b if el.reflected else 1)) for el in reps]
-        else:
-            k = int(name[2:])
-            values = [
-                Fraction(0) if el.reflected
-                else Cyclotomic.zeta(m, k * el.rotation) + Cyclotomic.zeta(m, -k * el.rotation)
-                for el in reps
-            ]
-        out.append(ClassFunction(group, values, name))
-    if sum(dim * dim for _, dim in rows) != 2 * m or len(out) != group.classes.count:
-        raise InternalInconsistencyError("dihedral character set is not complete")
-    return tuple(out)
-
-
-def irreducible_characters(label: TypeLabel):
-    """Uniform entry point: the complete named character list for a type."""
-    if label.family == "A":
-        from .specht import symmetric_character_table
-
-        return list(symmetric_character_table(label.rank + 1))
-    if label.family == "B":
-        return [chi for _, chi, _ in hyperoctahedral_irreducibles(label.rank)]
-    if label.family == "D":
-        return [chi for _, chi, _ in dn_irreducibles(label.rank)]
-    if label.family == "I2":
-        return list(dihedral_irreducibles(label.bond))
-    raise UnsupportedTypeError(f"no character construction for {label}")

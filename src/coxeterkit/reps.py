@@ -5,18 +5,18 @@ are evaluated by walking the group's BFS factorization and memoized.
 Subgroup classes are orbits under conjugation by a generating set, and
 induction uses the class-size formula, so neither sums over the whole
 group.  All character arithmetic is exact (Fractions and cyclotomic
-values); there is no floating fallback anywhere in this module.  The
-matrix and scalar helpers of ``linalg`` are imported where they are used,
-so a character table of A_n, B_n or D_n loads neither ``linalg`` nor
-``cyclotomic``.
+values); there is no floating fallback anywhere in this module.  Class
+functions themselves are ``classes.ClassFunction``, which the table
+commands use without loading this module or ``groups``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .classes import ClassFunction, ConjugacyClasses, _same_domain
 from .errors import InternalInconsistencyError, ValidationError
-from .groups import ConjugacyClasses, RealizedGroup, conjugacy_orbits
+from .groups import RealizedGroup, conjugacy_orbits
 
 
 class Subgroup:
@@ -106,75 +106,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"
-
-
-class ClassFunction:
-    """Values on conjugacy classes, in class order.
-
-    The domain is a RealizedGroup, a Subgroup or the group-free
-    ``groups.ClassData``.  Two domains with the same order, class
-    representatives and sizes carry the same class functions, so a table on
-    the closed-form class data meets characters on the enumerated group.
-    """
-
-    __slots__ = ("domain", "values", "name")
-
-    def __init__(self, domain, values, name: str | None = None):
-        values = tuple(values)
-        if len(values) != domain.classes.count:
-            raise ValidationError(
-                f"need {domain.classes.count} class values, got {len(values)}"
-            )
-        self.domain = domain
-        self.values = values
-        self.name = name
-
-    @property
-    def identity_value(self):
-        return self.values[0]
-
-    def value_at(self, el):
-        return self.values[self.domain.class_index(el)]
-
-    def pointwise(self, other: "ClassFunction") -> "ClassFunction":
-        _same_domain(self, other)
-        return ClassFunction(self.domain, [a * b for a, b in zip(self.values, other.values)])
-
-    def __add__(self, other):
-        _same_domain(self, other)
-        return ClassFunction(self.domain, [a + b for a, b in zip(self.values, other.values)])
-
-    def __eq__(self, other):
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return _same_class_data(self.domain, other.domain) and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
-
-    __hash__ = None
-
-    def conjugate(self) -> "ClassFunction":
-        from .linalg import conjugate_scalar
-
-        return ClassFunction(self.domain, [conjugate_scalar(v) for v in self.values], self.name)
-
-    def __repr__(self):
-        label = f" {self.name}" if self.name else ""
-        return f"ClassFunction{label}({[str(v) for v in self.values]})"
-
-
-def _same_class_data(a, b) -> bool:
-    if a is b:
-        return True
-    if a.order != b.order:
-        return False
-    x, y = a.classes, b.classes
-    return x.sizes == y.sizes and x.reps == y.reps
-
-
-def _same_domain(f: ClassFunction, g: ClassFunction):
-    if not _same_class_data(f.domain, g.domain):
-        raise ValidationError("class functions live on different class data")
 
 
 def inner_product(f: ClassFunction, g: ClassFunction):

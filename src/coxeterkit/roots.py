@@ -14,7 +14,8 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .classify import MAX_ORDER, TypeLabel, catalog_graph
+from .catalog import catalog_graph
+from .classify import MAX_ORDER, TypeLabel
 from .cyclotomic import Cyclotomic, sign
 from .errors import (
     GuardError,

@@ -1,38 +1,173 @@
-"""Young symmetrizers, Specht modules and the character table of S_n.
+"""Young's seminormal form, Specht modules and the character table of S_n.
 
-The paper's construction is kept here: the row and column groups of the
-identity tableau and the Young symmetrizer they give in the group algebra
-of S_n.  The irreducible modules themselves come from Young's seminormal
-form in ``tableaux``: the basis is the standard tableaux, the adjacent
-transpositions act by checked sparse columns, and a character value is the
-trace of a class's word in them, so no computation runs over the n!
-elements, and the table's classes are the closed-form ``class_data``, so
-no group is built either.  Guards keep modules at n <= 7 and tables at
-n <= ``TABLE_GUARD``.
+The irreducible S_n-modules come from Young's seminormal form (Okounkov
+and Vershik, "A new approach to representation theory of symmetric
+groups", Selecta Math. 1996): the basis of the module of a shape is its
+standard tableaux, the adjacent transposition s_i = (i, i+1) acts through
+the axial distance of i and i+1 by checked sparse columns, and a character
+value is the trace of a class's short word in them.  So no computation
+runs over the n! elements, and the table's classes are the closed-form
+``classes.class_data``, so no group is built either.  The paper's
+construction is kept too: the row and column groups of the identity
+tableau and the Young symmetrizer they give in the group algebra of S_n.
+It and ``specht_module`` import ``groups`` and ``reps`` where they are
+used, so the table loads neither.  Guards keep modules at n <= 7 and
+tables at n <= ``TABLE_GUARD``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .classes import ClassFunction, class_data
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .groups import Permutation, class_data, realize
-from .reps import ClassFunction, GroupAlgebraElement, Representation, Subgroup
-from .tableaux import (
-    cycle_word,
-    partition_text,
-    partitions_of,
-    seminormal_action,
-    validate_partition,
-    word_trace,
-)
+from .permutations import Permutation
+from .tableaux import hook_dimension, partition_text, partitions_of, validate_partition
 
 MODULE_GUARD = 7
 SYMMETRIZER_GUARD = 7
 TABLE_GUARD = 9
+
+
+# -- Young's seminormal form -------------------------------------------------
+
+
+def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
+    """Standard tableaux of a shape, as row words, in lexicographic order.
+
+    The row word of a tableau on the entries 0..n-1 lists the row of each
+    entry; each entry goes at the end of its row, after the smaller ones.
+    The first tableau fills the rows in reading order.
+    """
+    shape = validate_partition(shape)
+    n = sum(shape)
+    filled = [0] * len(shape)
+    word: list[int] = []
+    out = []
+
+    def place(k: int):
+        if k == n:
+            out.append(tuple(word))
+            return
+        for r, length in enumerate(shape):
+            if filled[r] < length and (r == 0 or filled[r - 1] > filled[r]):
+                filled[r] += 1
+                word.append(r)
+                place(k + 1)
+                word.pop()
+                filled[r] -= 1
+
+    place(0)
+    return tuple(out)
+
+
+def _apply(columns, vec: dict) -> dict:
+    """Image of a sparse vector {basis index: coefficient} under sparse columns."""
+    out: dict = {}
+    for t, x in vec.items():
+        for u, a in columns[t]:
+            out[u] = out.get(u, 0) + a * x
+    return {u: y for u, y in out.items() if y}
+
+
+def _relation_words(n: int):
+    """The Coxeter relations of S_n as words in s_0..s_{n-2}."""
+    for i in range(n - 1):
+        yield (i, i)
+        if i + 1 < n - 1:
+            yield (i, i + 1) * 3
+        for j in range(i + 2, n - 1):
+            yield (i, j) * 2
+
+
+def seminormal_action(shape) -> tuple[tuple, int]:
+    """Sparse columns of every adjacent transposition on the module of a shape.
+
+    Returns ``(action, scale)``.  ``action[i][t]`` is scale * s_i v_T for the
+    t-th standard tableau T, as a tuple of (basis index, integer) pairs: the
+    entries are rational, and ``scale`` is their one common denominator.  If
+    i and i+1 share a row of T, s_i fixes v_T; if they share a column, s_i
+    negates it.  Otherwise, with the axial distance rho = c_T(i+1) - c_T(i)
+    (content = column - row), s_i v_T = v_T / rho + c v_{s_i T}, where c = 1
+    for rho > 0 and c = 1 - 1/rho^2 for rho < 0.  Every relation s_i^2,
+    (s_i s_{i+1})^3 and (s_i s_j)^2 (|i - j| >= 2) is checked on every basis
+    vector, and the basis size against the hook formula.
+    """
+    tableaux = standard_tableaux(shape)
+    if len(tableaux) != hook_dimension(shape):
+        raise InternalInconsistencyError(
+            f"{len(tableaux)} standard tableaux disagree with the hook formula for {shape}"
+        )
+    n = sum(shape)
+    # axial distances are at most n - 1 in size
+    scale = math.lcm(*(rho * rho for rho in range(1, n)))
+    index = {word: t for t, word in enumerate(tableaux)}
+    action = []
+    for i in range(n - 1):
+        columns = []
+        for t, word in enumerate(tableaux):
+            row_i, row_j = word[i], word[i + 1]
+            col_i, col_j = word[:i].count(row_i), word[: i + 1].count(row_j)
+            if row_i == row_j:
+                columns.append(((t, scale),))
+            elif col_i == col_j:
+                columns.append(((t, -scale),))
+            else:
+                rho = (col_j - row_j) - (col_i - row_i)
+                partner = index[word[:i] + (row_j, row_i) + word[i + 2 :]]
+                c = scale if rho > 0 else scale - scale // (rho * rho)
+                columns.append(((t, scale // rho), (partner, c)))
+        action.append(tuple(columns))
+    for rel in _relation_words(n):
+        power = scale ** len(rel)
+        for t in range(len(tableaux)):
+            vec = {t: 1}
+            for i in rel:
+                vec = _apply(action[i], vec)
+            if vec != {t: power}:
+                raise InternalInconsistencyError(
+                    f"seminormal form of {shape} violates the relation {rel}"
+                )
+    return tuple(action), scale
+
+
+def cycle_word(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """s_o s_{o+1} ... s_{o+p-2} over the blocks p of a cycle type, o their offsets.
+
+    The word's permutation has the given cycle type; its length is
+    n - (number of blocks).
+    """
+    word: list[int] = []
+    offset = 0
+    for p in cycle:
+        word.extend(range(offset, offset + p - 1))
+        offset += p
+    return tuple(word)
+
+
+def word_trace(action, scale: int, word) -> int:
+    """Trace of a word in the adjacent transpositions, one basis vector at a time.
+
+    The trace is a character value of S_n, so an integer: a remainder
+    raises InternalInconsistencyError.
+    """
+    total = 0
+    for t in range(len(action[0])):
+        vec = {t: 1}
+        for i in reversed(word):
+            vec = _apply(action[i], vec)
+        total += vec.get(t, 0)
+    value, remainder = divmod(total, scale ** len(word))
+    if remainder:
+        raise InternalInconsistencyError(f"the trace of {word} is not an integer")
+    return value
+
+
+# -- the paper's construction and the modules -------------------------------
 
 
 def identity_tableau_rows(shape) -> list[list[int]]:
@@ -75,6 +210,9 @@ def row_column_groups(shape) -> tuple[Subgroup, Subgroup]:
         raise GuardError(f"row/column groups capped at n = {SYMMETRIZER_GUARD}")
     if n < 2:
         raise ValidationError("need a partition of n >= 2")
+    from .groups import realize
+    from .reps import Subgroup
+
     rows, cols = row_column_blocks(shape)
     group = realize(TypeLabel("A", n - 1))
     row_elements = _block_permutations(n, rows)
@@ -92,6 +230,8 @@ def young_symmetrizer(shape) -> GroupAlgebraElement:
     The product has coefficients in {-1, 0, 1}: row and column stabilizers of
     one tableau intersect trivially, so the products never collapse.
     """
+    from .reps import GroupAlgebraElement
+
     r, c = row_column_groups(shape)
     a = GroupAlgebraElement({g: Fraction(1) for g in r.elements})
     b = GroupAlgebraElement({g: Fraction(g.sign()) for g in c.elements})
@@ -115,7 +255,9 @@ def specht_module(shape) -> Representation:
         raise ValidationError("need a partition of n >= 2")
     if n > MODULE_GUARD:
         raise GuardError(f"module construction capped at n = {MODULE_GUARD}")
+    from .groups import realize
     from .linalg import Matrix
+    from .reps import Representation
 
     action, scale = seminormal_action(shape)
     mats = []

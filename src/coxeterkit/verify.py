@@ -19,42 +19,41 @@ classes equal that class data, rep for rep and size for size.
 the rotation subgroup and compares it with the closed form.
 ``index-two-dichotomy`` checks the group-order bound, then evaluates the
 B_n closed form at D_n's own classes, which is the restriction, so it
-builds no B_n group.
+builds no B_n group.  The graph checks (``classification-roundtrip`` and
+``positive-definite``) take the classifier's vertex bound, and the group
+checks the group-order bound, so a huge rank fails them at once.
 """
 
 from __future__ import annotations
 
 import random
+
+from .catalog import catalog_graph, check_vertices, is_positive_definite
+from .classes import ClassFunction, _same_class_data, class_data, irreducible_characters
 from .classify import (
     MAX_ORDER,
     TypeLabel,
     canonical_label,
-    catalog_graph,
+    check_order,
     classify,
     coxeter_group_order,
-    is_positive_definite,
 )
 from .cyclotomic import Cyclotomic
+from .dihedral import dihedral_irreducibles
 from .errors import CoxeterKitError, InternalInconsistencyError, ValidationError
-from .families import (
-    bn_characters_on,
-    bn_conjugacy_parametrization,
-    irreducible_characters,
-    dihedral_irreducibles,
-)
-from .groups import check_order, class_data, realize, verify_presentation
+from .families import bn_characters_on, bn_conjugacy_parametrization
+from .groups import realize, verify_presentation
 from .linalg import as_integer, conjugate_scalar
 from .reps import (
-    ClassFunction,
     Subgroup,
-    _same_class_data,
     induce_character,
     inner_product,
     restrict_character,
     trivial_character,
 )
 from .roots import compute_base, fixed_space_dimension, geometric_rep, root_system
-from .tableaux import hook_dimension, partitions_of, standard_tableaux
+from .specht import standard_tableaux
+from .tableaux import hook_dimension, partitions_of
 
 
 def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple[str, bool, str]]:
@@ -68,13 +67,17 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
             return
         checks.append((name, bool(ok), detail))
 
+    def graph():
+        check_vertices(label.rank)  # before the rank-sized graph is built
+        return catalog_graph(label)
+
     def classification():
-        res = classify(catalog_graph(label))
+        res = classify(graph())
         ok = res.is_finite and res.labels() == [canonical_label(label)]
         return ok, str(res)
 
     def positivity():
-        ok, witness = is_positive_definite(catalog_graph(label))
+        ok, witness = is_positive_definite(graph())
         return ok, "all leading minors positive" if ok else str(witness)
 
     def order_check():

@@ -12,26 +12,16 @@ from fractions import Fraction
 
 import pytest
 
-from coxeterkit.classify import (
-    TypeLabel,
-    affine_catalog,
-    catalog_graph,
-    classify,
-    coxeter_group_order,
-    is_positive_definite,
-)
+from coxeterkit.catalog import affine_catalog, catalog_graph, is_positive_definite
+from coxeterkit.classes import ClassFunction
+from coxeterkit.classify import TypeLabel, classify, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic
-from coxeterkit.families import (
-    BipartitionLabel,
-    dihedral_irreducibles,
-    dn_irreducibles,
-    hyperoctahedral_irreducibles,
-)
+from coxeterkit.dihedral import dihedral_irreducibles
+from coxeterkit.families import BipartitionLabel, dn_irreducibles, hyperoctahedral_irreducibles
 from coxeterkit.graphs import gram_matrix, subgraph
 from coxeterkit.groups import element_order, enumerate_group, realize
 from coxeterkit.linalg import is_zero_scalar
 from coxeterkit.reps import (
-    ClassFunction,
     Subgroup,
     decompose,
     induce_character,
@@ -41,11 +31,7 @@ from coxeterkit.reps import (
     tensor_decompose,
     trivial_character,
 )
-from coxeterkit.specht import (
-    specht_module,
-    symmetric_character_table,
-    symmetric_character_value,
-)
+from coxeterkit.specht import specht_module, symmetric_character_table, symmetric_character_value
 from coxeterkit.tableaux import hook_dimension, hook_lengths, hook_product, partitions_of
 
 

@@ -3,22 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxeterkit.certify as certify_module
-from coxeterkit.classify import (
+from coxeterkit.catalog import (
     VERTEX_GUARD,
-    TypeLabel,
     Witness,
     affine_catalog,
-    canonical_label,
     catalog_graph,
     classification_catalog,
+    is_positive_definite,
+)
+from coxeterkit.classify import (
+    TypeLabel,
+    canonical_label,
     classify,
     coxeter_group_order,
-    is_positive_definite,
     parse_type_label,
 )
 from coxeterkit.cyclotomic import real_cos_pi_over, sign
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
-from coxeterkit.graphs import INFINITY, CoxeterGraph, gram_matrix, subgraph
+from coxeterkit.graphs import CoxeterGraph, INFINITY, gram_matrix, subgraph
 from coxeterkit.linalg import Matrix, is_zero_scalar
 
 

@@ -304,3 +304,59 @@ def test_internal_error_has_its_own_exit_code(monkeypatch):
     code, text = run_cli("realize", "A2")
     assert code == 4
     assert text == "internal error: two computations disagreed\n"
+
+
+def fresh_cli(*argv, timeout=60):
+    """``python -m coxeterkit ARGV`` in a fresh process."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "coxeterkit", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize("label, message", [
+    ("A2000", "|A2000| exceeds the bound 100000"),
+    ("A3000000", "|A3000000| exceeds the bound 100000"),
+])
+def test_realize_of_a_huge_rank_exits_3_at_once(label, message):
+    """|W| is a running product that stops past the bound: no (n+1)! is
+    computed, and no order of more than 4300 digits is formatted."""
+    proc = fresh_cli("realize", label, timeout=5)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, f"unsupported: {message}\n", "")
+
+
+def test_order_messages_keep_the_exact_order_while_it_prints():
+    # |A1557| = 1558! has 4300 digits, the most str() prints; 1559! has more
+    code, text = run_cli("--max-order", "5", "irreps", "A1557")
+    assert code == 3 and len(text) == len("unsupported: |A1557| =  exceeds the bound 5\n") + 4300
+    code, text = run_cli("--max-order", "5", "irreps", "A1558")
+    assert (code, text) == (3, "unsupported: |A1558| exceeds the bound 5\n")
+
+
+def test_verify_of_a_huge_rank_fails_every_check_at_once():
+    proc = fresh_cli("verify", "A3000000", timeout=5)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    lines = [line.split("\t") for line in proc.stdout.strip().split("\n")]
+    assert {status for status, _, _ in lines} == {"FAIL"}
+    details = dict((name, detail) for _, name, detail in lines)
+    assert details["classification-roundtrip"] == "error: classify is capped at 48 vertices, got 3000000"
+    assert details["group-order"] == "error: |A3000000| exceeds the bound 100000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable"],
+    ["--max-order", "x", "irreps", "A3"],
+    ["no-such-command", "A3"],
+    [],
+])
+def test_usage_errors_exit_1(argv):
+    proc = fresh_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ") and "error: " in proc.stderr
+
+
+def test_help_exits_0():
+    proc = fresh_cli("--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: ")

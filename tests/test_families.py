@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from coxeterkit import families
+from coxeterkit.classes import ClassFunction, irreducible_characters
 from coxeterkit.classify import TypeLabel
 from coxeterkit.cyclotomic import Cyclotomic
-from coxeterkit import families
+from coxeterkit.dihedral import DihedralElement, dihedral_dimensions, dihedral_irreducibles
 from coxeterkit.errors import GuardError, InternalInconsistencyError
 from coxeterkit.families import (
     BipartitionLabel,
@@ -14,14 +16,13 @@ from coxeterkit.families import (
     bn_characters_on,
     bn_conjugacy_parametrization,
     bn_dimension,
-    dihedral_irreducibles,
     dn_irreducibles,
     hyperoctahedral_irreducibles,
-    irreducible_characters,
 )
-from coxeterkit.groups import DihedralElement, Permutation, realize
-from coxeterkit.reps import ClassFunction, Subgroup, inner_product, restrict_character
-from coxeterkit.tableaux import dihedral_dimensions, hyperoctahedral_dimensions, partitions_of
+from coxeterkit.groups import realize
+from coxeterkit.permutations import Permutation
+from coxeterkit.reps import Subgroup, inner_product, restrict_character
+from coxeterkit.tableaux import hyperoctahedral_dimensions, partitions_of
 
 
 def dim_int(value) -> int:
@@ -261,7 +262,7 @@ def test_dihedral_orthonormality():
 
 def test_regular_character_decomposes_by_dimension():
     """Multiplicity of each irreducible in the regular character is its dimension."""
-    from coxeterkit.families import irreducible_characters
+    from coxeterkit.classes import irreducible_characters
     from coxeterkit.reps import decompose, regular_character
 
     for label in (
@@ -319,7 +320,7 @@ def test_dn_guard():
 
 
 def test_bn_characters_on_class_data_past_the_guard_raises():
-    from coxeterkit.groups import class_data
+    from coxeterkit.classes import class_data
 
     with pytest.raises(GuardError, match="capped at n = 8"):
         bn_characters_on(class_data(TypeLabel("D", 9)))

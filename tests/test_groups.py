@@ -2,23 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxeterkit.classes import class_data, coxeter_generators
 from coxeterkit.classify import TypeLabel, coxeter_group_order
+from coxeterkit.dihedral import DihedralElement
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.groups import (
     MAX_ORDER,
-    DihedralElement,
-    Permutation,
-    SignedPermutation,
-    class_data,
     conjugacy_classes,
-    coxeter_generators,
-    cycle_type,
-    diagonal_parity,
     element_order,
     enumerate_group,
     realize,
     verify_presentation,
 )
+from coxeterkit.permutations import Permutation, SignedPermutation, cycle_type, diagonal_parity
 
 SMALL_LABELS = [
     TypeLabel("A", 2),
@@ -310,7 +306,7 @@ def test_verify_fails_when_the_class_data_leaves_the_orbits(monkeypatch):
     from types import SimpleNamespace
 
     from coxeterkit import verify
-    from coxeterkit.reps import ClassFunction
+    from coxeterkit.classes import ClassFunction
 
     label = TypeLabel("A", 3)
     chars = verify.irreducible_characters(label)

@@ -42,29 +42,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxeterkit.certify import positive_definite
-from coxeterkit.classify import (
-    TypeLabel,
+from coxeterkit.catalog import (
     affine_catalog,
     catalog_graph,
     classification_catalog,
-    classify,
     is_positive_definite,
 )
+from coxeterkit.certify import positive_definite
+from coxeterkit.classes import ClassFunction, ConjugacyClasses, irreducible_characters
+from coxeterkit.classify import TypeLabel, classify
 from coxeterkit.cyclotomic import Cyclotomic, sign
-from coxeterkit.families import (
-    bipartitions,
-    dihedral_irreducibles,
-    dn_irreducibles,
-    hyperoctahedral_irreducibles,
-    irreducible_characters,
-)
+from coxeterkit.dihedral import dihedral_irreducibles
 from coxeterkit.errors import InternalInconsistencyError, ValidationError
-from coxeterkit.graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix, subgraph
-from coxeterkit.groups import ConjugacyClasses, realize
+from coxeterkit.families import bipartitions, dn_irreducibles, hyperoctahedral_irreducibles
+from coxeterkit.graphs import CoxeterGraph, INFINITY, connected_components, gram_matrix, subgraph
+from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
 from coxeterkit.reps import (
-    ClassFunction,
     Representation,
     Subgroup,
     induce_character,

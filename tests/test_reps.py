@@ -4,12 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from coxeterkit.classes import ClassFunction
 from coxeterkit.classify import TypeLabel
 from coxeterkit.errors import ValidationError
-from coxeterkit.groups import Permutation, realize
+from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
+from coxeterkit.permutations import Permutation
 from coxeterkit.reps import (
-    ClassFunction,
     GroupAlgebraElement,
     Representation,
     Subgroup,
@@ -20,11 +21,11 @@ from coxeterkit.reps import (
     is_irreducible,
     multiplicity,
     natural_representation,
+    regular_character,
     regular_representation,
     restrict_character,
     tensor_decompose,
     trivial_character,
-    regular_character,
 )
 from coxeterkit.specht import specht_module, symmetric_character_table
 

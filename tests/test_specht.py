@@ -7,27 +7,28 @@ from hypothesis import strategies as st
 
 from coxeterkit.classify import TypeLabel
 from coxeterkit.errors import GuardError, InternalInconsistencyError, ValidationError
-from coxeterkit.groups import Permutation, realize
+from coxeterkit.groups import realize
+from coxeterkit.permutations import Permutation
 from coxeterkit.reps import inner_product, is_irreducible
 from coxeterkit.specht import (
+    cycle_word,
     row_column_blocks,
     row_column_groups,
+    seminormal_action,
     specht_module,
+    standard_tableaux,
     symmetric_character_table,
     symmetric_character_value,
+    word_trace,
     young_symmetrizer,
 )
 from coxeterkit.tableaux import (
-    cycle_word,
     hook_dimension,
     hook_lengths,
     hook_product,
     parse_partition,
     partition_text,
     partitions_of,
-    seminormal_action,
-    standard_tableaux,
-    word_trace,
 )
 
 

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from coxeterkit.classify import TypeLabel, Witness
+from coxeterkit.catalog import Witness
+from coxeterkit.classify import TypeLabel
 from coxeterkit.errors import ValidationError
 from coxeterkit.families import BipartitionLabel, DnLabel
 from coxeterkit.groups import realize
@@ -27,8 +28,13 @@ SRC = Path(__file__).parents[1] / "src"
 ALL_MODULES = {p.stem for p in (SRC / "coxeterkit").glob("*.py")} - {"__init__", "__main__"}
 CHAIN = {"classify", "errors"}
 BASE = CHAIN | {"cli"}
-# what classify() loads on its first call, and what no A/B/D table needs
-CLASSIFIER = {"certify", "cyclotomic", "graphs", "linalg"}
+# what classify() loads on its first call
+CLASSIFIER = {"catalog", "certify", "cyclotomic", "graphs", "linalg"}
+# the enumeration engine, which only verify loads
+ENGINE = {"groups", "reps"}
+# what a table command of A_n, B_n, D_n and of I2(m) must not compile
+NOT_FOR_PERMUTATION_TABLES = {"dihedral"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
+NOT_FOR_DIHEDRAL_TABLES = {"permutations", "tableaux", "specht"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
 
 PROBE = """
 import io, json, sys
@@ -65,14 +71,14 @@ def test_classify_never_loads_groups(tmp_path):
     assert modules_after("classify", str(path)) == BASE | CLASSIFIER
 
 
-def test_realize_loads_only_groups():
+def test_realize_of_type_a_loads_only_its_class_data():
     # and the partitions of tableaux, for the closed-form class data
-    assert modules_after("realize", "A3") == BASE | {"groups", "tableaux"}
+    assert modules_after("realize", "A3") == BASE | {"classes", "permutations", "tableaux"}
 
 
 @pytest.mark.parametrize("target", ["A4", "B3", "D4"])
 def test_realize_of_a_permutation_type_loads_no_classifier(target):
-    assert not modules_after("realize", target) & CLASSIFIER
+    assert not modules_after("realize", target) & NOT_FOR_PERMUTATION_TABLES
 
 
 def test_irreps_of_type_a_skips_families():
@@ -88,22 +94,29 @@ def test_irreps_of_type_d_uses_the_dimension_formula_only():
 
 
 def test_irreps_of_a_dihedral_type_skips_roots_and_verify():
-    assert modules_after("irreps", "I2(5)") == BASE | {"tableaux"}
+    assert modules_after("irreps", "I2(5)") == BASE | {"dihedral"}
 
 
-@pytest.mark.parametrize("argv", [("realize", "I2(5)"), ("chartable", "I2(12)")])
+@pytest.mark.parametrize("argv", [
+    ("realize", "I2(5)"), ("chartable", "I2(12)"), ("realize", "I2(12)"), ("chartable", "I2(5)"),
+])
 def test_dihedral_tables_load_no_classifier_graph_or_elimination(argv):
-    assert not modules_after(*argv) & {"graphs", "linalg", "certify"}
+    assert not modules_after(*argv) & NOT_FOR_DIHEDRAL_TABLES
+
+
+def test_dihedral_table_loads_its_class_data_and_the_cyclotomics():
+    want = BASE | {"classes", "cyclotomic", "dihedral"}
+    assert modules_after("chartable", "I2(12)") == want
 
 
 def test_chartable_skips_roots_and_verify():
-    tables = {"groups", "reps", "specht", "tableaux", "families"}
+    tables = {"classes", "permutations", "specht", "tableaux"}
     assert modules_after("chartable", "A2") == BASE | tables
 
 
 @pytest.mark.parametrize("target", ["A4", "B3", "D4"])
 def test_chartable_of_a_permutation_type_loads_no_classifier(target):
-    assert not modules_after("chartable", target) & CLASSIFIER
+    assert not modules_after("chartable", target) & NOT_FOR_PERMUTATION_TABLES
 
 
 BUILT = """
@@ -135,6 +148,22 @@ def test_dihedral_tables_build_no_group(command, target):
 
 def test_verify_loads_everything():
     assert modules_after("verify", "A2") == ALL_MODULES
+
+
+IMPORT_ORDER = """
+import importlib, sys
+importlib.import_module("coxeterkit." + sys.argv[1])
+import coxeterkit
+namespace = {}
+exec("from coxeterkit import *", namespace)
+print(coxeterkit.classify.__module__, type(coxeterkit.classify).__name__,
+      all(namespace[name] is getattr(coxeterkit, name) for name in coxeterkit.__all__))
+"""
+
+
+@pytest.mark.parametrize("module", sorted(ALL_MODULES))
+def test_classify_stays_the_function_whichever_module_loads_first(module):
+    assert fresh_python(IMPORT_ORDER, module).split() == ["coxeterkit.classify", "function", "True"]
 
 
 # -- value classes ---------------------------------------------------------------
