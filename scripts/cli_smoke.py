@@ -6,19 +6,22 @@ Usage: python scripts/cli_smoke.py
 The commands import their modules inside their own functions, so an
 in-process test that has already loaded the whole package cannot catch a
 broken function-local import; a fresh process per command does.  The
-``classify`` runs on the two non-finite graphs have a time limit, so that
-a slow classify on them fails here, and so does a slow ``chartable`` of
-A8, B8 or D8, the largest table of each family under its guard, a slow
-``realize B6``, or a slow ``verify`` of B6, D6 or I2(24), the largest
-types each verify path takes.  So does a slow ``irreps`` or ``chartable``
-of I2(24), or ``realize I2(5000)``, whose 10000 elements the closed-form
-class data never enumerates, or a slow guard exit of ``realize A2000``
-or ``verify A3000000``, whose orders are far past the bound.  ``chartable``
-with no type is a usage error, exit 1.  The children run with
-``PYTHONDONTWRITEBYTECODE=1``, so every one compiles what it loads, as a
-fresh benchmark job does, and no ``__pycache__`` is left behind.  Exits 1
-at the first command that exits with another code than expected or runs
-out of time.
+``classify`` runs have a time limit, so that a slow classify fails here:
+on the two non-finite graphs of large conductor, and at the vertex guard
+on the 48-vertex path and the 48-vertex tree of 5-bonds, which take the
+forest pivots and the minimal-subgraph sweep.  So does a slow
+``chartable`` of A8, B8 or D8, the largest table of each family under its
+guard, a slow ``realize B6``, or a slow ``verify`` of B6, D6 or I2(24),
+the largest types each verify path takes.  So does a slow ``irreps`` or
+``chartable`` of I2(24), or ``realize I2(5000)``, whose 10000 elements the
+closed-form class data never enumerates, or a slow guard exit of ``realize
+A2000`` or ``verify A3000000``, whose orders are far past the bound.
+``chartable`` with no type is a usage error, exit 1, and so is a bond
+label ``false``, which JSON equality takes for 0, the unbounded bond.  The
+children run with ``PYTHONDONTWRITEBYTECODE=1``, so every one compiles
+what it loads, as a fresh benchmark job does, and no ``__pycache__`` is
+left behind.  Exits 1 at the first command that exits with another code
+than expected or runs out of time.
 """
 
 import json
@@ -38,6 +41,9 @@ GRAPHS = {
         {"n": 5, "edges": [[0, 1, 7], [1, 2, 11], [2, 3, 13], [3, 4, 17]]}, 2),
     "k18-4.json": (
         {"n": 18, "edges": [[i, j, 4] for i in range(18) for j in range(i + 1, 18)]}, 2),
+    "path-48.json": ({"n": 48, "edges": [[i, i + 1, 3] for i in range(47)]}, 0),
+    "tree-48-5.json": ({"n": 48, "edges": [[(k - 1) // 2, k, 5] for k in range(1, 48)]}, 2),
+    "false-label.json": ({"n": 2, "edges": [[0, 1, False]]}, 1),
 }
 COMMANDS = [
     ["realize", "A3"],

@@ -8,30 +8,80 @@ non-finite graph is finite, so its determinant decides (Humphreys,
 *Reflection Groups and Coxeter Groups*, ch. 2 and §6.8-6.9).  ``classify``
 imports this module on its first call, so the commands that only name a
 type never compile it.
+
+On a forest the pivots need no division: ``pivot_signs`` eliminates
+leaves of 2G, each diagonal kept as num/den with den > 0, and a leaf with
+pivot a/b turns its neighbour's num/den into (num*a - w*b*den)/(den*a),
+where w = 4cos^2(pi/m) = 2 + zeta_m + zeta_m^-1 is the int 1, 2, 3 or 4 for
+m = 3, 4, 6 or inf.  Graphs with a cycle eliminate sparse rows over the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import sign
+from .cyclotomic import Cyclotomic, sign
 from .errors import InternalInconsistencyError
-from .graphs import INFINITY, CoxeterGraph, connected_components, gram_entry, subgraph
+from .graphs import INFINITY, CoxeterGraph, _induced, gram_entry
 from .linalg import invert_scalar
+
+_WEIGHTS = {3: 1, 4: 2, 6: 3, INFINITY: 4}  # the rational values of 4cos^2(pi/m)
 
 
 def pivot_signs(g: CoxeterGraph) -> list[int]:
     """Signs of the pivots of Gaussian elimination without row swaps on g's
     Gram matrix, up to the first one that is not positive.
 
-    The rows are sparse dicts (1 on the diagonal, -cos(pi/m) on each edge),
-    and each step eliminates a vertex whose row has the fewest nonzeros,
-    the least on ties: on a tree always a leaf, whose elimination updates
-    only its neighbour's diagonal.  In any order the k-th pivot is the
-    ratio of nested principal minors of sizes k and k-1, so all n signs are
-    positive exactly when the matrix is positive definite (Sylvester), and
-    when the first n-1 are, the last is the sign of the determinant.
+    Each step eliminates a vertex whose row has the fewest nonzeros, the
+    least on ties.  In any order the k-th pivot is the ratio of nested
+    principal minors of sizes k and k-1, so all n signs are positive
+    exactly when the matrix is positive definite (Sylvester), and when the
+    first n-1 are, the last is the sign of the determinant.
+
+    On a forest the order always takes a leaf or an isolated vertex, and
+    the elimination runs on 2G, whose pivots are twice G's: every diagonal
+    starts as num/den = 2/1, and a leaf v with pivot a/b and bond m to u sets
+    num[u] = num[u]*a - w*b*den[u] and den[u] = den[u]*a, with the weight
+    w = 4cos^2(pi/m) (1, 2, 3, 4 for m = 3, 4, 6, inf; else 2 + zeta_m +
+    zeta_m^-1).  Since den > 0, a pivot's sign is sign(num).  A vertex that
+    still has two neighbours when its turn comes lies on a cycle; the graph
+    then takes the elimination of sparse rows over the field.
     """
+    if len(g.labels) < g.n:
+        signs = _forest_signs(g)
+        if signs is not None:
+            return signs
+    return _row_signs(g)
+
+
+def _forest_signs(g: CoxeterGraph) -> list[int] | None:
+    """``pivot_signs`` by the leaf recurrence on 2G, or None at a cycle."""
+    weights, adj = {}, {v: {} for v in range(g.n)}
+    for (i, j), m in g.labels.items():
+        if m not in weights:
+            weights[m] = _WEIGHTS.get(m) or Cyclotomic(m, {0: 2, 1: 1, -1: 1})
+        adj[i][j] = adj[j][i] = weights[m]
+    num, den = [2] * g.n, [1] * g.n
+    signs = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        edges = adj.pop(v)
+        if len(edges) > 1:
+            return None
+        a, b = num[v], den[v]
+        signs.append(sign(a))
+        if signs[-1] <= 0:
+            break
+        for u, w in edges.items():
+            del adj[u][v]
+            num[u] = num[u] * a - b * den[u] * w
+            den[u] = den[u] * a
+    return signs
+
+
+def _row_signs(g: CoxeterGraph) -> list[int]:
+    """``pivot_signs`` on sparse Gram rows (1 on the diagonal, -cos(pi/m) on
+    each edge) over the field, for graphs with a cycle."""
     entry = {}
     rows = {v: {v: 1} for v in range(g.n)}
     for (i, j), m in g.labels.items():
@@ -77,17 +127,32 @@ def minimal_rejected(g: CoxeterGraph, match) -> tuple[list[int], CoxeterGraph]:
     One sweep over the vertices: when deleting v leaves a rejected part,
     move into that part.  A vertex whose deletion left only matched parts is
     never tried again, since every part of a smaller set minus v is an
-    induced subgraph of one of those parts.
+    induced subgraph of one of those parts.  The parts of a vertex set are
+    found on g's own adjacency, in the order of their least vertex, and each
+    is built once.
     """
+    adjacent = [g._adjacent(u) for u in range(g.n)]
     part, sub = list(range(g.n)), g
     for v in range(g.n):
-        if v in part:
-            rest = [u for u in part if u != v]
-            gone = set(range(g.n)).difference(rest)
-            for comp, vertices in connected_components(subgraph(g, remove_vertices=gone)):
-                if match(comp) is None:
-                    part, sub = [rest[k] for k in vertices], comp
-                    break
+        if v not in part:
+            continue
+        unseen = set(part) - {v}
+        for start in part:
+            if start not in unseen:
+                continue
+            unseen.discard(start)
+            comp, stack = [start], [start]
+            while stack:
+                for w in adjacent[stack.pop()]:
+                    if w in unseen:
+                        unseen.discard(w)
+                        comp.append(w)
+                        stack.append(w)
+            comp.sort()
+            candidate = _induced(g.labels, comp)
+            if match(candidate) is None:
+                part, sub = comp, candidate
+                break
     return part, sub
 
 

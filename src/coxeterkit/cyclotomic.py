@@ -419,8 +419,7 @@ def sign(x) -> int:
     InternalInconsistencyError instead of guessing.
     """
     if not isinstance(x, Cyclotomic):
-        q = Fraction(x)
-        return (q > 0) - (q < 0)
+        return (x > 0) - (x < 0)
     if x.is_zero():
         return 0
     pairs, den = x._normal()

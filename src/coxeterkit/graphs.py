@@ -10,7 +10,9 @@ Graph JSON format::
     {"n": 4, "edges": [[0, 1, 3], [1, 2, 3], [2, 3, 4]]}
 
 Edge order is irrelevant, duplicate edges are rejected, and a third entry
-of 0 means INFINITY.
+of 0 means INFINITY.  The count, the vertices and the labels must be JSON
+integers: ``false``, ``true`` and ``0.0`` are rejected, though Python takes
+them for 0, 1 and 0.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ INFINITY = math.inf
 def _is_valid_label(m) -> bool:
     if m is INFINITY:
         return True
-    return isinstance(m, int) and not isinstance(m, bool) and m >= 2
+    return type(m) is int and m >= 2
 
 
 class CoxeterGraph:
@@ -37,7 +39,7 @@ class CoxeterGraph:
     __slots__ = ("n", "labels", "_adjacency")
 
     def __init__(self, n: int, edges=()):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         labels: dict[tuple[int, int], object] = {}
         seen = set()
@@ -46,7 +48,7 @@ class CoxeterGraph:
         else:
             items = ((e[0], e[1], e[2]) for e in edges)
         for i, j, m in items:
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (type(i) is int and type(j) is int):
                 raise ValidationError(f"vertex indices must be integers, got ({i!r}, {j!r})")
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")
@@ -271,7 +273,7 @@ def parse_graph_json(text: str) -> CoxeterGraph:
         if not (isinstance(e, list) and len(e) == 3):
             raise ValidationError(f"each edge must be a [i, j, m] triple, got {e!r}")
         i, j, m = e
-        if m == 0:
+        if m == 0 and type(m) is int:
             m = INFINITY
         edges.append((i, j, m))
     return CoxeterGraph(n, edges)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from .catalog import catalog_graph
-from .classify import MAX_ORDER, TypeLabel
+from .classify import MAX_ORDER, TypeLabel, check_order
 from .cyclotomic import Cyclotomic, sign
 from .errors import (
     GuardError,
@@ -211,11 +211,13 @@ class RootSystem:
 
 
 def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
-    """Standard root system of an A/B/D/I2 type, rank <= 8."""
+    """Standard root system of an A/B/D/I2 type, rank <= 8 and |W| <=
+    ``max_order`` (GuardError otherwise, before any root is built)."""
     if t.family not in ("A", "B", "D", "I2"):
         raise UnsupportedTypeError(f"no root system realization for {t}")
     if t.rank > 8:
         raise GuardError(f"rank {t.rank} exceeds the bound 8")
+    check_order(t, max_order)
     n = t.rank
     roots = []
     if t.family == "A":

@@ -95,7 +95,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         return ok, f"{group.classes.count} classes"
 
     def roots_check():
-        rs = root_system(label)  # axioms are checked on construction
+        rs = root_system(label, max_order)  # axioms are checked on construction
         base = compute_base(rs)
         return True, f"{rs.count} roots, base of size {len(base)}"
 

@@ -6,6 +6,7 @@ import coxeterkit.certify as certify_module
 from coxeterkit.catalog import (
     VERTEX_GUARD,
     Witness,
+    _match_connected,
     affine_catalog,
     catalog_graph,
     classification_catalog,
@@ -20,7 +21,14 @@ from coxeterkit.classify import (
 )
 from coxeterkit.cyclotomic import real_cos_pi_over, sign
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
-from coxeterkit.graphs import CoxeterGraph, INFINITY, gram_matrix, subgraph
+from coxeterkit.graphs import (
+    INFINITY,
+    CoxeterGraph,
+    connected_components,
+    gram_entry,
+    gram_matrix,
+    subgraph,
+)
 from coxeterkit.linalg import Matrix, is_zero_scalar
 
 
@@ -290,3 +298,137 @@ def test_classify_vertex_guard():
     assert classify(path).labels() == [TypeLabel("A", VERTEX_GUARD)]
     with pytest.raises(GuardError, match=f"{VERTEX_GUARD} vertices, got {VERTEX_GUARD + 1}"):
         classify(CoxeterGraph(VERTEX_GUARD + 1))
+
+
+# -- the exact checks against references that share no code with them --------
+
+
+def reference_row_signs(g):
+    """The elimination of sparse Gram rows over the field, run on every
+    graph: the reference for the division-free forest pivots."""
+    entry, rows = {}, {v: {v: 1} for v in range(g.n)}
+    for (i, j), m in g.labels.items():
+        if m not in entry:
+            entry[m] = gram_entry(m)
+        rows[i][j] = rows[j][i] = entry[m]
+    signs = []
+    while rows:
+        v = min(rows, key=lambda u: (len(rows[u]), u))
+        row = rows.pop(v)
+        p = row.pop(v)
+        signs.append(sign(p))
+        if signs[-1] <= 0:
+            break
+        for u, c in row.items():
+            f = c / p
+            del rows[u][v]
+            for w, d in row.items():
+                rows[u][w] = rows[u].get(w, 0) - f * d
+    return signs
+
+
+def dense_minor_signs(g):
+    """The pivot signs from the dense leading minors of g's Gram matrix with
+    its vertices in elimination order.  The order is symbolic: fewest
+    neighbours first, the least on ties, and each eliminated vertex joins
+    its neighbours pairwise.  The k-th pivot is the ratio of the k-th and
+    (k-1)-th minors, so up to the first non-positive one their signs agree."""
+    adj = {v: set(g._adjacent(v)) for v in range(g.n)}
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        order.append(v)
+        neighbours = adj.pop(v)
+        for u in neighbours:
+            adj[u] |= neighbours
+            adj[u] -= {u, v}
+    position = {v: k for k, v in enumerate(order)}
+    renamed = CoxeterGraph(g.n, [(position[i], position[j], m) for i, j, m in g.edges()])
+    signs = []
+    for minor in gram_matrix(renamed).leading_principal_minors():
+        signs.append(sign(minor))
+        if signs[-1] <= 0:
+            break
+    return signs
+
+
+def reference_minimal_rejected(g, match):
+    """The sweep that builds a validated subgraph for each deleted vertex and
+    then its components: the reference for ``certify.minimal_rejected``."""
+    part, sub = list(range(g.n)), g
+    for v in range(g.n):
+        if v in part:
+            rest = [u for u in part if u != v]
+            gone = set(range(g.n)).difference(rest)
+            for comp, vertices in connected_components(subgraph(g, remove_vertices=gone)):
+                if match(comp) is None:
+                    part, sub = [rest[k] for k in vertices], comp
+                    break
+    return part, sub
+
+
+@pytest.mark.parametrize("t", classification_catalog(8), ids=str)
+def test_pivot_signs_of_catalog_graphs(t):
+    g = catalog_graph(t)
+    assert certify_module.pivot_signs(g) == dense_minor_signs(g) == reference_row_signs(g) == [1] * g.n
+
+
+@pytest.mark.parametrize(
+    "g", [g for _, g in affine_catalog(8) if len(g.labels) == g.n - 1],
+    ids=[name for name, g in affine_catalog(8) if len(g.labels) == g.n - 1],
+)
+def test_pivot_signs_of_affine_trees(g):
+    """Every proper leading minor positive, the determinant 0."""
+    signs = certify_module.pivot_signs(g)
+    assert signs == dense_minor_signs(g) == reference_row_signs(g) == [1] * (g.n - 1) + [0]
+
+
+def random_forest(rng):
+    """A forest on 1-7 vertices, numbered at random: each vertex after the
+    first joins an earlier one with probability 0.8, by a bond drawn from
+    3, 4, 5, 6, 7, 8 and INFINITY."""
+    n = rng.randint(1, 7)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[k], perm[rng.randrange(k)], rng.choice([3, 4, 5, 6, 7, 8, INFINITY]))
+             for k in range(1, n) if rng.random() < 0.8]
+    return CoxeterGraph(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_forest_pivot_signs_match_the_field_elimination(seed):
+    import random
+
+    g = random_forest(random.Random(seed))
+    signs = certify_module.pivot_signs(g)
+    assert signs == reference_row_signs(g) == dense_minor_signs(g), g
+
+
+@pytest.mark.parametrize("triangle", [(3, 3, 3), (5, 3, 3), (4, 4, 4), (INFINITY, 3, 3)])
+def test_a_cycle_with_n_minus_1_edges_takes_the_row_elimination(triangle):
+    """A triangle and an isolated vertex have n - 1 edges and no leaf to
+    take after the isolated vertex: the forest recurrence hands over."""
+    g = CoxeterGraph(4, [(0, 1, triangle[0]), (1, 2, triangle[1]), (0, 2, triangle[2])])
+    assert certify_module._forest_signs(g) is None
+    assert certify_module.pivot_signs(g) == dense_minor_signs(g) == reference_row_signs(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graph)
+def test_minimal_rejected_matches_the_subgraph_sweep(g):
+    for comp, _ in connected_components(g):
+        if _match_connected(comp) is None:
+            part, sub = certify_module.minimal_rejected(comp, _match_connected)
+            want_part, want_sub = reference_minimal_rejected(comp, _match_connected)
+            assert part == want_part and sub == want_sub
+            assert list(sub.labels.items()) == list(want_sub.labels.items())
+
+
+def test_minimal_rejected_takes_the_part_of_the_least_vertex():
+    """Deleting vertex 0 leaves two rejected parts, the bonds {1,2} and {3,4}:
+    the sweep moves into the one whose least vertex is least."""
+    g = CoxeterGraph(5, [(0, 1, 3), (0, 3, 3), (1, 2, INFINITY), (3, 4, INFINITY)])
+    part, sub = certify_module.minimal_rejected(g, _match_connected)
+    assert (part, sub) == reference_minimal_rejected(g, _match_connected)
+    assert part == [1, 2] and sub == CoxeterGraph(2, [(0, 1, INFINITY)])
+    assert str(classify(g)) == "NotFinite (affine subgraph on vertices 1,2)"

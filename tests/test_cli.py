@@ -198,6 +198,14 @@ def test_verify_past_the_order_bound_fails_each_enumerating_check():
     assert "character-completeness" in names and "frobenius-reciprocity" not in names
 
 
+def test_verify_checks_the_root_system_against_the_order_bound():
+    """A8 has 72 roots but 9! elements: the root check keeps the bound too."""
+    code, text = run_cli("verify", "A8")
+    lines = dict(line.split("\t")[1:] for line in text.strip().split("\n"))
+    assert code == 2
+    assert lines["root-system-axioms"] == "error: |A8| = 362880 exceeds the bound 100000"
+
+
 @pytest.mark.parametrize("label", ["D7", "D20"])
 def test_verify_past_the_order_bound_fails_the_dichotomy_at_once(label):
     """index-two-dichotomy checks |W| before it builds any signed cycle type:

@@ -160,3 +160,26 @@ def test_graph_json_errors():
         parse_graph_json('{"n": 2, "edges": [[0,1,3],[1,0,3]]}')
     with pytest.raises(ValidationError):
         parse_graph_json('{"edges": []}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "edges": [[0, 1, false]]}', "got False"),
+    ('{"n": 2, "edges": [[0, 1, true]]}', "got True"),
+    ('{"n": 2, "edges": [[0, 1, 0.0]]}', "got 0.0"),
+    ('{"n": 2, "edges": [[0, 1, 3.0]]}', "got 3.0"),
+    ('{"n": true}', "got True"),
+    ('{"n": 2.0}', "got 2.0"),
+    ('{"n": 2, "edges": [[true, 1, 3]]}', r"got \(True, 1\)"),
+    ('{"n": 2, "edges": [[0, 1.0, 3]]}', r"got \(0, 1.0\)"),
+])
+def test_graph_json_takes_only_ints_where_ints_are_required(text, message):
+    """JSON false and 0.0 equal 0, the encoding of INFINITY, and true equals
+    1; none of them is an int, so each is bad input."""
+    with pytest.raises(ValidationError, match=message):
+        parse_graph_json(text)
+
+
+def test_graph_takes_only_ints_where_ints_are_required():
+    for n, edges in [(True, ()), (2, [(False, 1, 3)]), (2, [(0, 1, True)]), (2, [(0, 1, 3.0)])]:
+        with pytest.raises(ValidationError):
+            CoxeterGraph(n, edges)

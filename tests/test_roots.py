@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coxeterkit.classify import TypeLabel, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic
-from coxeterkit.errors import UnsupportedTypeError, ValidationError
+from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
 from coxeterkit.roots import (
@@ -96,6 +96,16 @@ def test_contains_answers_outside_the_key_conductor():
     zero = z5 - z5 + Cyclotomic.zeta(5, 2) - Cyclotomic.zeta(5, 2)
     assert i7.contains(tuple(x + zero for x in i7.roots[0])) is True
     assert root_system(TypeLabel("B", 3)).contains((1 + zero, -1, 0)) is True
+
+
+def test_root_system_keeps_the_order_bound():
+    """The bound is checked before any root is built, so a huge dihedral
+    type fails at once."""
+    with pytest.raises(GuardError, match=r"\|I2\(60000\)\| = 120000 exceeds the bound 100000"):
+        root_system(TypeLabel("I2", 2, 60000))
+    with pytest.raises(GuardError, match="exceeds the bound 23"):
+        root_system(TypeLabel("A", 3), max_order=23)
+    assert root_system(TypeLabel("A", 3), max_order=24).count == 12
 
 
 def test_unsupported_types():
