@@ -15,7 +15,9 @@ guard, a slow ``realize B6``, or a slow ``verify`` of B6, D6 or I2(24),
 the largest types each verify path takes.  So does a slow ``irreps`` or
 ``chartable`` of I2(24), or ``realize I2(5000)``, whose 10000 elements the
 closed-form class data never enumerates, or a slow guard exit of ``realize
-A2000`` or ``verify A3000000``, whose orders are far past the bound.
+A2000``, ``verify A3000000`` or ``verify I2(60000)``, whose orders are past
+the bound (the last passes ``positive-definite`` by the closed form of rank
+2, with no cyclotomic polynomial of conductor 120000).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
 label ``false``, which JSON equality takes for 0, the unbounded bond.  The
 children run with ``PYTHONDONTWRITEBYTECODE=1``, so every one compiles
@@ -77,7 +79,7 @@ def run() -> int:
                      ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
         runs += [(["realize", "A2000"], 3, TABLE_TIMEOUT_S), (["verify", "A3000000"], 2, TABLE_TIMEOUT_S),
-                 (["chartable"], 1, TABLE_TIMEOUT_S)]
+                 (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S), (["chartable"], 1, TABLE_TIMEOUT_S)]
         for argv, want, timeout in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],

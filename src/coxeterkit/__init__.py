@@ -61,7 +61,7 @@ _LAZY = {
         "parse_graph_json",
         "subgraph",
     ),
-    "linalg": ("Matrix", "determinant", "leading_principal_minors", "rank"),
+    "linalg": ("Matrix", "determinant", "rank"),
     "roots": ("RootSystem", "compute_base", "geometric_rep", "reflect", "root_system"),
     "specht": (
         "row_column_groups",

@@ -5,9 +5,11 @@ arithmetic then checks every verdict independently: a matched component by
 Sylvester's criterion on the sparse pivots of its Gram matrix, a rejected
 one by certifying a minimal rejected induced subgraph as affine or
 hyperbolic (``certify``).  Any disagreement between the two raises, since
-it can only mean a bug in one of them.  ``classify.classify`` loads this
-module, and with it ``graphs``, ``certify``, ``cyclotomic`` and ``linalg``,
-on its first call.
+it can only mean a bug in one of them.  ``is_positive_definite`` is the
+same decision for the whole graph, with a ``Witness`` (a minimal non-finite
+subgraph) on failure; no dense Gram minor is formed.  ``classify.classify``
+loads this module, and with it ``graphs``, ``certify``, ``cyclotomic`` and
+``linalg``, on its first call.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from collections import namedtuple
 
 from .certify import certify, minimal_rejected, positive_definite
 from .classify import TypeLabel
-from .cyclotomic import sign
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .graphs import INFINITY, CoxeterGraph, connected_components, gram_matrix
+from .graphs import INFINITY, CoxeterGraph, connected_components
 
 VERTEX_GUARD = 48  # classify() refuses larger graphs with GuardError (exit 3)
 
@@ -86,25 +87,16 @@ def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
     return out
 
 
-class Witness(namedtuple("Witness", "kind index value vertices", defaults=(None,))):
-    """Evidence that a graph is not of finite type.
-
-    From ``classify``: ``kind`` is "affine" (determinant 0) or "hyperbolic"
-    (determinant < 0) for a minimal non-finite induced subgraph, whose
-    original vertices, sorted, are ``vertices``; ``index`` is their count
-    and ``value`` is None.  From ``is_positive_definite``: ``kind`` is
-    "zero-determinant" or "nonpositive-minor", ``index`` the minor size
-    (1-based), n for a zero determinant, and ``value`` the minor.
-    """
+class Witness(namedtuple("Witness", "kind index vertices")):
+    """Evidence that a graph is not of finite type: a minimal non-finite
+    induced subgraph, ``kind`` "affine" (determinant 0) or "hyperbolic"
+    (determinant < 0), on the original vertices ``vertices``, sorted;
+    ``index`` is their count."""
 
     __slots__ = ()
 
     def __str__(self):
-        if self.vertices is not None:
-            return f"{self.kind} subgraph on vertices {','.join(map(str, self.vertices))}"
-        if self.kind == "zero-determinant":
-            return "det = 0"
-        return f"minor {self.index} = {self.value}"
+        return f"{self.kind} subgraph on vertices {','.join(map(str, self.vertices))}"
 
 
 class ComponentResult(namedtuple("ComponentResult", "vertices label witness")):
@@ -133,17 +125,13 @@ class ClassificationResult(namedtuple("ClassificationResult", "components")):
 
 
 def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
-    """All leading principal minors of the Gram matrix positive?
+    """Is the Gram form of g positive definite, that is, is g of finite type?
 
-    On failure the witness carries the first non-positive minor.
+    ``classify`` decides it; on failure the witness is that of the first
+    non-finite component.
     """
-    minors = gram_matrix(g).leading_principal_minors()
-    for k, m in enumerate(minors, start=1):
-        s = sign(m)
-        if s <= 0:
-            kind = "zero-determinant" if (k == g.n and s == 0) else "nonpositive-minor"
-            return False, Witness(kind, k, m)
-    return True, None
+    res = classify_components(g)
+    return res.is_finite, next((c.witness for c in res.components if c.witness), None)
 
 
 def _path_sequence(g: CoxeterGraph):
@@ -250,7 +238,7 @@ def classify_components(g: CoxeterGraph) -> ClassificationResult:
         label = _match_connected(comp)
         if label is None:
             part, sub = minimal_rejected(comp, _match_connected)
-            witness = Witness(certify(sub), len(part), None, tuple(vertices[k] for k in part))
+            witness = Witness(certify(sub), len(part), tuple(vertices[k] for k in part))
             results.append(ComponentResult(vertices, None, witness))
         elif positive_definite(comp):
             results.append(ComponentResult(vertices, label, None))

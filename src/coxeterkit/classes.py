@@ -187,17 +187,3 @@ def _same_class_data(a, b) -> bool:
 def _same_domain(f: ClassFunction, g: ClassFunction):
     if not _same_class_data(f.domain, g.domain):
         raise ValidationError("class functions live on different class data")
-
-
-def _same_class_data(a, b) -> bool:
-    if a is b:
-        return True
-    if a.order != b.order:
-        return False
-    x, y = a.classes, b.classes
-    return x.sizes == y.sizes and x.reps == y.reps
-
-
-def _same_domain(f: ClassFunction, g: ClassFunction):
-    if not _same_class_data(f.domain, g.domain):
-        raise ValidationError("class functions live on different class data")

@@ -1,12 +1,13 @@
 """Dense exact linear algebra over Q and over cyclotomic fields.
 
-Determinants and leading principal minors come from one forward Gaussian
-elimination with exact field division (``_gauss_pivots``): over Fractions
-when every entry is rational, else over the entries as given.  Solve (for
-one or many right-hand sides) and both ranks (over Q on the entries as
-Fractions, and over the field of the entries) use one Gauss-Jordan
-elimination, ``_field_rref``.  Intended sizes are small (ranks <= 10 or so
-for cyclotomic work, a few hundred for rational work).
+The determinant comes from one forward Gaussian elimination with exact
+field division (``_field_det``): over Fractions when every entry is
+rational, else over the entries as given.  Solve (for one or many
+right-hand sides) and both ranks (over Q on the entries as Fractions, and
+over the field of the entries) use one Gauss-Jordan elimination,
+``_field_rref``.  Positive definiteness of a Gram matrix is not decided
+here: ``certify`` does it on sparse pivots.  Intended sizes are small
+(ranks <= 10 or so for cyclotomic work, a few hundred for rational work).
 """
 
 from __future__ import annotations
@@ -153,9 +154,6 @@ class Matrix:
     def is_identity(self) -> bool:
         return self.is_square and self == Matrix.identity(self.rows)
 
-    def submatrix(self, k: int) -> "Matrix":
-        return Matrix([r[:k] for r in self.entries[:k]])
-
     def rational_entries(self):
         """All entries as Fractions, or None if any entry is irrational."""
         out = []
@@ -177,47 +175,6 @@ class Matrix:
         if fr is not None:
             return Fraction(_field_det(fr))
         return _field_det([list(r) for r in self.entries])
-
-    def leading_principal_minors(self) -> list:
-        """The determinants of the leading k x k blocks, k = 1..n, in one pass.
-
-        Gaussian elimination without row swaps reduces the leading k x k
-        block exactly as ``submatrix(k).determinant()`` would, so minor k is
-        the running product of the first k pivots (Sylvester's identity),
-        built in the same order and with the same as-built form.  A minor
-        whose block is rational is returned as a Fraction, as
-        ``determinant()`` returns it.  When pivot k is exactly zero, minor k
-        is 0 (a Fraction for a rational block), which is what
-        ``submatrix(k).determinant()`` returns when its last pivot vanishes;
-        every later block would need row swaps, so each later minor is
-        computed as ``submatrix(j).determinant()``.  O(n^3) when no pivot
-        before the last vanishes.
-        """
-        if not self.is_square:
-            raise ValidationError("principal minors need a square matrix")
-        n = self.rows
-        rational = self._rational_block_size()
-        minors = []
-        det = Fraction(1)
-        for k, (p, _) in enumerate(_gauss_pivots([list(r) for r in self.entries], swap=False), 1):
-            if p is None:
-                minors.append(Fraction(0) if k <= rational else 0)
-                break
-            det = det * p
-            if k <= rational and isinstance(det, Cyclotomic):
-                minors.append(det.rational_value())
-            else:
-                minors.append(det)
-        minors += [self.submatrix(k).determinant() for k in range(len(minors) + 1, n + 1)]
-        return minors
-
-    def _rational_block_size(self) -> int:
-        """Size of the largest leading square block with only rational entries."""
-        e = self.entries
-        for k in range(len(e)):
-            if any(as_rational(x) is None for j in range(k + 1) for x in (e[k][j], e[j][k])):
-                return k
-        return len(e)
 
     def rank(self) -> int:
         """Rank over Q: ``field_rank`` of the entries as Fractions."""
@@ -291,32 +248,29 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
     return Matrix(out)
 
 
-def _gauss_pivots(a: list[list], swap: bool):
-    """Pivots of forward Gaussian elimination on the square rows ``a``, in place.
+def _field_det(a: list[list]):
+    """Determinant of the square rows ``a`` by forward Gaussian elimination
+    with exact field division, in place.
 
-    Yields ``(pivot, swapped)`` per column.  When the diagonal entry is
-    exactly zero and ``swap`` is set, the first lower row with a nonzero
-    entry in that column is swapped up (``swapped`` is then True).  A column
-    left without a pivot yields ``(None, False)`` and ends the elimination.
-    Rows below a pivot are reduced on the later columns only, and the last
-    pivot is never inverted, since no row below it needs the inverse.
+    When the diagonal entry is exactly zero, the first lower row with a
+    nonzero entry in that column is swapped up; a column with no pivot makes
+    the determinant 0.  Rows below a pivot are reduced on the later columns
+    only, and the last pivot is never inverted.  The result is the sign of
+    the swaps times the pivots, multiplied up in order.
     """
     n = len(a)
+    sign, pivots = 1, []
     for k in range(n):
-        swapped = False
         if is_zero_scalar(a[k][k]):
-            piv = None
-            if swap:
-                piv = next((i for i in range(k + 1, n) if not is_zero_scalar(a[i][k])), None)
+            piv = next((i for i in range(k + 1, n) if not is_zero_scalar(a[i][k])), None)
             if piv is None:
-                yield None, False
-                return
+                return 0
             a[k], a[piv] = a[piv], a[k]
-            swapped = True
+            sign = -sign
         p = a[k][k]
-        yield p, swapped
+        pivots.append(p)
         if k + 1 == n:
-            return
+            break
         pinv = invert_scalar(p)
         top = a[k][k + 1:]
         for i in range(k + 1, n):
@@ -324,22 +278,6 @@ def _gauss_pivots(a: list[list], swap: bool):
             if not is_zero_scalar(c):
                 f = c * pinv
                 a[i][k + 1:] = [x - f * y for x, y in zip(a[i][k + 1:], top)]
-
-
-def _field_det(a: list[list]):
-    """Gaussian-elimination determinant with exact field division.
-
-    The sign of the row swaps times the pivots, multiplied up in order; 0
-    when a column has no pivot.
-    """
-    sign = 1
-    pivots = []
-    for p, swapped in _gauss_pivots(a, swap=True):
-        if p is None:
-            return 0
-        if swapped:
-            sign = -sign
-        pivots.append(p)
     det = Fraction(sign)
     for p in pivots:
         det = det * p
@@ -372,10 +310,6 @@ def _field_rref(a: list[list], ncols: int) -> list[list]:
 
 def determinant(m: Matrix):
     return m.determinant()
-
-
-def leading_principal_minors(m: Matrix) -> list:
-    return m.leading_principal_minors()
 
 
 def rank(m: Matrix) -> int:

@@ -22,13 +22,17 @@ B_n closed form at D_n's own classes, which is the restriction, so it
 builds no B_n group.  The graph checks (``classification-roundtrip`` and
 ``positive-definite``) take the classifier's vertex bound, and the group
 checks the group-order bound, so a huge rank fails them at once.
+``positive-definite`` is the classifier's sparse Sylvester test
+(``certify.positive_definite``), a closed form in rank 2, so a huge bond
+builds no Gram entry.
 """
 
 from __future__ import annotations
 
 import random
 
-from .catalog import catalog_graph, check_vertices, is_positive_definite
+from .catalog import catalog_graph, check_vertices
+from .certify import positive_definite
 from .classes import ClassFunction, _same_class_data, class_data, irreducible_characters
 from .classify import (
     MAX_ORDER,
@@ -77,8 +81,8 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         return ok, str(res)
 
     def positivity():
-        ok, witness = is_positive_definite(graph())
-        return ok, "all leading minors positive" if ok else str(witness)
+        ok = positive_definite(graph())
+        return ok, "all leading minors positive" if ok else "not positive definite"
 
     def order_check():
         group = realize(label, max_order)

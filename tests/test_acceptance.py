@@ -15,7 +15,7 @@ import pytest
 from coxeterkit.catalog import affine_catalog, catalog_graph, is_positive_definite
 from coxeterkit.classes import ClassFunction
 from coxeterkit.classify import TypeLabel, classify, coxeter_group_order
-from coxeterkit.cyclotomic import Cyclotomic
+from coxeterkit.cyclotomic import Cyclotomic, sign
 from coxeterkit.dihedral import dihedral_irreducibles
 from coxeterkit.families import BipartitionLabel, dn_irreducibles, hyperoctahedral_irreducibles
 from coxeterkit.graphs import gram_matrix, subgraph
@@ -33,6 +33,7 @@ from coxeterkit.reps import (
 )
 from coxeterkit.specht import specht_module, symmetric_character_table, symmetric_character_value
 from coxeterkit.tableaux import hook_dimension, hook_lengths, hook_product, partitions_of
+from test_oracles import dense_leading_minors
 
 
 def report(num, ok, detail):
@@ -65,10 +66,10 @@ def test_criterion_01_classification_roundtrip():
 def test_criterion_02_affine_rejection():
     catalog = affine_catalog(8)
     for name, graph in catalog:
-        det = gram_matrix(graph).determinant()
+        *proper, det = dense_leading_minors(gram_matrix(graph))
         assert is_zero_scalar(det), name
-        ok, _ = is_positive_definite(graph)
-        assert not ok, name
+        assert all(sign(x) > 0 for x in proper), name
+        assert not is_positive_definite(graph)[0], name
     report(2, True, f"all {len(catalog)} affine graphs have det exactly 0 and fail positivity")
 
 

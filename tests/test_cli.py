@@ -351,6 +351,22 @@ def test_verify_of_a_huge_rank_fails_every_check_at_once():
     assert details["group-order"] == "error: |A3000000| exceeds the bound 100000"
 
 
+def test_verify_of_a_bond_past_the_order_bound_fails_the_group_checks_at_once():
+    """I2(60000) is positive definite by the rank-2 closed form, with no Gram
+    entry at conductor 120000; |W| = 120000 fails every group check."""
+    import time
+
+    from coxeterkit.classify import TypeLabel
+    from coxeterkit.verify import run_verification
+
+    start = time.perf_counter()
+    checks = {name: (ok, detail) for name, ok, detail in run_verification(TypeLabel("I2", 2, 60000))}
+    assert time.perf_counter() - start < 2.0
+    assert checks["positive-definite"] == (True, "all leading minors positive")
+    for name in ("group-order", "presentation", "class-equation", "root-system-axioms", "fixed-space"):
+        assert checks[name] == (False, "error: |I2(60000)| = 120000 exceeds the bound 100000"), name
+
+
 @pytest.mark.parametrize("argv", [
     ["chartable"],
     ["--max-order", "x", "irreps", "A3"],

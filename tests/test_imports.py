@@ -4,7 +4,9 @@ Every name a library module imports is used in that module: a name bound
 by an import statement must appear as a ``Name`` load (or as the root of an
 attribute chain) somewhere in the same module, or be listed in ``__all__``.
 ``from __future__`` imports are exempt, and so is the package
-``__init__``, which imports to re-export.
+``__init__``, which imports to re-export.  No module binds a top-level
+``def`` or ``class`` name twice: the second copy would silently replace the
+first.
 
 Every name in ``coxeterkit.__all__`` resolves, eagerly or on first access,
 to the object its one home module defines; and no module imports
@@ -57,6 +59,27 @@ def test_detector_flags_unused_and_spares_used_names():
         "    return sys.argv, a.b.c, z\n"
     )
     assert unused_imports(source) == ["os (line 2)", "w (line 4)"]
+
+
+def redefined_names(source: str) -> list[str]:
+    """Top-level ``def``/``class`` names bound a second time."""
+    seen, out = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in seen:
+                out.append(f"{node.name} (line {node.lineno})")
+            seen.add(node.name)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_each_top_level_name_once(path):
+    assert redefined_names(path.read_text()) == []
+
+
+def test_detector_flags_a_second_definition():
+    source = "def f():\n    pass\nclass C:\n    pass\ndef g():\n    pass\ndef f():\n    pass\n"
+    assert redefined_names(source) == ["f (line 7)"]
 
 
 # -- the package namespace: eager chain, lazy rest ------------------------------

@@ -18,11 +18,13 @@ stabilizer B_a x B_(n-a) summed over the whole group, and the bipartition
 Murnaghan-Nakayama rule, which shares no code with the closed form.
 
 ``classify`` decides finiteness by sparse pivots in leaf-first order and
-certifies a non-finite component by a minimal non-finite subgraph.  The
-oracles are the dense leading Gram minors: ``is_positive_definite``, and a
-Leibniz expansion of each leading minor for the certificates, whose sign is
-read off the as-built value so that no normal form is taken at the large
-conductors of triangles such as (37, 39, 40).
+certifies a non-finite component by a minimal non-finite subgraph; the
+library has no other positive-definiteness test.  The oracles are the dense
+leading Gram minors by their definition, one ``Matrix.determinant()`` per
+leading block (``dense_leading_minors``), and a Leibniz expansion of each
+leading minor for the certificates, whose sign is read off the as-built
+value so that no normal form is taken at the large conductors of triangles
+such as (37, 39, 40).
 
 ``RootSystem`` sweeps stability over one root of each pair {v, -v}.  Its
 oracle is the full sweep that reflects every root in every root and compares
@@ -42,12 +44,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coxeterkit.catalog import (
-    affine_catalog,
-    catalog_graph,
-    classification_catalog,
-    is_positive_definite,
-)
+from coxeterkit.catalog import affine_catalog, catalog_graph, classification_catalog
 from coxeterkit.certify import positive_definite
 from coxeterkit.classes import ClassFunction, ConjugacyClasses, irreducible_characters
 from coxeterkit.classify import TypeLabel, classify
@@ -507,6 +504,16 @@ def as_built_sign(x) -> int:
     return sign(x)
 
 
+def dense_leading_minors(m: Matrix) -> list:
+    """The leading principal minors of m by their definition: each leading
+    k x k block's ``Matrix.determinant()``, k = 1..n."""
+    return [Matrix([r[:k] for r in m.entries[:k]]).determinant() for k in range(1, m.rows + 1)]
+
+
+def dense_positive_definite(g: CoxeterGraph) -> bool:
+    return all(sign(x) > 0 for x in dense_leading_minors(gram_matrix(g)))
+
+
 def leibniz_minor_signs(g: CoxeterGraph) -> list[int]:
     """Signs of the leading principal minors of g's Gram matrix, each by the
     sum over permutations: no elimination and no division."""
@@ -545,22 +552,22 @@ def check_classification(g: CoxeterGraph):
     assert time.perf_counter() - start < CLASSIFY_DEADLINE_S
     for comp in result.components:
         if comp.label is not None:
-            assert is_positive_definite(induced(g, comp.vertices))[0], comp
+            assert dense_positive_definite(induced(g, comp.vertices)), comp
             continue
         w = comp.witness
         assert set(w.vertices) <= set(comp.vertices) and w.index == len(w.vertices)
         cert = induced(g, w.vertices)
         last = 0 if w.kind == "affine" else -1
         if cert.n > 6:
-            ok, dense = is_positive_definite(cert)
-            assert not ok and dense.index == cert.n and sign(dense.value) == last, w
+            signs = [sign(x) for x in dense_leading_minors(gram_matrix(cert))]
+            assert signs == [1] * (cert.n - 1) + [last], w
             continue
         assert leibniz_minor_signs(cert) == [1] * (cert.n - 1) + [last], w
         for size in range(1, cert.n):
             for keep in itertools.combinations(range(cert.n), size):
                 part = induced(cert, keep)
                 if len(connected_components(part)) == 1:
-                    assert is_positive_definite(part)[0], (w, keep)
+                    assert dense_positive_definite(part), (w, keep)
     return result
 
 
@@ -601,7 +608,7 @@ def one_vertex_extensions():
 def test_one_vertex_extensions_match_dense_minors():
     kinds = collections.Counter()
     for g in one_vertex_extensions():
-        assert positive_definite(g) == is_positive_definite(g)[0], g
+        assert positive_definite(g) == dense_positive_definite(g), g
         for c in check_classification(g).components:
             if c.witness is not None:
                 kinds[c.witness.kind, c.witness.index] += 1

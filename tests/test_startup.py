@@ -215,7 +215,7 @@ def test_equal_values_hash_equal():
     assert hash(TypeLabel("I2", 2, 5)) == hash(TypeLabel("I2", 2, 5))
     assert len({TypeLabel("A", 2), TypeLabel("A", 2), TypeLabel("B", 2)}) == 2
     assert hash(BipartitionLabel((1,), (1,))) == hash(BipartitionLabel((1,), (1,)))
-    assert Witness("zero-determinant", 3, 0) == Witness("zero-determinant", 3, 0)
+    assert Witness("affine", 3, (0, 1, 2)) == Witness("affine", 3, (0, 1, 2))
     # labels are lru_cache keys: an equal label finds the cached group
     assert realize(TypeLabel("A", 3)) is realize(TypeLabel("A", 3))
 
