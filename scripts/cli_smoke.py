@@ -10,14 +10,15 @@ broken function-local import; a fresh process per command does.  The
 on the two non-finite graphs of large conductor, and at the vertex guard
 on the 48-vertex path and the 48-vertex tree of 5-bonds, which take the
 forest pivots and the minimal-subgraph sweep.  So does a slow
-``chartable`` of A8, B8 or D8, the largest table of each family under its
-guard, a slow ``realize B6``, or a slow ``verify`` of B6, D6 or I2(24),
-the largest types each verify path takes.  So does a slow ``irreps`` or
-``chartable`` of I2(24), or ``realize I2(5000)``, whose 10000 elements the
-closed-form class data never enumerates, or a slow guard exit of ``realize
-A2000``, ``verify A3000000`` or ``verify I2(60000)``, whose orders are past
-the bound (the last passes ``positive-definite`` by the closed form of rank
-2, with no cyclotomic polynomial of conductor 120000).
+``chartable`` of A15, B8 or D8, the largest table of each family under its
+guard (``chartable A16`` must exit 3), a slow ``realize B6``, or a slow
+``verify`` of B6, D6 or I2(24), the largest types each verify path takes.
+So does a slow ``irreps`` or ``chartable`` of I2(24), or ``realize
+I2(5000)``, whose 10000 elements the closed-form class data never
+enumerates, or a slow guard exit of ``realize A2000``, ``verify A3000000``
+or ``verify I2(60000)``, whose orders are past the bound (the last passes
+``positive-definite`` by the closed form of rank 2, with no cyclotomic
+polynomial of conductor 120000).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
 label ``false``, which JSON equality takes for 0, the unbounded bond.  The
 children run with ``PYTHONDONTWRITEBYTECODE=1``, so every one compiles
@@ -74,12 +75,13 @@ def run() -> int:
             path.write_text(json.dumps(graph))
             runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
         runs += [(argv, 0, None) for argv in COMMANDS]
-        for argv in (["chartable", "A8"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
+        for argv in (["chartable", "A15"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
                      ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"], ["irreps", "I2(24)"],
                      ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
-        runs += [(["realize", "A2000"], 3, TABLE_TIMEOUT_S), (["verify", "A3000000"], 2, TABLE_TIMEOUT_S),
-                 (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S), (["chartable"], 1, TABLE_TIMEOUT_S)]
+        runs += [(["chartable", "A16"], 3, TABLE_TIMEOUT_S), (["realize", "A2000"], 3, TABLE_TIMEOUT_S),
+                 (["verify", "A3000000"], 2, TABLE_TIMEOUT_S), (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S),
+                 (["chartable"], 1, TABLE_TIMEOUT_S)]
         for argv, want, timeout in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],

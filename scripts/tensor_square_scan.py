@@ -13,8 +13,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from coxeterkit.families import symmetric_character_table  # noqa: E402
 from coxeterkit.reps import tensor_decompose  # noqa: E402
-from coxeterkit.specht import symmetric_character_table  # noqa: E402
 from coxeterkit.tableaux import partition_text, partitions_of  # noqa: E402
 
 

@@ -29,7 +29,12 @@ _LAZY = {
     "classes": ("ClassFunction", "irreducible_characters"),
     "cyclotomic": ("Cyclotomic", "Rational", "cyclotomic_polynomial", "real_cos_pi_over"),
     "dihedral": ("DihedralElement", "dihedral_irreducibles"),
-    "families": ("bn_conjugacy_parametrization", "dn_irreducibles", "hyperoctahedral_irreducibles"),
+    "families": (
+        "bn_conjugacy_parametrization",
+        "dn_irreducibles",
+        "hyperoctahedral_irreducibles",
+        "symmetric_character_table",
+    ),
     "groups": ("RealizedGroup", "conjugacy_classes", "enumerate_group", "realize", "verify_presentation"),
     "permutations": ("Permutation", "SignedPermutation", "cycle_type"),
     "reps": (
@@ -63,12 +68,7 @@ _LAZY = {
     ),
     "linalg": ("Matrix", "determinant", "rank"),
     "roots": ("RootSystem", "compute_base", "geometric_rep", "reflect", "root_system"),
-    "specht": (
-        "row_column_groups",
-        "specht_module",
-        "symmetric_character_table",
-        "young_symmetrizer",
-    ),
+    "specht": ("row_column_groups", "specht_module", "young_symmetrizer"),
     "tableaux": (
         "BipartitionLabel",
         "DnLabel",

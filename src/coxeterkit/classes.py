@@ -3,8 +3,8 @@
 ``class_data`` gives the conjugacy classes of A_n, B_n, D_n and I2(m) in
 closed form, ``coxeter_generators`` their Coxeter generators and
 ``irreducible_characters`` their complete character lists.  Each
-dispatches to its family's module (``permutations``, ``dihedral``,
-``specht``, ``families``), imported where it is used, so a command
+dispatches to its family's module (``permutations`` and ``families`` for
+A/B/D, ``dihedral`` for I2(m)), imported where it is used, so a command
 compiles only its own family's code.  ``ClassFunction`` lives on any
 domain with classes: this class data, an enumerated ``groups.RealizedGroup``
 or a ``reps.Subgroup``.
@@ -102,7 +102,7 @@ def coxeter_generators(label: TypeLabel) -> list:
 def irreducible_characters(label: TypeLabel) -> list:
     """Uniform entry point: the complete named character list for a type."""
     if label.family == "A":
-        from .specht import symmetric_character_table
+        from .families import symmetric_character_table
 
         return list(symmetric_character_table(label.rank + 1))
     if label.family == "B":

@@ -31,9 +31,9 @@ function.  ``classify`` loads the classifier (``catalog``, with
 module.  ``irreps`` loads only the dimension module of the family:
 ``tableaux`` for A/B/D, ``dihedral`` for I2(m).  ``realize`` adds the
 group-free ``classes``, with ``permutations`` for A/B/D; ``chartable``
-adds ``specht`` for A_n, ``specht`` and ``families`` for B_n and D_n, and
-``cyclotomic`` for I2(m).  None of them loads the enumeration engine
-(``groups``, ``reps``) or the classifier; only ``verify`` does.
+adds ``families`` for A/B/D and ``cyclotomic`` for I2(m).  None of them
+loads the enumeration engine (``groups``, ``reps``) or the classifier:
+only ``verify`` does.
 """
 
 from __future__ import annotations

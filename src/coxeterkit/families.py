@@ -1,10 +1,12 @@
-"""Irreducible characters of the B and D families.
+"""Irreducible characters of the A, B and D families.
 
-B_n's irreducibles chi_(lam,mu) are the little-group inductions from the
-block stabilizer B_a x B_b (a = |lam|) of chi_lam and (sign of the second
-block) chi_mu.  The induction has a closed form (Geck-Pfeiffer, *Characters
-of Finite Coxeter Groups and Iwahori-Hecke Algebras*, ch. 5): if w has
-cycles of lengths l_i and signs e_i (the product of w's signs over cycle i),
+Every S_m value here, in all three families, is the Murnaghan-Nakayama
+rule's ``tableaux.symmetric_character_value``.  B_n's irreducibles
+chi_(lam,mu) are the little-group inductions from the block stabilizer
+B_a x B_b (a = |lam|) of chi_lam and (sign of the second block) chi_mu.
+The induction has a closed form (Geck-Pfeiffer, *Characters of Finite
+Coxeter Groups and Iwahori-Hecke Algebras*, ch. 5): if w has cycles of
+lengths l_i and signs e_i (the product of w's signs over cycle i),
 
     chi_(lam,mu)(w) = sum over sets S of cycles with sum_(i in S) l_i = |lam|
                       of chi_lam(l_S) chi_mu(l_(not S)) prod_(i not in S) e_i.
@@ -17,9 +19,8 @@ to Res chi_(mu,lam).  For n = 2m, Res chi_(lam,lam) splits into the halves
 except on the classes whose cycles are all positive of even length, 2 beta:
 there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
 the sign-free permutation and minus that on its partner class (the class
-of ``diagonal_parity`` 1).  The B_n and D_n characters live on the
-closed-form ``class_data``, so no group is built, and their values are ints
-throughout.  The S_n tables come from ``specht``; only
+of ``diagonal_parity`` 1).  The tables live on the closed-form
+``class_data``, so no group is built, and their values are ints; only
 ``bn_conjugacy_parametrization``, which ``verify`` runs, builds a group and
 imports ``groups`` to do so.  The I2(m) characters are in ``dihedral``,
 and ``classes.irreducible_characters`` dispatches to both.
@@ -35,10 +36,27 @@ from .classes import ClassData, ClassFunction, class_data
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import diagonal_parity
-from .specht import symmetric_character_value
 from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
+from .tableaux import partition_text, partitions_of, symmetric_character_value
 
+TABLE_GUARD = 16
 BN_CHARACTER_GUARD = 8
+
+
+@lru_cache(maxsize=None)
+def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
+    """Characters of all irreducible modules of S_n, indexed by partitions_of(n),
+    in the closed-form class order: each value is the rim-hook rule's int."""
+    if n < 2:
+        raise ValidationError("character table needs n >= 2")
+    if n > TABLE_GUARD:
+        raise GuardError(f"character tables capped at n = {TABLE_GUARD}")
+    group = class_data(TypeLabel("A", n - 1))
+    cycles = [rep.cycle_type() for rep in group.classes.reps]
+    return tuple(
+        ClassFunction(group, [symmetric_character_value(shape, c) for c in cycles], partition_text(shape))
+        for shape in partitions_of(n)
+    )
 
 
 def _cycle_splits(group: ClassData) -> list[dict]:

@@ -256,7 +256,8 @@ def _field_det(a: list[list]):
     nonzero entry in that column is swapped up; a column with no pivot makes
     the determinant 0.  Rows below a pivot are reduced on the later columns
     only, and the last pivot is never inverted.  The result is the sign of
-    the swaps times the pivots, multiplied up in order.
+    the swaps times the pivots, multiplied up in order.  Every cyclotomic
+    value built is put in normal form, so coefficients do not grow with n.
     """
     n = len(a)
     sign, pivots = 1, []
@@ -277,11 +278,16 @@ def _field_det(a: list[list]):
             c = a[i][k]
             if not is_zero_scalar(c):
                 f = c * pinv
-                a[i][k + 1:] = [x - f * y for x, y in zip(a[i][k + 1:], top)]
+                a[i][k + 1:] = [_normal(x - f * y) for x, y in zip(a[i][k + 1:], top)]
     det = Fraction(sign)
     for p in pivots:
-        det = det * p
+        det = _normal(det * p)
     return det
+
+
+def _normal(x):
+    """x, rebuilt from its normal form if it is a cyclotomic value."""
+    return Cyclotomic(x.conductor, x.reduced()) if isinstance(x, Cyclotomic) else x
 
 
 def _field_rref(a: list[list], ncols: int) -> list[list]:

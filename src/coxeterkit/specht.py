@@ -1,18 +1,15 @@
-"""Young's seminormal form, Specht modules and the character table of S_n.
+"""Young's seminormal form and the Specht modules of S_n.
 
 The irreducible S_n-modules come from Young's seminormal form (Okounkov
 and Vershik, "A new approach to representation theory of symmetric
 groups", Selecta Math. 1996): the basis of the module of a shape is its
-standard tableaux, the adjacent transposition s_i = (i, i+1) acts through
-the axial distance of i and i+1 by checked sparse columns, and a character
-value is the trace of a class's short word in them.  So no computation
-runs over the n! elements, and the table's classes are the closed-form
-``classes.class_data``, so no group is built either.  The paper's
-construction is kept too: the row and column groups of the identity
-tableau and the Young symmetrizer they give in the group algebra of S_n.
-It and ``specht_module`` import ``groups`` and ``reps`` where they are
-used, so the table loads neither.  Guards keep modules at n <= 7 and
-tables at n <= ``TABLE_GUARD``.
+standard tableaux, and the adjacent transposition s_i = (i, i+1) acts
+through the axial distance of i and i+1 by checked sparse columns.  The
+paper's construction is kept too: the row and column groups of the
+identity tableau and the Young symmetrizer they give in the group algebra
+of S_n.  They and ``specht_module`` import ``groups`` and ``reps`` where
+they are used; guards keep them at n <= 7.  No table command loads this
+module: the S_n characters are ``tableaux.symmetric_character_value``.
 """
 
 from __future__ import annotations
@@ -22,15 +19,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .classes import ClassFunction, class_data
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import Permutation
-from .tableaux import hook_dimension, partition_text, partitions_of, validate_partition
+from .tableaux import hook_dimension, partition_text, validate_partition
 
 MODULE_GUARD = 7
 SYMMETRIZER_GUARD = 7
-TABLE_GUARD = 9
 
 
 # -- Young's seminormal form -------------------------------------------------
@@ -135,38 +130,6 @@ def seminormal_action(shape) -> tuple[tuple, int]:
     return tuple(action), scale
 
 
-def cycle_word(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    """s_o s_{o+1} ... s_{o+p-2} over the blocks p of a cycle type, o their offsets.
-
-    The word's permutation has the given cycle type; its length is
-    n - (number of blocks).
-    """
-    word: list[int] = []
-    offset = 0
-    for p in cycle:
-        word.extend(range(offset, offset + p - 1))
-        offset += p
-    return tuple(word)
-
-
-def word_trace(action, scale: int, word) -> int:
-    """Trace of a word in the adjacent transpositions, one basis vector at a time.
-
-    The trace is a character value of S_n, so an integer: a remainder
-    raises InternalInconsistencyError.
-    """
-    total = 0
-    for t in range(len(action[0])):
-        vec = {t: 1}
-        for i in reversed(word):
-            vec = _apply(action[i], vec)
-        total += vec.get(t, 0)
-    value, remainder = divmod(total, scale ** len(word))
-    if remainder:
-        raise InternalInconsistencyError(f"the trace of {word} is not an integer")
-    return value
-
-
 # -- the paper's construction and the modules -------------------------------
 
 
@@ -268,52 +231,3 @@ def specht_module(shape) -> Representation:
                 rows[u][t] = Fraction(a, scale)
         mats.append(Matrix(rows))
     return Representation(realize(TypeLabel("A", n - 1)), mats, name=partition_text(shape))
-
-
-@lru_cache(maxsize=None)
-def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
-    """Characters of all irreducible modules of S_n, indexed by partitions_of(n).
-
-    Each value is the trace of a class's adjacent-transposition word in the
-    seminormal form, an int (``word_trace`` checks it is integral), in the
-    closed-form class order.
-    """
-    if n < 2:
-        raise ValidationError("character table needs n >= 2")
-    if n > TABLE_GUARD:
-        raise GuardError(f"character tables capped at n = {TABLE_GUARD}")
-    group = class_data(TypeLabel("A", n - 1))
-    words = [cycle_word(rep.cycle_type()) for rep in group.classes.reps]
-    table = []
-    for shape in partitions_of(n):
-        action, scale = seminormal_action(shape)
-        values = [word_trace(action, scale, word) for word in words]
-        table.append(ClassFunction(group, values, partition_text(shape)))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _character_values(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """{(shape, cycle type): value} over the character table of S_n."""
-    table = symmetric_character_table(n)
-    cycles = [rep.cycle_type() for rep in table[0].domain.classes.reps]
-    return {
-        (shape, cycle): value
-        for shape, chi in zip(partitions_of(n), table)
-        for cycle, value in zip(cycles, chi.values)
-    }
-
-
-def symmetric_character_value(shape, cycle: tuple[int, ...]) -> int:
-    """Character value of the shape's module at a given cycle type.
-
-    Partitions of 0 and 1 index the one-dimensional characters of the
-    (trivial) groups S_0 and S_1, so the value is 1 there.
-    """
-    shape = tuple(shape)
-    if shape in ((), (1,)):
-        return 1
-    try:
-        return _character_values(sum(shape))[shape, tuple(cycle)]
-    except KeyError:
-        raise ValidationError(f"no character value at shape {shape!r}, cycle type {cycle!r}") from None

@@ -1,10 +1,10 @@
-"""Partitions, hooks, and the labels and dimensions of the A, B and D irreducibles.
+"""Partitions, hooks, S_n characters, and the A, B and D irreducibles' labels.
 
 Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n and D_n
-labels: the partition and bipartition lists and the hook-length and
-B_n/D_n dimension formulas.  This is all that ``irreps`` of these types
-loads; the S_n modules themselves are in ``specht``.  Nothing here builds
-a group.
+labels: the partition and bipartition lists, the hook-length and B_n/D_n
+dimension formulas, and the S_n characters by the Murnaghan-Nakayama rule
+on beta-sets.  This is all that ``irreps`` of these types loads; the S_n
+modules are in ``specht``.  Nothing here builds a group or a tableau.
 """
 
 from __future__ import annotations
@@ -94,6 +94,41 @@ def hook_dimension(shape) -> int:
     if r:
         raise InternalInconsistencyError(f"hook product {h} does not divide {n}!")
     return q
+
+
+def symmetric_character_value(shape, cycle) -> int:
+    """chi_shape at the cycle type ``cycle``, an int, by the Murnaghan-Nakayama
+    rule (James-Kerber, *The Representation Theory of the Symmetric Group*,
+    2.4.7; Macdonald, *Symmetric Functions and Hall Polynomials*, I.7 Ex. 5).
+    Both must be partitions of one n; n = 0 and 1 give the value 1."""
+    return _rim_hook_sum(tuple(shape), tuple(cycle))
+
+
+@lru_cache(maxsize=None)
+def _rim_hook_sum(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
+    """Sum over the rim hooks of length k = cycle[0] of (-1)^(leg length)
+    times the value of shape - hook at cycle[1:].  On the beta-set
+    {shape_i + l - 1 - i}, a hook moves a beta number b to a free b - k >= 0,
+    and its leg length is the count of beta numbers between the two."""
+    validate_partition(shape)
+    validate_partition(cycle)
+    n = sum(shape)
+    if n != sum(cycle):
+        raise ValidationError(f"shape {shape!r} and cycle type {cycle!r} partition different n")
+    if n > PARTITION_GUARD:
+        raise GuardError(f"character values capped at n = {PARTITION_GUARD}")
+    if not cycle:
+        return 1
+    k, rest, length = cycle[0], cycle[1:], len(shape)
+    beta = [part + length - 1 - i for i, part in enumerate(shape)]
+    total = 0
+    for i, b in enumerate(beta):
+        if b >= k and b - k not in beta:
+            moved = sorted(beta[:i] + beta[i + 1 :] + [b - k], reverse=True)
+            smaller = tuple(x - (length - 1 - j) for j, x in enumerate(moved) if x > length - 1 - j)
+            leg = sum(1 for x in beta[i + 1 :] if x > b - k)
+            total += (-1) ** leg * _rim_hook_sum(smaller, rest)
+    return total
 
 
 # -- labels and dimensions of B_n --------------------------------------------

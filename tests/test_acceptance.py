@@ -17,7 +17,12 @@ from coxeterkit.classes import ClassFunction
 from coxeterkit.classify import TypeLabel, classify, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic, sign
 from coxeterkit.dihedral import dihedral_irreducibles
-from coxeterkit.families import BipartitionLabel, dn_irreducibles, hyperoctahedral_irreducibles
+from coxeterkit.families import (
+    BipartitionLabel,
+    dn_irreducibles,
+    hyperoctahedral_irreducibles,
+    symmetric_character_table,
+)
 from coxeterkit.graphs import gram_matrix, subgraph
 from coxeterkit.groups import element_order, enumerate_group, realize
 from coxeterkit.linalg import is_zero_scalar
@@ -31,8 +36,14 @@ from coxeterkit.reps import (
     tensor_decompose,
     trivial_character,
 )
-from coxeterkit.specht import specht_module, symmetric_character_table, symmetric_character_value
-from coxeterkit.tableaux import hook_dimension, hook_lengths, hook_product, partitions_of
+from coxeterkit.specht import specht_module
+from coxeterkit.tableaux import (
+    hook_dimension,
+    hook_lengths,
+    hook_product,
+    partitions_of,
+    symmetric_character_value,
+)
 from test_oracles import dense_leading_minors
 
 

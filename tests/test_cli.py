@@ -111,7 +111,7 @@ def test_chartable_unsupported_exceptional():
 
 
 def test_chartable_guard_exceeded():
-    for target in ("A9", "B9", "D9"):
+    for target in ("A16", "B9", "D9"):
         code, text = run_cli("chartable", target)
         assert code == 3, target
 

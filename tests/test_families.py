@@ -107,7 +107,7 @@ def test_extended_block_characters_satisfy_reciprocity():
     closed form by Frobenius reciprocity.
     """
     from coxeterkit.reps import induce_character
-    from coxeterkit.specht import symmetric_character_value
+    from coxeterkit.tableaux import symmetric_character_value
 
     for n in (2, 3):
         bn = realize(TypeLabel("B", n))

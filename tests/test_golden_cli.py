@@ -24,7 +24,12 @@ group built, and the guards rose to S_9 and B_8/D_8: every value matches
 the Murnaghan-Nakayama and bipartition rim-hook oracles of
 ``test_oracles.py``, and for n <= 8 (S_n), 6 (B_n, D_n) the class data
 equals the orbit classes (``test_groups.py``); before that, these commands
-exited 3.  The non-finite ``classify`` cases (all six graphs in ``GRAPHS``) were
+exited 3.  The ``chartable`` cases of A9 to A15 (tsv and json) were recorded
+when the S_n characters moved to the Murnaghan-Nakayama rule and their guard
+rose from n = 9 to 16, after every value had matched the test-side rim-hook
+rule and both orthogonality relations of ``test_oracles.py`` (and, for
+A9, the seminormal traces); before that, these commands exited 3.  The
+non-finite ``classify`` cases (all six graphs in ``GRAPHS``) were
 re-recorded when the witness became a minimal non-finite subgraph named by
 its vertices, instead of a leading Gram minor.
 

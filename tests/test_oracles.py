@@ -7,10 +7,14 @@ every element, and induction by the sum over the whole group.  They share no
 code with the kernel beyond element products and, for induction, the
 subgroup's class lookup, which the class oracle checks on every subgroup used.
 
-The S_n characters come from Young's seminormal form.  Two oracles check
-them: the left ideal that the Young symmetrizer spans in the group algebra
-(the construction the seminormal form replaced), and the Murnaghan-Nakayama
-rim-hook rule, which shares no code with either.
+The S_n characters come from the Murnaghan-Nakayama rule on beta-sets
+(``tableaux.symmetric_character_value``).  Four oracles check them: the
+traces of class words in Young's seminormal form (``word_trace``, n <= 9),
+the characters of the seminormal ``specht_module`` and of the left ideal
+that the Young symmetrizer spans in the group algebra (n <= 5), and a
+rim-hook rule of its own (n <= 16).  None shares code with the library's
+rule.  Past n = 9 the tables also rest on both orthogonality relations,
+with the centralizer orders computed here, and on the hook-length column.
 
 The B_n and D_n characters are a closed form on signed cycle types.  Two
 oracles check them: the paper's construction, induction from the block
@@ -36,6 +40,7 @@ Gram matrix; its oracle is one ``inner_product`` per ordered pair.
 import collections
 import itertools
 import math
+import operator
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +56,12 @@ from coxeterkit.classify import TypeLabel, classify
 from coxeterkit.cyclotomic import Cyclotomic, sign
 from coxeterkit.dihedral import dihedral_irreducibles
 from coxeterkit.errors import InternalInconsistencyError, ValidationError
-from coxeterkit.families import bipartitions, dn_irreducibles, hyperoctahedral_irreducibles
+from coxeterkit.families import (
+    bipartitions,
+    dn_irreducibles,
+    hyperoctahedral_irreducibles,
+    symmetric_character_table,
+)
 from coxeterkit.graphs import CoxeterGraph, INFINITY, connected_components, gram_matrix, subgraph
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
@@ -65,11 +75,11 @@ from coxeterkit.reps import (
 from coxeterkit.roots import RootSystem, root_system
 from coxeterkit.specht import (
     row_column_groups,
+    seminormal_action,
     specht_module,
-    symmetric_character_table,
     young_symmetrizer,
 )
-from coxeterkit.tableaux import partition_text, partitions_of
+from coxeterkit.tableaux import hook_dimension, partition_text, partitions_of
 from coxeterkit.verify import _sample_subgroup, character_orthonormality
 
 A_LABELS = [TypeLabel("A", n) for n in range(1, 6)]
@@ -415,12 +425,97 @@ def test_character_table_matches_murnaghan_nakayama(n):
     assert table_by_labels(n) == want
 
 
-def test_s9_table_past_the_enumeration_bound_matches_murnaghan_nakayama():
-    """|S_9| exceeds MAX_ORDER, so the classes are the table's own class data."""
-    table = symmetric_character_table(9)
+@pytest.mark.parametrize("n", range(9, 17))
+def test_sn_table_past_the_enumeration_bound_matches_murnaghan_nakayama(n):
+    """|S_n| exceeds MAX_ORDER, so the classes are the table's own class data."""
+    table = symmetric_character_table(n)
     reps = table[0].domain.classes.reps
-    for shape, chi in zip(own_partitions(9), table):
+    for shape, chi in zip(own_partitions(n), table):
         assert list(chi.values) == [murnaghan_nakayama(shape, w.cycle_type()) for w in reps], shape
+
+
+def centralizer_order(cycle: tuple[int, ...]) -> int:
+    """z = prod over part sizes k of k^(m_k) m_k!, m_k the number of parts k."""
+    return math.prod(k ** m * math.factorial(m) for k, m in collections.Counter(cycle).items())
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_sn_table_is_orthogonal_with_the_hook_column(n):
+    """sum_g chi(g) psi(g) = n! delta over the rows, sum_chi chi(g) chi(h) =
+    z(g) delta over the columns, and the identity column is the hook formula."""
+    table = symmetric_character_table(n)
+    classes = table[0].domain.classes
+    rows = [list(chi.values) for chi in table]
+    assert [row[0] for row in rows] == [hook_dimension(shape) for shape in own_partitions(n)]
+    for i, a in enumerate(rows):
+        weighted = [size * v for size, v in zip(classes.sizes, a)]
+        for j in range(i, len(rows)):
+            assert sum(map(operator.mul, weighted, rows[j])) == (math.factorial(n) if i == j else 0)
+    columns = list(zip(*rows))
+    for g, (x, rep) in enumerate(zip(columns, classes.reps)):
+        z = centralizer_order(rep.cycle_type())
+        for h in range(g, len(columns)):
+            assert sum(map(operator.mul, x, columns[h])) == (z if g == h else 0)
+
+
+def cycle_word(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """s_o s_{o+1} ... s_{o+p-2} over the blocks p of a cycle type, o their offsets.
+
+    The word's permutation has the given cycle type; its length is
+    n - (number of blocks).
+    """
+    word: list[int] = []
+    offset = 0
+    for p in cycle:
+        word.extend(range(offset, offset + p - 1))
+        offset += p
+    return tuple(word)
+
+
+def word_trace(action, scale: int, word) -> int:
+    """Trace of a word in the seminormal form's adjacent transpositions, one
+    basis vector at a time.  A character value of S_n is an integer, so a
+    remainder raises InternalInconsistencyError."""
+    total = 0
+    for t in range(len(action[0])):
+        vec = {t: 1}
+        for i in reversed(word):
+            image: dict = {}
+            for u, x in vec.items():
+                for v, a in action[i][u]:
+                    image[v] = image.get(v, 0) + a * x
+            vec = image
+        total += vec.get(t, 0)
+    value, remainder = divmod(total, scale ** len(word))
+    if remainder:
+        raise InternalInconsistencyError(f"the trace of {word} is not an integer")
+    return value
+
+
+def test_cycle_words_and_their_traces():
+    assert cycle_word((3, 2, 1)) == (0, 1, 3)
+    assert cycle_word((1, 1, 1)) == ()
+    for n in range(2, 7):
+        for cycle in partitions_of(n):
+            assert len(cycle_word(cycle)) == n - len(cycle)
+    action, scale = seminormal_action((2, 1))
+    traces = [word_trace(action, scale, cycle_word(c)) for c in partitions_of(3)]
+    assert traces == [-1, 0, 2] and all(type(t) is int for t in traces)
+
+
+def test_a_trace_with_a_remainder_raises():
+    action, scale = seminormal_action((3,))  # s_0 acts as scale * 1
+    with pytest.raises(InternalInconsistencyError, match="not an integer"):
+        word_trace(action, 2 * scale, (0,))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_character_table_matches_the_seminormal_traces(n):
+    table = symmetric_character_table(n)
+    words = [cycle_word(rep.cycle_type()) for rep in table[0].domain.classes.reps]
+    for shape, chi in zip(partitions_of(n), table):
+        action, scale = seminormal_action(shape)
+        assert list(chi.values) == [word_trace(action, scale, word) for word in words], shape
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -7,6 +7,7 @@ import pytest
 from coxeterkit.classes import ClassFunction
 from coxeterkit.classify import TypeLabel
 from coxeterkit.errors import ValidationError
+from coxeterkit.families import symmetric_character_table
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
 from coxeterkit.permutations import Permutation
@@ -27,7 +28,7 @@ from coxeterkit.reps import (
     tensor_decompose,
     trivial_character,
 )
-from coxeterkit.specht import specht_module, symmetric_character_table
+from coxeterkit.specht import specht_module
 
 
 def s3():

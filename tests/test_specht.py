@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxeterkit.classify import TypeLabel
-from coxeterkit.errors import GuardError, InternalInconsistencyError, ValidationError
+from coxeterkit.errors import GuardError, ValidationError
+from coxeterkit.families import symmetric_character_table
 from coxeterkit.groups import realize
 from coxeterkit.permutations import Permutation
 from coxeterkit.reps import inner_product, is_irreducible
 from coxeterkit.specht import (
-    cycle_word,
     row_column_blocks,
     row_column_groups,
     seminormal_action,
     specht_module,
     standard_tableaux,
-    symmetric_character_table,
-    symmetric_character_value,
-    word_trace,
     young_symmetrizer,
 )
 from coxeterkit.tableaux import (
@@ -29,6 +26,7 @@ from coxeterkit.tableaux import (
     parse_partition,
     partition_text,
     partitions_of,
+    symmetric_character_value,
 )
 
 
@@ -143,23 +141,6 @@ def test_seminormal_action_of_the_hook_shape():
     assert action[1] == (((0, -2), (1, 3)), ((1, 2), (0, 4)))
 
 
-def test_cycle_words_and_their_traces():
-    assert cycle_word((3, 2, 1)) == (0, 1, 3)
-    assert cycle_word((1, 1, 1)) == ()
-    for n in range(2, 7):
-        for cycle in partitions_of(n):
-            assert len(cycle_word(cycle)) == n - len(cycle)
-    action, scale = seminormal_action((2, 1))
-    traces = [word_trace(action, scale, cycle_word(c)) for c in partitions_of(3)]
-    assert traces == [-1, 0, 2] and all(type(t) is int for t in traces)
-
-
-def test_a_trace_with_a_remainder_raises():
-    action, scale = seminormal_action((3,))  # s_0 acts as scale * 1
-    with pytest.raises(InternalInconsistencyError, match="not an integer"):
-        word_trace(action, 2 * scale, (0,))
-
-
 def test_specht_dimensions_small():
     assert specht_module((2, 1)).dim == 2
     assert specht_module((4,)).dim == 1
@@ -188,8 +169,9 @@ def test_specht_matches_hooks_up_to_five():
 def test_specht_guard():
     with pytest.raises(GuardError):
         specht_module((8,))
+    symmetric_character_table(16)
     with pytest.raises(GuardError):
-        symmetric_character_table(10)
+        symmetric_character_table(17)
 
 
 def test_character_table_small_n():
@@ -238,6 +220,9 @@ def test_symmetric_character_value_lookup():
     assert symmetric_character_value((), ()) == 1
     assert symmetric_character_value((1,), (1,)) == 1
     assert symmetric_character_value([2, 1], [3]) == -1
-    for shape, cycle in (((1, 2), (3,)), ((2, 1), (2, 2)), ((2, 1), (4,))):
+    bad = (((1, 2), (3,)), ((2, 1), (2, 2)), ((2, 1), (4,)), ((), (5,)), ((1,), (3,)), ((2, 1), (1, 2)))
+    for shape, cycle in bad:
         with pytest.raises(ValidationError):
             symmetric_character_value(shape, cycle)
+    with pytest.raises(GuardError):
+        symmetric_character_value((41,), (41,))

@@ -33,7 +33,7 @@ CLASSIFIER = {"catalog", "certify", "cyclotomic", "graphs", "linalg"}
 # the enumeration engine, which only verify loads
 ENGINE = {"groups", "reps"}
 # what a table command of A_n, B_n, D_n and of I2(m) must not compile
-NOT_FOR_PERMUTATION_TABLES = {"dihedral"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
+NOT_FOR_PERMUTATION_TABLES = {"dihedral", "specht"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
 NOT_FOR_DIHEDRAL_TABLES = {"permutations", "tableaux", "specht"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
 
 PROBE = """
@@ -110,7 +110,7 @@ def test_dihedral_table_loads_its_class_data_and_the_cyclotomics():
 
 
 def test_chartable_skips_roots_and_verify():
-    tables = {"classes", "permutations", "specht", "tableaux"}
+    tables = {"classes", "permutations", "families", "tableaux"}
     assert modules_after("chartable", "A2") == BASE | tables
 
 
