@@ -8,8 +8,10 @@ in-process test that has already loaded the whole package cannot catch a
 broken function-local import; a fresh process per command does.  The
 ``classify`` runs have a time limit, so that a slow classify fails here:
 on the two non-finite graphs of large conductor, and at the vertex guard
-on the 48-vertex path and the 48-vertex tree of 5-bonds, which take the
-forest pivots and the minimal-subgraph sweep.  So does a slow
+on the 48-vertex path, the 48-vertex D-type fork, the 48-vertex tree of
+5-bonds and a 48-vertex tree with two branch vertices (affine D~47), which
+take the path and arm walks, the forest pivots and the minimal-subgraph
+sweep.  So does a slow
 ``chartable`` of A15, B8 or D8, the largest table of each family under its
 guard (``chartable A16`` must exit 3), a slow ``realize B6``, or a slow
 ``verify`` of B6, D6 or I2(24), the largest types each verify path takes.
@@ -46,6 +48,9 @@ GRAPHS = {
         {"n": 18, "edges": [[i, j, 4] for i in range(18) for j in range(i + 1, 18)]}, 2),
     "path-48.json": ({"n": 48, "edges": [[i, i + 1, 3] for i in range(47)]}, 0),
     "tree-48-5.json": ({"n": 48, "edges": [[(k - 1) // 2, k, 5] for k in range(1, 48)]}, 2),
+    "fork-d48.json": ({"n": 48, "edges": [[0, 2, 3]] + [[i, i + 1, 3] for i in range(1, 47)]}, 0),
+    "tree-48-two-branches.json": (
+        {"n": 48, "edges": [[i, i + 1, 3] for i in range(45)] + [[1, 46, 3], [44, 47, 3]]}, 2),
     "false-label.json": ({"n": 2, "edges": [[0, 1, False]]}, 1),
 }
 COMMANDS = [

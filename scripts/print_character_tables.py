@@ -26,4 +26,8 @@ def run() -> int:
 
 
 if __name__ == "__main__":
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # a closed pipe ends the dump quietly, as in ``cli.run``
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

@@ -1,10 +1,12 @@
 """Recognition of finite Coxeter graphs against the Dynkin+ catalog.
 
-Matching is structural (path/fork shape plus bond labels).  Exact
-arithmetic then checks every verdict independently: a matched component by
-Sylvester's criterion on the sparse pivots of its Gram matrix, a rejected
-one by certifying a minimal rejected induced subgraph as affine or
-hyperbolic (``certify``).  Any disagreement between the two raises, since
+Matching is structural and reads a component once: only a tree (n - 1
+edges) with finite bonds can match, and one walk along the vertices of
+degree 2 reads a path's bonds from its least end, or the three arm lengths
+at a single branch vertex.  Exact arithmetic then checks every verdict
+independently: a matched component by Sylvester's criterion on the sparse
+pivots of its Gram matrix, a rejected one by certifying a minimal rejected
+induced subgraph as affine or hyperbolic (``certify``).  Any disagreement between the two raises, since
 it can only mean a bug in one of them.  ``is_positive_definite`` is the
 same decision for the whole graph, with a ``Witness`` (a minimal non-finite
 subgraph) on failure; no dense Gram minor is formed.  ``classify.classify``
@@ -134,93 +136,61 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
     return res.is_finite, next((c.witness for c in res.components if c.witness), None)
 
 
-def _path_sequence(g: CoxeterGraph):
-    """Bond labels along a path graph, or None if g is not a path."""
-    if g.n == 1:
-        return []
-    degs = [g.degree(v) for v in range(g.n)]
-    ends = [v for v in range(g.n) if degs[v] == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs) or len(g.labels) != g.n - 1:
-        return None
-    seq = []
-    prev, cur = None, min(ends)
-    while True:
-        nxt = [w for w in g.neighbors(cur) if w != prev]
-        if not nxt:
-            break
-        seq.append(g.label(cur, nxt[0]))
-        prev, cur = cur, nxt[0]
-    return seq
-
-
-def _arm_lengths(g: CoxeterGraph, branch: int):
-    """Edge counts of the three arms hanging off a degree-3 vertex."""
-    arms = []
-    for start in g.neighbors(branch):
-        length = 1
-        prev, cur = branch, start
-        while True:
-            nxt = [w for w in g.neighbors(cur) if w != prev]
-            if len(nxt) != 1:
-                break
-            length += 1
-            prev, cur = cur, nxt[0]
-        arms.append((length, cur))
-    return arms
+def _walk(adj: list, prev: int, cur: int) -> list[int]:
+    """The vertices from cur, leaving prev behind, up to and including the
+    first one whose degree is not 2; ``adj`` must be a tree's, or the walk
+    may not end."""
+    out = [cur]
+    while len(adj[cur]) == 2:
+        a, b = adj[cur]
+        prev, cur = cur, b if a == prev else a
+        out.append(cur)
+    return out
 
 
 def _match_connected(g: CoxeterGraph) -> TypeLabel | None:
-    """Structural match of a connected graph against the catalog."""
-    if INFINITY in g.labels.values():
+    """Structural match of a connected graph against the catalog.
+
+    Only trees with finite bonds qualify; a connected graph with n - 1 edges
+    is a tree.  One ``_walk`` from the least end reads a path's bonds; with
+    one branch vertex of degree 3, a ``_walk`` into each neighbour measures
+    the three arms.
+    """
+    n, labels = g.n, g.labels
+    if len(labels) != n - 1 or INFINITY in labels.values():
         return None
-    if g.n == 1:
+    if n == 1:
         return TypeLabel("A", 1)
-    degs = [g.degree(v) for v in range(g.n)]
-    if max(degs) >= 4:
-        return None
-    branches = [v for v in range(g.n) if degs[v] == 3]
-    if len(branches) > 1:
-        return None
+    adj = [g._adjacent(v) for v in range(n)]
+    branches = [v for v in range(n) if len(adj[v]) > 2]
     if branches:
-        if any(m != 3 for m in g.labels.values()):
+        b = branches[0]
+        if len(branches) > 1 or len(adj[b]) > 3 or any(m != 3 for m in labels.values()):
             return None
-        if len(g.labels) != g.n - 1:  # a cycle through the branch vertex
-            return None
-        arms = _arm_lengths(g, branches[0])
-        ends = [v for _, v in arms]
-        if len(set(ends)) != 3 or any(g.degree(v) != 1 for v in ends):
-            return None
-        lengths = sorted(length for length, _ in arms)
-        if lengths[0] == lengths[1] == 1:
-            return TypeLabel("D", lengths[2] + 3)
-        if lengths[0] == 1 and lengths[1] == 2 and lengths[2] in (2, 3, 4):
-            return TypeLabel("E", lengths[2] + 4)
+        short, mid, long = sorted(len(_walk(adj, b, s)) for s in adj[b])
+        if short == mid == 1:
+            return TypeLabel("D", long + 3)
+        if short == 1 and mid == 2 and long in (2, 3, 4):
+            return TypeLabel("E", long + 4)
         return None
-    seq = _path_sequence(g)
-    if seq is None:
-        return None
-    if g.n == 2:
-        m = seq[0]
-        if m == 3:
-            return TypeLabel("A", 2)
-        if m == 4:
-            return TypeLabel("B", 2)
-        return TypeLabel("I2", 2, m)
+    end = next(v for v in range(n) if len(adj[v]) == 1)
+    path = [end] + _walk(adj, end, adj[end][0])
+    seq = [g.label(a, b) for a, b in zip(path, path[1:])]
+    if n == 2 and seq[0] > 4:  # A2 and B2 are read below as paths
+        return TypeLabel("I2", 2, seq[0])
     heavy = [(k, m) for k, m in enumerate(seq) if m != 3]
     if not heavy:
-        return TypeLabel("A", g.n)
+        return TypeLabel("A", n)
     if len(heavy) > 1:
         return None
     pos, m = heavy[0]
-    terminal = pos in (0, len(seq) - 1)
-    if m == 4:
-        if terminal:
-            return TypeLabel("B", g.n)
-        if g.n == 4:
-            return TypeLabel("F", 4)
-        return None
-    if m == 5 and terminal and g.n in (3, 4):
-        return TypeLabel("H", g.n)
+    terminal = pos in (0, n - 2)
+    if m == 4 and terminal:
+        return TypeLabel("B", n)
+    if m == 4 and n == 4:
+        return TypeLabel("F", 4)
+    if m == 5 and terminal and n in (3, 4):
+        return TypeLabel("H", n)
     return None
 
 

@@ -3,11 +3,12 @@
 A component the catalog matches must pass Sylvester's criterion on the
 sparse pivots of its Gram matrix.  A component it rejects is shrunk to a
 minimal rejected connected induced subgraph, which must be certified affine
-or hyperbolic.  The theory: every proper induced subgraph of a minimal
-non-finite graph is finite, so its determinant decides (Humphreys,
-*Reflection Groups and Coxeter Groups*, ch. 2 and §6.8-6.9).  ``classify``
-imports this module on its first call, so the commands that only name a
-type never compile it.
+or hyperbolic; the parts each deletion leaves come from
+``graphs.induced_parts``, the search that splits a graph into components.
+The theory: every proper induced subgraph of a minimal non-finite graph is
+finite, so its determinant decides (Humphreys, *Reflection Groups and
+Coxeter Groups*, ch. 2 and §6.8-6.9).  ``classify`` imports this module on
+its first call, so the commands that only name a type never compile it.
 
 On a forest the pivots need no division: ``pivot_signs`` eliminates
 leaves of 2G, each diagonal kept as num/den with den > 0, and a leaf with
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .cyclotomic import Cyclotomic, sign
 from .errors import InternalInconsistencyError
-from .graphs import INFINITY, CoxeterGraph, _induced, gram_entry
+from .graphs import INFINITY, CoxeterGraph, _induced, gram_entry, induced_parts
 from .linalg import invert_scalar
 
 _WEIGHTS = {3: 1, 4: 2, 6: 3, INFINITY: 4}  # the rational values of 4cos^2(pi/m)
@@ -127,28 +128,14 @@ def minimal_rejected(g: CoxeterGraph, match) -> tuple[list[int], CoxeterGraph]:
     One sweep over the vertices: when deleting v leaves a rejected part,
     move into that part.  A vertex whose deletion left only matched parts is
     never tried again, since every part of a smaller set minus v is an
-    induced subgraph of one of those parts.  The parts of a vertex set are
-    found on g's own adjacency, in the order of their least vertex, and each
-    is built once.
+    induced subgraph of one of those parts.  The parts of part - {v} are
+    tried in the order of their least vertex, and each is built once.
     """
-    adjacent = [g._adjacent(u) for u in range(g.n)]
     part, sub = list(range(g.n)), g
     for v in range(g.n):
         if v not in part:
             continue
-        unseen = set(part) - {v}
-        for start in part:
-            if start not in unseen:
-                continue
-            unseen.discard(start)
-            comp, stack = [start], [start]
-            while stack:
-                for w in adjacent[stack.pop()]:
-                    if w in unseen:
-                        unseen.discard(w)
-                        comp.append(w)
-                        stack.append(w)
-            comp.sort()
+        for comp in induced_parts(g, [u for u in part if u != v]):
             candidate = _induced(g.labels, comp)
             if match(candidate) is None:
                 part, sub = comp, candidate

@@ -1,7 +1,9 @@
 """Irreducible characters of the A, B and D families.
 
 Every S_m value here, in all three families, is the Murnaghan-Nakayama
-rule's ``tableaux.symmetric_character_value``.  B_n's irreducibles
+rule's unchecked ``tableaux.rim_hook_sum``: the shapes come from the
+partition lists and the cycle types from class representatives, so both
+are partitions of one m by construction.  B_n's irreducibles
 chi_(lam,mu) are the little-group inductions from the block stabilizer
 B_a x B_b (a = |lam|) of chi_lam and (sign of the second block) chi_mu.
 The induction has a closed form (Geck-Pfeiffer, *Characters of Finite
@@ -37,7 +39,7 @@ from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import diagonal_parity
 from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
-from .tableaux import partition_text, partitions_of, symmetric_character_value
+from .tableaux import partition_text, partitions_of, rim_hook_sum
 
 TABLE_GUARD = 16
 BN_CHARACTER_GUARD = 8
@@ -54,7 +56,7 @@ def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
     group = class_data(TypeLabel("A", n - 1))
     cycles = [rep.cycle_type() for rep in group.classes.reps]
     return tuple(
-        ClassFunction(group, [symmetric_character_value(shape, c) for c in cycles], partition_text(shape))
+        ClassFunction(group, [rim_hook_sum(shape, c) for c in cycles], partition_text(shape))
         for shape in partitions_of(n)
     )
 
@@ -84,7 +86,7 @@ def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
     a = sum(lam)
     return [
         sum(
-            c * symmetric_character_value(lam, t0) * symmetric_character_value(mu, t1)
+            c * rim_hook_sum(lam, t0) * rim_hook_sum(mu, t1)
             for (t0, t1), c in by_split.items()
             if c and sum(t0) == a
         )
@@ -176,7 +178,7 @@ def _split_halves(dn: ClassData, splits: list[dict], lam: tuple[int, ...]):
             continue
         beta = tuple(length // 2 for length in pos)
         sign = -1 if diagonal_parity(rep) else 1
-        delta.append(sign * 2 ** len(beta) * symmetric_character_value(lam, beta))
+        delta.append(sign * 2 ** len(beta) * rim_hook_sum(lam, beta))
     whole = _bipartition_values(splits, lam, lam)
     dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
     out = []

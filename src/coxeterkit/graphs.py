@@ -73,7 +73,7 @@ class CoxeterGraph:
         return self.labels.get((min(i, j), max(i, j)), 2)
 
     def edges(self) -> list[tuple[int, int, object]]:
-        return [(i, j, m) for (i, j), m in sorted(self.labels.items(), key=_edge_sort)]
+        return [(i, j, m) for (i, j), m in sorted(self.labels.items())]
 
     def _adjacent(self, i: int) -> list[int]:
         """Sorted neighbours of i, from adjacency built on the first call;
@@ -103,11 +103,6 @@ class CoxeterGraph:
 
     def __repr__(self):
         return f"CoxeterGraph({self.n}, {self.edges()!r})"
-
-
-def _edge_sort(item):
-    (i, j), m = item
-    return (i, j)
 
 
 class CoxeterMatrix:
@@ -201,29 +196,34 @@ def _induced(labels: dict, keep) -> CoxeterGraph:
     return g
 
 
+def induced_parts(g: CoxeterGraph, keep) -> list[list[int]]:
+    """The connected parts of the subgraph g induces on the vertices ``keep``:
+    each as a sorted list of g's vertices, in the order of their least vertex."""
+    unseen = set(keep)
+    parts = []
+    for start in sorted(unseen):
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        part, stack = [start], [start]
+        while stack:
+            for w in g._adjacent(stack.pop()):
+                if w in unseen:
+                    unseen.discard(w)
+                    part.append(w)
+                    stack.append(w)
+        part.sort()
+        parts.append(part)
+    return parts
+
+
 def connected_components(g: CoxeterGraph) -> list[tuple[CoxeterGraph, tuple[int, ...]]]:
     """Induced connected subgraphs, each with its original-vertex tuple.
 
     The k-th vertex of a component graph corresponds to original vertex
     ``vertices[k]``; components are ordered by smallest original vertex.
     """
-    seen = set()
-    comps = []
-    for start in range(g.n):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(w for w in g._adjacent(v) if w not in comp)
-        seen |= comp
-        vertices = tuple(sorted(comp))
-        comps.append((_induced(g.labels, vertices), vertices))
-    return comps
+    return [(_induced(g.labels, vs), tuple(vs)) for vs in induced_parts(g, range(g.n))]
 
 
 def subgraph(g: CoxeterGraph, remove_vertices=(), lower_labels=None) -> CoxeterGraph:

@@ -26,7 +26,7 @@ class Subgroup:
     class functions on the subgroup are first-class objects.
     """
 
-    def __init__(self, parent: RealizedGroup, elements, verify: bool = True):
+    def __init__(self, parent: RealizedGroup, elements):
         self.parent = parent
         idx = sorted({parent.index_of(x) for x in elements})
         if not idx:
@@ -38,10 +38,8 @@ class Subgroup:
             raise ValidationError("subgroup does not contain the identity")
         if parent.order % len(self.elements):
             raise ValidationError("subgroup order does not divide the group order")
-        self._generators = None
         self._classes = None
-        if verify:
-            self._generating_set()
+        self._generators = self._generating_set()
 
     @property
     def order(self) -> int:
@@ -72,33 +70,31 @@ class Subgroup:
         The closure never leaves the element set exactly when the set is
         closed under products, so this is also the closure check.
         """
-        if self._generators is None:
-            gens = []
+        gens = []
+        reached = {0}
+        for k, x in enumerate(self.elements):
+            if k in reached:
+                continue
+            gens.append(x)
             reached = {0}
-            for k, x in enumerate(self.elements):
-                if k in reached:
-                    continue
-                gens.append(x)
-                reached = {0}
-                queue = [0]
-                for i in queue:
-                    y = self.elements[i]
-                    for g in gens:
-                        j = self.index.get(g * y)
-                        if j is None:
-                            raise ValidationError("element set is not closed under products")
-                        if j not in reached:
-                            reached.add(j)
-                            queue.append(j)
-            self._generators = gens
-        return self._generators
+            queue = [0]
+            for i in queue:
+                y = self.elements[i]
+                for g in gens:
+                    j = self.index.get(g * y)
+                    if j is None:
+                        raise ValidationError("element set is not closed under products")
+                    if j not in reached:
+                        reached.add(j)
+                        queue.append(j)
+        return gens
 
     @property
     def classes(self) -> ConjugacyClasses:
         if self._classes is None:
             index = self.index
             conjugations = []
-            for g in self._generating_set():
+            for g in self._generators:
                 ginv = g.inverse()
                 conjugations.append([index[g * x * ginv] for x in self.elements])
             self._classes = conjugacy_orbits(self.elements, conjugations)

@@ -28,6 +28,8 @@ from .groups import realize
 from .linalg import Matrix, invert_scalar, is_zero_scalar
 from .reps import Representation
 
+RANK_BOUND = 8  # root_system and geometric_rep refuse larger ranks with GuardError
+
 
 def _reflector(alpha, gram: Matrix | None):
     """The reflection in alpha, as alpha and the covector 2 G alpha / (alpha, alpha).
@@ -211,12 +213,12 @@ class RootSystem:
 
 
 def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
-    """Standard root system of an A/B/D/I2 type, rank <= 8 and |W| <=
+    """Standard root system of an A/B/D/I2 type, rank <= ``RANK_BOUND`` and |W| <=
     ``max_order`` (GuardError otherwise, before any root is built)."""
     if t.family not in ("A", "B", "D", "I2"):
         raise UnsupportedTypeError(f"no root system realization for {t}")
-    if t.rank > 8:
-        raise GuardError(f"rank {t.rank} exceeds the bound 8")
+    if t.rank > RANK_BOUND:
+        raise GuardError(f"rank {t.rank} exceeds the bound {RANK_BOUND}")
     check_order(t, max_order)
     n = t.rank
     roots = []
@@ -325,8 +327,8 @@ def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
     """
     if t.family not in ("A", "B", "D", "I2"):
         raise UnsupportedTypeError(f"no geometric realization for {t}")
-    if t.rank > 8:
-        raise GuardError(f"rank {t.rank} exceeds the bound 8")
+    if t.rank > RANK_BOUND:
+        raise GuardError(f"rank {t.rank} exceeds the bound {RANK_BOUND}")
     group = realize(t, max_order)
     gram = gram_matrix(group.graph)
     n = group.graph.n

@@ -178,13 +178,7 @@ def row_column_groups(shape) -> tuple[Subgroup, Subgroup]:
 
     rows, cols = row_column_blocks(shape)
     group = realize(TypeLabel("A", n - 1))
-    row_elements = _block_permutations(n, rows)
-    col_elements = _block_permutations(n, cols)
-    verify = len(row_elements) <= 200 and len(col_elements) <= 200
-    return (
-        Subgroup(group, row_elements, verify=verify),
-        Subgroup(group, col_elements, verify=verify),
-    )
+    return tuple(Subgroup(group, _block_permutations(n, blocks)) for blocks in (rows, cols))
 
 
 def young_symmetrizer(shape) -> GroupAlgebraElement:

@@ -100,23 +100,25 @@ def symmetric_character_value(shape, cycle) -> int:
     """chi_shape at the cycle type ``cycle``, an int, by the Murnaghan-Nakayama
     rule (James-Kerber, *The Representation Theory of the Symmetric Group*,
     2.4.7; Macdonald, *Symmetric Functions and Hall Polynomials*, I.7 Ex. 5).
-    Both must be partitions of one n; n = 0 and 1 give the value 1."""
-    return _rim_hook_sum(tuple(shape), tuple(cycle))
-
-
-@lru_cache(maxsize=None)
-def _rim_hook_sum(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
-    """Sum over the rim hooks of length k = cycle[0] of (-1)^(leg length)
-    times the value of shape - hook at cycle[1:].  On the beta-set
-    {shape_i + l - 1 - i}, a hook moves a beta number b to a free b - k >= 0,
-    and its leg length is the count of beta numbers between the two."""
-    validate_partition(shape)
-    validate_partition(cycle)
+    Both must be partitions of one n <= PARTITION_GUARD; n = 0 and 1 give
+    the value 1.  The arguments are checked here, once, and not in the
+    recursion."""
+    shape, cycle = validate_partition(shape), validate_partition(cycle)
     n = sum(shape)
     if n != sum(cycle):
         raise ValidationError(f"shape {shape!r} and cycle type {cycle!r} partition different n")
     if n > PARTITION_GUARD:
         raise GuardError(f"character values capped at n = {PARTITION_GUARD}")
+    return rim_hook_sum(shape, cycle)
+
+
+@lru_cache(maxsize=None)
+def rim_hook_sum(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
+    """``symmetric_character_value`` on trusted tuples, unchecked: the sum
+    over the rim hooks of length k = cycle[0] of (-1)^(leg length) times the
+    value of shape - hook at cycle[1:].  On the beta-set {shape_i + l - 1 - i},
+    a hook moves a beta number b to a free b - k >= 0, and its leg length is
+    the count of beta numbers between the two."""
     if not cycle:
         return 1
     k, rest, length = cycle[0], cycle[1:], len(shape)
@@ -127,7 +129,7 @@ def _rim_hook_sum(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
             moved = sorted(beta[:i] + beta[i + 1 :] + [b - k], reverse=True)
             smaller = tuple(x - (length - 1 - j) for j, x in enumerate(moved) if x > length - 1 - j)
             leg = sum(1 for x in beta[i + 1 :] if x > b - k)
-            total += (-1) ** leg * _rim_hook_sum(smaller, rest)
+            total += (-1) ** leg * rim_hook_sum(smaller, rest)
     return total
 
 

@@ -55,7 +55,7 @@ from .reps import (
     restrict_character,
     trivial_character,
 )
-from .roots import compute_base, fixed_space_dimension, geometric_rep, root_system
+from .roots import RANK_BOUND, compute_base, fixed_space_dimension, geometric_rep, root_system
 from .specht import standard_tableaux
 from .tableaux import hook_dimension, partitions_of
 
@@ -124,7 +124,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
     record("group-order", order_check)
     record("presentation", presentation)
     record("class-equation", classes_check)
-    if label.rank <= 8:
+    if label.rank <= RANK_BOUND:
         record("root-system-axioms", roots_check)
         record("fixed-space", fixed_space)
 
@@ -258,4 +258,4 @@ def _sample_subgroup(group) -> Subgroup:
         keep = [g for g in group.elements if not g.reflected]
     else:
         keep = [g for g in group.elements if all(s == 1 for s in g.signs)]  # S_n <= B_n, D_n
-    return Subgroup(group, keep, verify=False)
+    return Subgroup(group, keep)

@@ -233,7 +233,7 @@ def _block_subgroup(group, n, a):
         for g in group.elements
         if all(g(i) < a for i in range(a)) and all(g(i) >= a for i in range(a, n))
     ]
-    return Subgroup(group, elements, verify=False)
+    return Subgroup(group, elements)
 
 
 def _block_character(sub, n, a, lam, mu, name):
@@ -292,7 +292,7 @@ def test_criterion_12_frobenius_reciprocity():
         m = rng.randint(3, 12)
         group = realize(TypeLabel("I2", 2, m))
         rotations = [g for g in group.elements if not g.reflected]
-        sub = Subgroup(group, rotations, verify=False)
+        sub = Subgroup(group, rotations)
         k = rng.randrange(m)
         chi = ClassFunction(
             sub, [Cyclotomic.zeta(m, k * el.rotation) for el in sub.classes.reps]

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -32,7 +33,7 @@ from coxeterkit.graphs import (
     subgraph,
 )
 from coxeterkit.linalg import Matrix, is_zero_scalar
-from test_oracles import dense_leading_minors
+from test_oracles import connected_parts, dense_leading_minors
 
 
 def test_type_label_validation():
@@ -365,18 +366,40 @@ def dense_minor_signs(g):
 
 
 def reference_minimal_rejected(g, match):
-    """The sweep that builds a validated subgraph for each deleted vertex and
-    then its components: the reference for ``certify.minimal_rejected``."""
+    """The sweep that builds a validated subgraph for each part of each
+    deleted vertex, the parts found by the test's own ``connected_parts``:
+    the reference for ``certify.minimal_rejected``."""
     part, sub = list(range(g.n)), g
     for v in range(g.n):
         if v in part:
-            rest = [u for u in part if u != v]
-            gone = set(range(g.n)).difference(rest)
-            for comp, vertices in connected_components(subgraph(g, remove_vertices=gone)):
-                if match(comp) is None:
-                    part, sub = [rest[k] for k in vertices], comp
+            for comp in connected_parts(g, [u for u in part if u != v]):
+                candidate = subgraph(g, remove_vertices=set(range(g.n)).difference(comp))
+                if match(candidate) is None:
+                    part, sub = comp, candidate
                     break
     return part, sub
+
+
+def relabelings(g):
+    """g under every permutation of its vertices."""
+    for perm in itertools.permutations(range(g.n)):
+        yield CoxeterGraph(g.n, [(perm[i], perm[j], m) for i, j, m in g.edges()])
+
+
+@pytest.mark.parametrize("t", classification_catalog(5), ids=str)
+def test_match_connected_names_every_relabeling_of_a_catalog_graph(t):
+    """The walks start from whichever end or neighbour the numbering gives."""
+    for g in relabelings(catalog_graph(t)):
+        assert _match_connected(g) == t, g
+
+
+SMALL_AFFINE_TREES = [(name, g) for name, g in affine_catalog(4) if len(g.labels) == g.n - 1 and g.n <= 7]
+
+
+@pytest.mark.parametrize("g", [g for _, g in SMALL_AFFINE_TREES], ids=[name for name, _ in SMALL_AFFINE_TREES])
+def test_match_connected_rejects_every_relabeling_of_an_affine_tree(g):
+    for h in relabelings(g):
+        assert _match_connected(h) is None, h
 
 
 @pytest.mark.parametrize("t", classification_catalog(8), ids=str)

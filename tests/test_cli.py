@@ -259,25 +259,22 @@ def test_max_order_leaves_exceptional_types_to_the_command():
 
 
 def test_closed_stdout_ends_quietly():
-    # the read end is closed before the child starts, so its first write fails
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "coxeterkit", "chartable", "A3"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            timeout=120,
-        )
-    finally:
-        os.close(write_end)
-    assert b"Traceback" not in proc.stderr
-    assert proc.returncode != 1
-    if hasattr(signal, "SIGPIPE"):
-        assert proc.returncode == -signal.SIGPIPE
+    """The CLI and the table-dump script, each writing into a pipe whose read
+    end is closed before the child starts, so that its first write fails."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    for argv in (["-m", "coxeterkit", "chartable", "A3"], [str(root / "scripts" / "print_character_tables.py")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert b"Traceback" not in proc.stderr, argv
+        assert proc.returncode != 1, argv
+        if hasattr(signal, "SIGPIPE"):
+            assert proc.returncode == -signal.SIGPIPE, argv
 
 
 def test_verify_a2():

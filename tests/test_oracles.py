@@ -62,7 +62,7 @@ from coxeterkit.families import (
     hyperoctahedral_irreducibles,
     symmetric_character_table,
 )
-from coxeterkit.graphs import CoxeterGraph, INFINITY, connected_components, gram_matrix, subgraph
+from coxeterkit.graphs import CoxeterGraph, INFINITY, gram_matrix, subgraph
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix
 from coxeterkit.reps import (
@@ -143,7 +143,7 @@ def little_subgroup(n: int, a: int) -> Subgroup:
     the permutations that keep {0..a-1} and {a..n-1}."""
     group = realize(TypeLabel("B", n))
     keeps = [g for g in group.elements if all((g.perm(i) < a) == (i < a) for i in range(n))]
-    return Subgroup(group, keeps, verify=False)
+    return Subgroup(group, keeps)
 
 
 def block_cycle_type(p, points) -> tuple[int, ...]:
@@ -631,6 +631,19 @@ def induced(g: CoxeterGraph, vertices) -> CoxeterGraph:
     return subgraph(g, remove_vertices=[v for v in range(g.n) if v not in vertices])
 
 
+def connected_parts(g: CoxeterGraph, keep) -> list[list[int]]:
+    """The connected parts of g on the vertices ``keep``, each sorted, in the
+    order of their least vertex: the endpoints of every bond inside ``keep``
+    are merged, with no search over an adjacency list."""
+    part_of = {v: {v} for v in keep}
+    for i, j, _ in g.edges():
+        if i in part_of and j in part_of and part_of[i] is not part_of[j]:
+            merged = part_of[i] | part_of[j]
+            for v in merged:
+                part_of[v] = merged
+    return sorted({id(p): sorted(p) for p in part_of.values()}.values())
+
+
 CLASSIFY_DEADLINE_S = 1.0
 
 
@@ -661,7 +674,7 @@ def check_classification(g: CoxeterGraph):
         for size in range(1, cert.n):
             for keep in itertools.combinations(range(cert.n), size):
                 part = induced(cert, keep)
-                if len(connected_components(part)) == 1:
+                if len(connected_parts(part, range(part.n))) == 1:
                     assert dense_positive_definite(part), (w, keep)
     return result
 

@@ -206,7 +206,7 @@ def test_inner_product_conjugates_complex_values():
 
     group = realize(TypeLabel("I2", 2, 5))
     rotations = [g for g in group.elements if not g.reflected]
-    sub = Subgroup(group, rotations, verify=False)
+    sub = Subgroup(group, rotations)
     phis = [
         ClassFunction(sub, [Cyclotomic.zeta(5, k * el.rotation) for el in sub.classes.reps])
         for k in range(5)
