@@ -20,7 +20,11 @@ I2(5000)``, whose 10000 elements the closed-form class data never
 enumerates, or a slow guard exit of ``realize A2000``, ``verify A3000000``
 or ``verify I2(60000)``, whose orders are past the bound (the last passes
 ``positive-definite`` by the closed form of rank 2, with no cyclotomic
-polynomial of conductor 120000).
+polynomial of conductor 120000).  ``verify`` of the first bond past
+``roots.BOND_BOUND`` must print the bond guard's FAIL lines for
+``root-system-axioms`` and ``fixed-space`` in time.  ``verify`` loads each
+family's modules inside its checks, so ``verify`` runs once per family:
+A3, A4, B6, D4, D6, I2(11) and I2(24).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
 label ``false``, which JSON equality takes for 0, the unbounded bond.  The
 children run with ``PYTHONDONTWRITEBYTECODE=1``, so every one compiles
@@ -37,6 +41,9 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(SRC))
+from coxeterkit.roots import BOND_BOUND  # noqa: E402
 CLASSIFY_TIMEOUT_S = 5
 TABLE_TIMEOUT_S = 10
 # file name -> (graph, expected exit code of classify)
@@ -67,7 +74,15 @@ COMMANDS = [
     ["--max-order", "1000", "irreps", "D4"],
     ["verify", "A3"],
     ["verify", "A4"],
+    ["verify", "D4"],
+    ["verify", "I2(11)"],
 ]
+PAST_BOND = BOND_BOUND + 1
+# stdout lines a run must print, beside its exit code
+BOND_GUARD_LINES = tuple(
+    f"FAIL\t{check}\terror: bond {PAST_BOND} exceeds the bound {BOND_BOUND}"
+    for check in ("root-system-axioms", "fixed-space")
+)
 
 
 def run() -> int:
@@ -87,7 +102,9 @@ def run() -> int:
         runs += [(["chartable", "A16"], 3, TABLE_TIMEOUT_S), (["realize", "A2000"], 3, TABLE_TIMEOUT_S),
                  (["verify", "A3000000"], 2, TABLE_TIMEOUT_S), (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S),
                  (["chartable"], 1, TABLE_TIMEOUT_S)]
-        for argv, want, timeout in runs:
+        runs = [(argv, want, timeout, ()) for argv, want, timeout in runs]
+        runs.append((["verify", f"I2({PAST_BOND})"], 2, TABLE_TIMEOUT_S, BOND_GUARD_LINES))
+        for argv, want, timeout, lines_wanted in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],
                                       capture_output=True, text=True, env=env, timeout=timeout)
@@ -96,7 +113,8 @@ def run() -> int:
                 return 1
             lines = proc.stdout.count("\n")
             print(f"exit {proc.returncode}  {lines:4d} lines  coxeterkit {' '.join(argv)}")
-            if proc.returncode != want:
+            missing = [line for line in lines_wanted if line not in proc.stdout.splitlines()]
+            if proc.returncode != want or missing:
                 sys.stdout.write(proc.stdout + proc.stderr)
                 return 1
     return 0

@@ -14,17 +14,17 @@ On a forest the pivots need no division: ``pivot_signs`` eliminates
 leaves of 2G, each diagonal kept as num/den with den > 0, and a leaf with
 pivot a/b turns its neighbour's num/den into (num*a - w*b*den)/(den*a),
 where w = 4cos^2(pi/m) = 2 + zeta_m + zeta_m^-1 is the int 1, 2, 3 or 4 for
-m = 3, 4, 6 or inf.  Graphs with a cycle eliminate sparse rows over the field.
+m = 3, 4, 6 or inf, so a forest with only those bonds never loads
+``cyclotomic``.  Graphs with a cycle eliminate sparse rows over the field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic, sign
 from .errors import InternalInconsistencyError
 from .graphs import INFINITY, CoxeterGraph, _induced, gram_entry, induced_parts
-from .linalg import invert_scalar
+from .linalg import invert_scalar, sign
 
 _WEIGHTS = {3: 1, 4: 2, 6: 3, INFINITY: 4}  # the rational values of 4cos^2(pi/m)
 
@@ -60,7 +60,7 @@ def _forest_signs(g: CoxeterGraph) -> list[int] | None:
     weights, adj = {}, {v: {} for v in range(g.n)}
     for (i, j), m in g.labels.items():
         if m not in weights:
-            weights[m] = _WEIGHTS.get(m) or Cyclotomic(m, {0: 2, 1: 1, -1: 1})
+            weights[m] = _WEIGHTS.get(m) or _cyclotomic_weight(m)
         adj[i][j] = adj[j][i] = weights[m]
     num, den = [2] * g.n, [1] * g.n
     signs = []
@@ -78,6 +78,13 @@ def _forest_signs(g: CoxeterGraph) -> list[int] | None:
             num[u] = num[u] * a - b * den[u] * w
             den[u] = den[u] * a
     return signs
+
+
+def _cyclotomic_weight(m: int):
+    """4cos^2(pi/m) = 2 + zeta_m + zeta_m^-1, for a bond outside ``_WEIGHTS``."""
+    from .cyclotomic import Cyclotomic
+
+    return Cyclotomic(m, {0: 2, 1: 1, -1: 1})
 
 
 def _row_signs(g: CoxeterGraph) -> list[int]:

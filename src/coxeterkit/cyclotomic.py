@@ -29,6 +29,7 @@ from functools import lru_cache
 from .errors import InternalInconsistencyError, ValidationError
 
 Rational = Fraction
+_RATIONALS = frozenset({int, bool, Fraction})  # the types that arithmetic takes as rationals
 
 
 def _poly_div_exact(p: list[int], q: tuple[int, ...]) -> list[int]:
@@ -226,6 +227,11 @@ class Cyclotomic:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
+        if type(other) in _RATIONALS and not other:
+            # x + 0 is x as built, normal form included
+            out = _make(self.conductor, self._num, self._den)
+            out._nf = self._nf
+            return out
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -249,6 +255,11 @@ class Cyclotomic:
         return other._combine(self, -1)
 
     def __mul__(self, other):
+        if type(other) in _RATIONALS:
+            # a rational scales the numerators, as the general product would
+            p, q = other.numerator, other.denominator
+            return _make(self.conductor, {k: c * p for k, c in self._num.items()} if p else {},
+                         self._den * q)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -374,6 +385,37 @@ class Cyclotomic:
         n = self.conductor
         return math.fsum(c / den * math.cos(2.0 * math.pi * k / n) for k, c in pairs)
 
+    def sign(self) -> int:
+        """Sign (-1, 0 or 1) of a real value; ``linalg.sign`` takes any scalar.
+
+        The value is zero exactly when its normal form sum_k c_k zeta^k / d
+        is empty.  Otherwise the float f of that form decides, once it
+        clears the bound
+
+            B = 2^-48 * sum_k |c_k| / d.
+
+        Derivation, with u = 2^-53 the unit roundoff: the argument
+        2.0*pi*k/N is off by at most 3u relative (pi, the product and the
+        quotient each round once), so by at most 6*pi*u < 19u absolutely
+        since it lies in [0, 2*pi); cos is 1-Lipschitz and rounds within u,
+        so each cosine is within 20u.  c_k/d rounds within u relative, the
+        product within one more, and fsum rounds the exact sum once:
+        |f - x| is at most 23u * sum_k |c_k|/d, and B leaves room for
+        rounding in B itself (values here stay far from float underflow and
+        overflow).  So |f| > B gives the sign of x, and a value that does not
+        clear it raises InternalInconsistencyError instead of guessing.
+        """
+        pairs, den = self._normal()
+        if not pairs:
+            return 0
+        f = self.to_float()
+        bound = math.ldexp(sum(abs(c) for _, c in pairs) / den, -48)
+        if f > bound:
+            return 1
+        if f < -bound:
+            return -1
+        raise InternalInconsistencyError(f"value too close to zero for a certified sign: {self!r}")
+
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -396,40 +438,6 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.conductor}, {self.terms})"
-
-
-def sign(x) -> int:
-    """Sign (-1, 0 or 1) of a real int, Fraction or Cyclotomic value.
-
-    Rationals compare exactly.  A cyclotomic value is zero exactly when its
-    normal form sum_k c_k zeta^k / d is empty.  Otherwise the float f of
-    that form decides, once it clears the bound
-
-        B = 2^-48 * sum_k |c_k| / d.
-
-    Derivation, with u = 2^-53 the unit roundoff: the argument
-    2.0*pi*k/N is off by at most 3u relative (pi, the product and the
-    quotient each round once), so by at most 6*pi*u < 19u absolutely since
-    it lies in [0, 2*pi); cos is 1-Lipschitz and rounds within u, so each
-    cosine is within 20u.  c_k/d rounds within u relative, the product
-    within one more, and fsum rounds the exact sum once: |f - x| is at most
-    23u * sum_k |c_k|/d, and B leaves room for rounding in B itself (values
-    here stay far from float underflow and overflow).  So |f| > B gives the
-    sign of x, and a value that does not clear it raises
-    InternalInconsistencyError instead of guessing.
-    """
-    if not isinstance(x, Cyclotomic):
-        return (x > 0) - (x < 0)
-    if x.is_zero():
-        return 0
-    pairs, den = x._normal()
-    f = x.to_float()
-    bound = math.ldexp(sum(abs(c) for _, c in pairs) / den, -48)
-    if f > bound:
-        return 1
-    if f < -bound:
-        return -1
-    raise InternalInconsistencyError(f"value too close to zero for a certified sign: {x!r}")
 
 
 def real_cos_pi_over(m) -> Cyclotomic:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .cyclotomic import real_cos_pi_over
 from .errors import ValidationError
 from .linalg import Matrix
 
@@ -159,10 +158,22 @@ def matrix_from_graph(g: CoxeterGraph) -> CoxeterMatrix:
     )
 
 
+_RATIONAL_ENTRIES = {2: Fraction(0), 3: Fraction(-1, 2), INFINITY: Fraction(-1)}
+
+
 def gram_entry(m):
-    """-cos(pi/m), the Gram entry of a bond m: a Fraction when it is rational."""
-    c = -real_cos_pi_over(m)
-    return c.rational_value() if c.is_rational() else c
+    """-cos(pi/m), the Gram entry of a bond m: a Fraction when it is rational.
+
+    cos(pi/m) is rational only for m = 2, 3 and the limit m = inf (Niven),
+    so only the other bonds load ``cyclotomic``.
+    """
+    if type(m) is int or m == INFINITY:
+        c = _RATIONAL_ENTRIES.get(m)
+        if c is not None:
+            return c
+    from .cyclotomic import real_cos_pi_over
+
+    return -real_cos_pi_over(m)
 
 
 def gram_matrix(g: CoxeterGraph) -> Matrix:

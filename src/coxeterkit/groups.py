@@ -1,10 +1,11 @@
 """Enumerated groups: the engine behind ``verify`` and the representation code.
 
 ``realize`` builds a finite Coxeter group of type A, B, D or I2 as the
-full list of its elements (``permutations`` and ``dihedral`` define them),
-in a canonical order, with index-level generator tables, orbit conjugacy
-classes and a word factorization.  The table commands never come here:
-their classes are the closed-form ``classes.class_data``.
+full list of its elements (``permutations`` and ``dihedral`` define them,
+and each is loaded for its own families only), in a canonical order, with
+index-level generator tables, orbit conjugacy classes and a word
+factorization.  The table commands never come here: their classes are the
+closed-form ``classes.class_data``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from functools import lru_cache
 from .catalog import catalog_graph
 from .classes import ConjugacyClasses, coxeter_generators
 from .classify import MAX_ORDER, TypeLabel, check_order
-from .dihedral import DihedralElement
 from .errors import InternalInconsistencyError, ValidationError
-from .permutations import Permutation, SignedPermutation
 
 
 def conjugacy_orbits(elements, conjugations) -> ConjugacyClasses:
@@ -180,17 +179,22 @@ def _build_group(label: TypeLabel, order: int) -> RealizedGroup:
     graph = catalog_graph(label)
     gens = coxeter_generators(label)
     # itertools yields valid permutations and signs, so no re-validation
-    if f == "A":
-        elements = [Permutation._trusted(p) for p in itertools.permutations(range(n + 1))]
-    elif f in ("B", "D"):
-        elements = [
-            SignedPermutation._trusted(s, Permutation._trusted(p))
-            for p in itertools.permutations(range(n))
-            for s in itertools.product((1, -1), repeat=n)
-            if f == "B" or math.prod(s) == 1
-        ]
-    else:
+    if f == "I2":
+        from .dihedral import DihedralElement
+
         elements = _enumerate_closure(gens, DihedralElement.identity(label.bond), order)
+    else:
+        from .permutations import Permutation, SignedPermutation
+
+        if f == "A":
+            elements = [Permutation._trusted(p) for p in itertools.permutations(range(n + 1))]
+        else:
+            elements = [
+                SignedPermutation._trusted(s, Permutation._trusted(p))
+                for p in itertools.permutations(range(n))
+                for s in itertools.product((1, -1), repeat=n)
+                if f == "B" or math.prod(s) == 1
+            ]
     group = RealizedGroup(label, graph, gens, elements)
     if group.order != order:
         raise InternalInconsistencyError(

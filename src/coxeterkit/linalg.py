@@ -14,37 +14,45 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import Cyclotomic
 from .errors import InternalInconsistencyError, ValidationError
+
+# Scalars are int, Fraction or cyclotomic values.  Every helper here asks
+# "is it rational?" first and treats anything else as a ``Cyclotomic``
+# through its methods, so this module never loads ``cyclotomic``.
+RATIONAL_TYPES = frozenset({int, bool, Fraction})
 
 
 def is_zero_scalar(x) -> bool:
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
+    if type(x) in RATIONAL_TYPES:
+        return x == 0
+    return x.is_zero()
 
 
 def invert_scalar(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
+    if type(x) in RATIONAL_TYPES:
+        return Fraction(1) / Fraction(x)
+    return x.inverse()
 
 
 def conjugate_scalar(x):
-    if isinstance(x, Cyclotomic):
-        return x.conjugate()
-    return x
+    if type(x) in RATIONAL_TYPES:
+        return x
+    return x.conjugate()
+
+
+def sign(x) -> int:
+    """Sign (-1, 0 or 1) of a real scalar: rationals compare exactly, and a
+    cyclotomic value takes its certified ``Cyclotomic.sign``."""
+    if type(x) in RATIONAL_TYPES:
+        return (x > 0) - (x < 0)
+    return x.sign()
 
 
 def as_rational(x) -> Fraction | None:
     """Fraction value of x, or None when x is irrational."""
-    if isinstance(x, Cyclotomic):
-        return x.rational_value() if x.is_rational() else None
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    if type(x) in RATIONAL_TYPES:
         return Fraction(x)
-    return None
+    return x.rational_value() if x.is_rational() else None
 
 
 def as_integer(x) -> int:
@@ -133,7 +141,7 @@ class Matrix:
                 for j in range(other.cols):
                     acc = 0
                     for k, a in enumerate(ra):
-                        if not (isinstance(a, (int, Fraction)) and a == 0):
+                        if not (type(a) in RATIONAL_TYPES and a == 0):
                             acc = acc + a * bt[k][j]
                     row.append(acc)
                 out.append(row)
@@ -287,7 +295,7 @@ def _field_det(a: list[list]):
 
 def _normal(x):
     """x, rebuilt from its normal form if it is a cyclotomic value."""
-    return Cyclotomic(x.conductor, x.reduced()) if isinstance(x, Cyclotomic) else x
+    return x if type(x) in RATIONAL_TYPES else type(x)(x.conductor, x.reduced())
 
 
 def _field_rref(a: list[list], ncols: int) -> list[list]:

@@ -5,7 +5,9 @@ inner product.  I2(m) is realized in the basis of its two simple roots,
 carrying the canonical bilinear form of its graph, which keeps every
 coordinate inside the real subfield of Q(zeta_2m).
 
-Vectors are plain tuples of int/Fraction/Cyclotomic entries.
+Vectors are plain tuples of int/Fraction/Cyclotomic entries.  The
+helpers ask "is it rational?" first (``linalg.RATIONAL_TYPES``), so A, B
+and D never load ``cyclotomic``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from math import lcm
 
 from .catalog import catalog_graph
 from .classify import MAX_ORDER, TypeLabel, check_order
-from .cyclotomic import Cyclotomic, sign
 from .errors import (
     GuardError,
     InternalInconsistencyError,
@@ -25,10 +26,14 @@ from .errors import (
 )
 from .graphs import gram_matrix
 from .groups import realize
-from .linalg import Matrix, invert_scalar, is_zero_scalar
+from .linalg import RATIONAL_TYPES, Matrix, invert_scalar, is_zero_scalar, sign
 from .reps import Representation
 
 RANK_BOUND = 8  # root_system and geometric_rep refuse larger ranks with GuardError
+# ... and I2(m) with larger m.  The root sweep's cost grows with the degree
+# of the cyclotomic polynomial of conductor 2m, so prime m cost most: a fresh
+# verify I2(79) took 2.0 s and I2(83) 2.3 s (CPython 3.11, 2-vCPU x86 host).
+BOND_BOUND = 82
 
 
 def _reflector(alpha, gram: Matrix | None):
@@ -88,9 +93,9 @@ def reflect(alpha, lam, gram: Matrix | None = None):
 
 
 def _scalar_key(x, conductor: int):
-    if isinstance(x, Cyclotomic):
-        return x.canonical_key(conductor)
-    return ("q", x)  # an int and a Fraction of equal value compare and hash alike
+    if type(x) in RATIONAL_TYPES:
+        return ("q", x)  # an int and a Fraction of equal value compare and hash alike
+    return x.canonical_key(conductor)
 
 
 def _vector_key(v, conductor: int):
@@ -101,7 +106,7 @@ def _common_conductor(vectors) -> int:
     c = 1
     for v in vectors:
         for x in v:
-            if isinstance(x, Cyclotomic):
+            if type(x) not in RATIONAL_TYPES:
                 c = lcm(c, x.conductor)
     return c
 
@@ -132,10 +137,12 @@ class RootSystem:
     and the system is already closed under negation, so s_a maps the system
     into itself once it maps those roots into it, and onto it because s_a is
     injective.  That is (|roots| / 2)^2 reflections in place of |roots|^2.
-    Immutable; equality and hashing compare (roots, label, gram).
+    The sweep keeps the index of each image it looks up, so
+    ``reflection_index`` answers s_a(b) for any two roots with no further
+    reflection.  Immutable; equality and hashing compare (roots, label, gram).
     """
 
-    __slots__ = ("roots", "label", "gram", "_conductor", "_keys")
+    __slots__ = ("roots", "label", "gram", "_conductor", "_index", "_negative", "_half", "_table")
 
     def __init__(self, roots, label: TypeLabel, gram: Matrix | None = None):
         roots = tuple(tuple(v) for v in roots)
@@ -145,7 +152,7 @@ class RootSystem:
         # reflections in the Gram form can leave the roots' own field
         rows = roots if gram is None else roots + gram.entries
         object.__setattr__(self, "_conductor", _common_conductor(rows))
-        object.__setattr__(self, "_keys", self._check_axioms())
+        self._check_axioms()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RootSystem is immutable; cannot assign {name!r}")
@@ -167,36 +174,60 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem(roots={self.roots!r}, label={self.label!r}, gram={self.gram!r})"
 
-    def _check_axioms(self) -> frozenset:
-        """Raise on the first failed axiom; return the set of root keys."""
+    def _check_axioms(self) -> None:
+        """Raise on the first failed axiom; keep what the sweep looked up.
+
+        ``_index`` maps each root's key to its index, ``_negative[i]`` is the
+        index of -roots[i], ``_half[i]`` is (h, negated) with roots[i] =
+        +-halves[h] for the first root of each pair, and ``_table[h][k]`` is
+        the index of s_{halves[h]}(halves[k]).
+        """
         cond = self._conductor
-        keys = set()
-        for v in self.roots:
+        index = {}
+        for i, v in enumerate(self.roots):
             if all(is_zero_scalar(x) for x in v):
                 raise ValidationError("zero vector in root system")
             k = _vector_key(v, cond)
-            if k in keys:
+            if k in index:
                 raise ValidationError("repeated root")
-            keys.add(k)
-        halves, picked = [], set()
-        for v in self.roots:
-            negative = _vector_key(tuple(-x for x in v), cond)
-            if negative not in keys:
+            index[k] = i
+        negative, half, halves = [], [], []
+        for i, v in enumerate(self.roots):
+            j = index.get(_vector_key(tuple(-x for x in v), cond))
+            if j is None:
                 raise ValidationError("root system is not symmetric under negation")
-            if negative not in picked:  # v comes first in its pair {v, -v}
+            negative.append(j)
+            if j > i:  # v comes first in its pair {v, -v}
+                half.append((len(halves), False))
                 halves.append(v)
-                picked.add(_vector_key(v, cond))
+            else:
+                half.append((half[j][0], True))
         # each line holds v and -v, two distinct roots, so it meets the
         # system in exactly {v, -v} when its key occurs exactly twice
         lines = Counter(_direction_key(v, cond) for v in self.roots)
         if any(count != 2 for count in lines.values()):
             raise ValidationError("a root line contains more than two roots")
+        table = []
         for alpha in halves:
             r = _reflector(alpha, self.gram)
+            row = []
             for v in halves:
-                if _vector_key(_reflect(r, v), cond) not in keys:
+                image = index.get(_vector_key(_reflect(r, v), cond))
+                if image is None:
                     raise ValidationError("root system is not stable under its reflections")
-        return frozenset(keys)
+                row.append(image)
+            table.append(tuple(row))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_negative", tuple(negative))
+        object.__setattr__(self, "_half", tuple(half))
+        object.__setattr__(self, "_table", tuple(table))
+
+    def reflection_index(self, i: int, j: int) -> int:
+        """Index of s_a(b) for a = roots[i] and b = roots[j], read from the
+        axiom sweep by s_-a = s_a and s_a(-b) = -s_a(b)."""
+        k, negated = self._half[j]
+        image = self._table[self._half[i][0]][k]
+        return self._negative[image] if negated else image
 
     @property
     def count(self) -> int:
@@ -208,18 +239,27 @@ class RootSystem:
         v = tuple(v)
         cond = lcm(self._conductor, _common_conductor((v,)))
         if cond == self._conductor:
-            return _vector_key(v, cond) in self._keys
+            return _vector_key(v, cond) in self._index
         return _vector_key(v, cond) in {_vector_key(r, cond) for r in self.roots}
 
 
-def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
-    """Standard root system of an A/B/D/I2 type, rank <= ``RANK_BOUND`` and |W| <=
-    ``max_order`` (GuardError otherwise, before any root is built)."""
-    if t.family not in ("A", "B", "D", "I2"):
-        raise UnsupportedTypeError(f"no root system realization for {t}")
+def _check_bounds(t: TypeLabel, max_order: int) -> None:
+    """GuardError past ``RANK_BOUND``, past ``max_order`` or, for I2(m), past
+    ``BOND_BOUND``, in that order."""
     if t.rank > RANK_BOUND:
         raise GuardError(f"rank {t.rank} exceeds the bound {RANK_BOUND}")
     check_order(t, max_order)
+    if t.family == "I2" and t.bond > BOND_BOUND:
+        raise GuardError(f"bond {t.bond} exceeds the bound {BOND_BOUND}")
+
+
+def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
+    """Standard root system of an A/B/D/I2 type, rank <= ``RANK_BOUND``, bond
+    <= ``BOND_BOUND`` and |W| <= ``max_order`` (GuardError otherwise, before
+    any root is built)."""
+    if t.family not in ("A", "B", "D", "I2"):
+        raise UnsupportedTypeError(f"no root system realization for {t}")
+    _check_bounds(t, max_order)
     n = t.rank
     roots = []
     if t.family == "A":
@@ -272,26 +312,22 @@ def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
 def compute_base(rs: RootSystem) -> list[tuple]:
     """A base: positive-system simple roots for the lexicographic functional.
 
-    Positivity of a root is the sign of its first nonzero coordinate.  A
-    positive root is simple exactly when its reflection sends no other
-    positive root negative (this characterization is valid for the
-    non-crystallographic dihedral systems too, where "not a sum of two
-    positive roots" would fail).  The defining property -- every root is a
+    Positivity of a root is the sign of its first nonzero coordinate,
+    computed once per root.  A positive root is simple exactly when its
+    reflection sends no other positive root negative (this characterization
+    is valid for the non-crystallographic dihedral systems too, where "not a
+    sum of two positive roots" would fail); the images are read from the
+    axiom sweep's table.  The defining property -- every root is a
     one-signed combination of the base -- is re-verified by one exact
     elimination of the base with every root as a right-hand side.
     """
-    positives = [v for v in rs.roots if _lex_positive(v)]
+    positive = [_lex_positive(v) for v in rs.roots]
+    indices = [i for i, p in enumerate(positive) if p]
     base = []
-    for alpha in positives:
-        r = _reflector(alpha, rs.gram)
-        for beta in positives:
-            # the roots are distinct, so only alpha itself is skipped
-            if beta is alpha:
-                continue
-            if not _lex_positive(_reflect(r, beta)):
-                break
-        else:
-            base.append(alpha)
+    for i in indices:
+        # s_a(a) = -a, so a itself is left out
+        if all(positive[rs.reflection_index(i, j)] for j in indices if j != i):
+            base.append(rs.roots[i])
     _verify_base(rs, base)
     return base
 
@@ -327,8 +363,7 @@ def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
     """
     if t.family not in ("A", "B", "D", "I2"):
         raise UnsupportedTypeError(f"no geometric realization for {t}")
-    if t.rank > RANK_BOUND:
-        raise GuardError(f"rank {t.rank} exceeds the bound {RANK_BOUND}")
+    _check_bounds(t, max_order)  # before the group is built
     group = realize(t, max_order)
     gram = gram_matrix(group.graph)
     n = group.graph.n

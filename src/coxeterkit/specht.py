@@ -3,7 +3,7 @@
 The irreducible S_n-modules come from Young's seminormal form (Okounkov
 and Vershik, "A new approach to representation theory of symmetric
 groups", Selecta Math. 1996): the basis of the module of a shape is its
-standard tableaux, and the adjacent transposition s_i = (i, i+1) acts
+standard tableaux (``tableaux.standard_tableaux``), and the adjacent transposition s_i = (i, i+1) acts
 through the axial distance of i and i+1 by checked sparse columns.  The
 paper's construction is kept too: the row and column groups of the
 identity tableau and the Young symmetrizer they give in the group algebra
@@ -22,42 +22,13 @@ from functools import lru_cache
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import Permutation
-from .tableaux import hook_dimension, partition_text, validate_partition
+from .tableaux import hook_dimension, partition_text, standard_tableaux, validate_partition
 
 MODULE_GUARD = 7
 SYMMETRIZER_GUARD = 7
 
 
 # -- Young's seminormal form -------------------------------------------------
-
-
-def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
-    """Standard tableaux of a shape, as row words, in lexicographic order.
-
-    The row word of a tableau on the entries 0..n-1 lists the row of each
-    entry; each entry goes at the end of its row, after the smaller ones.
-    The first tableau fills the rows in reading order.
-    """
-    shape = validate_partition(shape)
-    n = sum(shape)
-    filled = [0] * len(shape)
-    word: list[int] = []
-    out = []
-
-    def place(k: int):
-        if k == n:
-            out.append(tuple(word))
-            return
-        for r, length in enumerate(shape):
-            if filled[r] < length and (r == 0 or filled[r - 1] > filled[r]):
-                filled[r] += 1
-                word.append(r)
-                place(k + 1)
-                word.pop()
-                filled[r] -= 1
-
-    place(0)
-    return tuple(out)
 
 
 def _apply(columns, vec: dict) -> dict:

@@ -2,9 +2,9 @@
 
 Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n and D_n
 labels: the partition and bipartition lists, the hook-length and B_n/D_n
-dimension formulas, and the S_n characters by the Murnaghan-Nakayama rule
-on beta-sets.  This is all that ``irreps`` of these types loads; the S_n
-modules are in ``specht``.  Nothing here builds a group or a tableau.
+dimension formulas, the standard tableaux, and the S_n characters by the
+Murnaghan-Nakayama rule on beta-sets.  This is all that ``irreps`` of these
+types loads; the S_n modules are in ``specht``.  Nothing here builds a group.
 """
 
 from __future__ import annotations
@@ -94,6 +94,35 @@ def hook_dimension(shape) -> int:
     if r:
         raise InternalInconsistencyError(f"hook product {h} does not divide {n}!")
     return q
+
+
+def standard_tableaux(shape) -> tuple[tuple[int, ...], ...]:
+    """Standard tableaux of a shape, as row words, in lexicographic order.
+
+    The row word of a tableau on the entries 0..n-1 lists the row of each
+    entry; each entry goes at the end of its row, after the smaller ones.
+    The first tableau fills the rows in reading order.
+    """
+    shape = validate_partition(shape)
+    n = sum(shape)
+    filled = [0] * len(shape)
+    word: list[int] = []
+    out = []
+
+    def place(k: int):
+        if k == n:
+            out.append(tuple(word))
+            return
+        for r, length in enumerate(shape):
+            if filled[r] < length and (r == 0 or filled[r - 1] > filled[r]):
+                filled[r] += 1
+                word.append(r)
+                place(k + 1)
+                word.pop()
+                filled[r] -= 1
+
+    place(0)
+    return tuple(out)
 
 
 def symmetric_character_value(shape, cycle) -> int:

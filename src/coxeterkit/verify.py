@@ -24,7 +24,14 @@ builds no B_n group.  The graph checks (``classification-roundtrip`` and
 checks the group-order bound, so a huge rank fails them at once.
 ``positive-definite`` is the classifier's sparse Sylvester test
 (``certify.positive_definite``), a closed form in rank 2, so a huge bond
-builds no Gram entry.
+builds no Gram entry.  The root checks take the bond bound of
+``roots.BOND_BOUND`` as well, so an I2(m) past it fails them at once.
+``compute_base`` reads its reflections from the axiom sweep's table.
+
+Each family's helpers are imported inside that family's checks, so a
+run compiles only its own family's modules: no ``cyclotomic``,
+``dihedral`` or ``specht`` for A/B/D, and no ``permutations``,
+``tableaux`` or ``families`` for I2(m).
 """
 
 from __future__ import annotations
@@ -42,10 +49,7 @@ from .classify import (
     classify,
     coxeter_group_order,
 )
-from .cyclotomic import Cyclotomic
-from .dihedral import dihedral_irreducibles
 from .errors import CoxeterKitError, InternalInconsistencyError, ValidationError
-from .families import bn_characters_on, bn_conjugacy_parametrization
 from .groups import realize, verify_presentation
 from .linalg import as_integer, conjugate_scalar
 from .reps import (
@@ -56,8 +60,6 @@ from .reps import (
     trivial_character,
 )
 from .roots import RANK_BOUND, compute_base, fixed_space_dimension, geometric_rep, root_system
-from .specht import standard_tableaux
-from .tableaux import hook_dimension, partitions_of
 
 
 def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple[str, bool, str]]:
@@ -163,6 +165,8 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         record("frobenius-reciprocity", reciprocity)
 
     if label.family == "A":
+        from .tableaux import hook_dimension, partitions_of, standard_tableaux
+
         def hooks():
             n = label.rank + 1
             for shape in partitions_of(n):
@@ -179,6 +183,8 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         record("partition-class-count", class_count)
 
     if label.family == "B":
+        from .families import bn_conjugacy_parametrization
+
         def parametrization():
             bn_conjugacy_parametrization(label.rank)
             return True, "classes biject with partition pairs"
@@ -186,6 +192,8 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         record("class-parametrization", parametrization)
 
     if label.family == "D":
+        from .families import bn_characters_on
+
         def dichotomy():
             check_order(label, max_order)
             for blabel, res in bn_characters_on(class_data(label)):
@@ -198,6 +206,9 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         record("index-two-dichotomy", dichotomy)
 
     if label.family == "I2":
+        from .cyclotomic import Cyclotomic
+        from .dihedral import dihedral_irreducibles
+
         def formula():
             m = label.bond
             two_dim = [chi for chi in dihedral_irreducibles(m) if chi.name.startswith("2:")]

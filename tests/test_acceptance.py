@@ -15,7 +15,7 @@ import pytest
 from coxeterkit.catalog import affine_catalog, catalog_graph, is_positive_definite
 from coxeterkit.classes import ClassFunction
 from coxeterkit.classify import TypeLabel, classify, coxeter_group_order
-from coxeterkit.cyclotomic import Cyclotomic, sign
+from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.dihedral import dihedral_irreducibles
 from coxeterkit.families import (
     BipartitionLabel,
@@ -25,7 +25,7 @@ from coxeterkit.families import (
 )
 from coxeterkit.graphs import gram_matrix, subgraph
 from coxeterkit.groups import element_order, enumerate_group, realize
-from coxeterkit.linalg import is_zero_scalar
+from coxeterkit.linalg import is_zero_scalar, sign
 from coxeterkit.reps import (
     Subgroup,
     decompose,

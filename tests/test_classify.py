@@ -22,7 +22,7 @@ from coxeterkit.classify import (
     coxeter_group_order,
     parse_type_label,
 )
-from coxeterkit.cyclotomic import real_cos_pi_over, sign
+from coxeterkit.cyclotomic import real_cos_pi_over
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import (
     INFINITY,
@@ -32,7 +32,7 @@ from coxeterkit.graphs import (
     gram_matrix,
     subgraph,
 )
-from coxeterkit.linalg import Matrix, is_zero_scalar
+from coxeterkit.linalg import Matrix, is_zero_scalar, sign
 from test_oracles import connected_parts, dense_leading_minors
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxeterkit.cyclotomic import Cyclotomic, cyclotomic_polynomial, real_cos_pi_over, sign
+from coxeterkit.cyclotomic import Cyclotomic, cyclotomic_polynomial, real_cos_pi_over
 from coxeterkit.errors import InternalInconsistencyError, ValidationError
+from coxeterkit.linalg import sign
 
 
 def test_real_cos_examples():
@@ -125,6 +126,23 @@ def test_power_and_division():
     assert z ** 7 == 1
     assert z ** -1 == Cyclotomic.zeta(7, 6)
     assert (Fraction(2) / z) * z == 2
+
+
+def as_built(x):
+    return x.conductor, x.terms, str(x), repr(x)
+
+
+@pytest.mark.parametrize("q", [3, -2, Fraction(-5, 4), Fraction(2, 3), 0, Fraction(0)], ids=repr)
+@settings(max_examples=30, deadline=None)
+@given(small_cyc)
+def test_rational_fast_paths_match_the_general_path(q, x):
+    """x * q and q * x scale the numerators, x + 0 and 0 + x copy x; each
+    gives what the product or sum with q as a conductor-1 value gives."""
+    general = Cyclotomic.from_rational(q)
+    assert as_built(x * q) == as_built(q * x) == as_built(x * general)
+    if not q:
+        assert as_built(x + q) == as_built(q + x) == as_built(x + general)
+        assert (x + q) is not x and (x + q).reduced() == x.reduced()
 
 
 def test_sign_of_rationals_and_exact_zeros():

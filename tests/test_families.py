@@ -302,11 +302,13 @@ def test_dihedral_names_and_dimensions_need_no_group():
 def test_verify_induces_each_two_dimensional_character(monkeypatch):
     """``induction-closed-form`` fails when a closed-form character is not the
     induction of its zeta^k; here 2:1 and 2:2 trade places."""
-    from coxeterkit import verify
+    from coxeterkit import dihedral, verify
 
     table = dihedral_irreducibles(7)
     swapped = table[:2] + (table[3], table[2]) + table[4:]
-    monkeypatch.setattr(verify, "dihedral_irreducibles", lambda m: swapped)
+    # verify imports dihedral_irreducibles inside its I2 check, so the
+    # swap goes where that import reads it
+    monkeypatch.setattr(dihedral, "dihedral_irreducibles", lambda m: swapped)
     checks = {name: (ok, detail) for name, ok, detail in verify.run_verification(TypeLabel("I2", 2, 7))}
     assert checks["induction-closed-form"] == (
         False, "the induction of zeta^1 from the rotations is not 2:2"

@@ -53,7 +53,7 @@ from coxeterkit.catalog import affine_catalog, catalog_graph, classification_cat
 from coxeterkit.certify import positive_definite
 from coxeterkit.classes import ClassFunction, ConjugacyClasses, irreducible_characters
 from coxeterkit.classify import TypeLabel, classify
-from coxeterkit.cyclotomic import Cyclotomic, sign
+from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.dihedral import dihedral_irreducibles
 from coxeterkit.errors import InternalInconsistencyError, ValidationError
 from coxeterkit.families import (
@@ -64,7 +64,7 @@ from coxeterkit.families import (
 )
 from coxeterkit.graphs import CoxeterGraph, INFINITY, gram_matrix, subgraph
 from coxeterkit.groups import realize
-from coxeterkit.linalg import Matrix
+from coxeterkit.linalg import Matrix, sign
 from coxeterkit.reps import (
     Representation,
     Subgroup,

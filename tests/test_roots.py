@@ -8,9 +8,13 @@ from coxeterkit.classify import TypeLabel, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.groups import realize
-from coxeterkit.linalg import Matrix
+from coxeterkit.linalg import Matrix, sign
 from coxeterkit.roots import (
+    BOND_BOUND,
     RootSystem,
+    _reflect,
+    _reflector,
+    _vector_key,
     compute_base,
     fixed_space_dimension,
     geometric_rep,
@@ -106,6 +110,53 @@ def test_root_system_keeps_the_order_bound():
     with pytest.raises(GuardError, match="exceeds the bound 23"):
         root_system(TypeLabel("A", 3), max_order=23)
     assert root_system(TypeLabel("A", 3), max_order=24).count == 12
+
+
+def test_bond_bound_of_the_dihedral_realizations():
+    """Past ``BOND_BOUND`` the root system and the reflection representation
+    refuse I2(m) before anything is built; the order bound is checked first."""
+    past = TypeLabel("I2", 2, BOND_BOUND + 1)
+    message = f"bond {BOND_BOUND + 1} exceeds the bound {BOND_BOUND}"
+    with pytest.raises(GuardError, match=message):
+        root_system(past)
+    with pytest.raises(GuardError, match=message):
+        geometric_rep(past)
+    with pytest.raises(GuardError, match="exceeds the bound 100"):
+        root_system(past, max_order=100)
+    assert root_system(TypeLabel("I2", 2, 24)).count == 48
+
+
+TABLE_LABELS = (
+    [TypeLabel("A", n) for n in range(1, 7)]
+    + [TypeLabel("B", n) for n in range(2, 6)]
+    + [TypeLabel("D", n) for n in (4, 5)]
+    + [TypeLabel("I2", 2, m) for m in range(5, 25)]
+)
+
+
+def lex_positive(v) -> bool:
+    return next(sign(x) for x in v if sign(x)) > 0
+
+
+def brute_force_base(rs: RootSystem) -> list:
+    """The positive roots whose reflection keeps every other positive root
+    positive, each image reflected afresh."""
+    positives = [v for v in rs.roots if lex_positive(v)]
+    return [
+        alpha for alpha in positives
+        if all(lex_positive(reflect(alpha, beta, rs.gram)) for beta in positives if beta != alpha)
+    ]
+
+
+@pytest.mark.parametrize("label", TABLE_LABELS, ids=str)
+def test_reflection_table_is_the_key_of_each_direct_reflection(label):
+    rs = root_system(label)
+    index = {_vector_key(v, rs._conductor): i for i, v in enumerate(rs.roots)}
+    for i, alpha in enumerate(rs.roots):
+        r = _reflector(alpha, rs.gram)
+        for j, beta in enumerate(rs.roots):
+            assert rs.reflection_index(i, j) == index[_vector_key(_reflect(r, beta), rs._conductor)]
+    assert compute_base(rs) == brute_force_base(rs)
 
 
 def test_unsupported_types():

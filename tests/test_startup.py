@@ -28,13 +28,14 @@ SRC = Path(__file__).parents[1] / "src"
 ALL_MODULES = {p.stem for p in (SRC / "coxeterkit").glob("*.py")} - {"__init__", "__main__"}
 CHAIN = {"classify", "errors"}
 BASE = CHAIN | {"cli"}
-# what classify() loads on its first call
-CLASSIFIER = {"catalog", "certify", "cyclotomic", "graphs", "linalg"}
+# what classify() loads on its first call; ``cyclotomic`` joins it only for
+# a graph with an irrational Gram entry on a cycle or a bond outside {3, 4, 6, inf}
+CLASSIFIER = {"catalog", "certify", "graphs", "linalg"}
 # the enumeration engine, which only verify loads
 ENGINE = {"groups", "reps"}
 # what a table command of A_n, B_n, D_n and of I2(m) must not compile
-NOT_FOR_PERMUTATION_TABLES = {"dihedral", "specht"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
-NOT_FOR_DIHEDRAL_TABLES = {"permutations", "tableaux", "specht"} | ENGINE | (CLASSIFIER - {"cyclotomic"})
+NOT_FOR_PERMUTATION_TABLES = {"dihedral", "specht"} | ENGINE | CLASSIFIER
+NOT_FOR_DIHEDRAL_TABLES = {"permutations", "tableaux", "specht"} | ENGINE | CLASSIFIER
 
 PROBE = """
 import io, json, sys
@@ -54,9 +55,9 @@ def fresh_python(source: str, *argv: str) -> str:
     return proc.stdout
 
 
-def modules_after(*argv: str) -> set:
+def modules_after(*argv: str, exit_code: int = 0) -> set:
     code, loaded = json.loads(fresh_python(PROBE, *argv))
-    assert code == 0
+    assert code == exit_code
     return set(loaded)
 
 
@@ -69,6 +70,26 @@ def test_classify_never_loads_groups(tmp_path):
     path = tmp_path / "b3.json"
     path.write_text('{"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}')
     assert modules_after("classify", str(path)) == BASE | CLASSIFIER
+
+
+@pytest.mark.parametrize("edges, exit_code", [
+    ([[0, 1, 3], [1, 2, 4], [2, 3, 3]], 0),  # F4
+    ([[0, 1, 6]], 0),  # I2(6)
+    ([[0, 1, 6], [1, 2, 3]], 2),  # affine G~2
+    ([[0, 1, 4], [1, 2, 3], [2, 3, 3], [3, 4, 4]], 2),  # affine C~4, by the forest pivots
+    ([[0, 1, 0], [1, 2, 3]], 2),  # the unbounded bond
+    ([[0, 1, 3], [1, 2, 3], [0, 2, 3]], 2),  # affine A~2, a cycle of rational entries
+])
+def test_classify_of_bonds_3_4_6_inf_loads_no_cyclotomic(tmp_path, edges, exit_code):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 1 + max(max(i, j) for i, j, _ in edges), "edges": edges}))
+    assert modules_after("classify", str(path), exit_code=exit_code) == BASE | CLASSIFIER
+
+
+def test_classify_of_a_5_bond_loads_cyclotomic(tmp_path):
+    path = tmp_path / "h3.json"
+    path.write_text('{"n": 3, "edges": [[0, 1, 5], [1, 2, 3]]}')
+    assert modules_after("classify", str(path)) == BASE | CLASSIFIER | {"cyclotomic"}
 
 
 def test_realize_of_type_a_loads_only_its_class_data():
@@ -146,8 +167,18 @@ def test_dihedral_tables_build_no_group(command, target):
     assert fresh_python(BUILT, command, target).strip() == "0 []"
 
 
-def test_verify_loads_everything():
-    assert modules_after("verify", "A2") == ALL_MODULES
+# what verify of every family loads: the classifier for the graph checks,
+# the engine, the roots and the class data
+VERIFY = BASE | CLASSIFIER | ENGINE | {"verify", "roots", "classes"}
+
+
+@pytest.mark.parametrize("target", ["A3", "B3", "D4"])
+def test_verify_of_a_permutation_type_loads_no_cyclotomic(target):
+    assert modules_after("verify", target) == VERIFY | {"permutations", "tableaux", "families"}
+
+
+def test_verify_of_a_dihedral_type_loads_no_permutation_code():
+    assert modules_after("verify", "I2(5)") == VERIFY | {"cyclotomic", "dihedral"}
 
 
 IMPORT_ORDER = """
