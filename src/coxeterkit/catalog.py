@@ -10,8 +10,9 @@ induced subgraph as affine or hyperbolic (``certify``).  Any disagreement betwee
 it can only mean a bug in one of them.  ``is_positive_definite`` is the
 same decision for the whole graph, with a ``Witness`` (a minimal non-finite
 subgraph) on failure; no dense Gram minor is formed.  ``classify.classify``
-loads this module, and with it ``graphs``, ``certify``, ``cyclotomic`` and
-``linalg``, on its first call.
+loads this module, and with it ``graphs``, ``certify`` and ``linalg``, on
+its first call; ``cyclotomic`` comes only for a bond outside {3, 4, 6, inf}
+or an irrational Gram entry on a cycle.
 """
 
 from __future__ import annotations

@@ -19,10 +19,6 @@ from .classify import coxeter_group_order
 from .errors import InternalInconsistencyError, UnsupportedTypeError, ValidationError
 
 
-def element_text(el) -> str:
-    return el.text()
-
-
 class ConjugacyClasses(namedtuple("ConjugacyClasses", "reps sizes class_of")):
     """Classes of a group: ``reps`` (the first element of each class, in
     enumeration order), ``sizes``, and ``class_of`` (element index -> class

@@ -27,13 +27,14 @@ compiles every module it loads, so a command loads only its own family's
 code.  This module imports only what the package loads anyway
 (``classify`` and ``errors``); each command imports the rest inside its own
 function.  ``classify`` loads the classifier (``catalog``, with
-``certify``, ``graphs``, ``cyclotomic`` and ``linalg``) and never a group
-module.  ``irreps`` loads only the dimension module of the family:
-``tableaux`` for A/B/D, ``dihedral`` for I2(m).  ``realize`` adds the
-group-free ``classes``, with ``permutations`` for A/B/D; ``chartable``
-adds ``families`` for A/B/D and ``cyclotomic`` for I2(m).  None of them
-loads the enumeration engine (``groups``, ``reps``) or the classifier:
-only ``verify`` does.
+``certify``, ``graphs`` and ``linalg``) and never a group module; it adds
+``cyclotomic`` only for a bond outside {3, 4, 6, inf} or an irrational
+Gram entry on a cycle.  ``irreps`` loads only the dimension module of
+the family: ``tableaux`` for A/B/D, ``dihedral`` for I2(m).  ``realize``
+adds the group-free ``classes``, with ``permutations`` for A/B/D;
+``chartable`` adds ``families`` for A/B/D and ``cyclotomic`` for I2(m).
+None of them loads the enumeration engine (``groups``, ``reps``) or the
+classifier: only ``verify`` does.
 """
 
 from __future__ import annotations
@@ -66,10 +67,8 @@ def format_value(v, float_mode: bool = False) -> str:
 
 def _print_table(chars: list, fmt: str, float_mode: bool, out) -> None:
     """Write ClassFunctions on one domain as a character table."""
-    from .classes import element_text
-
     classes = chars[0].domain.classes
-    reps = [element_text(rep) for rep in classes.reps]
+    reps = [rep.text() for rep in classes.reps]
     if fmt == "json":
         import json
 
@@ -189,7 +188,7 @@ def cmd_irreps(args, out) -> int:
 
 def cmd_realize(args, out) -> int:
     label, max_order = _type_and_budget(args)
-    from .classes import class_data, coxeter_generators, element_text
+    from .classes import class_data, coxeter_generators
 
     check_order(label, max_order)  # raises UnsupportedTypeError for E/F/H
     group, generators = class_data(label), coxeter_generators(label)
@@ -200,9 +199,9 @@ def cmd_realize(args, out) -> int:
         data = {
             "type": str(label),
             "order": group.order,
-            "generators": [element_text(g) for g in generators],
+            "generators": [g.text() for g in generators],
             "classes": [
-                {"representative": element_text(rep), "size": size}
+                {"representative": rep.text(), "size": size}
                 for rep, size in zip(classes.reps, classes.sizes)
             ],
         }
@@ -211,10 +210,10 @@ def cmd_realize(args, out) -> int:
     out.write(f"type\t{label}\n")
     out.write(f"order\t{group.order}\n")
     for i, g in enumerate(generators):
-        out.write(f"generator {i}\t{element_text(g)}\n")
+        out.write(f"generator {i}\t{g.text()}\n")
     out.write(f"classes\t{classes.count}\n")
     for rep, size in zip(classes.reps, classes.sizes):
-        out.write(f"class\t{element_text(rep)}\t{size}\n")
+        out.write(f"class\t{rep.text()}\t{size}\n")
     return EXIT_OK
 
 

@@ -1,13 +1,13 @@
 """Dense exact linear algebra over Q and over cyclotomic fields.
 
-The determinant comes from one forward Gaussian elimination with exact
-field division (``_field_det``): over Fractions when every entry is
-rational, else over the entries as given.  Solve (for one or many
-right-hand sides) and both ranks (over Q on the entries as Fractions, and
-over the field of the entries) use one Gauss-Jordan elimination,
-``_field_rref``.  Positive definiteness of a Gram matrix is not decided
-here: ``certify`` does it on sparse pivots.  Intended sizes are small
-(ranks <= 10 or so for cyclotomic work, a few hundred for rational work).
+One forward Gaussian elimination with exact field division, ``_echelon``,
+serves every question: the determinant is the sign of its row swaps times
+its pivots, both ranks (over Q on the entries as Fractions, and over the
+field of the entries) are its pivot counts, and ``solve_each`` back-
+substitutes on its rows, which carry every right-hand side along.
+Positive definiteness of a Gram matrix is not decided here: ``certify``
+does it on sparse pivots.  Intended sizes are small (ranks <= 10 or so for
+cyclotomic work, a few hundred for rational work).
 """
 
 from __future__ import annotations
@@ -176,13 +176,20 @@ class Matrix:
         return out
 
     def determinant(self):
-        """Exact determinant: a Fraction when every entry is rational."""
+        """Exact determinant: the sign of ``_echelon``'s row swaps times its
+        pivots.  A Fraction when every entry is rational; int 0 for a singular
+        cyclotomic matrix."""
         if not self.is_square:
             raise ValidationError("determinant needs a square matrix")
         fr = self.rational_entries()
-        if fr is not None:
-            return Fraction(_field_det(fr))
-        return _field_det([list(r) for r in self.entries])
+        a = fr if fr is not None else [list(r) for r in self.entries]
+        pivots, swaps = _echelon(a, self.cols)
+        if len(pivots) < self.rows:
+            return Fraction(0) if fr is not None else 0
+        det = Fraction((-1) ** swaps)
+        for k, row in enumerate(a):
+            det = _normal(det * row[k])
+        return det
 
     def rank(self) -> int:
         """Rank over Q: ``field_rank`` of the entries as Fractions."""
@@ -199,25 +206,26 @@ class Matrix:
         return self.solve_each([b])[0]
 
     def solve_each(self, bs) -> list:
-        """``solve(b)`` for every b in bs, from one Gauss-Jordan elimination
-        that carries every b as a right-hand side."""
+        """``solve(b)`` for every b in bs, from one forward elimination that
+        carries every b as a right-hand side, then back-substitution."""
         if any(len(b) != self.rows for b in bs):
             raise ValidationError("right-hand side length mismatch")
         n = self.cols
         aug = [list(r) + [b[i] for b in bs] for i, r in enumerate(self.entries)]
-        xs = [[0] * n for _ in bs]
-        consistent = [True] * len(bs)
-        for r in _field_rref(aug, ncols=n):
-            j = next((j for j in range(n) if not is_zero_scalar(r[j])), None)
-            if j is None:
-                for t, c in enumerate(r[n:]):
-                    consistent[t] = consistent[t] and is_zero_scalar(c)
-                continue
-            # pivot columns are cleared above and below and free variables
-            # are zero, so each pivot row gives its variable directly
-            pinv = invert_scalar(r[j])
-            for x, c in zip(xs, r[n:]):
-                x[j] = c * pinv
+        pivots, _ = _echelon(aug, n)
+        steps = [(aug[r], j, invert_scalar(aug[r][j])) for r, j in enumerate(pivots)][::-1]
+        xs, consistent = [], []
+        for t in range(n, n + len(bs)):
+            # a zero row with a nonzero right-hand side makes b inconsistent
+            consistent.append(all(is_zero_scalar(r[t]) for r in aug[len(pivots):]))
+            x = [0] * n
+            for r, j, pinv in steps:
+                acc = r[t]
+                for k in range(j + 1, n):
+                    if not is_zero_scalar(x[k]):
+                        acc = acc - r[k] * x[k]
+                x[j] = acc * pinv
+            xs.append(x)
         # confirm consistency on every row (cheap at these sizes)
         for t, (x, b) in enumerate(zip(xs, bs)):
             for i, row in enumerate(self.entries):
@@ -231,12 +239,8 @@ class Matrix:
         return [x if ok else None for x, ok in zip(xs, consistent)]
 
     def field_rank(self) -> int:
-        """Rank via division-based elimination; valid for cyclotomic entries too."""
-        n = self.cols
-        reduced = _field_rref([list(r) for r in self.entries], ncols=n)
-        return sum(
-            1 for r in reduced if any(not is_zero_scalar(r[j]) for j in range(n))
-        )
+        """Rank: the pivot count of ``_echelon``, over the field of the entries."""
+        return len(_echelon([list(r) for r in self.entries], self.cols)[0])
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]!r})"
@@ -256,70 +260,42 @@ def block_diag(blocks: list[Matrix]) -> Matrix:
     return Matrix(out)
 
 
-def _field_det(a: list[list]):
-    """Determinant of the square rows ``a`` by forward Gaussian elimination
-    with exact field division, in place.
+def _echelon(a: list[list], ncols: int) -> tuple[list[int], int]:
+    """Forward Gaussian elimination of the rows ``a`` over their first ncols
+    columns, with exact field division, in place: the pivot columns (pivot k
+    at ``a[k][pivots[k]]``) and the number of row swaps.
 
-    When the diagonal entry is exactly zero, the first lower row with a
-    nonzero entry in that column is swapped up; a column with no pivot makes
-    the determinant 0.  Rows below a pivot are reduced on the later columns
-    only, and the last pivot is never inverted.  The result is the sign of
-    the swaps times the pivots, multiplied up in order.  Every cyclotomic
-    value built is put in normal form, so coefficients do not grow with n.
+    A row is swapped up only when the due pivot is exactly zero.  Only the
+    rows below a pivot are reduced, on every later column of ``a`` (so the
+    right-hand sides go along); the entries left under a pivot are never
+    read again.  Every cyclotomic value built is put in normal form, so
+    coefficients do not grow with n.
     """
-    n = len(a)
-    sign, pivots = 1, []
-    for k in range(n):
-        if is_zero_scalar(a[k][k]):
-            piv = next((i for i in range(k + 1, n) if not is_zero_scalar(a[i][k])), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        pivots.append(p)
-        if k + 1 == n:
+    pivots, swaps, nrows = [], 0, len(a)
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-        pinv = invert_scalar(p)
-        top = a[k][k + 1:]
-        for i in range(k + 1, n):
-            c = a[i][k]
-            if not is_zero_scalar(c):
-                f = c * pinv
-                a[i][k + 1:] = [_normal(x - f * y) for x, y in zip(a[i][k + 1:], top)]
-    det = Fraction(sign)
-    for p in pivots:
-        det = _normal(det * p)
-    return det
+        if is_zero_scalar(a[r][col]):
+            piv = next((i for i in range(r + 1, nrows) if not is_zero_scalar(a[i][col])), None)
+            if piv is None:
+                continue
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
+        pivots.append(col)
+        below = [i for i in range(r + 1, nrows) if not is_zero_scalar(a[i][col])]
+        if below:
+            pinv = invert_scalar(a[r][col])
+            top = a[r][col + 1:]
+            for i in below:
+                f = a[i][col] * pinv
+                a[i][col + 1:] = [_normal(x - f * y) for x, y in zip(a[i][col + 1:], top)]
+    return pivots, swaps
 
 
 def _normal(x):
     """x, rebuilt from its normal form if it is a cyclotomic value."""
     return x if type(x) in RATIONAL_TYPES else type(x)(x.conductor, x.reduced())
-
-
-def _field_rref(a: list[list], ncols: int) -> list[list]:
-    """Gauss-Jordan elimination over the first ncols columns.
-
-    Each pivot column is cleared above and below its pivot (pivots are not
-    scaled to 1); ``solve`` divides by them.
-    """
-    r0 = 0
-    nrows = len(a)
-    for col in range(ncols):
-        piv = next((i for i in range(r0, nrows) if not is_zero_scalar(a[i][col])), None)
-        if piv is None:
-            continue
-        a[r0], a[piv] = a[piv], a[r0]
-        pinv = invert_scalar(a[r0][col])
-        for i in range(nrows):
-            if i != r0 and not is_zero_scalar(a[i][col]):
-                f = a[i][col] * pinv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r0])]
-        r0 += 1
-        if r0 == nrows:
-            break
-    return a
 
 
 def determinant(m: Matrix):

@@ -367,19 +367,7 @@ def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
     group = realize(t, max_order)
     gram = gram_matrix(group.graph)
     n = group.graph.n
-    gens = []
-    for s in range(n):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                base = Fraction(1) if i == j else Fraction(0)
-                if i == s:
-                    b = gram.entries[s][j]
-                    base = base - 2 * b
-                row.append(base)
-            rows.append(row)
-        gens.append(Matrix(rows))
+    gens = [reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram) for s in range(n)]
 
     rep = Representation(group, gens)  # checks the defining relations
     mats = [rep.matrix_of(el) for el in group.elements]

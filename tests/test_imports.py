@@ -6,7 +6,9 @@ attribute chain) somewhere in the same module, or be listed in ``__all__``.
 ``from __future__`` imports are exempt, and so is the package
 ``__init__``, which imports to re-export.  No module binds a top-level
 ``def`` or ``class`` name twice: the second copy would silently replace the
-first.
+first.  Every top-level private name (``_x``, not a dunder) is used
+somewhere in the package outside its own definition: a dead helper left
+behind by a refactor fails here.
 
 Every name in ``coxeterkit.__all__`` resolves, eagerly or on first access,
 to the object its one home module defines; and no module imports
@@ -80,6 +82,61 @@ def test_module_defines_each_top_level_name_once(path):
 def test_detector_flags_a_second_definition():
     source = "def f():\n    pass\nclass C:\n    pass\ndef g():\n    pass\ndef f():\n    pass\n"
     assert redefined_names(source) == ["f (line 7)"]
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level private names of the modules in ``sources`` (module name ->
+    text) that no module uses outside the name's own definition.
+
+    A use is a ``Name`` load in the defining module, or a ``from .module
+    import _x`` in another one; a name's own body (a recursive call, say)
+    does not count.
+    """
+    defined, used = {}, set()
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            own = set()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[(module, name)] = node.lineno
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    if sub.id not in own:
+                        used.add((module, sub.id))
+                elif isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
+                    used |= {(sub.module, alias.name) for alias in sub.names}
+    return [f"{m}.{name} (line {line})"
+            for (m, name), line in defined.items() if (m, name) not in used]
+
+
+def test_package_has_no_dead_private_helpers():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []
+
+
+def test_detector_flags_a_helper_only_its_own_body_uses():
+    sources = {
+        "a": (
+            "def _dead(n):\n"
+            "    return _dead(n - 1)\n"
+            "def _used():\n"
+            "    pass\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def __dunder__():\n"
+            "    pass\n"
+            "_TABLE = {}\n"
+            "def f():\n"
+            "    return _used(), _TABLE, _elsewhere\n"
+        ),
+        "b": "from .a import _imported\ndef _elsewhere():\n    pass\n",
+    }
+    assert dead_private_names(sources) == ["a._dead (line 1)", "b._elsewhere (line 2)"]
 
 
 # -- the package namespace: eager chain, lazy rest ------------------------------

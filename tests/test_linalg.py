@@ -12,20 +12,17 @@ from coxeterkit.graphs import CoxeterGraph, gram_matrix
 from coxeterkit.linalg import Matrix, block_diag
 
 
-def brute_force_det(m: Matrix) -> Fraction:
-    """Cofactor-style expansion over all permutations; the independent oracle."""
+def brute_force_det(m: Matrix):
+    """Leibniz expansion over all permutations, for any exact scalars; the
+    independent oracle."""
     n = m.rows
-    total = Fraction(0)
+    total = 0
     for perm in itertools.permutations(range(n)):
-        sign = 1
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
         for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Fraction(1)
-        for i in range(n):
-            term *= Fraction(m.entries[i][perm[i]])
-        total += sign * term
+            term = term * m.entries[i][perm[i]]
+        total = total + term
     return total
 
 
@@ -116,6 +113,49 @@ def test_solve():
     z = Cyclotomic.zeta(5)
     b = Matrix([[1, z], [0, 2]])
     assert b.solve_each([[1 + z, 2], [1, 0]]) == [b.solve([1 + z, 2]), [1, 0]] == [[1, 1], [1, 0]]
+
+
+def cyclotomic_st(conductor: int):
+    """An int, or a short sum of powers of zeta_conductor with small coefficients."""
+    term = st.tuples(st.integers(0, conductor - 1), st.integers(-2, 2))
+    return st.one_of(
+        st.integers(-2, 2),
+        st.lists(term, min_size=1, max_size=3).map(lambda ts: Cyclotomic(conductor, dict(ts))),
+    )
+
+
+@pytest.mark.parametrize("shape", ["plain", "zero leading entry", "repeated row"])
+@pytest.mark.parametrize("conductor", [5, 8, 12])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_cyclotomic_elimination_against_leibniz(conductor, shape, n, data):
+    entry = cyclotomic_st(conductor)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "zero leading entry":
+        rows[0][0] = 0  # the first pivot needs a row swap, or there is none
+    elif shape == "repeated row" and n > 1:
+        rows[-1] = list(rows[0])  # singular
+    m = Matrix(rows)
+    det = m.determinant()
+    assert det == brute_force_det(m)
+    if m.rational_entries() is not None:
+        assert type(det) is Fraction
+    elif det == 0:
+        assert type(det) is int
+    rank = m.field_rank()
+    assert rank == Matrix([list(c) for c in zip(*rows)]).field_rank()
+    assert (rank == n) == (det != 0)
+
+    x0 = [data.draw(entry) for _ in range(n)]
+    bs = [
+        [sum((a * x for a, x in zip(r, x0)), 0) for r in rows],  # consistent
+        [data.draw(entry) for _ in range(n)],
+    ]
+    for b, x in zip(bs, m.solve_each(bs)):
+        augmented = Matrix([list(r) + [c] for r, c in zip(rows, b)])
+        assert (x is None) == (rank < augmented.field_rank())
+        if x is not None:
+            assert all(sum((a * c for a, c in zip(r, x)), 0) == c0 for r, c0 in zip(rows, b))
 
 
 def test_field_rank_with_cyclotomic_entries():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from coxeterkit.classify import TypeLabel, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
+from coxeterkit.graphs import gram_matrix
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix, sign
 from coxeterkit.roots import (
@@ -235,6 +236,40 @@ def test_geometric_rep_is_homomorphism_and_injective():
     for a in group.elements:
         for b in group.elements:
             assert rep[a * b] == rep[a] * rep[b]
+
+
+def hand_built_generators(gram: Matrix) -> list[Matrix]:
+    """sigma_s(v) = v - 2 B(alpha_s, v) alpha_s on the simple-root basis, entry
+    by entry: the identity with row s replaced by e_s - 2 G[s]."""
+    n = gram.rows
+    gens = []
+    for s in range(n):
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                base = Fraction(1) if i == j else Fraction(0)
+                if i == s:
+                    base = base - 2 * gram.entries[s][j]
+                row.append(base)
+            rows.append(row)
+        gens.append(Matrix(rows))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "label",
+    [TypeLabel("A", n) for n in range(1, 6)]
+    + [TypeLabel("B", n) for n in range(2, 5)]
+    + [TypeLabel("D", 4), TypeLabel("D", 5)]
+    + [TypeLabel("I2", 2, m) for m in range(5, 25)],
+    ids=str,
+)
+def test_geometric_rep_generators_match_the_hand_built_reflections(label):
+    group = realize(label)
+    rep = geometric_rep(label)
+    expected = hand_built_generators(gram_matrix(group.graph))
+    assert [rep[g] for g in group.generators] == expected
 
 
 def test_fixed_space_dimensions():
