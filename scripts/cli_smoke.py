@@ -26,7 +26,11 @@ polynomial of conductor 120000).  ``verify`` of the first bond past
 family's modules inside its checks, so ``verify`` runs once per family:
 A3, A4, B6, D4, D6, I2(11) and I2(24).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
-label ``false``, which JSON equality takes for 0, the unbounded bond.  The
+label ``false``, which JSON equality takes for 0, the unbounded bond.
+``argparse`` loads only for a command line that the plain reader of
+``cli.main`` leaves to it, so ``--help`` (exit 0, the usage on stdout), an
+abbreviated ``--form json``, a ``--max-order=24`` and a bad ``--max-order x``
+(exit 1) each run too.  The
 children run with ``PYTHONDONTWRITEBYTECODE=1``, so every one compiles
 what it loads, as a fresh benchmark job does, and no ``__pycache__`` is
 left behind.  Exits 1 at the first command that exits with another code
@@ -77,6 +81,8 @@ COMMANDS = [
     ["verify", "D4"],
     ["verify", "I2(11)"],
 ]
+# command lines that only argparse reads: an abbreviated option, ``--opt=value``
+ARGPARSE_COMMANDS = [["--form", "json", "irreps", "A3"], ["--max-order=24", "realize", "A3"]]
 PAST_BOND = BOND_BOUND + 1
 # stdout lines a run must print, beside its exit code
 BOND_GUARD_LINES = tuple(
@@ -102,9 +108,11 @@ def run() -> int:
         runs += [(["chartable", "A16"], 3, TABLE_TIMEOUT_S), (["realize", "A2000"], 3, TABLE_TIMEOUT_S),
                  (["verify", "A3000000"], 2, TABLE_TIMEOUT_S), (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S),
                  (["chartable"], 1, TABLE_TIMEOUT_S)]
-        runs = [(argv, want, timeout, ()) for argv, want, timeout in runs]
-        runs.append((["verify", f"I2({PAST_BOND})"], 2, TABLE_TIMEOUT_S, BOND_GUARD_LINES))
-        for argv, want, timeout, lines_wanted in runs:
+        runs += [(argv, 0, None) for argv in ARGPARSE_COMMANDS] + [(["--max-order", "x", "irreps", "A3"], 1, None)]
+        runs = [(argv, want, timeout, (), "") for argv, want, timeout in runs]
+        runs.append((["verify", f"I2({PAST_BOND})"], 2, TABLE_TIMEOUT_S, BOND_GUARD_LINES, ""))
+        runs.append((["--help"], 0, None, (), "usage: "))
+        for argv, want, timeout, lines_wanted, prefix in runs:
             try:
                 proc = subprocess.run([sys.executable, "-m", "coxeterkit", *argv],
                                       capture_output=True, text=True, env=env, timeout=timeout)
@@ -114,7 +122,7 @@ def run() -> int:
             lines = proc.stdout.count("\n")
             print(f"exit {proc.returncode}  {lines:4d} lines  coxeterkit {' '.join(argv)}")
             missing = [line for line in lines_wanted if line not in proc.stdout.splitlines()]
-            if proc.returncode != want or missing:
+            if proc.returncode != want or missing or not proc.stdout.startswith(prefix):
                 sys.stdout.write(proc.stdout + proc.stderr)
                 return 1
     return 0

@@ -28,6 +28,6 @@ def run() -> int:
 if __name__ == "__main__":
     import signal
 
-    if hasattr(signal, "SIGPIPE"):  # a closed pipe ends the dump quietly, as in ``cli.run``
+    if hasattr(signal, "SIGPIPE"):  # a closed pipe ends the dump quietly, as ``cli.run`` ends
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

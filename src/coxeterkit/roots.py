@@ -42,7 +42,9 @@ def _reflector(alpha, gram: Matrix | None):
     The reflection sends lam to lam - <covector, lam> alpha; G is the
     identity unless a Gram matrix is supplied.  Both vectors are kept as
     their nonzero (coordinate, entry) pairs; an integral covector of an int
-    vector stays int, so reflections of int vectors stay int.
+    vector stays int, so reflections of int vectors stay int.  A term at an
+    exact rational zero coordinate is skipped, here and in ``_reflect``, so
+    that no ``0 * cyclotomic`` turns a rational sum into a ``Cyclotomic``.
     """
     if gram is None:
         image = alpha
@@ -54,7 +56,8 @@ def _reflector(alpha, gram: Matrix | None):
                     image[j] = image[j] + a * g
     norm = 0
     for a, x in zip(alpha, image):
-        norm = norm + a * x
+        if not (type(a) in RATIONAL_TYPES and a == 0):
+            norm = norm + a * x
     if is_zero_scalar(norm):
         raise ValidationError("cannot reflect in a vector of zero norm")
     if isinstance(norm, int) and all(isinstance(x, int) and 2 * x % norm == 0 for x in image):
@@ -70,7 +73,9 @@ def _reflect(reflector, lam):
     support, covector = reflector
     coeff = 0
     for j, c in covector:
-        coeff = coeff + c * lam[j]
+        x = lam[j]
+        if not (type(x) in RATIONAL_TYPES and x == 0):
+            coeff = coeff + c * x
     if is_zero_scalar(coeff):
         return lam
     out = list(lam)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxeterkit import cli
 from coxeterkit.cli import main
@@ -260,7 +263,9 @@ def test_max_order_leaves_exceptional_types_to_the_command():
 
 def test_closed_stdout_ends_quietly():
     """The CLI and the table-dump script, each writing into a pipe whose read
-    end is closed before the child starts, so that its first write fails."""
+    end is closed before the child starts, so that its first write fails; and
+    the CLI once more, into a reader that takes one line of a table larger
+    than a pipe buffer and then closes, so that a later write fails."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     for argv in (["-m", "coxeterkit", "chartable", "A3"], [str(root / "scripts" / "print_character_tables.py")]):
@@ -275,6 +280,19 @@ def test_closed_stdout_ends_quietly():
         assert proc.returncode != 1, argv
         if hasattr(signal, "SIGPIPE"):
             assert proc.returncode == -signal.SIGPIPE, argv
+    proc = subprocess.Popen([sys.executable, "-m", "coxeterkit", "chartable", "A15"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline().startswith(b"irrep\t")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == b""
+    if hasattr(signal, "SIGPIPE"):
+        assert code == -signal.SIGPIPE
 
 
 def test_verify_a2():
@@ -381,3 +399,69 @@ def test_help_exits_0():
     proc = fresh_cli("--help")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: ")
+
+
+# -- the two argv readers ----------------------------------------------------------
+
+ARGV_TOKENS = ["--format", "tsv", "json", "xml", "--float", "--max-order", "24", "-1", "x", "--form",
+               "--max-order=6", "-h", "--", *cli.COMMANDS, "A3", "I2(5)", "-A3", ""]
+# any sequence of those tokens; or, so that plain argvs and near misses are
+# drawn often, options (whole ones, or also an option name with any token, or
+# any token), a command and any token
+WHOLE_OPTIONS = st.sampled_from([["--format", "tsv"], ["--format", "json"], ["--float"], ["--max-order", "24"]])
+ANY_OPTIONS = st.one_of(
+    WHOLE_OPTIONS,
+    st.tuples(st.sampled_from(["--format", "--max-order", "--form"]), st.sampled_from(ARGV_TOKENS)).map(list),
+    st.sampled_from(ARGV_TOKENS).map(lambda token: [token]),
+)
+ARGVS = st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=7),
+    *(
+        st.builds(
+            lambda units, command, arg: [token for unit in units for token in unit] + [command, arg],
+            st.lists(options, max_size=4),
+            st.sampled_from(list(cli.COMMANDS)),
+            st.sampled_from(ARGV_TOKENS),
+        )
+        for options in (WHOLE_OPTIONS, ANY_OPTIONS)
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+def test_the_plain_reader_agrees_with_argparse(argv):
+    """Where the direct reader takes an argv, it fills the fields and the
+    handler that argparse fills; where argparse exits, it has declined."""
+    plain = cli.read_plain(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        assert plain is None
+        return
+    if plain is not None:
+        assert vars(plain) == vars(parsed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["irreps", "A3"],
+    ["--format", "json", "--float", "--max-order", "24", "chartable", "I2(5)"],
+    ["--max-order", "6", "--format", "tsv", "--format", "json", "verify", "A3"],
+    ["classify", "graph.json"],
+    ["irreps", ""],
+])
+def test_plain_argv_is_read_without_argparse(argv):
+    plain = cli.read_plain(argv)
+    assert plain is not None and vars(plain) == vars(cli.build_parser().parse_args(argv))
+    assert plain.fn is getattr(cli, f"cmd_{argv[-2]}")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["irreps"], ["-h"], ["irreps", "-h"], ["--form", "json", "irreps", "A3"],
+    ["--max-order=6", "irreps", "A3"], ["--", "irreps", "A3"], ["--max-order", "-1", "irreps", "A3"],
+    ["--max-order", "x", "irreps", "A3"], ["--format", "xml", "irreps", "A3"], ["irreps", "A3", "A4"],
+    ["irreps", "-A3"], ["--format", "irreps", "A3"],
+])
+def test_other_argv_is_left_to_argparse(argv):
+    assert cli.read_plain(argv) is None

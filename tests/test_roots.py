@@ -9,7 +9,7 @@ from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import gram_matrix
 from coxeterkit.groups import realize
-from coxeterkit.linalg import Matrix, sign
+from coxeterkit.linalg import RATIONAL_TYPES, Matrix, sign
 from coxeterkit.roots import (
     BOND_BOUND,
     RootSystem,
@@ -270,6 +270,26 @@ def test_geometric_rep_generators_match_the_hand_built_reflections(label):
     rep = geometric_rep(label)
     expected = hand_built_generators(gram_matrix(group.graph))
     assert [rep[g] for g in group.generators] == expected
+
+
+@pytest.mark.parametrize(
+    "label", [TypeLabel("B", 3), TypeLabel("D", 4), TypeLabel("I2", 2, 5), TypeLabel("I2", 2, 12)], ids=str
+)
+def test_rational_generator_entries_stay_rational_types(label):
+    """The generators sigma_s of ``geometric_rep``: a zero coordinate adds no
+    ``0 * cyclotomic`` term, so the diagonal -1, and every other rational
+    entry, is an int or a Fraction."""
+    gram = gram_matrix(realize(label).graph)
+    n = gram.rows
+    entries = [
+        x
+        for s in range(n)
+        for row in reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram).entries
+        for x in row
+    ]
+    rational = [x for x in entries if type(x) in RATIONAL_TYPES or x.is_rational()]
+    assert len(rational) > len(entries) // 2
+    assert all(type(x) in RATIONAL_TYPES for x in rational)
 
 
 def test_fixed_space_dimensions():

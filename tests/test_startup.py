@@ -140,6 +140,46 @@ def test_chartable_of_a_permutation_type_loads_no_classifier(target):
     assert not modules_after("chartable", target) & NOT_FOR_PERMUTATION_TABLES
 
 
+# standard-library modules that a plain command line does not need: argparse
+# (with gettext and locale) reads only help and usage errors, and signal
+# serves only a closed stdout
+ARGPARSE_AND_SIGNAL = {"argparse", "gettext", "locale", "signal"}
+
+
+def imports_of(*argv: str) -> set:
+    """Every module a fresh ``python -X importtime -m coxeterkit ARGV`` imports.
+
+    ``-S`` leaves out ``site``, so that what the environment's ``site``
+    imports does not count against the command.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "coxeterkit", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}  # the first is the header
+
+
+@pytest.mark.parametrize("command, rational_free", [
+    ("irreps A5", True),
+    ("realize A6", True),
+    ("chartable I2(13)", False),
+    ("verify A3", False),
+])
+def test_plain_commands_import_no_argparse_or_signal(command, rational_free):
+    loaded = imports_of(*command.split())
+    assert "coxeterkit.cli" in loaded
+    assert not loaded & ARGPARSE_AND_SIGNAL
+    if rational_free:
+        assert not loaded & {"fractions", "decimal"}
+
+
+def test_help_still_comes_from_argparse():
+    assert "argparse" in imports_of("--help")
+
+
 BUILT = """
 import io, sys
 from coxeterkit import cli, groups
