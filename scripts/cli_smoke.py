@@ -14,7 +14,9 @@ take the path and arm walks, the forest pivots and the minimal-subgraph
 sweep.  So does a slow
 ``chartable`` of A15, B8 or D8, the largest table of each family under its
 guard (``chartable A16`` must exit 3), a slow ``realize B6``, or a slow
-``verify`` of B6, D6 or I2(24), the largest types each verify path takes.
+``verify`` of A7, B6, D6 or I2(24), the largest types each verify path
+takes (A7 builds S_7, with 5040 elements, the largest subgroup that any
+``verify`` builds).
 So does a slow ``irreps`` or ``chartable`` of I2(24), or ``realize
 I2(5000)``, whose 10000 elements the closed-form class data never
 enumerates, or a slow guard exit of ``realize A2000``, ``verify A3000000``
@@ -24,7 +26,7 @@ polynomial of conductor 120000).  ``verify`` of the first bond past
 ``roots.BOND_BOUND`` must print the bond guard's FAIL lines for
 ``root-system-axioms`` and ``fixed-space`` in time.  ``verify`` loads each
 family's modules inside its checks, so ``verify`` runs once per family:
-A3, A4, B6, D4, D6, I2(11) and I2(24).
+A3, A4, A7, B6, D4, D6, I2(11) and I2(24).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
 label ``false``, which JSON equality takes for 0, the unbounded bond.
 ``argparse`` loads only for a command line that the plain reader of
@@ -102,8 +104,8 @@ def run() -> int:
             runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
         runs += [(argv, 0, None) for argv in COMMANDS]
         for argv in (["chartable", "A15"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
-                     ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"], ["irreps", "I2(24)"],
-                     ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
+                     ["verify", "A7"], ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"],
+                     ["irreps", "I2(24)"], ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
         runs += [(["chartable", "A16"], 3, TABLE_TIMEOUT_S), (["realize", "A2000"], 3, TABLE_TIMEOUT_S),
                  (["verify", "A3000000"], 2, TABLE_TIMEOUT_S), (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S),

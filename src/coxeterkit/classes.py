@@ -6,8 +6,8 @@ closed form, ``coxeter_generators`` their Coxeter generators and
 dispatches to its family's module (``permutations`` and ``families`` for
 A/B/D, ``dihedral`` for I2(m)), imported where it is used, so a command
 compiles only its own family's code.  ``ClassFunction`` lives on any
-domain with classes: this class data, an enumerated ``groups.RealizedGroup``
-or a ``reps.Subgroup``.
+domain with classes: this class data or an enumerated
+``groups.RealizedGroup``, of which ``reps.Subgroup`` is a subclass.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class ClassData:
     lex-first element (permutation images, then signs with +1 before -1),
     and the classes are sorted by it.  That is the enumeration order of
     ``groups._build_group`` with the first-seen representatives of
-    ``conjugacy_orbits``, so both give the same reps and sizes in the same
-    order.  Sizes are n!/z_lam for S_n and 2^n n!/(z_alpha z_beta), with
+    ``RealizedGroup.classes``, so both give the same reps and sizes in the
+    same order.  Sizes are n!/z_lam for S_n and 2^n n!/(z_alpha z_beta), with
     (2k)^m_k m_k! in z, for B_n; a D_n class whose cycles are all positive
     of even length is half of its B_n class, the halves told apart by
     ``permutations.diagonal_parity``.  The classes of I2(m) are e, s (size
@@ -119,7 +119,7 @@ def irreducible_characters(label: TypeLabel) -> list:
 class ClassFunction:
     """Values on conjugacy classes, in class order.
 
-    The domain is a RealizedGroup, a Subgroup or the group-free
+    The domain is a RealizedGroup (a Subgroup is one) or the group-free
     ``ClassData``.  Two domains with the same order, class
     representatives and sizes carry the same class functions, so a table on
     the closed-form class data meets characters on the enumerated group.

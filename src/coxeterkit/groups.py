@@ -4,8 +4,9 @@
 full list of its elements (``permutations`` and ``dihedral`` define them,
 and each is loaded for its own families only), in a canonical order, with
 index-level generator tables, orbit conjugacy classes and a word
-factorization.  The table commands never come here: their classes are the
-closed-form ``classes.class_data``.
+factorization.  ``reps.Subgroup`` runs on the same engine with a
+generating set of its own.  The table commands never come here: their
+classes are the closed-form ``classes.class_data``.
 """
 
 from __future__ import annotations
@@ -20,41 +21,17 @@ from .classify import MAX_ORDER, TypeLabel, check_order
 from .errors import InternalInconsistencyError, ValidationError
 
 
-def conjugacy_orbits(elements, conjugations) -> ConjugacyClasses:
-    """Classes as orbits of index maps, one map per generator.
-
-    ``conjugations[k][i]`` is the index of g_k * elements[i] * g_k^-1 for a
-    generating set g_k.  Orbits are swept in index order, so each class is
-    represented by its first element in enumeration order.
-    """
-    class_of = [-1] * len(elements)
-    reps, sizes = [], []
-    for i in range(len(elements)):
-        if class_of[i] >= 0:
-            continue
-        cls = len(reps)
-        class_of[i] = cls
-        orbit = [i]
-        for j in orbit:
-            for conj in conjugations:
-                k = conj[j]
-                if class_of[k] < 0:
-                    class_of[k] = cls
-                    orbit.append(k)
-        reps.append(elements[i])
-        sizes.append(len(orbit))
-    return ConjugacyClasses(tuple(reps), tuple(sizes), tuple(class_of))
-
-
 class RealizedGroup:
-    """A finite Coxeter group with enumerated elements and Coxeter generators.
+    """A finite group with enumerated elements and a generating set.
 
-    ``elements[0]`` is the identity and the element order is canonical for
-    the type, so conjugacy classes and all derived data are deterministic.
-    Index-level routines work on ``generator_tables()`` (order x rank ints)
-    rather than on new element objects.  Lazy caches (tables, classes, word
-    factorization, inverses) compute idempotent values, so concurrent
-    readers at worst duplicate work.
+    ``realize`` gives the Coxeter groups, generated by their Coxeter
+    generators; ``reps.Subgroup`` is the subclass for subgroups, with no
+    graph.  ``elements[0]`` is the identity and the element order is
+    canonical for the type, so conjugacy classes and all derived data are
+    deterministic.  Index-level routines work on ``generator_tables()``
+    (order x generators ints) rather than on new element objects.  Lazy
+    caches (tables, classes, word factorization, inverses) compute
+    idempotent values, so concurrent readers at worst duplicate work.
     """
 
     def __init__(self, label: TypeLabel, graph: CoxeterGraph, generators, elements):
@@ -105,20 +82,33 @@ class RealizedGroup:
 
     @property
     def classes(self) -> ConjugacyClasses:
+        """Orbits under conjugation by the generators, swept in index order,
+        so each class is represented by its first element."""
         if self._classes is None:
-            inv = self._inverse_table()
-            # s x s^-1 = s (s x^-1)^-1
-            conjugations = [
-                [left[inv[left[inv[i]]]] for i in range(self.order)]
-                for left in self.generator_tables()
-            ]
-            self._classes = conjugacy_orbits(self.elements, conjugations)
+            inv, tables = self._inverse_table(), self.generator_tables()
+            class_of = [-1] * self.order
+            reps, sizes = [], []
+            for i in range(self.order):
+                if class_of[i] >= 0:
+                    continue
+                cls = len(reps)
+                class_of[i] = cls
+                orbit = [i]
+                for j in orbit:
+                    for left in tables:
+                        k = left[inv[left[inv[j]]]]  # g x g^-1 = g (g x^-1)^-1
+                        if class_of[k] < 0:
+                            class_of[k] = cls
+                            orbit.append(k)
+                reps.append(self.elements[i])
+                sizes.append(len(orbit))
+            self._classes = ConjugacyClasses(tuple(reps), tuple(sizes), tuple(class_of))
         return self._classes
 
     def word_dag(self):
         """BFS factorization: parent[i], gen[i] with elements[i] = gen * parent.
 
-        Doubles as a check that the Coxeter generators generate the whole
+        Doubles as a check that the generators generate the whole
         enumerated group.
         """
         if self._dag is None:

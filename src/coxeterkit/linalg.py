@@ -139,10 +139,12 @@ class Matrix:
             for ra in self.entries:
                 row = []
                 for j in range(other.cols):
-                    acc = 0
-                    for k, a in enumerate(ra):
-                        if not (type(a) in RATIONAL_TYPES and a == 0):
-                            acc = acc + a * bt[k][j]
+                    acc = 0  # a rational zero in either factor adds no term
+                    for a, brow in zip(ra, bt):
+                        b = brow[j]
+                        if type(a) in RATIONAL_TYPES and a == 0 or type(b) in RATIONAL_TYPES and b == 0:
+                            continue
+                        acc = acc + a * b
                     row.append(acc)
                 out.append(row)
             return Matrix(out)

@@ -1,9 +1,10 @@
 """Finite-group representation machinery over the concrete realizations.
 
 A Representation stores generator images only; images of arbitrary elements
-are evaluated by walking the group's BFS factorization and memoized.
-Subgroup classes are orbits under conjugation by a generating set, and
-induction uses the class-size formula, so neither sums over the whole
+are evaluated by walking the group's BFS factorization and memoized.  A
+Subgroup is a ``groups.RealizedGroup`` on a generating set of its own, so
+its classes are the engine's orbits under conjugation by those generators,
+and induction uses the class-size formula: neither sums over the whole
 group.  All character arithmetic is exact (Fractions and cyclotomic
 values); there is no floating fallback anywhere in this module.  Class
 functions themselves are ``classes.ClassFunction``, which the table
@@ -14,16 +15,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classes import ClassFunction, ConjugacyClasses, _same_domain
+from .classes import ClassFunction, _same_domain
 from .errors import InternalInconsistencyError, ValidationError
-from .groups import RealizedGroup, conjugacy_orbits
+from .groups import RealizedGroup
 
 
-class Subgroup:
+class Subgroup(RealizedGroup):
     """A subgroup given by an explicit element list inside a realized group.
 
-    Carries its own conjugacy-class data (classes of H, not G-classes), so
-    class functions on the subgroup are first-class objects.
+    It is a RealizedGroup with the parent's label and no graph, generated
+    by a greedy generating set, so the group engine gives its conjugacy
+    classes (classes of H, not G-classes), word factorization and index
+    tables, and class functions on the subgroup are first-class objects.
     """
 
     def __init__(self, parent: RealizedGroup, elements):
@@ -31,23 +34,13 @@ class Subgroup:
         idx = sorted({parent.index_of(x) for x in elements})
         if not idx:
             raise ValidationError("subgroup needs at least one element")
-        self.elements = tuple(parent.elements[i] for i in idx)
-        self._parent_indices = frozenset(idx)
-        self.index = {x: k for k, x in enumerate(self.elements)}
-        if 0 not in self._parent_indices:
+        if idx[0] != 0:
             raise ValidationError("subgroup does not contain the identity")
-        if parent.order % len(self.elements):
+        if parent.order % len(idx):
             raise ValidationError("subgroup order does not divide the group order")
-        self._classes = None
-        self._generators = self._generating_set()
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def identity(self):
-        return self.parent.identity
+        super().__init__(parent.label, None, (), [parent.elements[i] for i in idx])
+        self._parent_indices = frozenset(idx)
+        self.generators, self._tables = self._generating_set()
 
     def index_of(self, el) -> int:
         try:
@@ -61,44 +54,35 @@ class Subgroup:
         except ValidationError:
             return False
 
-    def class_index(self, el) -> int:
-        return self.classes.class_of[self.index_of(el)]
-
-    def _generating_set(self) -> list:
-        """Generators picked greedily in element order, closing under each.
+    def _generating_set(self) -> tuple[tuple, tuple]:
+        """Generators picked greedily in element order, closing under each,
+        and their index tables.
 
         The closure never leaves the element set exactly when the set is
-        closed under products, so this is also the closure check.
+        closed under products, so this is also the closure check.  The last
+        closure sweep reaches every element, so it fills the tables.
         """
-        gens = []
+        elements, index = self.elements, self.index
+        gens, tables = [], []
         reached = {0}
-        for k, x in enumerate(self.elements):
+        for k, x in enumerate(elements):
             if k in reached:
                 continue
             gens.append(x)
+            tables.append([0] * len(elements))
             reached = {0}
             queue = [0]
             for i in queue:
-                y = self.elements[i]
-                for g in gens:
-                    j = self.index.get(g * y)
+                y = elements[i]
+                for g, table in zip(gens, tables):
+                    j = index.get(g * y)
                     if j is None:
                         raise ValidationError("element set is not closed under products")
+                    table[i] = j
                     if j not in reached:
                         reached.add(j)
                         queue.append(j)
-        return gens
-
-    @property
-    def classes(self) -> ConjugacyClasses:
-        if self._classes is None:
-            index = self.index
-            conjugations = []
-            for g in self._generators:
-                ginv = g.inverse()
-                conjugations.append([index[g * x * ginv] for x in self.elements])
-            self._classes = conjugacy_orbits(self.elements, conjugations)
-        return self._classes
+        return tuple(gens), tuple(tuple(t) for t in tables)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"

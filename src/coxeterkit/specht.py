@@ -8,8 +8,9 @@ through the axial distance of i and i+1 by checked sparse columns.  The
 paper's construction is kept too: the row and column groups of the
 identity tableau and the Young symmetrizer they give in the group algebra
 of S_n.  They and ``specht_module`` import ``groups`` and ``reps`` where
-they are used; guards keep them at n <= 7.  No table command loads this
-module: the S_n characters are ``tableaux.symmetric_character_value``.
+they are used; one guard, ``SN_GUARD``, keeps them at n <= 7.  No table
+command loads this module: the S_n characters are
+``tableaux.symmetric_character_value``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import Permutation
 from .tableaux import hook_dimension, partition_text, standard_tableaux, validate_partition
 
-MODULE_GUARD = 7
-SYMMETRIZER_GUARD = 7
+SN_GUARD = 7  # largest n whose S_n this module realizes, for modules and row/column groups
 
 
 # -- Young's seminormal form -------------------------------------------------
@@ -140,8 +140,8 @@ def row_column_groups(shape) -> tuple[Subgroup, Subgroup]:
     """Row and column stabilizers of the identity tableau, as subgroups of S_n."""
     shape = validate_partition(shape)
     n = sum(shape)
-    if n > SYMMETRIZER_GUARD:
-        raise GuardError(f"row/column groups capped at n = {SYMMETRIZER_GUARD}")
+    if n > SN_GUARD:
+        raise GuardError(f"row/column groups capped at n = {SN_GUARD}")
     if n < 2:
         raise ValidationError("need a partition of n >= 2")
     from .groups import realize
@@ -181,8 +181,8 @@ def specht_module(shape) -> Representation:
     n = sum(shape)
     if n < 2:
         raise ValidationError("need a partition of n >= 2")
-    if n > MODULE_GUARD:
-        raise GuardError(f"module construction capped at n = {MODULE_GUARD}")
+    if n > SN_GUARD:
+        raise GuardError(f"module construction capped at n = {SN_GUARD}")
     from .groups import realize
     from .linalg import Matrix
     from .reps import Representation

@@ -191,6 +191,7 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         coxeterkit.no_such_name
     assert not hasattr(coxeterkit, "MODULE_GUARD")
+    assert not hasattr(coxeterkit, "SN_GUARD")
 
 
 def test_no_module_imports_dataclasses():

@@ -165,6 +165,17 @@ def test_field_rank_with_cyclotomic_entries():
     assert m.field_rank() == 1
 
 
+def test_product_adds_no_term_at_a_rational_zero_in_either_factor():
+    c = Cyclotomic.zeta(5, 1)
+    a = Matrix([[c, Fraction(0)], [Fraction(-1), c + 1]])
+    for prod in (a * Matrix.identity(2), Matrix.identity(2) * a):
+        assert prod == a
+        assert [[isinstance(x, Cyclotomic) for x in row] for row in prod.entries] == [
+            [True, False],
+            [False, True],
+        ]
+
+
 def test_block_diag_and_trace():
     a = Matrix([[1, 2], [3, 4]])
     d = block_diag([a, Matrix([[7]])])

@@ -6,6 +6,9 @@ below are the direct definitions they replaced: classes by conjugating with
 every element, and induction by the sum over the whole group.  They share no
 code with the kernel beyond element products and, for induction, the
 subgroup's class lookup, which the class oracle checks on every subgroup used.
+A subgroup runs on the realized groups' index engine over the generating set
+its closure search picks, so each subgroup also has its generator tables
+checked against fresh products and its word DAG against its elements.
 
 The S_n characters come from the Murnaghan-Nakayama rule on beta-sets
 (``tableaux.symmetric_character_value``).  Four oracles check them: the
@@ -132,6 +135,20 @@ def sign_character(sub: Subgroup) -> ClassFunction:
     return ClassFunction(sub, [Fraction(rep.sign()) for rep in sub.classes.reps])
 
 
+def assert_runs_on_the_group_engine(sub: Subgroup):
+    """Classes against the brute-force oracle, each generator table entry
+    against a fresh product, and a word DAG that spells every element."""
+    assert sub.classes == brute_force_classes(sub)
+    elements, index = sub.elements, sub.index
+    tables = sub.generator_tables()
+    assert len(tables) == len(sub.generators)
+    for g, table in zip(sub.generators, tables):
+        assert list(table) == [index[g * x] for x in elements]
+    parent, genidx = sub.word_dag()
+    for i in range(1, sub.order):
+        assert elements[i] == sub.generators[genidx[i]] * elements[parent[i]]
+
+
 @pytest.mark.parametrize("label", ALL_LABELS, ids=str)
 def test_group_classes_match_brute_force(label):
     group = realize(label)
@@ -177,14 +194,24 @@ def extended_character(n: int, label) -> ClassFunction:
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_little_subgroup_classes_match_brute_force(n):
     for a in range(n + 1):
-        sub = little_subgroup(n, a)
-        assert sub.classes == brute_force_classes(sub)
+        assert_runs_on_the_group_engine(little_subgroup(n, a))
 
 
-@pytest.mark.parametrize("label", I2_LABELS, ids=str)
+@pytest.mark.parametrize("label", [TypeLabel("I2", 2, m) for m in range(3, 13)], ids=str)
 def test_rotation_subgroup_classes_match_brute_force(label):
-    sub = _sample_subgroup(realize(label))
-    assert sub.classes == brute_force_classes(sub)
+    assert_runs_on_the_group_engine(_sample_subgroup(realize(label)))
+
+
+@pytest.mark.parametrize(
+    "label",
+    [TypeLabel("A", n) for n in range(1, 7)]
+    + [TypeLabel("B", n) for n in range(1, 6)]
+    + [TypeLabel("D", n) for n in (4, 5)],
+    ids=str,
+)
+def test_symmetric_sample_subgroup_runs_on_the_group_engine(label):
+    """The S_n that ``verify`` samples inside A_n, B_n and D_n."""
+    assert_runs_on_the_group_engine(_sample_subgroup(realize(label)))
 
 
 @pytest.mark.parametrize("label", A_LABELS, ids=str)
@@ -193,8 +220,8 @@ def test_young_subgroup_induction_matches_brute_force(label):
     group = realize(label)
     for shape in partitions_of(n):
         rows, cols = row_column_groups(shape)
-        assert rows.classes == brute_force_classes(rows)
-        assert cols.classes == brute_force_classes(cols)
+        assert_runs_on_the_group_engine(rows)
+        assert_runs_on_the_group_engine(cols)
         assert_induces_like_oracle(trivial_character(rows), group)
         assert_induces_like_oracle(sign_character(cols), group)
 
@@ -214,7 +241,7 @@ def test_little_group_induction_matches_brute_force(label):
 def test_d4_induction_matches_brute_force():
     group = realize(TypeLabel("D", 4))
     perms = Subgroup(group, [g for g in group.elements if all(s == 1 for s in g.signs)])
-    assert perms.classes == brute_force_classes(perms)
+    assert_runs_on_the_group_engine(perms)
     assert_induces_like_oracle(trivial_character(perms), group)
     signs = [Fraction(rep.perm.sign()) for rep in perms.classes.reps]
     assert_induces_like_oracle(ClassFunction(perms, signs), group)

@@ -139,10 +139,26 @@ def test_induced_character_examples():
 
 def test_subgroup_validation():
     group = s3()
-    with pytest.raises(ValidationError):
-        Subgroup(group, [group.elements[1]])  # no identity
-    with pytest.raises(ValidationError):
-        Subgroup(group, [group.identity, Permutation((1, 2, 0))])  # not closed
+    with pytest.raises(ValidationError, match="needs at least one element"):
+        Subgroup(group, [])
+    with pytest.raises(ValidationError, match="does not contain the identity"):
+        Subgroup(group, [group.elements[1]])
+    with pytest.raises(ValidationError, match="order does not divide the group order"):
+        Subgroup(group, group.elements[:4])
+    with pytest.raises(ValidationError, match="not closed under products"):
+        Subgroup(group, [group.identity, Permutation((1, 2, 0))])
+    sub = Subgroup(group, [group.identity, Permutation((1, 0, 2))])
+    with pytest.raises(ValidationError, match=r"element .* is not in the subgroup"):
+        sub.index_of(Permutation((0, 2, 1)))
+    with pytest.raises(ValidationError, match=r"element .* is not in the subgroup"):
+        sub.class_index(Permutation((0, 2, 1)))
+    # the checks run in this order: an element set with no identity whose
+    # size does not divide |G| and that is not closed reports the identity
+    with pytest.raises(ValidationError, match="does not contain the identity"):
+        Subgroup(group, group.elements[1:5])
+    not_closed = [Permutation((1, 2, 0)), Permutation((1, 0, 2)), Permutation((0, 2, 1))]
+    with pytest.raises(ValidationError, match="order does not divide"):
+        Subgroup(group, [group.identity] + not_closed)
 
 
 def test_restriction_examples():

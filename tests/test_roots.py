@@ -292,6 +292,22 @@ def test_rational_generator_entries_stay_rational_types(label):
     assert all(type(x) in RATIONAL_TYPES for x in rational)
 
 
+@pytest.mark.parametrize("label", [TypeLabel("B", 3), TypeLabel("I2", 2, 5), TypeLabel("I2", 2, 12)], ids=str)
+def test_generator_images_keep_the_entry_types_of_the_reflections(label):
+    """``geometric_rep`` forms sigma_s times the identity: a rational zero in
+    either factor adds no term, so each image is sigma_s with its rational
+    entries rational and its cyclotomic entries cyclotomic."""
+    group = realize(label)
+    gram = gram_matrix(group.graph)
+    n = gram.rows
+    rep = geometric_rep(label)
+    for s, g in enumerate(group.generators):
+        sigma = reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram)
+        assert rep[g] == sigma
+        for got, want in zip(rep[g].entries, sigma.entries):
+            assert [type(x) in RATIONAL_TYPES for x in got] == [type(x) in RATIONAL_TYPES for x in want]
+
+
 def test_fixed_space_dimensions():
     a3 = realize(TypeLabel("A", 3))
     assert fixed_space_dimension([g.natural_matrix() for g in a3.generators]) == 1

@@ -85,8 +85,10 @@ def test_row_column_groups():
     r, c = row_column_groups((5, 2))
     assert r.order == math.factorial(5) * 2
     assert c.order == 2 * 2
-    with pytest.raises(GuardError):
-        row_column_groups((5, 3, 1))  # n = 9 exceeds the subgroup guard
+    with pytest.raises(GuardError, match="row/column groups capped at n = 7"):
+        row_column_groups((5, 3))  # n = 8 exceeds the S_n guard
+    with pytest.raises(GuardError, match="row/column groups capped at n = 7"):
+        row_column_groups((5, 3, 1))
 
 
 def test_young_symmetrizer_s3():
@@ -167,7 +169,7 @@ def test_specht_matches_hooks_up_to_five():
 
 
 def test_specht_guard():
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="module construction capped at n = 7"):
         specht_module((8,))
     symmetric_character_table(16)
     with pytest.raises(GuardError):
