@@ -9,9 +9,10 @@ broken function-local import; a fresh process per command does.  The
 ``classify`` runs have a time limit, so that a slow classify fails here:
 on the two non-finite graphs of large conductor, and at the vertex guard
 on the 48-vertex path, the 48-vertex D-type fork, the 48-vertex tree of
-5-bonds and a 48-vertex tree with two branch vertices (affine D~47), which
-take the path and arm walks, the forest pivots and the minimal-subgraph
-sweep.  So does a slow
+5-bonds, a 48-vertex tree with two branch vertices (affine D~47) and the
+complete graph K48 with every bond 3, which take the path and arm walks,
+the forest pivots and the minimal-subgraph sweep (K48 is its densest case:
+every candidate filters the adjacency of 47 neighbours).  So does a slow
 ``chartable`` of A15, B8 or D8, the largest table of each family under its
 guard (``chartable A16`` must exit 3), a slow ``realize B6``, or a slow
 ``verify`` of A7, B6, D6 or I2(24), the largest types each verify path
@@ -28,7 +29,8 @@ polynomial of conductor 120000).  ``verify`` of the first bond past
 family's modules inside its checks, so ``verify`` runs once per family:
 A3, A4, A7, B6, D4, D6, I2(11) and I2(24).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
-label ``false``, which JSON equality takes for 0, the unbounded bond.
+label ``false``, which JSON equality takes for 0, the unbounded bond, and
+an ``"edges": null``, which is not a list.
 ``argparse`` loads only for a command line that the plain reader of
 ``cli.main`` leaves to it, so ``--help`` (exit 0, the usage on stdout), an
 abbreviated ``--form json``, a ``--max-order=24`` and a bad ``--max-order x``
@@ -64,7 +66,9 @@ GRAPHS = {
     "fork-d48.json": ({"n": 48, "edges": [[0, 2, 3]] + [[i, i + 1, 3] for i in range(1, 47)]}, 0),
     "tree-48-two-branches.json": (
         {"n": 48, "edges": [[i, i + 1, 3] for i in range(45)] + [[1, 46, 3], [44, 47, 3]]}, 2),
+    "k48-3.json": ({"n": 48, "edges": [[i, j, 3] for i in range(48) for j in range(i + 1, 48)]}, 2),
     "false-label.json": ({"n": 2, "edges": [[0, 1, False]]}, 1),
+    "null-edges.json": ({"n": 2, "edges": None}, 1),
 }
 COMMANDS = [
     ["realize", "A3"],

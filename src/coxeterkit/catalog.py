@@ -6,9 +6,11 @@ degree 2 reads a path's bonds from its least end, or the three arm lengths
 at a single branch vertex.  Exact arithmetic then checks every verdict
 independently: a matched component by Sylvester's criterion on the sparse
 pivots of its Gram matrix, a rejected one by certifying a minimal rejected
-induced subgraph as affine or hyperbolic (``certify``).  Any disagreement between the two raises, since
-it can only mean a bug in one of them.  ``is_positive_definite`` is the
-same decision for the whole graph, with a ``Witness`` (a minimal non-finite
+induced subgraph as affine or hyperbolic (``certify``).  Any disagreement
+between the two raises, since it can only mean a bug in one of them.  All
+of this reads the graph's one adjacency, each component and candidate
+subgraph as its sorted vertex list.  ``is_positive_definite`` is the same
+decision for the whole graph, with a ``Witness`` (a minimal non-finite
 subgraph) on failure; no dense Gram minor is formed.  ``classify.classify``
 loads this module, and with it ``graphs``, ``certify`` and ``linalg``, on
 its first call; ``cyclotomic`` comes only for a bond outside {3, 4, 6, inf}
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .certify import certify, minimal_rejected, positive_definite
+from .certify import _certify, _positive_definite, minimal_rejected
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .graphs import INFINITY, CoxeterGraph, connected_components
+from .graphs import INFINITY, CoxeterGraph, induced_parts
 
 VERTEX_GUARD = 48  # classify() refuses larger graphs with GuardError (exit 3)
 
@@ -137,7 +139,7 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
     return res.is_finite, next((c.witness for c in res.components if c.witness), None)
 
 
-def _walk(adj: list, prev: int, cur: int) -> list[int]:
+def _walk(adj, prev: int, cur: int) -> list[int]:
     """The vertices from cur, leaving prev behind, up to and including the
     first one whose degree is not 2; ``adj`` must be a tree's, or the walk
     may not end."""
@@ -149,49 +151,49 @@ def _walk(adj: list, prev: int, cur: int) -> list[int]:
     return out
 
 
-def _match_connected(g: CoxeterGraph) -> TypeLabel | None:
-    """Structural match of a connected graph against the catalog.
+def _match_connected(adj, vertices) -> tuple | None:
+    """Structural match of the connected graph on the increasing ``vertices``
+    (``adj`` as in ``certify``) against the catalog: its TypeLabel's fields.
 
     Only trees with finite bonds qualify; a connected graph with n - 1 edges
     is a tree.  One ``_walk`` from the least end reads a path's bonds; with
     one branch vertex of degree 3, a ``_walk`` into each neighbour measures
     the three arms.
     """
-    n, labels = g.n, g.labels
-    if len(labels) != n - 1 or INFINITY in labels.values():
-        return None
+    n = len(vertices)
     if n == 1:
-        return TypeLabel("A", 1)
-    adj = [g._adjacent(v) for v in range(n)]
-    branches = [v for v in range(n) if len(adj[v]) > 2]
+        return "A", 1, None
+    if sum(len(adj[v]) for v in vertices) != 2 * n - 2:
+        return None
+    branches = [v for v in vertices if len(adj[v]) > 2]
     if branches:
         b = branches[0]
-        if len(branches) > 1 or len(adj[b]) > 3 or any(m != 3 for m in labels.values()):
+        if len(branches) > 1 or len(adj[b]) > 3 or any(m != 3 for v in vertices for m in adj[v].values()):
             return None
         short, mid, long = sorted(len(_walk(adj, b, s)) for s in adj[b])
         if short == mid == 1:
-            return TypeLabel("D", long + 3)
+            return "D", long + 3, None
         if short == 1 and mid == 2 and long in (2, 3, 4):
-            return TypeLabel("E", long + 4)
+            return "E", long + 4, None
         return None
-    end = next(v for v in range(n) if len(adj[v]) == 1)
-    path = [end] + _walk(adj, end, adj[end][0])
-    seq = [g.label(a, b) for a, b in zip(path, path[1:])]
-    if n == 2 and seq[0] > 4:  # A2 and B2 are read below as paths
-        return TypeLabel("I2", 2, seq[0])
+    end = next(v for v in vertices if len(adj[v]) == 1)
+    path = [end] + _walk(adj, end, next(iter(adj[end])))
+    seq = [adj[a][b] for a, b in zip(path, path[1:])]
+    if n == 2 and 4 < seq[0] < INFINITY:  # A2, B2 and an INFINITY bond are read below
+        return "I2", 2, seq[0]
     heavy = [(k, m) for k, m in enumerate(seq) if m != 3]
     if not heavy:
-        return TypeLabel("A", n)
+        return "A", n, None
     if len(heavy) > 1:
         return None
     pos, m = heavy[0]
     terminal = pos in (0, n - 2)
     if m == 4 and terminal:
-        return TypeLabel("B", n)
+        return "B", n, None
     if m == 4 and n == 4:
-        return TypeLabel("F", 4)
+        return "F", 4, None
     if m == 5 and terminal and n in (3, 4):
-        return TypeLabel("H", n)
+        return "H", n, None
     return None
 
 
@@ -204,18 +206,19 @@ def check_vertices(n: int) -> None:
 def classify_components(g: CoxeterGraph) -> ClassificationResult:
     """The work of ``classify.classify``, which documents it."""
     check_vertices(g.n)
+    adj = g._adjacency()
     results = []
-    for comp, vertices in connected_components(g):
-        label = _match_connected(comp)
-        if label is None:
-            part, sub = minimal_rejected(comp, _match_connected)
-            witness = Witness(certify(sub), len(part), tuple(vertices[k] for k in part))
+    for part in induced_parts(adj, range(g.n)):
+        vertices, match = tuple(part), _match_connected(adj, part)
+        if match is None:
+            minimal, sub = minimal_rejected(adj, part, _match_connected)
+            witness = Witness(_certify(sub, minimal), len(minimal), tuple(minimal))
             results.append(ComponentResult(vertices, None, witness))
-        elif positive_definite(comp):
-            results.append(ComponentResult(vertices, label, None))
+        elif _positive_definite(adj, part):
+            results.append(ComponentResult(vertices, TypeLabel(*match), None))
         else:
             raise InternalInconsistencyError(
-                f"catalog match {label} is not positive definite on component {vertices}"
+                f"catalog match {TypeLabel(*match)} is not positive definite on component {vertices}"
             )
     return ClassificationResult(tuple(results))
 

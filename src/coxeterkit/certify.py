@@ -3,27 +3,24 @@
 A component the catalog matches must pass Sylvester's criterion on the
 sparse pivots of its Gram matrix.  A component it rejects is shrunk to a
 minimal rejected connected induced subgraph, which must be certified affine
-or hyperbolic; the parts each deletion leaves come from
-``graphs.induced_parts``, the search that splits a graph into components.
-The theory: every proper induced subgraph of a minimal non-finite graph is
-finite, so its determinant decides (Humphreys, *Reflection Groups and
-Coxeter Groups*, ch. 2 and §6.8-6.9).  ``classify`` imports this module on
-its first call, so the commands that only name a type never compile it.
+or hyperbolic.  The theory: every proper induced subgraph of a minimal
+non-finite graph is finite, so its determinant decides (Humphreys,
+*Reflection Groups and Coxeter Groups*, ch. 2 and §6.8-6.9).  ``classify``
+imports this module on its first call, so the commands that only name a
+type never compile it.
 
-On a forest the pivots need no division: ``pivot_signs`` eliminates
-leaves of 2G, each diagonal kept as num/den with den > 0, and a leaf with
-pivot a/b turns its neighbour's num/den into (num*a - w*b*den)/(den*a),
-where w = 4cos^2(pi/m) = 2 + zeta_m + zeta_m^-1 is the int 1, 2, 3 or 4 for
-m = 3, 4, 6 or inf, so a forest with only those bonds never loads
-``cyclotomic``.  Graphs with a cycle eliminate sparse rows over the field.
+The checks read a graph through one adjacency ``adj``, ``adj[v]`` mapping
+each neighbour of v, in increasing order, to its bond (as built by
+``CoxeterGraph._adjacency``), and a subgraph as its increasing vertex list,
+never a renumbered copy: a component is closed in ``adj``, and a candidate
+of ``minimal_rejected`` filters it.  A forest whose bonds are 3, 4, 6 or
+inf never loads ``cyclotomic``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InternalInconsistencyError
-from .graphs import INFINITY, CoxeterGraph, _induced, gram_entry, induced_parts
+from .graphs import INFINITY, CoxeterGraph, gram_entry, induced_parts
 from .linalg import invert_scalar, sign
 
 _WEIGHTS = {3: 1, 4: 2, 6: 3, INFINITY: 4}  # the rational values of 4cos^2(pi/m)
@@ -48,25 +45,28 @@ def pivot_signs(g: CoxeterGraph) -> list[int]:
     still has two neighbours when its turn comes lies on a cycle; the graph
     then takes the elimination of sparse rows over the field.
     """
-    if len(g.labels) < g.n:
-        signs = _forest_signs(g)
+    return _pivot_signs(g._adjacency(), range(g.n))
+
+
+def _pivot_signs(adj, vertices) -> list[int]:
+    """``pivot_signs`` of the graph on the increasing ``vertices``."""
+    if sum(len(adj[v]) for v in vertices) < 2 * len(vertices):
+        signs = _forest_signs(adj, vertices)
         if signs is not None:
             return signs
-    return _row_signs(g)
+    return _row_signs(adj, vertices)
 
 
-def _forest_signs(g: CoxeterGraph) -> list[int] | None:
-    """``pivot_signs`` by the leaf recurrence on 2G, or None at a cycle."""
-    weights, adj = {}, {v: {} for v in range(g.n)}
-    for (i, j), m in g.labels.items():
-        if m not in weights:
-            weights[m] = _WEIGHTS.get(m) or _cyclotomic_weight(m)
-        adj[i][j] = adj[j][i] = weights[m]
-    num, den = [2] * g.n, [1] * g.n
+def _forest_signs(adj, vertices) -> list[int] | None:
+    """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle."""
+    bonds = {m for v in vertices for m in adj[v].values()}
+    weight = {m: _WEIGHTS.get(m) or _cyclotomic_weight(m) for m in bonds}
+    left = {v: {u: weight[m] for u, m in adj[v].items()} for v in vertices}
+    num, den = dict.fromkeys(vertices, 2), dict.fromkeys(vertices, 1)
     signs = []
-    while adj:
-        v = min(adj, key=lambda u: (len(adj[u]), u))
-        edges = adj.pop(v)
+    while left:
+        v = min(left, key=lambda u: (len(left[u]), u))
+        edges = left.pop(v)
         if len(edges) > 1:
             return None
         a, b = num[v], den[v]
@@ -74,7 +74,7 @@ def _forest_signs(g: CoxeterGraph) -> list[int] | None:
         if signs[-1] <= 0:
             break
         for u, w in edges.items():
-            del adj[u][v]
+            del left[u][v]
             num[u] = num[u] * a - b * den[u] * w
             den[u] = den[u] * a
     return signs
@@ -87,16 +87,12 @@ def _cyclotomic_weight(m: int):
     return Cyclotomic(m, {0: 2, 1: 1, -1: 1})
 
 
-def _row_signs(g: CoxeterGraph) -> list[int]:
-    """``pivot_signs`` on sparse Gram rows (1 on the diagonal, -cos(pi/m) on
+def _row_signs(adj, vertices) -> list[int]:
+    """``_pivot_signs`` on sparse Gram rows (1 on the diagonal, -cos(pi/m) on
     each edge) over the field, for graphs with a cycle."""
-    entry = {}
-    rows = {v: {v: 1} for v in range(g.n)}
-    for (i, j), m in g.labels.items():
-        c = entry.get(m)
-        if c is None:
-            c = entry[m] = gram_entry(m)
-        rows[i][j] = rows[j][i] = c
+    bonds = {m for v in vertices for m in adj[v].values()}
+    entry = {m: gram_entry(m) for m in bonds}
+    rows = {v: {v: 1} | {u: entry[m] for u, m in adj[v].items()} for v in vertices}
     signs = []
     while rows:
         v = min(rows, key=lambda u: (len(rows[u]), u))
@@ -122,29 +118,36 @@ def positive_definite(g: CoxeterGraph) -> bool:
     A single edge m has determinant 1 - cos^2(pi/m) = sin^2(pi/m), positive
     exactly when m is finite.
     """
-    if g.n == 2:
-        return INFINITY not in g.labels.values()
-    return pivot_signs(g)[-1] > 0
+    return _positive_definite(g._adjacency(), range(g.n))
 
 
-def minimal_rejected(g: CoxeterGraph, match) -> tuple[list[int], CoxeterGraph]:
-    """A minimal connected induced subgraph of g that ``match`` rejects (maps
-    to None), as its vertices in g and the subgraph; g is connected and
-    rejected.
+def _positive_definite(adj, vertices) -> bool:
+    """``positive_definite`` of the graph on the increasing ``vertices``."""
+    if len(vertices) == 2:
+        return INFINITY not in adj[vertices[0]].values()
+    return _pivot_signs(adj, vertices)[-1] > 0
+
+
+def minimal_rejected(adj, vertices, match) -> tuple[list[int], dict]:
+    """A minimal connected induced subgraph that ``match`` rejects (maps to
+    None) in the connected, rejected graph on the increasing ``vertices``,
+    closed in ``adj``: its sorted vertices, and ``adj`` filtered to them.
 
     One sweep over the vertices: when deleting v leaves a rejected part,
     move into that part.  A vertex whose deletion left only matched parts is
     never tried again, since every part of a smaller set minus v is an
     induced subgraph of one of those parts.  The parts of part - {v} are
-    tried in the order of their least vertex, and each is built once.
+    tried in the order of their least vertex; each keeps the part's entries
+    but for those of v's neighbours, which drop v.
     """
-    part, sub = list(range(g.n)), g
-    for v in range(g.n):
-        if v not in part:
+    part, sub = list(vertices), {v: adj[v] for v in vertices}
+    for v in vertices:
+        if v not in sub:
             continue
-        for comp in induced_parts(g, [u for u in part if u != v]):
-            candidate = _induced(g.labels, comp)
-            if match(candidate) is None:
+        near = sub[v]
+        for comp in induced_parts(sub, [u for u in part if u != v]):
+            candidate = {u: {w: m for w, m in sub[u].items() if w != v} if u in near else sub[u] for u in comp}
+            if match(candidate, comp) is None:
                 part, sub = comp, candidate
                 break
     return part, sub
@@ -156,22 +159,28 @@ def certify(g: CoxeterGraph) -> str:
     Every proper induced subgraph of g is finite, so every proper principal
     minor of its Gram matrix is positive and the determinant decides: 0 is
     affine, < 0 hyperbolic (a Lannér graph, of rank at most 5).  Rank 2 is
-    the bond INFINITY; rank 3 uses the exact rational criteria (a path
-    (p, q) is finite iff 1/p + 1/q > 1/2, a triangle iff 1/p + 1/q + 1/r >
-    1); from rank 4 on every label is at most 5 and the sparse pivot signs
-    decide.  Anything else raises InternalInconsistencyError: the matcher
-    and exact arithmetic disagree.
+    the bond INFINITY.  Rank 3 is finite iff 1/p + 1/q + 1/r > 1 over its
+    three pairs, m = 2 on an open one, so the integer test qr + pr + pq >
+    pqr decides (for a path, 2(p + q) > pq).  From rank 4 on every label is
+    at most 5 and the sparse pivot signs decide.  Anything else raises
+    InternalInconsistencyError: the matcher and exact arithmetic disagree.
     """
-    labels = list(g.labels.values())
-    if g.n == 2 and labels == [INFINITY]:
+    return _certify(g._adjacency(), range(g.n))
+
+
+def _certify(adj, vertices) -> str:
+    """``certify`` of the graph on the increasing ``vertices``."""
+    n = len(vertices)
+    labels = [m for v in vertices for u, m in adj[v].items() if u > v]
+    if n == 2 and labels == [INFINITY]:
         return "affine"
-    if INFINITY not in labels and g.n == 3:
-        bound = Fraction(1, 2) if len(labels) == 2 else Fraction(1)
-        total = sum(Fraction(1, m) for m in labels)
+    if n == 3 and INFINITY not in labels:
+        p, q, r = (labels + [2])[:3]  # a path is the triangle with m = 2 on its open pair
+        total, bound = q * r + p * r + p * q, p * q * r
         if total <= bound:
             return "affine" if total == bound else "hyperbolic"
-    if g.n >= 4 and max(labels) <= 5:
-        signs = pivot_signs(g)
-        if len(signs) == g.n and (signs[-1] == 0 or (signs[-1] < 0 and g.n <= 5)):
+    if n >= 4 and labels and max(labels) <= 5:
+        signs = _pivot_signs(adj, vertices)
+        if len(signs) == n and (signs[-1] == 0 or (signs[-1] < 0 and n <= 5)):
             return "affine" if signs[-1] == 0 else "hyperbolic"
-    raise InternalInconsistencyError(f"no exact certificate for the rejected graph {g!r}")
+    raise InternalInconsistencyError(f"no exact certificate for the rejected subgraph on {list(vertices)}")

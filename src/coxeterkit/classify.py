@@ -16,7 +16,16 @@ from collections import namedtuple
 
 from .errors import GuardError, UnsupportedTypeError, ValidationError
 
-_FAMILIES = ("A", "B", "D", "E", "F", "H", "I2")
+_RANK_OK = {  # one rank test per family, so a label evaluates only its own
+    "A": lambda n: n >= 1,
+    "B": lambda n: n >= 1,  # B1 = Z/2 exists as a group; classification emits n >= 2
+    "D": lambda n: n >= 4,
+    "E": lambda n: n in (6, 7, 8),
+    "F": lambda n: n == 4,
+    "H": lambda n: n in (3, 4),
+    "I2": lambda n: n == 2,
+}
+_FAMILIES = tuple(_RANK_OK)
 
 
 class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
@@ -33,23 +42,14 @@ class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
     def __new__(cls, family: str, rank: int, bond: int | None = None):
         if family not in _FAMILIES:
             raise ValidationError(f"unknown family {family!r}")
-        ok = {
-            "A": rank >= 1,
-            "B": rank >= 1,  # B1 = Z/2 exists as a group; classification emits n >= 2
-            "D": rank >= 4,
-            "E": rank in (6, 7, 8),
-            "F": rank == 4,
-            "H": rank in (3, 4),
-            "I2": rank == 2,
-        }[family]
-        if not ok:
+        if not _RANK_OK[family](rank):
             raise ValidationError(f"invalid rank {rank} for family {family}")
         if family == "I2":
             if not (isinstance(bond, int) and bond >= 3):
                 raise ValidationError(f"I2 needs a bond label m >= 3, got {bond!r}")
         elif bond is not None:
             raise ValidationError("bond label is only meaningful for I2")
-        return super().__new__(cls, family, rank, bond)
+        return tuple.__new__(cls, (family, rank, bond))
 
     def __str__(self) -> str:
         if self.family == "I2":

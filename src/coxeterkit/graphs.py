@@ -9,10 +9,14 @@ Graph JSON format::
 
     {"n": 4, "edges": [[0, 1, 3], [1, 2, 3], [2, 3, 4]]}
 
-Edge order is irrelevant, duplicate edges are rejected, and a third entry
-of 0 means INFINITY.  The count, the vertices and the labels must be JSON
-integers: ``false``, ``true`` and ``0.0`` are rejected, though Python takes
-them for 0, 1 and 0.
+``edges`` must be a list.  Edge order is irrelevant, duplicate edges are
+rejected, and a third entry of 0 means INFINITY.  The count, the vertices
+and the labels must be JSON integers: ``false``, ``true`` and ``0.0`` are
+rejected, though Python takes them for 0, 1 and 0.
+
+A graph builds one adjacency on first use (``_adjacency``): each vertex's
+neighbours in increasing order with their bonds.  The classifier reads
+every subgraph through it as a sorted vertex list.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ def _is_valid_label(m) -> bool:
 class CoxeterGraph:
     """Labeled graph of a Coxeter system; immutable after construction."""
 
-    __slots__ = ("n", "labels", "_adjacency")
+    __slots__ = ("n", "labels", "_adj")
 
     def __init__(self, n: int, edges=()):
         if type(n) is not int or n < 1:
@@ -63,7 +67,7 @@ class CoxeterGraph:
                 labels[key] = m
         self.n = n
         self.labels = labels
-        self._adjacency = None
+        self._adj = None
 
     def label(self, i: int, j: int):
         """m(i, j); 1 on the diagonal, 2 for non-adjacent pairs."""
@@ -74,24 +78,21 @@ class CoxeterGraph:
     def edges(self) -> list[tuple[int, int, object]]:
         return [(i, j, m) for (i, j), m in sorted(self.labels.items())]
 
-    def _adjacent(self, i: int) -> list[int]:
-        """Sorted neighbours of i, from adjacency built on the first call;
-        the caller must not change the list."""
-        adj = self._adjacency
+    def _adjacency(self) -> list[dict]:
+        """The graph's one adjacency, built on the first call: entry v maps each
+        neighbour of v, in increasing order, to its bond; never to be changed."""
+        adj = self._adj
         if adj is None:
-            adj = self._adjacency = [[] for _ in range(self.n)]
-            for a, b in self.labels:
-                adj[a].append(b)
-                adj[b].append(a)
-            for vs in adj:
-                vs.sort()
-        return adj[i]
+            adj = self._adj = [{} for _ in range(self.n)]
+            for (a, b), m in sorted(self.labels.items()):  # so each entry comes sorted
+                adj[a][b] = adj[b][a] = m
+        return adj
 
     def neighbors(self, i: int) -> list[int]:
-        return list(self._adjacent(i))
+        return list(self._adjacency()[i])
 
     def degree(self, i: int) -> int:
-        return len(self._adjacent(i))
+        return len(self._adjacency()[i])
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterGraph):
@@ -143,13 +144,9 @@ class CoxeterMatrix:
 
 
 def graph_from_matrix(m: CoxeterMatrix) -> CoxeterGraph:
-    """Graph with an edge wherever the bond order is at least 3."""
-    edges = []
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
-            if m.entries[i][j] != 2:
-                edges.append((i, j, m.entries[i][j]))
-    return CoxeterGraph(m.n, edges)
+    """Graph with an edge wherever the bond order is at least 3; the graph
+    drops the pairs of order 2."""
+    return CoxeterGraph(m.n, [(i, j, m.entries[i][j]) for i in range(m.n) for j in range(i + 1, m.n)])
 
 
 def matrix_from_graph(g: CoxeterGraph) -> CoxeterMatrix:
@@ -182,18 +179,9 @@ def gram_matrix(g: CoxeterGraph) -> Matrix:
     Entries that happen to be rational are stored as Fractions.  Each
     distinct label's entry is built once and shared by its cells.
     """
-    entry = {1: Fraction(1)}
-    rows = []
-    for i in range(g.n):
-        row = []
-        for j in range(g.n):
-            m = g.label(i, j)
-            c = entry.get(m)
-            if c is None:
-                c = entry[m] = gram_entry(m)
-            row.append(c)
-        rows.append(row)
-    return Matrix(rows)
+    entry = {m: gram_entry(m) for m in {2, *g.labels.values()}}
+    entry[1] = Fraction(1)
+    return Matrix([[entry[g.label(i, j)] for j in range(g.n)] for i in range(g.n)])
 
 
 def _induced(labels: dict, keep) -> CoxeterGraph:
@@ -203,22 +191,23 @@ def _induced(labels: dict, keep) -> CoxeterGraph:
     g = object.__new__(CoxeterGraph)
     g.n = len(back)
     g.labels = {(back[i], back[j]): m for (i, j), m in labels.items() if i in back and j in back}
-    g._adjacency = None
+    g._adj = None
     return g
 
 
-def induced_parts(g: CoxeterGraph, keep) -> list[list[int]]:
-    """The connected parts of the subgraph g induces on the vertices ``keep``:
-    each as a sorted list of g's vertices, in the order of their least vertex."""
+def induced_parts(adj, keep) -> list[list[int]]:
+    """The connected parts of the subgraph that the adjacency ``adj`` (as
+    ``CoxeterGraph._adjacency`` gives it) induces on the increasing vertices
+    ``keep``: each a sorted list of vertices, in the order of their least."""
     unseen = set(keep)
     parts = []
-    for start in sorted(unseen):
+    for start in keep:
         if start not in unseen:
             continue
         unseen.discard(start)
         part, stack = [start], [start]
         while stack:
-            for w in g._adjacent(stack.pop()):
+            for w in adj[stack.pop()]:
                 if w in unseen:
                     unseen.discard(w)
                     part.append(w)
@@ -234,7 +223,7 @@ def connected_components(g: CoxeterGraph) -> list[tuple[CoxeterGraph, tuple[int,
     The k-th vertex of a component graph corresponds to original vertex
     ``vertices[k]``; components are ordered by smallest original vertex.
     """
-    return [(_induced(g.labels, vs), tuple(vs)) for vs in induced_parts(g, range(g.n))]
+    return [(_induced(g.labels, vs), tuple(vs)) for vs in induced_parts(g._adjacency(), range(g.n))]
 
 
 def subgraph(g: CoxeterGraph, remove_vertices=(), lower_labels=None) -> CoxeterGraph:
@@ -278,16 +267,15 @@ def parse_graph_json(text: str) -> CoxeterGraph:
         raise ValidationError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError('graph JSON must be an object with an "n" field')
-    n = data["n"]
-    edges = []
-    for e in data.get("edges", []):
+    edges = data.get("edges", [])
+    if not isinstance(edges, list):
+        raise ValidationError(f'"edges" must be a list of [i, j, m] triples, got {edges!r}')
+    for e in edges:
         if not (isinstance(e, list) and len(e) == 3):
             raise ValidationError(f"each edge must be a [i, j, m] triple, got {e!r}")
-        i, j, m = e
-        if m == 0 and type(m) is int:
-            m = INFINITY
-        edges.append((i, j, m))
-    return CoxeterGraph(n, edges)
+        if e[2] == 0 and type(e[2]) is int:
+            e[2] = INFINITY
+    return CoxeterGraph(data["n"], edges)
 
 
 def graph_to_json(g: CoxeterGraph) -> str:

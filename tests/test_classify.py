@@ -1,5 +1,6 @@
 import itertools
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from coxeterkit.classify import (
     parse_type_label,
 )
 from coxeterkit.cyclotomic import real_cos_pi_over
-from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
+from coxeterkit.errors import GuardError, InternalInconsistencyError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import (
     INFINITY,
     CoxeterGraph,
@@ -48,6 +49,25 @@ def test_type_label_validation():
         TypeLabel("A", 2, 5)
     with pytest.raises(ValidationError):
         TypeLabel("I2", 2, 2)
+
+
+@pytest.mark.parametrize("family, rank", [
+    ("A", 0), ("B", 0), ("D", 3), ("E", 5), ("E", 9), ("F", 3), ("F", 5), ("H", 2), ("H", 5), ("I2", 1), ("I2", 3),
+])
+def test_type_label_rejects_the_ranks_next_to_its_family(family, rank):
+    """Each family tests only its own rank; the ranks on both sides of the
+    valid ones are rejected, with one message."""
+    with pytest.raises(ValidationError, match=f"^invalid rank {rank} for family {family}$"):
+        TypeLabel(family, rank, 5 if family == "I2" else None)
+
+
+def test_type_label_accepts_every_rank_of_its_family():
+    for family, ranks in {"A": [1, 60], "B": [1, 60], "D": [4, 60], "E": [6, 7, 8], "F": [4], "H": [3, 4]}.items():
+        for rank in ranks:
+            assert tuple(TypeLabel(family, rank)) == (family, rank, None)
+    assert tuple(TypeLabel("I2", 2, 3)) == ("I2", 2, 3)
+    with pytest.raises(ValidationError, match="^unknown family 'G'$"):
+        TypeLabel("G", 2)
 
 
 def test_parse_type_label():
@@ -271,14 +291,14 @@ def test_classify_computes_the_minors_once_per_component(monkeypatch):
     """No dense minors: at most one sparse pivot pass per component, none for
     ranks 2 and 3, whose checks are closed forms."""
     minors, passes = [], []
-    original = certify_module.pivot_signs
+    original = certify_module._pivot_signs
 
-    def counted(g):
-        passes.append(g.n)
-        return original(g)
+    def counted(adj, vertices):
+        passes.append(len(vertices))
+        return original(adj, vertices)
 
     monkeypatch.setattr(Matrix, "determinant", lambda self: minors.append(self))
-    monkeypatch.setattr(certify_module, "pivot_signs", counted)
+    monkeypatch.setattr(certify_module, "_pivot_signs", counted)
     # components: A2, the affine triangle, an indefinite path, A1, B3, the
     # Lannér path (5,3,4) on 4 vertices
     g = CoxeterGraph(
@@ -346,7 +366,7 @@ def dense_minor_signs(g):
     neighbours first, the least on ties, and each eliminated vertex joins
     its neighbours pairwise.  The k-th pivot is the ratio of the k-th and
     (k-1)-th minors, so up to the first non-positive one their signs agree."""
-    adj = {v: set(g._adjacent(v)) for v in range(g.n)}
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
     order = []
     while adj:
         v = min(adj, key=lambda u: (len(adj[u]), u))
@@ -365,10 +385,16 @@ def dense_minor_signs(g):
     return signs
 
 
+def match_graph(h):
+    """``_match_connected`` of a whole graph h: the reference sweep's predicate."""
+    return _match_connected(h._adjacency(), range(h.n))
+
+
 def reference_minimal_rejected(g, match):
     """The sweep that builds a validated subgraph for each part of each
     deleted vertex, the parts found by the test's own ``connected_parts``:
-    the reference for ``certify.minimal_rejected``."""
+    the reference for ``certify.minimal_rejected``, with ``match`` taking
+    a renumbered graph."""
     part, sub = list(range(g.n)), g
     for v in range(g.n):
         if v in part:
@@ -380,17 +406,50 @@ def reference_minimal_rejected(g, match):
     return part, sub
 
 
+def reference_classify(g) -> str:
+    """str(classify(g)) from renumbered copies: each component and each
+    candidate is built by ``subgraph()``, the sweep is
+    ``reference_minimal_rejected`` and the certificate is the public
+    ``certify`` of the renumbered witness."""
+    out = []
+    for vertices in connected_parts(g, range(g.n)):
+        comp = subgraph(g, remove_vertices=set(range(g.n)).difference(vertices))
+        fields = match_graph(comp)
+        if fields is not None:
+            out.append(str(TypeLabel(*fields)))
+            continue
+        part, sub = reference_minimal_rejected(comp, match_graph)
+        kind = certify_module.certify(sub)
+        out.append(f"NotFinite ({kind} subgraph on vertices {','.join(str(vertices[k]) for k in part)})")
+    return " + ".join(out)
+
+
+def spread_out(adj, vertices):
+    """``adj`` restricted to ``vertices``, named by vertex: what the sweep
+    hands on for a part of a renumbered graph, each entry in its order."""
+    return {v: {vertices[j]: m for j, m in adj[k].items()} for k, v in enumerate(vertices)}
+
+
 def relabelings(g):
     """g under every permutation of its vertices."""
     for perm in itertools.permutations(range(g.n)):
         yield CoxeterGraph(g.n, [(perm[i], perm[j], m) for i, j, m in g.edges()])
 
 
+def spaced(g):
+    """g on the vertices 1, 4, 7, ... of a graph with isolated vertices
+    between them, and that vertex list: a component that is not 0..n-1."""
+    vertices = [3 * k + 1 for k in range(g.n)]
+    return CoxeterGraph(3 * g.n + 2, [(vertices[i], vertices[j], m) for i, j, m in g.edges()]), vertices
+
+
 @pytest.mark.parametrize("t", classification_catalog(5), ids=str)
 def test_match_connected_names_every_relabeling_of_a_catalog_graph(t):
     """The walks start from whichever end or neighbour the numbering gives."""
     for g in relabelings(catalog_graph(t)):
-        assert _match_connected(g) == t, g
+        assert _match_connected(g._adjacency(), range(g.n)) == t, g
+        big, vertices = spaced(g)
+        assert _match_connected(big._adjacency(), vertices) == t, g
 
 
 SMALL_AFFINE_TREES = [(name, g) for name, g in affine_catalog(4) if len(g.labels) == g.n - 1 and g.n <= 7]
@@ -399,7 +458,9 @@ SMALL_AFFINE_TREES = [(name, g) for name, g in affine_catalog(4) if len(g.labels
 @pytest.mark.parametrize("g", [g for _, g in SMALL_AFFINE_TREES], ids=[name for name, _ in SMALL_AFFINE_TREES])
 def test_match_connected_rejects_every_relabeling_of_an_affine_tree(g):
     for h in relabelings(g):
-        assert _match_connected(h) is None, h
+        assert _match_connected(h._adjacency(), range(h.n)) is None, h
+        big, vertices = spaced(h)
+        assert _match_connected(big._adjacency(), vertices) is None, h
 
 
 @pytest.mark.parametrize("t", classification_catalog(8), ids=str)
@@ -444,26 +505,78 @@ def test_a_cycle_with_n_minus_1_edges_takes_the_row_elimination(triangle):
     """A triangle and an isolated vertex have n - 1 edges and no leaf to
     take after the isolated vertex: the forest recurrence hands over."""
     g = CoxeterGraph(4, [(0, 1, triangle[0]), (1, 2, triangle[1]), (0, 2, triangle[2])])
-    assert certify_module._forest_signs(g) is None
+    assert certify_module._forest_signs(g._adjacency(), range(g.n)) is None
     assert certify_module.pivot_signs(g) == dense_minor_signs(g) == reference_row_signs(g)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_graph)
 def test_minimal_rejected_matches_the_subgraph_sweep(g):
-    for comp, _ in connected_components(g):
-        if _match_connected(comp) is None:
-            part, sub = certify_module.minimal_rejected(comp, _match_connected)
-            want_part, want_sub = reference_minimal_rejected(comp, _match_connected)
-            assert part == want_part and sub == want_sub
-            assert list(sub.labels.items()) == list(want_sub.labels.items())
+    adj = g._adjacency()
+    for comp, vertices in connected_components(g):
+        if _match_connected(adj, vertices) is None:
+            part, sub = certify_module.minimal_rejected(adj, vertices, _match_connected)
+            want_part, want_sub = reference_minimal_rejected(comp, match_graph)
+            want_part = [vertices[k] for k in want_part]
+            assert part == want_part and sub == spread_out(want_sub._adjacency(), want_part)
+            assert list(sub) == part and all(list(sub[v]) == sorted(sub[v]) for v in part)
 
 
 def test_minimal_rejected_takes_the_part_of_the_least_vertex():
     """Deleting vertex 0 leaves two rejected parts, the bonds {1,2} and {3,4}:
     the sweep moves into the one whose least vertex is least."""
     g = CoxeterGraph(5, [(0, 1, 3), (0, 3, 3), (1, 2, INFINITY), (3, 4, INFINITY)])
-    part, sub = certify_module.minimal_rejected(g, _match_connected)
-    assert (part, sub) == reference_minimal_rejected(g, _match_connected)
-    assert part == [1, 2] and sub == CoxeterGraph(2, [(0, 1, INFINITY)])
+    part, sub = certify_module.minimal_rejected(g._adjacency(), range(g.n), _match_connected)
+    want_part, want_sub = reference_minimal_rejected(g, match_graph)
+    assert (part, sub) == (want_part, spread_out(want_sub._adjacency(), want_part))
+    assert part == [1, 2] and want_sub == CoxeterGraph(2, [(0, 1, INFINITY)])
+    assert sub == {1: {2: INFINITY}, 2: {1: INFINITY}}
     assert str(classify(g)) == "NotFinite (affine subgraph on vertices 1,2)"
+
+
+# bonds from every range the classifier treats apart: 3-6, the Lannér 4-5,
+# the large dihedral bonds up to 100, and INFINITY
+wide_graph = st.builds(
+    lambda n, picks: CoxeterGraph(
+        n, {pair: m for pair, m in zip(itertools.combinations(range(n), 2), picks) if m != 2}
+    ),
+    st.integers(min_value=2, max_value=7),
+    st.lists(
+        st.one_of(st.sampled_from([2, 2, 2, 2, 3, 3, 3, 4, 5, 6, INFINITY]), st.integers(7, 100)),
+        min_size=21,
+        max_size=21,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_graph)
+def test_classify_equals_the_renumbered_reference(g):
+    assert str(classify(g)) == reference_classify(g)
+
+
+def test_rank_three_certificate_is_the_rational_criterion():
+    """The cleared denominators of ``certify`` against 1/p + 1/q > 1/2 for
+    a path and 1/p + 1/q + 1/r > 1 for a triangle, in Fractions; a finite
+    graph has no certificate."""
+    half, one = Fraction(1, 2), Fraction(1)
+    cases = [([(0, 1, p), (1, 2, q)], Fraction(1, p) + Fraction(1, q), half)
+             for p in range(3, 26) for q in range(3, 26)]
+    cases += [([(0, 1, p), (1, 2, q), (0, 2, r)], Fraction(1, p) + Fraction(1, q) + Fraction(1, r), one)
+              for p, q, r in itertools.product(range(3, 13), repeat=3)]
+    for edges, total, bound in cases:
+        g = CoxeterGraph(3, edges)
+        if total > bound:
+            with pytest.raises(InternalInconsistencyError, match=r"no exact certificate .* on \[0, 1, 2\]"):
+                certify_module.certify(g)
+        else:
+            assert certify_module.certify(g) == ("affine" if total == bound else "hyperbolic"), edges
+
+
+@pytest.mark.parametrize("g", [
+    CoxeterGraph(4), CoxeterGraph(5, [(i, i + 1, 3) for i in range(4)]), CoxeterGraph(4, [(0, 1, 7), (1, 2, 3), (2, 3, 3)]),
+], ids=["edgeless", "A5", "bond-7"])
+def test_certify_raises_the_inconsistency_on_a_graph_it_cannot_certify(g):
+    """No bond, a finite graph, or a bond past 5 from rank 4 on: no certificate."""
+    with pytest.raises(InternalInconsistencyError, match="no exact certificate for the rejected subgraph on"):
+        certify_module.certify(g)

@@ -179,6 +179,19 @@ def test_graph_json_takes_only_ints_where_ints_are_required(text, message):
         parse_graph_json(text)
 
 
+@pytest.mark.parametrize("edges", ["null", "5", '{"a": 1}', '"abc"', "true", "{}"])
+def test_graph_json_edges_must_be_a_list(edges):
+    """A null or numeric "edges" is not iterable, and a dict or string
+    iterates its keys or characters: each is bad input, never a TypeError."""
+    with pytest.raises(ValidationError, match='"edges" must be a list'):
+        parse_graph_json(f'{{"n": 2, "edges": {edges}}}')
+
+
+def test_graph_json_edges_may_be_absent_or_empty():
+    for text in ('{"n": 3}', '{"n": 3, "edges": []}'):
+        assert parse_graph_json(text) == CoxeterGraph(3)
+
+
 def test_graph_takes_only_ints_where_ints_are_required():
     for n, edges in [(True, ()), (2, [(False, 1, 3)]), (2, [(0, 1, True)]), (2, [(0, 1, 3.0)])]:
         with pytest.raises(ValidationError):
