@@ -23,11 +23,15 @@ I2(5000)``, whose 10000 elements the closed-form class data never
 enumerates, or a slow guard exit of ``realize A2000``, ``verify A3000000``
 or ``verify I2(60000)``, whose orders are past the bound (the last passes
 ``positive-definite`` by the closed form of rank 2, with no cyclotomic
-polynomial of conductor 120000).  ``verify`` of the first bond past
-``roots.BOND_BOUND`` must print the bond guard's FAIL lines for
-``root-system-axioms`` and ``fixed-space`` in time.  ``verify`` loads each
-family's modules inside its checks, so ``verify`` runs once per family:
-A3, A4, A7, B6, D4, D6, I2(11) and I2(24).
+polynomial of conductor 120000).  ``classify.BOND_BOUND`` is the one bound
+on m for I2(m): ``verify I2(79)``, the slowest ``verify`` under it, must
+pass in time, and ``verify`` of the first bond past it must print the one
+guard message as the FAIL line of both root checks (``root-system-axioms``,
+``fixed-space``) and both character checks (``character-completeness``,
+``induction-closed-form``), while ``irreps`` there exits 3.  No rank bound
+drops the root checks: ``verify A9`` fails them on the order bound.
+``verify`` loads each family's modules inside its checks, so ``verify``
+runs once per family: A3, A4, A7, B6, D4, D6, I2(11), I2(24) and I2(79).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
 label ``false``, which JSON equality takes for 0, the unbounded bond, and
 an ``"edges": null``, which is not a list.
@@ -51,7 +55,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(SRC))
-from coxeterkit.roots import BOND_BOUND  # noqa: E402
+from coxeterkit.classify import BOND_BOUND  # noqa: E402
 CLASSIFY_TIMEOUT_S = 5
 TABLE_TIMEOUT_S = 10
 # file name -> (graph, expected exit code of classify)
@@ -93,6 +97,11 @@ PAST_BOND = BOND_BOUND + 1
 # stdout lines a run must print, beside its exit code
 BOND_GUARD_LINES = tuple(
     f"FAIL\t{check}\terror: bond {PAST_BOND} exceeds the bound {BOND_BOUND}"
+    for check in ("root-system-axioms", "fixed-space", "character-completeness",
+                  "induction-closed-form")
+)
+ROOT_ORDER_LINES = tuple(
+    f"FAIL\t{check}\terror: |A9| = 3628800 exceeds the bound 100000"
     for check in ("root-system-axioms", "fixed-space")
 )
 
@@ -109,14 +118,17 @@ def run() -> int:
         runs += [(argv, 0, None) for argv in COMMANDS]
         for argv in (["chartable", "A15"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
                      ["verify", "A7"], ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"],
-                     ["irreps", "I2(24)"], ["--format", "json", "chartable", "I2(24)"], ["realize", "I2(5000)"]):
+                     ["verify", "I2(79)"], ["irreps", "I2(24)"], ["--format", "json", "chartable", "I2(24)"],
+                     ["realize", "I2(5000)"]):
             runs.append((argv, 0, TABLE_TIMEOUT_S))
         runs += [(["chartable", "A16"], 3, TABLE_TIMEOUT_S), (["realize", "A2000"], 3, TABLE_TIMEOUT_S),
                  (["verify", "A3000000"], 2, TABLE_TIMEOUT_S), (["verify", "I2(60000)"], 2, TABLE_TIMEOUT_S),
+                 (["irreps", f"I2({PAST_BOND})"], 3, TABLE_TIMEOUT_S),
                  (["chartable"], 1, TABLE_TIMEOUT_S)]
         runs += [(argv, 0, None) for argv in ARGPARSE_COMMANDS] + [(["--max-order", "x", "irreps", "A3"], 1, None)]
         runs = [(argv, want, timeout, (), "") for argv, want, timeout in runs]
         runs.append((["verify", f"I2({PAST_BOND})"], 2, TABLE_TIMEOUT_S, BOND_GUARD_LINES, ""))
+        runs.append((["verify", "A9"], 2, TABLE_TIMEOUT_S, ROOT_ORDER_LINES, ""))
         runs.append((["--help"], 0, None, (), "usage: "))
         for argv, want, timeout, lines_wanted, prefix in runs:
             try:

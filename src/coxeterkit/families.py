@@ -24,8 +24,10 @@ the sign-free permutation and minus that on its partner class (the class
 of ``diagonal_parity`` 1).  The tables live on the closed-form
 ``class_data``, so no group is built, and their values are ints; only
 ``bn_conjugacy_parametrization``, which ``verify`` runs, builds a group and
-imports ``groups`` to do so.  The I2(m) characters are in ``dihedral``,
-and ``classes.irreducible_characters`` dispatches to both.
+imports ``groups`` to do so.  Each B_n and D_n entry checks the one bound
+``tableaux.BN_GUARD`` once, before any class data is built.  The I2(m)
+characters are in ``dihedral``, and ``classes.irreducible_characters``
+dispatches to both.
 """
 
 from __future__ import annotations
@@ -38,11 +40,10 @@ from .classes import ClassData, ClassFunction, class_data
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import diagonal_parity
-from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
-from .tableaux import partition_text, partitions_of, rim_hook_sum
+from .tableaux import BN_GUARD, BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
+from .tableaux import hyperoctahedral_dimensions, partition_text, partitions_of, rim_hook_sum
 
 TABLE_GUARD = 16
-BN_CHARACTER_GUARD = 8
 
 
 @lru_cache(maxsize=None)
@@ -98,8 +99,8 @@ def bn_characters_on(domain: ClassData) -> list[tuple[BipartitionLabel, ClassFun
     """chi_(lam,mu) for every label of B_n, by the closed form at the classes
     of ``domain``: B_n's class data, or D_n's, where it gives Res chi_(lam,mu).
     n is capped as for the full table: each class costs 2^(its cycle count)."""
-    if domain.label.rank > BN_CHARACTER_GUARD:
-        raise GuardError(f"full B_n characters capped at n = {BN_CHARACTER_GUARD}")
+    if domain.label.rank > BN_GUARD:
+        raise GuardError(f"full B_n characters capped at n = {BN_GUARD}")
     splits = _cycle_splits(domain)
     return [
         (label, ClassFunction(domain, _bipartition_values(splits, label.lam, label.mu), str(label)))
@@ -114,13 +115,12 @@ def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassF
     Each character is the closed form on signed cycle types, checked against
     the dimension formula; n is capped where a fresh table stays fast.
     """
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    if n > BN_CHARACTER_GUARD:
-        raise GuardError(f"full B_n characters capped at n = {BN_CHARACTER_GUARD}")
+    rows = hyperoctahedral_dimensions(n)  # validates n >= 1, then the B/D guard
+    group = class_data(TypeLabel("B", n))
+    splits = _cycle_splits(group)
     out = []
-    for label, chi in bn_characters_on(class_data(TypeLabel("B", n))):
-        dim = bn_dimension(n, label)
+    for label, dim in rows:
+        chi = ClassFunction(group, _bipartition_values(splits, label.lam, label.mu), str(label))
         if chi.identity_value != dim:
             raise InternalInconsistencyError(
                 f"the dimension of {label} disagrees with the index formula"
@@ -143,8 +143,8 @@ def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:
 
     Raises if the match fails to be a bijection onto all partition pairs.
     """
-    if n > BN_CHARACTER_GUARD:
-        raise GuardError(f"class parametrization capped at n = {BN_CHARACTER_GUARD}")
+    if n > BN_GUARD:
+        raise GuardError(f"class parametrization capped at n = {BN_GUARD}")
     from .groups import realize
 
     bn = realize(TypeLabel("B", n))
@@ -201,13 +201,11 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
     unordered pair lam != mu (Res chi_(lam,mu) = Res chi_(mu,lam)), then the
     two halves of each self-paired label; no group is built.
     """
-    label = TypeLabel("D", n)  # validates n >= 4
-    if n > BN_CHARACTER_GUARD:
-        raise GuardError(f"D_n irreducibles capped at n = {BN_CHARACTER_GUARD}")
-    dn = class_data(label)
+    rows = dn_dimensions(n)  # validates n >= 4, then the B/D guard
+    dn = class_data(TypeLabel("D", n))
     splits = _cycle_splits(dn)
     out = []
-    for dlabel, dim in dn_dimensions(n):
+    for dlabel, dim in rows:
         if dlabel.half is None:
             chi = ClassFunction(dn, _bipartition_values(splits, dlabel.lam, dlabel.mu), str(dlabel))
             out.append((dlabel, chi, dim))

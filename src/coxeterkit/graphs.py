@@ -231,17 +231,18 @@ def subgraph(g: CoxeterGraph, remove_vertices=(), lower_labels=None) -> CoxeterG
 
     ``lower_labels`` maps an edge (i, j) in original indices to its new label,
     which must be >= 2 and strictly below the current one (2 removes the edge).
+    Vertices are exact ints, as in ``CoxeterGraph``: True is not vertex 1.
     Surviving vertices are re-indexed in increasing order.
     """
     remove = set(remove_vertices)
     for v in remove:
-        if not (isinstance(v, int) and 0 <= v < g.n):
+        if not (type(v) is int and 0 <= v < g.n):
             raise ValidationError(f"unknown vertex {v!r}")
     labels = dict(g.labels)
     for (i, j), new in (lower_labels or {}).items():
+        if not (type(i) is int and type(j) is int and 0 <= i < g.n and 0 <= j < g.n and i != j):
+            raise ValidationError(f"unknown edge {(i, j)!r}")
         key = (min(i, j), max(i, j))
-        if not (0 <= key[0] < g.n and 0 <= key[1] < g.n and key[0] != key[1]):
-            raise ValidationError(f"unknown edge {key}")
         old = g.label(*key)
         if not _is_valid_label(new):
             raise ValidationError(f"new label {new!r} is not a valid bond order")

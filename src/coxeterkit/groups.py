@@ -2,11 +2,11 @@
 
 ``realize`` builds a finite Coxeter group of type A, B, D or I2 as the
 full list of its elements (``permutations`` and ``dihedral`` define them,
-and each is loaded for its own families only), in a canonical order, with
-index-level generator tables, orbit conjugacy classes and a word
-factorization.  ``reps.Subgroup`` runs on the same engine with a
-generating set of its own.  The table commands never come here: their
-classes are the closed-form ``classes.class_data``.
+and each is loaded for its own families only), listed in closed form in a
+canonical order, with index-level generator tables, orbit conjugacy
+classes and a word factorization.  ``reps.Subgroup`` runs on the same
+engine with a generating set of its own.  The table commands never come
+here: their classes are the closed-form ``classes.class_data``.
 """
 
 from __future__ import annotations
@@ -138,21 +138,6 @@ class RealizedGroup:
         return f"RealizedGroup({self.label}, order={self.order})"
 
 
-def _enumerate_closure(generators, identity, bound: int):
-    """Breadth-first closure under left multiplication by the generators."""
-    elements = [identity]
-    seen = {identity}
-    for x in elements:
-        for g in generators:
-            y = g * x
-            if y not in seen:
-                seen.add(y)
-                elements.append(y)
-                if len(elements) > bound:
-                    raise InternalInconsistencyError("closure exceeded the expected order")
-    return elements
-
-
 @lru_cache(maxsize=None)
 def realize(label: TypeLabel, max_order: int = MAX_ORDER) -> RealizedGroup:
     """Concrete group for an A/B/D/I2 label, with canonical element order.
@@ -172,7 +157,10 @@ def _build_group(label: TypeLabel, order: int) -> RealizedGroup:
     if f == "I2":
         from .dihedral import DihedralElement
 
-        elements = _enumerate_closure(gens, DihedralElement.identity(label.bond), order)
+        # e, then r^k s, then r^k: each class first meets its dihedral_classes rep
+        m = label.bond
+        elements = [DihedralElement.identity(m)] + [DihedralElement(m, k, True) for k in range(m)]
+        elements += [DihedralElement(m, k, False) for k in range(1, m)]
     else:
         from .permutations import Permutation, SignedPermutation
 

@@ -7,7 +7,8 @@ coordinate inside the real subfield of Q(zeta_2m).
 
 Vectors are plain tuples of int/Fraction/Cyclotomic entries.  The
 helpers ask "is it rational?" first (``linalg.RATIONAL_TYPES``), so A, B
-and D never load ``cyclotomic``.
+and D never load ``cyclotomic``.  Roots and reflections take the order
+budget and, for I2(m), the bond bound of ``classify``; the rank has none.
 """
 
 from __future__ import annotations
@@ -17,23 +18,12 @@ from fractions import Fraction
 from math import lcm
 
 from .catalog import catalog_graph
-from .classify import MAX_ORDER, TypeLabel, check_order
-from .errors import (
-    GuardError,
-    InternalInconsistencyError,
-    UnsupportedTypeError,
-    ValidationError,
-)
+from .classify import MAX_ORDER, TypeLabel, check_bond, check_order
+from .errors import InternalInconsistencyError, UnsupportedTypeError, ValidationError
 from .graphs import gram_matrix
 from .groups import realize
 from .linalg import RATIONAL_TYPES, Matrix, invert_scalar, is_zero_scalar, sign
 from .reps import Representation
-
-RANK_BOUND = 8  # root_system and geometric_rep refuse larger ranks with GuardError
-# ... and I2(m) with larger m.  The root sweep's cost grows with the degree
-# of the cyclotomic polynomial of conductor 2m, so prime m cost most: a fresh
-# verify I2(79) took 2.0 s and I2(83) 2.3 s (CPython 3.11, 2-vCPU x86 host).
-BOND_BOUND = 82
 
 
 def _reflector(alpha, gram: Matrix | None):
@@ -249,19 +239,17 @@ class RootSystem:
 
 
 def _check_bounds(t: TypeLabel, max_order: int) -> None:
-    """GuardError past ``RANK_BOUND``, past ``max_order`` or, for I2(m), past
-    ``BOND_BOUND``, in that order."""
-    if t.rank > RANK_BOUND:
-        raise GuardError(f"rank {t.rank} exceeds the bound {RANK_BOUND}")
+    """GuardError past ``max_order`` or, for I2(m), past
+    ``classify.BOND_BOUND``, in that order."""
     check_order(t, max_order)
-    if t.family == "I2" and t.bond > BOND_BOUND:
-        raise GuardError(f"bond {t.bond} exceeds the bound {BOND_BOUND}")
+    if t.family == "I2":
+        check_bond(t.bond)
 
 
 def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
-    """Standard root system of an A/B/D/I2 type, rank <= ``RANK_BOUND``, bond
-    <= ``BOND_BOUND`` and |W| <= ``max_order`` (GuardError otherwise, before
-    any root is built)."""
+    """Standard root system of an A/B/D/I2 type with |W| <= ``max_order`` and
+    bond <= ``classify.BOND_BOUND`` (GuardError otherwise, before any root is
+    built)."""
     if t.family not in ("A", "B", "D", "I2"):
         raise UnsupportedTypeError(f"no root system realization for {t}")
     _check_bounds(t, max_order)

@@ -5,6 +5,8 @@ labels: the partition and bipartition lists, the hook-length and B_n/D_n
 dimension formulas, the standard tableaux, and the S_n characters by the
 Murnaghan-Nakayama rule on beta-sets.  This is all that ``irreps`` of these
 types loads; the S_n modules are in ``specht``.  Nothing here builds a group.
+``BN_GUARD`` is the one bound on n for B_n and D_n, which the dimension
+lists here and the entries of ``families`` each check once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 
 PARTITION_GUARD = 40
-BN_DIMENSION_GUARD = 8
+BN_GUARD = 8  # largest n of a B_n or D_n dimension list, character table or class match
 
 
 def partition_text(shape: tuple[int, ...]) -> str:
@@ -209,8 +211,10 @@ def bn_dimension(n: int, label: BipartitionLabel) -> int:
 
 def hyperoctahedral_dimensions(n: int) -> list[tuple[BipartitionLabel, int]]:
     """(label, dimension) for every irreducible of B_n, by the formula only."""
-    if n < 1 or n > BN_DIMENSION_GUARD:
-        raise GuardError(f"dimension lists capped at n = {BN_DIMENSION_GUARD}")
+    if n < 1:
+        raise ValidationError("B_n needs n >= 1")
+    if n > BN_GUARD:
+        raise GuardError(f"B_n and D_n irreducibles capped at n = {BN_GUARD}")
     return [(label, bn_dimension(n, label)) for label in bipartitions(n)]
 
 
@@ -249,8 +253,8 @@ def dn_dimensions(n: int) -> list[tuple[DnLabel, int]]:
     """
     if n < 4:
         raise ValidationError("D_n needs n >= 4")
-    if n > BN_DIMENSION_GUARD:
-        raise GuardError(f"dimension lists capped at n = {BN_DIMENSION_GUARD}")
+    if n > BN_GUARD:
+        raise GuardError(f"B_n and D_n irreducibles capped at n = {BN_GUARD}")
     out, seen = [], set()
     for label in bipartitions(n):
         pair = frozenset((label.lam, label.mu))

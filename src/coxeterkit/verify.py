@@ -24,8 +24,9 @@ builds no B_n group.  The graph checks (``classification-roundtrip`` and
 checks the group-order bound, so a huge rank fails them at once.
 ``positive-definite`` is the classifier's sparse Sylvester test
 (``certify.positive_definite``), a closed form in rank 2, so a huge bond
-builds no Gram entry.  The root checks take the bond bound of
-``roots.BOND_BOUND`` as well, so an I2(m) past it fails them at once.
+builds no Gram entry.  The root checks run at every rank; for I2(m) they
+and the character checks take the one bond bound, ``classify.BOND_BOUND``,
+so an I2(m) past it fails all four at once.
 ``compute_base`` reads its reflections from the axiom sweep's table.
 
 Each family's helpers are imported inside that family's checks, so a
@@ -59,7 +60,7 @@ from .reps import (
     restrict_character,
     trivial_character,
 )
-from .roots import RANK_BOUND, compute_base, fixed_space_dimension, geometric_rep, root_system
+from .roots import compute_base, fixed_space_dimension, geometric_rep, root_system
 
 
 def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple[str, bool, str]]:
@@ -126,16 +127,15 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
     record("group-order", order_check)
     record("presentation", presentation)
     record("class-equation", classes_check)
-    if label.rank <= RANK_BOUND:
-        record("root-system-axioms", roots_check)
-        record("fixed-space", fixed_space)
+    record("root-system-axioms", roots_check)
+    record("fixed-space", fixed_space)
 
     chars = None
 
     def character_set():
         nonlocal chars
         if label.family == "I2":
-            table = irreducible_characters(label)  # the dihedral guard first
+            table = irreducible_characters(label)  # the bond bound first
             group = realize(label, max_order)
         else:
             group = realize(label, max_order)  # the order bound before any table

@@ -382,6 +382,34 @@ def test_verify_of_a_bond_past_the_order_bound_fails_the_group_checks_at_once():
         assert checks[name] == (False, "error: |I2(60000)| = 120000 exceeds the bound 100000"), name
 
 
+@pytest.mark.parametrize("inside, past", [("A8", "A9"), ("B6", "B9"), ("D6", "D9"), ("I2(24)", "I2(83)")])
+def test_verify_lists_the_same_checks_on_both_sides_of_the_old_bounds(inside, past):
+    """Neither the rank nor the bond drops a check from the report: past the
+    old root rank bound 8, the B/D bound 8 and the old dihedral bound 24,
+    ``verify`` lists the checks it lists inside them, and fails at once.
+    Orthonormality and reciprocity run only on a built character set."""
+    import time
+
+    from coxeterkit.classify import parse_type_label
+    from coxeterkit.verify import run_verification
+
+    follow_ups = ("character-orthonormality", "frobenius-reciprocity")
+    names = [name for name, _, _ in run_verification(parse_type_label(inside))]
+    start = time.perf_counter()
+    checks = run_verification(parse_type_label(past))
+    assert time.perf_counter() - start < 2.0
+    assert [name for name, _, _ in checks] == [name for name in names if name not in follow_ups]
+    assert "root-system-axioms" in names and not all(ok for _, ok, _ in checks)
+
+
+def test_verify_passes_every_check_past_the_old_dihedral_bound():
+    from coxeterkit.classify import TypeLabel
+    from coxeterkit.verify import run_verification
+
+    checks = run_verification(TypeLabel("I2", 2, 25))
+    assert len(checks) == 11 and [c for c in checks if not c[1]] == []
+
+
 @pytest.mark.parametrize("argv", [
     ["chartable"],
     ["--max-order", "x", "irreps", "A3"],

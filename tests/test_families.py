@@ -8,7 +8,7 @@ from coxeterkit.classes import ClassFunction, irreducible_characters
 from coxeterkit.classify import TypeLabel
 from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.dihedral import DihedralElement, dihedral_dimensions, dihedral_irreducibles
-from coxeterkit.errors import GuardError, InternalInconsistencyError
+from coxeterkit.errors import GuardError, InternalInconsistencyError, ValidationError
 from coxeterkit.families import (
     BipartitionLabel,
     DnLabel,
@@ -97,6 +97,11 @@ def test_dimension_only_listing():
     assert sum(d * d for _, d in dims) == 2 ** 8 * math.factorial(8)
     with pytest.raises(GuardError):
         hyperoctahedral_irreducibles(9)
+    for n in (0, -1):  # not past the bound: bad input, as for dn_dimensions
+        with pytest.raises(ValidationError, match="B_n needs n >= 1"):
+            hyperoctahedral_dimensions(n)
+        with pytest.raises(ValidationError, match="B_n needs n >= 1"):
+            hyperoctahedral_irreducibles(n)
 
 
 def test_extended_block_characters_satisfy_reciprocity():
@@ -281,9 +286,9 @@ def test_regular_character_decomposes_by_dimension():
 
 
 def test_dihedral_guard():
-    with pytest.raises(GuardError):
-        dihedral_irreducibles(25)
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="bond 83 exceeds the bound 82"):
+        dihedral_irreducibles(83)
+    with pytest.raises(GuardError, match="need m >= 3, got 2"):
         dihedral_irreducibles(2)
 
 
@@ -292,11 +297,11 @@ def test_dihedral_names_and_dimensions_need_no_group():
     assert [name for name, _ in dihedral_dimensions(6)] == [
         "1:(1,1)", "1:(1,-1)", "1:(-1,1)", "1:(-1,-1)", "2:1", "2:2",
     ]
-    for m in (8, 24):
+    for m in (8, 24, 82):
         chars = dihedral_irreducibles(m)
         assert [(c.name, dim_int(c.identity_value)) for c in chars] == dihedral_dimensions(m)
-    with pytest.raises(GuardError, match="dihedral characters need 3 <= m <= 24"):
-        dihedral_dimensions(25)
+    with pytest.raises(GuardError, match="bond 83 exceeds the bound 82"):
+        dihedral_dimensions(83)
 
 
 def test_verify_induces_each_two_dimensional_character(monkeypatch):

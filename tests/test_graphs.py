@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,19 @@ def test_subgraph_operations():
         subgraph(b3, remove_vertices=[7])
     inf_edge = CoxeterGraph(2, [(0, 1, INFINITY)])
     assert subgraph(inf_edge, lower_labels={(0, 1): 17}).label(0, 1) == 17
+
+
+@pytest.mark.parametrize("v", [True, False, 1.0])
+def test_subgraph_vertices_are_exact_ints(v):
+    """A bool or float is not a vertex, as in ``CoxeterGraph``: True used to
+    remove vertex 1, and (True, 2) to lower the edge (1, 2)."""
+    b3 = CoxeterGraph(3, [(0, 1, 4), (1, 2, 3)])
+    with pytest.raises(ValidationError, match=f"unknown vertex {v!r}"):
+        subgraph(b3, remove_vertices=[v])
+    with pytest.raises(ValidationError, match=re.escape(f"unknown edge ({v!r}, 2)")):
+        subgraph(b3, lower_labels={(v, 2): 2})
+    with pytest.raises(ValidationError, match=re.escape(f"unknown edge (2, {v!r})")):
+        subgraph(b3, lower_labels={(2, v): 2})
 
 
 def test_graph_json_roundtrip():

@@ -259,10 +259,12 @@ def test_rotation_induction_matches_brute_force(label):
         assert_induces_like_oracle(chi, group)
 
 
-@pytest.mark.parametrize("m", range(3, 25))
+@pytest.mark.parametrize("m", [*range(3, 25), 25, 49, 75, 82])
 def test_dihedral_closed_form_is_the_rotation_induction(m):
     """Each 2-dimensional closed-form character is the induction of zeta^k
-    from the rotations, value by value and in printed form."""
+    from the rotations, value by value and in printed form: every m up to
+    24, and a sample up to the bond bound 82 (all of 25-82 take half a
+    minute)."""
     group = realize(TypeLabel("I2", 2, m))
     sub = _sample_subgroup(group)
     two_dim = [chi for chi in dihedral_irreducibles(m) if chi.name.startswith("2:")]

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxeterkit.classify import TypeLabel, coxeter_group_order
+from coxeterkit.classify import BOND_BOUND, TypeLabel, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import gram_matrix
 from coxeterkit.groups import realize
 from coxeterkit.linalg import RATIONAL_TYPES, Matrix, sign
 from coxeterkit.roots import (
-    BOND_BOUND,
     RootSystem,
     _reflect,
     _reflector,
@@ -125,6 +124,15 @@ def test_bond_bound_of_the_dihedral_realizations():
     with pytest.raises(GuardError, match="exceeds the bound 100"):
         root_system(past, max_order=100)
     assert root_system(TypeLabel("I2", 2, 24)).count == 48
+
+
+def test_root_system_has_no_rank_bound():
+    """Past rank 8 only the order bound refuses a root system: with room
+    for 10! elements, A9 has its 90 roots and a base of 9."""
+    rs = root_system(TypeLabel("A", 9), 10 ** 7)
+    assert rs.count == 90 and len(compute_base(rs)) == 9
+    with pytest.raises(GuardError, match=r"\|A9\| = 3628800 exceeds the bound 100000"):
+        root_system(TypeLabel("A", 9))
 
 
 TABLE_LABELS = (
