@@ -27,7 +27,8 @@ polynomial of conductor 120000).  ``classify.BOND_BOUND`` is the one bound
 on m for I2(m): ``verify I2(79)``, the slowest ``verify`` under it, must
 pass in time, and ``verify`` of the first bond past it must print the one
 guard message as the FAIL line of both root checks (``root-system-axioms``,
-``fixed-space``) and both character checks (``character-completeness``,
+``fixed-space``) and of every character check (``character-completeness``,
+``character-orthonormality``, ``frobenius-reciprocity``,
 ``induction-closed-form``), while ``irreps`` there exits 3.  No rank bound
 drops the root checks: ``verify A9`` fails them on the order bound.
 ``verify`` loads each family's modules inside its checks, so ``verify``
@@ -98,7 +99,7 @@ PAST_BOND = BOND_BOUND + 1
 BOND_GUARD_LINES = tuple(
     f"FAIL\t{check}\terror: bond {PAST_BOND} exceeds the bound {BOND_BOUND}"
     for check in ("root-system-axioms", "fixed-space", "character-completeness",
-                  "induction-closed-form")
+                  "character-orthonormality", "frobenius-reciprocity", "induction-closed-form")
 )
 ROOT_ORDER_LINES = tuple(
     f"FAIL\t{check}\terror: |A9| = 3628800 exceeds the bound 100000"

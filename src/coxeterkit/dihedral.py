@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classify import TypeLabel, check_bond
-from .errors import GuardError, InternalInconsistencyError, ValidationError
+from .errors import InternalInconsistencyError, ValidationError
 
 
 class DihedralElement:
@@ -103,10 +103,10 @@ def dihedral_dimensions(m: int) -> list[tuple[str, int]]:
 
     First "1:(a,b)", the character sending r to a and s to b (a = -1 only
     for even m), then "2:k" for 1 <= k < m/2, with zeta^jk + zeta^-jk on r^j.
-    GuardError for m < 3 and past ``classify.BOND_BOUND``.
+    ValidationError for m < 3, GuardError past ``classify.BOND_BOUND``.
     """
     if m < 3:
-        raise GuardError(f"dihedral characters need m >= 3, got {m}")
+        raise ValidationError(f"dihedral characters need m >= 3, got {m}")
     check_bond(m)
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))[: 4 - 2 * (m % 2)]
     return [(f"1:({a},{b})", 1) for a, b in signs] + [(f"2:{k}", 2) for k in range(1, (m + 1) // 2)]

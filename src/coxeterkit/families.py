@@ -1,22 +1,20 @@
 """Irreducible characters of the A, B and D families.
 
-Every S_m value here, in all three families, is the Murnaghan-Nakayama
-rule's unchecked ``tableaux.rim_hook_sum``: the shapes come from the
-partition lists and the cycle types from class representatives, so both
-are partitions of one m by construction.  B_n's irreducibles
-chi_(lam,mu) are the little-group inductions from the block stabilizer
-B_a x B_b (a = |lam|) of chi_lam and (sign of the second block) chi_mu.
-The induction has a closed form (Geck-Pfeiffer, *Characters of Finite
-Coxeter Groups and Iwahori-Hecke Algebras*, ch. 5): if w has cycles of
-lengths l_i and signs e_i (the product of w's signs over cycle i),
-
-    chi_(lam,mu)(w) = sum over sets S of cycles with sum_(i in S) l_i = |lam|
-                      of chi_lam(l_S) chi_mu(l_(not S)) prod_(i not in S) e_i.
-
-It depends on the signed cycle type only, a complete class invariant, so it
-is evaluated once per class.  The same formula at the classes of D_n (even
-sign vectors) gives Res chi_(lam,mu), irreducible for lam != mu and equal
-to Res chi_(mu,lam).  For n = 2m, Res chi_(lam,lam) splits into the halves
+Every value here, in all three families, is the one Murnaghan-Nakayama
+recursion ``tableaux.rim_hook_sum`` (Geck-Pfeiffer, *Characters of Finite
+Coxeter Groups and Iwahori-Hecke Algebras*, 2000; Macdonald, *Symmetric
+Functions and Hall Polynomials*, ch. I, app. B), unchecked: the labels come
+from the partition lists and the cycles from class representatives, so
+both sides have one n by construction.  A class of S_n gives its cycle
+type, with mu = (); a class of B_n or D_n gives its signed cycles, a
+negative cycle of length k written -k, and each cycle's k-rim hook comes
+off lam, or off mu times the cycle's sign.  That is chi_(lam,mu), the
+little-group induction from the block stabilizer B_a x B_b (a = |lam|) of
+chi_lam and (sign of the second block) chi_mu.  It depends on the signed
+cycle type only, a complete class invariant, so it is evaluated once per
+class.  At the classes of D_n (even sign vectors) it gives
+Res chi_(lam,mu), irreducible for lam != mu and equal to Res chi_(mu,lam).
+For n = 2m, Res chi_(lam,lam) splits into the halves
 (Res chi_(lam,lam) -+ delta) / 2, the "+" half taking -delta.  delta is 0
 except on the classes whose cycles are all positive of even length, 2 beta:
 there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
@@ -32,12 +30,11 @@ dispatches to both.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
 
 from .classes import ClassData, ClassFunction, class_data
-from .classify import TypeLabel
+from .classify import MAX_ORDER, TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 from .permutations import diagonal_parity
 from .tableaux import BN_GUARD, BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
@@ -57,54 +54,34 @@ def symmetric_character_table(n: int) -> tuple[ClassFunction, ...]:
     group = class_data(TypeLabel("A", n - 1))
     cycles = [rep.cycle_type() for rep in group.classes.reps]
     return tuple(
-        ClassFunction(group, [rim_hook_sum(shape, c) for c in cycles], partition_text(shape))
+        ClassFunction(group, [rim_hook_sum(shape, (), c) for c in cycles], partition_text(shape))
         for shape in partitions_of(n)
     )
 
 
-def _cycle_splits(group: ClassData) -> list[dict]:
-    """Per class of B_n or D_n, {(t0, t1): c} over the ways to deal the
-    cycles to two blocks: t0, t1 the cycle types dealt, c the sum over those
-    ways of the product of the signs of the cycles in t1."""
-    out = []
-    for rep in group.classes.reps:
-        pos, neg = rep.signed_cycle_type()
-        cycles = sorted([(length, 1) for length in pos] + [(length, -1) for length in neg], reverse=True)
-        splits = {}
-        for picks in itertools.product((0, 1), repeat=len(cycles)):
-            blocks, sign = ([], []), 1
-            for (length, eps), b in zip(cycles, picks):
-                blocks[b].append(length)
-                sign *= eps if b else 1
-            key = (tuple(blocks[0]), tuple(blocks[1]))
-            splits[key] = splits.get(key, 0) + sign
-        out.append(splits)
-    return out
-
-
-def _bipartition_values(splits: list[dict], lam, mu) -> list[int]:
-    """chi_(lam,mu) at each class, by the closed form over the cycle splits."""
-    a = sum(lam)
-    return [
-        sum(
-            c * rim_hook_sum(lam, t0) * rim_hook_sum(mu, t1)
-            for (t0, t1), c in by_split.items()
-            if c and sum(t0) == a
-        )
-        for by_split in splits
-    ]
+def _signed_cycles(rep) -> tuple[int, ...]:
+    """The cycle lengths of a signed permutation, longest first, a negative
+    cycle of length k written -k: ``rim_hook_sum``'s cycles argument."""
+    pos, neg = rep.signed_cycle_type()
+    return tuple(sorted(pos + tuple(-k for k in neg), key=abs, reverse=True))
 
 
 def bn_characters_on(domain: ClassData) -> list[tuple[BipartitionLabel, ClassFunction]]:
-    """chi_(lam,mu) for every label of B_n, by the closed form at the classes
+    """chi_(lam,mu) for every label of B_n, by the rim-hook rule at the classes
     of ``domain``: B_n's class data, or D_n's, where it gives Res chi_(lam,mu).
-    n is capped as for the full table: each class costs 2^(its cycle count)."""
+    n is capped as for the full table."""
     if domain.label.rank > BN_GUARD:
         raise GuardError(f"full B_n characters capped at n = {BN_GUARD}")
-    splits = _cycle_splits(domain)
+    return _bn_characters(domain, bipartitions(domain.label.rank))
+
+
+def _bn_characters(domain: ClassData, labels) -> list[tuple]:
+    """(label, chi_(lam,mu) at the classes of ``domain``, named by the label)
+    for each label with partitions ``lam`` and ``mu``, unguarded."""
+    cycles = [_signed_cycles(rep) for rep in domain.classes.reps]
     return [
-        (label, ClassFunction(domain, _bipartition_values(splits, label.lam, label.mu), str(label)))
-        for label in bipartitions(domain.label.rank)
+        (label, ClassFunction(domain, [rim_hook_sum(label.lam, label.mu, c) for c in cycles], str(label)))
+        for label in labels
     ]
 
 
@@ -112,15 +89,13 @@ def bn_characters_on(domain: ClassData) -> list[tuple[BipartitionLabel, ClassFun
 def hyperoctahedral_irreducibles(n: int) -> tuple[tuple[BipartitionLabel, ClassFunction, int], ...]:
     """(label, character, dimension) for every irreducible of B_n; exact.
 
-    Each character is the closed form on signed cycle types, checked against
-    the dimension formula; n is capped where a fresh table stays fast.
+    Each character is the rim-hook rule on signed cycle types, checked
+    against the dimension formula; n is capped where a fresh table stays fast.
     """
     rows = hyperoctahedral_dimensions(n)  # validates n >= 1, then the B/D guard
-    group = class_data(TypeLabel("B", n))
-    splits = _cycle_splits(group)
+    chars = _bn_characters(class_data(TypeLabel("B", n)), [label for label, _ in rows])
     out = []
-    for label, dim in rows:
-        chi = ClassFunction(group, _bipartition_values(splits, label.lam, label.mu), str(label))
+    for (label, chi), (_, dim) in zip(chars, rows):
         if chi.identity_value != dim:
             raise InternalInconsistencyError(
                 f"the dimension of {label} disagrees with the index formula"
@@ -138,8 +113,9 @@ class ConjugacyReport(namedtuple("ConjugacyReport", "n class_count pair_count ma
     __slots__ = ()
 
 
-def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:
-    """Match each B_n class to its signed cycle type (positive, negative).
+def bn_conjugacy_parametrization(n: int, max_order: int = MAX_ORDER) -> ConjugacyReport:
+    """Match each B_n class, enumerated within ``max_order``, to its signed
+    cycle type (positive, negative).
 
     Raises if the match fails to be a bijection onto all partition pairs.
     """
@@ -147,7 +123,7 @@ def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:
         raise GuardError(f"class parametrization capped at n = {BN_GUARD}")
     from .groups import realize
 
-    bn = realize(TypeLabel("B", n))
+    bn = realize(TypeLabel("B", n), max_order)
     matching = []
     for k, rep in enumerate(bn.classes.reps):
         matching.append((k, rep.signed_cycle_type()))
@@ -164,8 +140,9 @@ def bn_conjugacy_parametrization(n: int) -> ConjugacyReport:
 # -- D_n via index-2 restriction ------------------------------------------
 
 
-def _split_halves(dn: ClassData, splits: list[dict], lam: tuple[int, ...]):
-    """(label, character, dimension) of the halves (Res chi_(lam,lam) -+ delta) / 2.
+def _split_halves(dn: ClassData, whole, lam: tuple[int, ...]):
+    """(label, character, dimension) of the halves (Res chi_(lam,lam) -+ delta) / 2,
+    from the values ``whole`` of Res chi_(lam,lam) at the classes of ``dn``.
 
     The halving is exact integer division; an odd value raises.
     """
@@ -178,8 +155,7 @@ def _split_halves(dn: ClassData, splits: list[dict], lam: tuple[int, ...]):
             continue
         beta = tuple(length // 2 for length in pos)
         sign = -1 if diagonal_parity(rep) else 1
-        delta.append(sign * 2 ** len(beta) * rim_hook_sum(lam, beta))
-    whole = _bipartition_values(splits, lam, lam)
+        delta.append(sign * 2 ** len(beta) * rim_hook_sum(lam, (), beta))
     dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
     out = []
     for half, eps in (("+", -1), ("-", 1)):
@@ -203,12 +179,11 @@ def dn_irreducibles(n: int) -> tuple[tuple[DnLabel, ClassFunction, int], ...]:
     """
     rows = dn_dimensions(n)  # validates n >= 4, then the B/D guard
     dn = class_data(TypeLabel("D", n))
-    splits = _cycle_splits(dn)
+    res = dict(_bn_characters(dn, [label for label, _ in rows if label.half != "-"]))
     out = []
     for dlabel, dim in rows:
         if dlabel.half is None:
-            chi = ClassFunction(dn, _bipartition_values(splits, dlabel.lam, dlabel.mu), str(dlabel))
-            out.append((dlabel, chi, dim))
+            out.append((dlabel, res[dlabel], dim))
         elif dlabel.half == "+":
-            out.extend(_split_halves(dn, splits, dlabel.lam))
+            out.extend(_split_halves(dn, res[dlabel].values, dlabel.lam))
     return tuple(out)

@@ -10,7 +10,7 @@ identity tableau and the Young symmetrizer they give in the group algebra
 of S_n.  They and ``specht_module`` import ``groups`` and ``reps`` where
 they are used; one guard, ``SN_GUARD``, keeps them at n <= 7.  No table
 command loads this module: the tables' S_n characters are the rim-hook
-rule's ``tableaux.rim_hook_sum``.
+rule's ``tableaux.rim_hook_sum`` with mu = ().
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n and D_n
 labels: the partition and bipartition lists, the hook-length and B_n/D_n
-dimension formulas, the standard tableaux, and the S_n characters by the
-Murnaghan-Nakayama rule on beta-sets.  This is all that ``irreps`` of these
+dimension formulas, the standard tableaux, and one Murnaghan-Nakayama
+recursion on beta-sets, ``rim_hook_sum``, for the characters of S_n, B_n
+and D_n (Macdonald, *Symmetric Functions and Hall Polynomials*, I.7 Ex. 5
+and ch. I, app. B).  This is all that ``irreps`` of these
 types loads; the S_n modules are in ``specht``.  Nothing here builds a group.
 ``BN_GUARD`` is the one bound on n for B_n and D_n, which the dimension
 lists here and the entries of ``families`` each check once.
@@ -140,28 +142,42 @@ def symmetric_character_value(shape, cycle) -> int:
         raise ValidationError(f"shape {shape!r} and cycle type {cycle!r} partition different n")
     if n > PARTITION_GUARD:
         raise GuardError(f"character values capped at n = {PARTITION_GUARD}")
-    return rim_hook_sum(shape, cycle)
+    return rim_hook_sum(shape, (), cycle)
 
 
 @lru_cache(maxsize=None)
-def rim_hook_sum(shape: tuple[int, ...], cycle: tuple[int, ...]) -> int:
-    """``symmetric_character_value`` on trusted tuples, unchecked: the sum
-    over the rim hooks of length k = cycle[0] of (-1)^(leg length) times the
-    value of shape - hook at cycle[1:].  On the beta-set {shape_i + l - 1 - i},
-    a hook moves a beta number b to a free b - k >= 0, and its leg length is
-    the count of beta numbers between the two."""
-    if not cycle:
+def rim_hook_sum(lam: tuple[int, ...], mu: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi_(lam,mu) of B_n at the signed cycle lengths ``cycles`` (a negative
+    cycle of length k written -k), on trusted tuples, unchecked.  A cycle of
+    length k comes off as a k-rim hook of lam, or of mu times the cycle's
+    sign, each with (-1)^(leg length); the rest of the cycles, in order,
+    go on the smaller pair.  With mu = () and positive cycles this is
+    chi_lam of S_n, and at a D_n class it is Res chi_(lam,mu).  Any order of
+    the cycles gives the value; the callers list them longest first."""
+    if not cycles:
         return 1
-    k, rest, length = cycle[0], cycle[1:], len(shape)
+    k, rest = abs(cycles[0]), cycles[1:]
+    total = sum(sign * rim_hook_sum(smaller, mu, rest) for smaller, sign in _rim_hooks(lam, k))
+    off_mu = sum(sign * rim_hook_sum(lam, smaller, rest) for smaller, sign in _rim_hooks(mu, k))
+    return total + off_mu if cycles[0] > 0 else total - off_mu
+
+
+@lru_cache(maxsize=None)
+def _rim_hooks(shape: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(shape - hook, (-1)^(leg length)) for each rim hook of length k.  On the
+    beta-set {shape_i + l - 1 - i}, a hook moves a beta number b to a free
+    b - k >= 0, and its leg length is the count of beta numbers between the
+    two."""
+    length = len(shape)
     beta = [part + length - 1 - i for i, part in enumerate(shape)]
-    total = 0
+    out = []
     for i, b in enumerate(beta):
         if b >= k and b - k not in beta:
             moved = sorted(beta[:i] + beta[i + 1 :] + [b - k], reverse=True)
             smaller = tuple(x - (length - 1 - j) for j, x in enumerate(moved) if x > length - 1 - j)
             leg = sum(1 for x in beta[i + 1 :] if x > b - k)
-            total += (-1) ** leg * rim_hook_sum(smaller, rest)
-    return total
+            out.append((smaller, (-1) ** leg))
+    return tuple(out)
 
 
 # -- labels and dimensions of B_n --------------------------------------------

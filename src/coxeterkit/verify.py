@@ -12,13 +12,14 @@ system has already been checked closed under negation.  Orthonormality is
 one pass over the upper triangle of the Hermitian Gram matrix, in int
 arithmetic for A/B/D (``character_orthonormality``).
 
-The A/B/D and I2 characters are computed on the closed-form class data;
-the character checks move them onto the enumerated group once its orbit
-classes equal that class data, rep for rep and size for size.
+The A/B/D and I2 characters are computed on the closed-form class data,
+and stay there: each character check first realizes the group and compares
+its orbit classes with that class data, rep for rep and size for size, so
+all three report at every size, and past a bound all three fail on it.
 ``induction-closed-form`` induces each 2-dimensional I2(m) character from
 the rotation subgroup and compares it with the closed form.
 ``index-two-dichotomy`` checks the group-order bound, then evaluates the
-B_n closed form at D_n's own classes, which is the restriction, so it
+B_n characters at D_n's own classes, which is the restriction, so it
 builds no B_n group.  The graph checks (``classification-roundtrip`` and
 ``positive-definite``) take the classifier's vertex bound, and the group
 checks the group-order bound, so a huge rank fails them at once.
@@ -26,7 +27,7 @@ checks the group-order bound, so a huge rank fails them at once.
 (``certify.positive_definite``), a closed form in rank 2, so a huge bond
 builds no Gram entry.  The root checks run at every rank; for I2(m) they
 and the character checks take the one bond bound, ``classify.BOND_BOUND``,
-so an I2(m) past it fails all four at once.
+so an I2(m) past it fails all six at once.
 ``compute_base`` reads its reflections from the axiom sweep's table.
 
 Each family's helpers are imported inside that family's checks, so a
@@ -130,24 +131,30 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
     record("root-system-axioms", roots_check)
     record("fixed-space", fixed_space)
 
-    chars = None
-
-    def character_set():
-        nonlocal chars
+    def closed_form_table():
+        """The closed-form characters, on the class data, and the realized
+        group, once its orbit classes equal that class data."""
         if label.family == "I2":
-            table = irreducible_characters(label)  # the bond bound first
+            chars = irreducible_characters(label)  # the bond bound first
             group = realize(label, max_order)
         else:
             group = realize(label, max_order)  # the order bound before any table
-            table = irreducible_characters(label)
-        chars = _on_group(table, group)
+            chars = irreducible_characters(label)
+        if not _same_class_data(chars[0].domain, group):
+            raise InternalInconsistencyError(
+                f"closed-form classes of {label} differ from the orbit classes"
+            )
+        return chars, group
+
+    def character_set():
+        chars, group = closed_form_table()
         count_ok = len(chars) == group.classes.count
         total = sum(as_integer(c.identity_value) ** 2 for c in chars)
         ok = count_ok and total == group.order
         return ok, f"{len(chars)} irreducibles, sum dim^2 = {total}"
 
     def reciprocity():
-        group = chars[0].domain
+        chars, group = closed_form_table()
         rng = random.Random(20240 + label.rank)
         sub = _sample_subgroup(group)
         chi = trivial_character(sub)
@@ -160,9 +167,8 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         return True, "holds on sampled characters"
 
     record("character-completeness", character_set)
-    if chars is not None:
-        record("character-orthonormality", lambda: character_orthonormality(chars))
-        record("frobenius-reciprocity", reciprocity)
+    record("character-orthonormality", lambda: character_orthonormality(closed_form_table()[0]))
+    record("frobenius-reciprocity", reciprocity)
 
     if label.family == "A":
         from .tableaux import hook_dimension, partitions_of, standard_tableaux
@@ -186,7 +192,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         from .families import bn_conjugacy_parametrization
 
         def parametrization():
-            bn_conjugacy_parametrization(label.rank)
+            bn_conjugacy_parametrization(label.rank, max_order)
             return True, "classes biject with partition pairs"
 
         record("class-parametrization", parametrization)
@@ -247,16 +253,6 @@ def character_orthonormality(chars) -> tuple[bool, str]:
             if total != (group.order if i == j else 0):
                 return False, f"<chi_{i}, chi_{j}> != delta"
     return True, "character Gram matrix is the identity"
-
-
-def _on_group(chars, group) -> list:
-    """The characters, moved from closed-form class data onto the enumerated
-    group; raises unless both have the same reps and sizes in the same order."""
-    if not _same_class_data(chars[0].domain, group):
-        raise InternalInconsistencyError(
-            f"closed-form classes of {group.label} differ from the orbit classes"
-        )
-    return [ClassFunction(group, chi.values, chi.name) for chi in chars]
 
 
 def _sample_subgroup(group) -> Subgroup:

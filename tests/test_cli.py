@@ -193,12 +193,14 @@ def test_realize_keeps_the_order_bound():
 
 
 def test_verify_past_the_order_bound_fails_each_enumerating_check():
-    """The B_7 characters exist, but the group does not: the character checks
-    that need it are skipped, not run on class data without elements."""
+    """The B_7 characters exist, but the group does not: each character check
+    compares the closed-form classes with the orbit classes first, so all
+    three fail on the order bound."""
     code, text = run_cli("verify", "B7")
     assert code == 2
-    names = [line.split("\t")[1] for line in text.strip().split("\n")]
-    assert "character-completeness" in names and "frobenius-reciprocity" not in names
+    lines = dict(line.split("\t")[1:] for line in text.strip().split("\n"))
+    for name in ("character-completeness", "character-orthonormality", "frobenius-reciprocity"):
+        assert lines[name] == "error: |B7| = 645120 exceeds the bound 100000", name
 
 
 def test_verify_checks_the_root_system_against_the_order_bound():
@@ -386,19 +388,17 @@ def test_verify_of_a_bond_past_the_order_bound_fails_the_group_checks_at_once():
 def test_verify_lists_the_same_checks_on_both_sides_of_the_old_bounds(inside, past):
     """Neither the rank nor the bond drops a check from the report: past the
     old root rank bound 8, the B/D bound 8 and the old dihedral bound 24,
-    ``verify`` lists the checks it lists inside them, and fails at once.
-    Orthonormality and reciprocity run only on a built character set."""
+    ``verify`` lists the checks it lists inside them, and fails at once."""
     import time
 
     from coxeterkit.classify import parse_type_label
     from coxeterkit.verify import run_verification
 
-    follow_ups = ("character-orthonormality", "frobenius-reciprocity")
     names = [name for name, _, _ in run_verification(parse_type_label(inside))]
     start = time.perf_counter()
     checks = run_verification(parse_type_label(past))
     assert time.perf_counter() - start < 2.0
-    assert [name for name, _, _ in checks] == [name for name in names if name not in follow_ups]
+    assert [name for name, _, _ in checks] == names
     assert "root-system-axioms" in names and not all(ok for _, ok, _ in checks)
 
 

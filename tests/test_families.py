@@ -114,7 +114,7 @@ def test_extended_block_characters_satisfy_reciprocity():
     from coxeterkit.reps import induce_character
     from coxeterkit.tableaux import symmetric_character_value
 
-    for n in (2, 3):
+    for n in range(2, 6):
         bn = realize(TypeLabel("B", n))
         for label, chi, _ in hyperoctahedral_irreducibles(n):
             a = label.a
@@ -140,6 +140,19 @@ def test_b2_and_square_dihedral_coincide_in_size():
     i24 = realize(TypeLabel("I2", 2, 4))
     assert b2.order == i24.order == 8
     assert b2.classes.count == i24.classes.count == 5
+
+
+def test_class_parametrization_keeps_the_verify_budget():
+    """``class-parametrization`` enumerates B_n within ``verify``'s order bound,
+    as the other group checks do."""
+    from coxeterkit.verify import run_verification
+
+    checks = {name: (ok, detail) for name, ok, detail in run_verification(TypeLabel("B", 3), 47)}
+    assert checks["class-parametrization"] == (False, "error: |B3| = 48 exceeds the bound 47")
+    assert checks["group-order"] == checks["class-parametrization"]
+    with pytest.raises(GuardError, match="exceeds the bound 47"):
+        bn_conjugacy_parametrization(3, 47)
+    assert bn_conjugacy_parametrization(3, 48).class_count == 10
 
 
 def test_bn_conjugacy_parametrization():
@@ -218,16 +231,12 @@ def test_a_and_b_values_are_ints(label):
         assert all(type(v) is int for v in chi.values), chi.name
 
 
-def test_split_halves_reject_an_odd_value(monkeypatch):
+def test_split_halves_reject_an_odd_value():
     dn = realize(TypeLabel("D", 4))
-    splits = families._cycle_splits(dn)
-    exact = families._bipartition_values
-    monkeypatch.setattr(
-        families, "_bipartition_values",
-        lambda s, lam, mu: [v + (k == 1) for k, v in enumerate(exact(s, lam, mu))],
-    )
+    res = dict(bn_characters_on(dn))[BipartitionLabel((2,), (2,))]
+    whole = [v + (k == 1) for k, v in enumerate(res.values)]
     with pytest.raises(InternalInconsistencyError, match="is not a character"):
-        families._split_halves(dn, splits, (2,))
+        families._split_halves(dn, whole, (2,))
 
 
 def test_dn_label_text():
@@ -288,8 +297,11 @@ def test_regular_character_decomposes_by_dimension():
 def test_dihedral_guard():
     with pytest.raises(GuardError, match="bond 83 exceeds the bound 82"):
         dihedral_irreducibles(83)
-    with pytest.raises(GuardError, match="need m >= 3, got 2"):
-        dihedral_irreducibles(2)
+    for m in (2, 1, 0, -5):  # not past the bound: bad input, as for DihedralElement
+        with pytest.raises(ValidationError, match=f"need m >= 3, got {m}"):
+            dihedral_irreducibles(m)
+        with pytest.raises(ValidationError, match=f"need m >= 3, got {m}"):
+            dihedral_dimensions(m)
 
 
 def test_dihedral_names_and_dimensions_need_no_group():
