@@ -31,6 +31,8 @@ guard message as the FAIL line of both root checks (``root-system-axioms``,
 ``character-orthonormality``, ``frobenius-reciprocity``,
 ``induction-closed-form``), while ``irreps`` there exits 3.  No rank bound
 drops the root checks: ``verify A9`` fails them on the order bound.
+Every enumerating check takes the order bound from one ``realize``, so
+``verify B9`` fails ``class-parametrization`` on it too, not on a B/D guard.
 ``verify`` loads each family's modules inside its checks, so ``verify``
 runs once per family: A3, A4, A7, B6, D4, D6, I2(11), I2(24) and I2(79).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
@@ -105,6 +107,10 @@ ROOT_ORDER_LINES = tuple(
     f"FAIL\t{check}\terror: |A9| = 3628800 exceeds the bound 100000"
     for check in ("root-system-axioms", "fixed-space")
 )
+B9_ORDER_LINES = tuple(
+    f"FAIL\t{check}\terror: |B9| = 185794560 exceeds the bound 100000"
+    for check in ("group-order", "class-parametrization")
+)
 
 
 def run() -> int:
@@ -130,6 +136,7 @@ def run() -> int:
         runs = [(argv, want, timeout, (), "") for argv, want, timeout in runs]
         runs.append((["verify", f"I2({PAST_BOND})"], 2, TABLE_TIMEOUT_S, BOND_GUARD_LINES, ""))
         runs.append((["verify", "A9"], 2, TABLE_TIMEOUT_S, ROOT_ORDER_LINES, ""))
+        runs.append((["verify", "B9"], 2, TABLE_TIMEOUT_S, B9_ORDER_LINES, ""))
         runs.append((["--help"], 0, None, (), "usage: "))
         for argv, want, timeout, lines_wanted, prefix in runs:
             try:

@@ -35,13 +35,12 @@ _LAZY = {
         "hyperoctahedral_irreducibles",
         "symmetric_character_table",
     ),
-    "groups": ("RealizedGroup", "conjugacy_classes", "enumerate_group", "realize", "verify_presentation"),
+    "groups": ("RealizedGroup", "realize", "verify_presentation"),
     "permutations": ("Permutation", "SignedPermutation", "cycle_type"),
     "reps": (
         "GroupAlgebraElement",
         "Representation",
         "Subgroup",
-        "character_of",
         "decompose",
         "direct_sum",
         "induce_character",

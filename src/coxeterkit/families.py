@@ -21,8 +21,8 @@ there it is 2^l(beta) chi_lam(beta) (l = number of parts) on the class of
 the sign-free permutation and minus that on its partner class (the class
 of ``diagonal_parity`` 1).  The tables live on the closed-form
 ``class_data``, so no group is built, and their values are ints; only
-``bn_conjugacy_parametrization``, which ``verify`` runs, builds a group and
-imports ``groups`` to do so.  Each B_n and D_n entry checks the one bound
+``bn_conjugacy_parametrization``, which ``verify`` runs, reads a realized
+group.  Each B_n and D_n character entry checks the one bound
 ``tableaux.BN_GUARD`` once, before any class data is built.  The I2(m)
 characters are in ``dihedral``, and ``classes.irreducible_characters``
 dispatches to both.
@@ -34,10 +34,10 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .classes import ClassData, ClassFunction, class_data
-from .classify import MAX_ORDER, TypeLabel
+from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .permutations import diagonal_parity
-from .tableaux import BN_GUARD, BipartitionLabel, DnLabel, bipartitions, bn_dimension, dn_dimensions
+from .permutations import dn_class_key
+from .tableaux import BipartitionLabel, DnLabel, bipartitions, bn_dimension, check_bn, dn_dimensions
 from .tableaux import hyperoctahedral_dimensions, partition_text, partitions_of, rim_hook_sum
 
 TABLE_GUARD = 16
@@ -70,8 +70,7 @@ def bn_characters_on(domain: ClassData) -> list[tuple[BipartitionLabel, ClassFun
     """chi_(lam,mu) for every label of B_n, by the rim-hook rule at the classes
     of ``domain``: B_n's class data, or D_n's, where it gives Res chi_(lam,mu).
     n is capped as for the full table."""
-    if domain.label.rank > BN_GUARD:
-        raise GuardError(f"full B_n characters capped at n = {BN_GUARD}")
+    check_bn(domain.label.rank)
     return _bn_characters(domain, bipartitions(domain.label.rank))
 
 
@@ -113,20 +112,17 @@ class ConjugacyReport(namedtuple("ConjugacyReport", "n class_count pair_count ma
     __slots__ = ()
 
 
-def bn_conjugacy_parametrization(n: int, max_order: int = MAX_ORDER) -> ConjugacyReport:
-    """Match each B_n class, enumerated within ``max_order``, to its signed
-    cycle type (positive, negative).
+def bn_conjugacy_parametrization(bn: RealizedGroup) -> ConjugacyReport:
+    """Match each orbit class of a realized B_n to its signed cycle type
+    (positive, negative).
 
-    Raises if the match fails to be a bijection onto all partition pairs.
+    The budget of ``realize`` bounds n.  ValidationError for any other group;
+    raises if the match fails to be a bijection onto all partition pairs.
     """
-    if n > BN_GUARD:
-        raise GuardError(f"class parametrization capped at n = {BN_GUARD}")
-    from .groups import realize
-
-    bn = realize(TypeLabel("B", n), max_order)
-    matching = []
-    for k, rep in enumerate(bn.classes.reps):
-        matching.append((k, rep.signed_cycle_type()))
+    if bn.graph is None or bn.label.family != "B":
+        raise ValidationError(f"class parametrization needs a B_n from realize, not {bn!r}")
+    n = bn.label.rank
+    matching = [(k, rep.signed_cycle_type()) for k, rep in enumerate(bn.classes.reps)]
     pairs = {(lbl.lam, lbl.mu) for lbl in bipartitions(n)}
     report = ConjugacyReport(n, bn.classes.count, len(pairs), tuple(matching))
     seen = {m for _, m in matching}
@@ -149,12 +145,12 @@ def _split_halves(dn: ClassData, whole, lam: tuple[int, ...]):
     n = dn.label.rank
     delta = []
     for rep in dn.classes.reps:
-        pos, neg = rep.signed_cycle_type()
-        if neg or any(length % 2 for length in pos):
+        pos, _, *parity = dn_class_key(rep)  # a parity on a split class only
+        if not parity:
             delta.append(0)
             continue
         beta = tuple(length // 2 for length in pos)
-        sign = -1 if diagonal_parity(rep) else 1
+        sign = -1 if parity[0] else 1
         delta.append(sign * 2 ** len(beta) * rim_hook_sum(lam, (), beta))
     dim = bn_dimension(n, BipartitionLabel(lam, lam)) // 2
     out = []

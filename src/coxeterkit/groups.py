@@ -4,9 +4,11 @@
 full list of its elements (``permutations`` and ``dihedral`` define them,
 and each is loaded for its own families only), listed in closed form in a
 canonical order, with index-level generator tables, orbit conjugacy
-classes and a word factorization.  ``reps.Subgroup`` runs on the same
-engine with a generating set of its own.  The table commands never come
-here: their classes are the closed-form ``classes.class_data``.
+classes and a word factorization.  ``realize`` is the one entry that takes
+the order budget; every group-level entry takes the group it returns.
+``reps.Subgroup`` runs on the same engine with a generating set of its
+own, and no graph.  The table commands never come here: their classes are
+the closed-form ``classes.class_data``.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class RealizedGroup:
 def realize(label: TypeLabel, max_order: int = MAX_ORDER) -> RealizedGroup:
     """Concrete group for an A/B/D/I2 label, with canonical element order.
 
-    ``max_order`` is only a guard: every budget that admits the type gets the
-    same group object, which is built once.
+    ``max_order`` is only a guard, checked before any element is built: every
+    budget that admits the type gets the same group object, built once.
     """
     return _build_group(label, check_order(label, max_order))
 
@@ -181,17 +183,6 @@ def _build_group(label: TypeLabel, order: int) -> RealizedGroup:
     return group
 
 
-def enumerate_group(label: TypeLabel, max_order: int = MAX_ORDER) -> list:
-    return list(realize(label, max_order).elements)
-
-
-def conjugacy_classes(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple[object, int]]:
-    """(representative, class size) pairs in canonical order."""
-    g = realize(label, max_order)
-    c = g.classes
-    return list(zip(c.reps, c.sizes))
-
-
 def element_order(x) -> int:
     k = 1
     y = x
@@ -201,15 +192,22 @@ def element_order(x) -> int:
     return k
 
 
-def verify_presentation(label: TypeLabel, max_order: int = MAX_ORDER) -> bool:
-    """Do the concrete generators satisfy exactly the Coxeter relations?
+def coxeter_graph(group: RealizedGroup) -> CoxeterGraph:
+    """The graph of a group from ``realize``; ValidationError for a ``Subgroup``."""
+    if group.graph is None:
+        raise ValidationError(f"{group!r} is not a Coxeter group from realize")
+    return group.graph
+
+
+def verify_presentation(group: RealizedGroup) -> bool:
+    """Do the concrete generators of a realized Coxeter group satisfy exactly
+    the Coxeter relations?
 
     Checks order(s_i s_j) == m(i, j) for every generator pair (including
     s_i^2 = e on the diagonal) and that the generators generate the whole
     enumerated group.
     """
-    group = realize(label, max_order)
-    graph = group.graph
+    graph = coxeter_graph(group)
     gens = group.generators
     for i in range(len(gens)):
         for j in range(i, len(gens)):

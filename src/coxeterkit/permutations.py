@@ -274,10 +274,15 @@ def diagonal_parity(w: SignedPermutation) -> int:
     return flips % 2
 
 
-def _dn_class_key(w: SignedPermutation):
+def _splits(pos, neg) -> bool:
+    """Does D_n split the B_n class of signed cycle type (pos, neg)?"""
+    return not neg and all(k % 2 == 0 for k in pos)
+
+
+def dn_class_key(w: SignedPermutation):
     """Signed cycle type, with ``diagonal_parity`` on the split classes."""
     pos, neg = w.signed_cycle_type()
-    if not neg and all(k % 2 == 0 for k in pos):
+    if _splits(pos, neg):
         return pos, neg, diagonal_parity(w)
     return pos, neg
 
@@ -286,7 +291,7 @@ def _dn_class_key(w: SignedPermutation):
 CLASS_KEYS = {
     "A": Permutation.cycle_type,
     "B": SignedPermutation.signed_cycle_type,
-    "D": _dn_class_key,
+    "D": dn_class_key,
 }
 
 
@@ -315,7 +320,7 @@ def permutation_classes(label) -> tuple[list, list]:
                         continue
                     perm = Permutation._trusted(_lex_first_images(pos + neg))
                     size = order_b // (_centralizer_order(pos, 2) * _centralizer_order(neg, 2))
-                    if f == "D" and not neg and all(k % 2 == 0 for k in pos):
+                    if f == "D" and _splits(pos, neg):
                         # split: the lex-first element of the half of parity 1
                         size //= 2
                         odd = (1,) * (n - 2) + (-1, -1)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .classes import ClassFunction, _same_domain
 from .errors import InternalInconsistencyError, ValidationError
-from .groups import RealizedGroup
+from .groups import RealizedGroup, coxeter_graph
 
 
 class Subgroup(RealizedGroup):
@@ -114,8 +114,8 @@ class Representation:
     """Group homomorphism into GL_d, stored by its generator images.
 
     Construction verifies the defining relations (M_i M_j)^m(i,j) = 1 for
-    every generator pair of the group's graph, which also forces each
-    generator image to be invertible.
+    every generator pair of the graph of a group from ``realize`` (so not a
+    ``Subgroup``), which also forces each generator image to be invertible.
     """
 
     def __init__(self, group: RealizedGroup, matrices, name: str | None = None):
@@ -138,7 +138,7 @@ class Representation:
         self._character = None
 
     def _check_relations(self):
-        graph = self.group.graph
+        graph = coxeter_graph(self.group)
         for i in range(len(self.matrices)):
             for j in range(i, len(self.matrices)):
                 m = graph.label(i, j)
@@ -175,10 +175,6 @@ class Representation:
     def __repr__(self):
         label = f" {self.name}" if self.name else ""
         return f"Representation{label}(dim={self.dim} of {self.group.label})"
-
-
-def character_of(rho: Representation) -> ClassFunction:
-    return rho.character()
 
 
 def direct_sum(rho: Representation, psi: Representation) -> Representation:

@@ -7,8 +7,9 @@ coordinate inside the real subfield of Q(zeta_2m).
 
 Vectors are plain tuples of int/Fraction/Cyclotomic entries.  The
 helpers ask "is it rational?" first (``linalg.RATIONAL_TYPES``), so A, B
-and D never load ``cyclotomic``.  Roots and reflections take the order
-budget and, for I2(m), the bond bound of ``classify``; the rank has none.
+and D never load ``cyclotomic``.  Roots take the order budget and, for
+I2(m), the bond bound of ``classify``; ``geometric_rep`` takes a realized
+group, and the bond bound only.  The rank has no bound.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .catalog import catalog_graph
 from .classify import MAX_ORDER, TypeLabel, check_bond, check_order
 from .errors import InternalInconsistencyError, UnsupportedTypeError, ValidationError
 from .graphs import gram_matrix
-from .groups import realize
+from .groups import coxeter_graph
 from .linalg import RATIONAL_TYPES, Matrix, invert_scalar, is_zero_scalar, sign
 from .reps import Representation
 
@@ -134,7 +135,8 @@ class RootSystem:
     injective.  That is (|roots| / 2)^2 reflections in place of |roots|^2.
     The sweep keeps the index of each image it looks up, so
     ``reflection_index`` answers s_a(b) for any two roots with no further
-    reflection.  Immutable; equality and hashing compare (roots, label, gram).
+    reflection.  Immutable; equality compares (roots, label, gram), and the
+    hash (label, root count), since a Cyclotomic or a Matrix is unhashable.
     """
 
     __slots__ = ("roots", "label", "gram", "_conductor", "_index", "_negative", "_half", "_table")
@@ -155,16 +157,13 @@ class RootSystem:
     def __delattr__(self, name):
         raise AttributeError(f"RootSystem is immutable; cannot delete {name!r}")
 
-    def _key(self) -> tuple:
-        return (self.roots, self.label, self.gram)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return (self.roots, self.label, self.gram) == (other.roots, other.label, other.gram)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.label, len(self.roots)))
 
     def __repr__(self):
         return f"RootSystem(roots={self.roots!r}, label={self.label!r}, gram={self.gram!r})"
@@ -238,21 +237,15 @@ class RootSystem:
         return _vector_key(v, cond) in {_vector_key(r, cond) for r in self.roots}
 
 
-def _check_bounds(t: TypeLabel, max_order: int) -> None:
-    """GuardError past ``max_order`` or, for I2(m), past
-    ``classify.BOND_BOUND``, in that order."""
+def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
+    """Standard root system of an A/B/D/I2 type with |W| <= ``max_order`` and
+    bond <= ``classify.BOND_BOUND`` (GuardError otherwise, in that order,
+    before any root is built)."""
+    if t.family not in ("A", "B", "D", "I2"):
+        raise UnsupportedTypeError(f"no root system realization for {t}")
     check_order(t, max_order)
     if t.family == "I2":
         check_bond(t.bond)
-
-
-def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
-    """Standard root system of an A/B/D/I2 type with |W| <= ``max_order`` and
-    bond <= ``classify.BOND_BOUND`` (GuardError otherwise, before any root is
-    built)."""
-    if t.family not in ("A", "B", "D", "I2"):
-        raise UnsupportedTypeError(f"no root system realization for {t}")
-    _check_bounds(t, max_order)
     n = t.rank
     roots = []
     if t.family == "A":
@@ -346,20 +339,20 @@ def reflection_matrix(alpha, dim: int, gram: Matrix | None = None) -> Matrix:
     return Matrix(list(zip(*cols)))
 
 
-def geometric_rep(t: TypeLabel, max_order: int = MAX_ORDER) -> dict:
-    """The faithful reflection representation on the simple-root basis.
+def geometric_rep(group: RealizedGroup) -> dict:
+    """The faithful reflection representation of a group from ``realize``.
 
     Maps every group element to its matrix, built multiplicatively from the
     generator images sigma_s along the group's word DAG.  The defining
     relations are checked on those images, and injectivity by distinct
-    matrices.
+    matrices.  ValidationError for a ``Subgroup``, and GuardError past the
+    bond bound, before any matrix is built.
     """
-    if t.family not in ("A", "B", "D", "I2"):
-        raise UnsupportedTypeError(f"no geometric realization for {t}")
-    _check_bounds(t, max_order)  # before the group is built
-    group = realize(t, max_order)
-    gram = gram_matrix(group.graph)
-    n = group.graph.n
+    graph = coxeter_graph(group)
+    if group.label.family == "I2":
+        check_bond(group.label.bond)
+    gram = gram_matrix(graph)
+    n = graph.n
     gens = [reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram) for s in range(n)]
 
     rep = Representation(group, gens)  # checks the defining relations

@@ -8,7 +8,7 @@ through the axial distance of i and i+1 by checked sparse columns.  The
 paper's construction is kept too: the row and column groups of the
 identity tableau and the Young symmetrizer they give in the group algebra
 of S_n.  They and ``specht_module`` import ``groups`` and ``reps`` where
-they are used; one guard, ``SN_GUARD``, keeps them at n <= 7.  No table
+they are used; one guard, ``check_sn``, keeps them at n <= 7.  No table
 command loads this module: the tables' S_n characters are the rim-hook
 rule's ``tableaux.rim_hook_sum`` with mu = ().
 """
@@ -26,6 +26,17 @@ from .permutations import Permutation
 from .tableaux import hook_dimension, partition_text, standard_tableaux, validate_partition
 
 SN_GUARD = 7  # largest n whose S_n this module realizes, for modules and row/column groups
+
+
+def check_sn(shape) -> int:
+    """n of a partition of n for a module or row/column groups: ValidationError
+    below 2, GuardError past ``SN_GUARD``."""
+    n = sum(validate_partition(shape))
+    if n < 2:
+        raise ValidationError("need a partition of n >= 2")
+    if n > SN_GUARD:
+        raise GuardError(f"S_n modules and row/column groups capped at n = {SN_GUARD}")
+    return n
 
 
 # -- Young's seminormal form -------------------------------------------------
@@ -138,12 +149,7 @@ def row_column_blocks(shape) -> tuple[list[list[int]], list[list[int]]]:
 
 def row_column_groups(shape) -> tuple[Subgroup, Subgroup]:
     """Row and column stabilizers of the identity tableau, as subgroups of S_n."""
-    shape = validate_partition(shape)
-    n = sum(shape)
-    if n > SN_GUARD:
-        raise GuardError(f"row/column groups capped at n = {SN_GUARD}")
-    if n < 2:
-        raise ValidationError("need a partition of n >= 2")
+    n = check_sn(shape)
     from .groups import realize
     from .reps import Subgroup
 
@@ -177,12 +183,7 @@ def specht_module(shape) -> Representation:
     the checked sparse columns of ``seminormal_action``, written out dense
     over their common denominator.
     """
-    shape = validate_partition(shape)
-    n = sum(shape)
-    if n < 2:
-        raise ValidationError("need a partition of n >= 2")
-    if n > SN_GUARD:
-        raise GuardError(f"module construction capped at n = {SN_GUARD}")
+    n = check_sn(shape)
     from .groups import realize
     from .linalg import Matrix
     from .reps import Representation

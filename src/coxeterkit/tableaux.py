@@ -7,8 +7,8 @@ recursion on beta-sets, ``rim_hook_sum``, for the characters of S_n, B_n
 and D_n (Macdonald, *Symmetric Functions and Hall Polynomials*, I.7 Ex. 5
 and ch. I, app. B).  This is all that ``irreps`` of these
 types loads; the S_n modules are in ``specht``.  Nothing here builds a group.
-``BN_GUARD`` is the one bound on n for B_n and D_n, which the dimension
-lists here and the entries of ``families`` each check once.
+``BN_GUARD`` is the one bound on n for B_n and D_n, which ``check_bn``
+checks for the dimension lists here and the entries of ``families``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,19 @@ from functools import lru_cache
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 
 PARTITION_GUARD = 40
-BN_GUARD = 8  # largest n of a B_n or D_n dimension list, character table or class match
+BN_GUARD = 8  # largest n of a B_n or D_n dimension list or character table
+
+
+def check_partitions(n: int) -> None:
+    """GuardError past ``PARTITION_GUARD``, for partitions and S_n values."""
+    if n > PARTITION_GUARD:
+        raise GuardError(f"partition enumeration capped at n = {PARTITION_GUARD}")
+
+
+def check_bn(n: int) -> None:
+    """GuardError past ``BN_GUARD``, the one bound on n for B_n and D_n."""
+    if n > BN_GUARD:
+        raise GuardError(f"B_n and D_n irreducibles capped at n = {BN_GUARD}")
 
 
 def partition_text(shape: tuple[int, ...]) -> str:
@@ -41,7 +53,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 def validate_partition(parts) -> tuple[int, ...]:
     parts = tuple(parts)
-    if any(not isinstance(p, int) or p <= 0 for p in parts):
+    if any(type(p) is not int or p <= 0 for p in parts):
         raise ValidationError(f"partition parts must be positive integers: {parts!r}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValidationError(f"partition parts must be weakly decreasing: {parts!r}")
@@ -53,8 +65,7 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n in reverse-lexicographic order; () for n = 0."""
     if n < 0:
         raise ValidationError("partitions are defined for n >= 0")
-    if n > PARTITION_GUARD:
-        raise GuardError(f"partition enumeration capped at n = {PARTITION_GUARD}")
+    check_partitions(n)
     if n == 0:
         return ((),)
 
@@ -140,8 +151,7 @@ def symmetric_character_value(shape, cycle) -> int:
     n = sum(shape)
     if n != sum(cycle):
         raise ValidationError(f"shape {shape!r} and cycle type {cycle!r} partition different n")
-    if n > PARTITION_GUARD:
-        raise GuardError(f"character values capped at n = {PARTITION_GUARD}")
+    check_partitions(n)
     return rim_hook_sum(shape, (), cycle)
 
 
@@ -229,8 +239,7 @@ def hyperoctahedral_dimensions(n: int) -> list[tuple[BipartitionLabel, int]]:
     """(label, dimension) for every irreducible of B_n, by the formula only."""
     if n < 1:
         raise ValidationError("B_n needs n >= 1")
-    if n > BN_GUARD:
-        raise GuardError(f"B_n and D_n irreducibles capped at n = {BN_GUARD}")
+    check_bn(n)
     return [(label, bn_dimension(n, label)) for label in bipartitions(n)]
 
 
@@ -246,7 +255,7 @@ class DnLabel(namedtuple("DnLabel", "lam mu half", defaults=(None,))):
     __slots__ = ()
 
     def __new__(cls, lam: tuple[int, ...], mu: tuple[int, ...], half: str | None = None):
-        if half is not None and (half not in "+-" or lam != mu):
+        if half is not None and (half not in ("+", "-") or lam != mu):
             raise ValidationError("split labels need lam == mu and half in {+, -}")
         return super().__new__(cls, lam, mu, half)
 
@@ -269,8 +278,7 @@ def dn_dimensions(n: int) -> list[tuple[DnLabel, int]]:
     """
     if n < 4:
         raise ValidationError("D_n needs n >= 4")
-    if n > BN_GUARD:
-        raise GuardError(f"B_n and D_n irreducibles capped at n = {BN_GUARD}")
+    check_bn(n)
     out, seen = [], set()
     for label in bipartitions(n):
         pair = frozenset((label.lam, label.mu))

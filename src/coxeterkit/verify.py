@@ -22,7 +22,9 @@ the rotation subgroup and compares it with the closed form.
 B_n characters at D_n's own classes, which is the restriction, so it
 builds no B_n group.  The graph checks (``classification-roundtrip`` and
 ``positive-definite``) take the classifier's vertex bound, and the group
-checks the group-order bound, so a huge rank fails them at once.
+checks the group-order bound, so a huge rank fails them at once.  Every
+check that enumerates reads its group from one ``realize(label, max_order)``
+helper, so past the budget each fails with the same message.
 ``positive-definite`` is the classifier's sparse Sylvester test
 (``certify.positive_definite``), a closed form in rank 2, so a huge bond
 builds no Gram entry.  The root checks run at every rank; for I2(m) they
@@ -88,19 +90,22 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         ok = positive_definite(graph())
         return ok, "all leading minors positive" if ok else "not positive definite"
 
+    def group():
+        return realize(label, max_order)
+
     def order_check():
-        group = realize(label, max_order)
+        g = group()
         want = coxeter_group_order(label)
-        return group.order == want, f"|W| = {group.order}"
+        return g.order == want, f"|W| = {g.order}"
 
     def presentation():
-        return verify_presentation(label, max_order), "orders of s_i s_j match the graph"
+        return verify_presentation(group()), "orders of s_i s_j match the graph"
 
     def classes_check():
-        group = realize(label, max_order)
-        sizes = group.classes.sizes
-        ok = sum(sizes) == group.order and all(group.order % s == 0 for s in sizes)
-        return ok, f"{group.classes.count} classes"
+        g = group()
+        sizes = g.classes.sizes
+        ok = sum(sizes) == g.order and all(g.order % s == 0 for s in sizes)
+        return ok, f"{g.classes.count} classes"
 
     def roots_check():
         rs = root_system(label, max_order)  # axioms are checked on construction
@@ -108,14 +113,13 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         return True, f"{rs.count} roots, base of size {len(base)}"
 
     def fixed_space():
+        g = group()  # the order bound before geometric_rep's bond bound
         if label.family == "I2":
-            rep = geometric_rep(label, max_order)
-            group = realize(label, max_order)
-            mats = [rep[g] for g in group.generators]
+            rep = geometric_rep(g)
+            mats = [rep[s] for s in g.generators]
             expected = 0
         else:
-            group = realize(label, max_order)
-            mats = [g.natural_matrix() for g in group.generators]
+            mats = [s.natural_matrix() for s in g.generators]
             expected = 1 if label.family == "A" else 0
         d = fixed_space_dimension(mats)
         return d == expected, f"fixed-space dimension {d}"
@@ -136,29 +140,29 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         group, once its orbit classes equal that class data."""
         if label.family == "I2":
             chars = irreducible_characters(label)  # the bond bound first
-            group = realize(label, max_order)
+            g = group()
         else:
-            group = realize(label, max_order)  # the order bound before any table
+            g = group()  # the order bound before any table
             chars = irreducible_characters(label)
-        if not _same_class_data(chars[0].domain, group):
+        if not _same_class_data(chars[0].domain, g):
             raise InternalInconsistencyError(
                 f"closed-form classes of {label} differ from the orbit classes"
             )
-        return chars, group
+        return chars, g
 
     def character_set():
-        chars, group = closed_form_table()
-        count_ok = len(chars) == group.classes.count
+        chars, g = closed_form_table()
+        count_ok = len(chars) == g.classes.count
         total = sum(as_integer(c.identity_value) ** 2 for c in chars)
-        ok = count_ok and total == group.order
+        ok = count_ok and total == g.order
         return ok, f"{len(chars)} irreducibles, sum dim^2 = {total}"
 
     def reciprocity():
-        chars, group = closed_form_table()
+        chars, g = closed_form_table()
         rng = random.Random(20240 + label.rank)
-        sub = _sample_subgroup(group)
+        sub = _sample_subgroup(g)
         chi = trivial_character(sub)
-        ind = induce_character(chi, group)
+        ind = induce_character(chi, g)
         for phi in rng.sample(chars, min(3, len(chars))):
             lhs = inner_product(ind, phi)
             rhs = inner_product(chi, restrict_character(phi, sub))
@@ -181,9 +185,8 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
             return True, "module dims equal hook dims"
 
         def class_count():
-            group = realize(label, max_order)
             want = len(partitions_of(label.rank + 1))
-            return group.classes.count == want, f"p({label.rank + 1}) = {want}"
+            return group().classes.count == want, f"p({label.rank + 1}) = {want}"
 
         record("hook-dimensions", hooks)
         record("partition-class-count", class_count)
@@ -192,7 +195,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         from .families import bn_conjugacy_parametrization
 
         def parametrization():
-            bn_conjugacy_parametrization(label.rank, max_order)
+            bn_conjugacy_parametrization(group())
             return True, "classes biject with partition pairs"
 
         record("class-parametrization", parametrization)
@@ -218,11 +221,11 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
         def formula():
             m = label.bond
             two_dim = [chi for chi in dihedral_irreducibles(m) if chi.name.startswith("2:")]
-            group = realize(label, max_order)
-            rotations = _sample_subgroup(group)
+            g = group()
+            rotations = _sample_subgroup(g)
             for k, chi in enumerate(two_dim, 1):
                 zeta_k = [Cyclotomic.zeta(m, k * el.rotation) for el in rotations.classes.reps]
-                if induce_character(ClassFunction(rotations, zeta_k), group) != chi:
+                if induce_character(ClassFunction(rotations, zeta_k), g) != chi:
                     return False, f"the induction of zeta^{k} from the rotations is not {chi.name}"
             return True, "inductions match the closed form"
 

@@ -203,6 +203,41 @@ def test_verify_past_the_order_bound_fails_each_enumerating_check():
         assert lines[name] == "error: |B7| = 645120 exceeds the bound 100000", name
 
 
+GROUP_FREE_CHECKS = ("classification-roundtrip", "positive-definite", "hook-dimensions")
+
+
+@pytest.mark.parametrize("text", ["A3", "B3", "D4", "I2(5)"])
+def test_one_max_order_bounds_every_enumerating_check(text):
+    """Just under |W| every check that enumerates fails with the order
+    message and nothing else does; at |W| every check passes."""
+    from coxeterkit.classify import coxeter_group_order, parse_type_label
+    from coxeterkit.verify import run_verification
+
+    label = parse_type_label(text)
+    order = coxeter_group_order(label)
+    below = run_verification(label, order - 1)
+    message = f"error: |{text}| = {order} exceeds the bound {order - 1}"
+    assert len(below) > 10
+    for name, ok, detail in below:
+        if name in GROUP_FREE_CHECKS:
+            assert ok, name
+        else:
+            assert (ok, detail) == (False, message), name
+    assert [name for name, ok, _ in run_verification(label, order) if not ok] == []
+
+
+def test_verify_b9_fails_the_class_parametrization_on_the_order_bound():
+    """B_9's orbit classes are past the order bound, not past a B/D guard:
+    ``class-parametrization`` fails with the message of every group check."""
+    from coxeterkit.classify import TypeLabel
+    from coxeterkit.verify import run_verification
+
+    checks = {name: (ok, detail) for name, ok, detail in run_verification(TypeLabel("B", 9))}
+    message = (False, "error: |B9| = 185794560 exceeds the bound 100000")
+    for name in ("group-order", "presentation", "fixed-space", "class-parametrization"):
+        assert checks[name] == message, name
+
+
 def test_verify_checks_the_root_system_against_the_order_bound():
     """A8 has 72 roots but 9! elements: the root check keeps the bound too."""
     code, text = run_cli("verify", "A8")

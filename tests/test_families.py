@@ -151,17 +151,17 @@ def test_class_parametrization_keeps_the_verify_budget():
     assert checks["class-parametrization"] == (False, "error: |B3| = 48 exceeds the bound 47")
     assert checks["group-order"] == checks["class-parametrization"]
     with pytest.raises(GuardError, match="exceeds the bound 47"):
-        bn_conjugacy_parametrization(3, 47)
-    assert bn_conjugacy_parametrization(3, 48).class_count == 10
+        bn_conjugacy_parametrization(realize(TypeLabel("B", 3), 47))
+    assert bn_conjugacy_parametrization(realize(TypeLabel("B", 3), 48)).class_count == 10
 
 
 def test_bn_conjugacy_parametrization():
     for n in (1, 2, 3):
-        report = bn_conjugacy_parametrization(n)
+        report = bn_conjugacy_parametrization(realize(TypeLabel("B", n)))
         cycle_types = {m for _, m in report.matching}
         assert report.class_count == report.pair_count == len(cycle_types)
-    assert bn_conjugacy_parametrization(2).class_count == 5
-    assert bn_conjugacy_parametrization(3).class_count == 10
+    assert bn_conjugacy_parametrization(realize(TypeLabel("B", 2))).class_count == 5
+    assert bn_conjugacy_parametrization(realize(TypeLabel("B", 3))).class_count == 10
 
 
 def test_d4_irreducible_set():
@@ -237,6 +237,12 @@ def test_split_halves_reject_an_odd_value():
     whole = [v + (k == 1) for k, v in enumerate(res.values)]
     with pytest.raises(InternalInconsistencyError, match="is not a character"):
         families._split_halves(dn, whole, (2,))
+
+
+@pytest.mark.parametrize("half", ["", "+-"])
+def test_dn_label_half_is_one_sign(half):
+    with pytest.raises(ValidationError, match="half in"):
+        DnLabel((1,), (1,), half)
 
 
 def test_dn_label_text():

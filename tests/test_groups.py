@@ -8,9 +8,7 @@ from coxeterkit.dihedral import DihedralElement
 from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
 from coxeterkit.groups import (
     MAX_ORDER,
-    conjugacy_classes,
     element_order,
-    enumerate_group,
     realize,
     verify_presentation,
 )
@@ -61,11 +59,11 @@ def test_signed_product_matches_matrix_model():
 
 
 def test_enumeration_counts():
-    assert len(enumerate_group(TypeLabel("A", 2))) == 6
-    assert len(enumerate_group(TypeLabel("D", 4))) == 192
-    assert len(enumerate_group(TypeLabel("I2", 2, 5))) == 10
+    assert len(realize(TypeLabel("A", 2)).elements) == 6
+    assert len(realize(TypeLabel("D", 4)).elements) == 192
+    assert len(realize(TypeLabel("I2", 2, 5)).elements) == 10
     for label in SMALL_LABELS:
-        assert len(enumerate_group(label)) == coxeter_group_order(label)
+        assert len(realize(label).elements) == coxeter_group_order(label)
 
 
 def test_enumeration_guard():
@@ -108,10 +106,10 @@ def test_generator_tables_are_left_multiplication():
 
 
 def test_conjugacy_class_examples():
-    assert [size for _, size in conjugacy_classes(TypeLabel("A", 2))] == [1, 3, 2]
-    assert len(conjugacy_classes(TypeLabel("B", 2))) == 5
-    assert len(conjugacy_classes(TypeLabel("I2", 2, 4))) == 5
-    assert len(conjugacy_classes(TypeLabel("I2", 2, 5))) == 4
+    assert realize(TypeLabel("A", 2)).classes.sizes == (1, 3, 2)
+    assert realize(TypeLabel("B", 2)).classes.count == 5
+    assert realize(TypeLabel("I2", 2, 4)).classes.count == 5
+    assert realize(TypeLabel("I2", 2, 5)).classes.count == 4
 
 
 def test_class_equation():
@@ -159,7 +157,21 @@ def test_signed_cycle_type_is_class_invariant():
 
 def test_presentations():
     for label in (TypeLabel("A", 3), TypeLabel("B", 3), TypeLabel("D", 4), TypeLabel("I2", 2, 12)):
-        assert verify_presentation(label), str(label)
+        assert verify_presentation(realize(label)), str(label)
+
+
+def test_group_entries_reject_a_group_with_no_graph():
+    from coxeterkit.families import bn_conjugacy_parametrization
+    from coxeterkit.reps import Subgroup, natural_representation
+    from coxeterkit.roots import geometric_rep
+
+    b3 = realize(TypeLabel("B", 3))
+    sub = Subgroup(b3, [g for g in b3.elements if all(s == 1 for s in g.signs)])
+    for entry in (verify_presentation, geometric_rep, bn_conjugacy_parametrization, natural_representation):
+        with pytest.raises(ValidationError, match="from realize"):
+            entry(sub)
+    with pytest.raises(ValidationError, match="from realize"):
+        bn_conjugacy_parametrization(realize(TypeLabel("A", 3)))
 
 
 def test_b_generator_bond_orders():

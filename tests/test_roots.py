@@ -102,6 +102,15 @@ def test_contains_answers_outside_the_key_conductor():
     assert root_system(TypeLabel("B", 3)).contains((1 + zero, -1, 0)) is True
 
 
+@pytest.mark.parametrize("label", [TypeLabel("I2", 2, 5), TypeLabel("B", 3)], ids=str)
+def test_equal_root_systems_hash_alike(label):
+    """Cyclotomic entries and the Gram matrix are unhashable; the hash reads
+    the label and the root count, which equal systems share."""
+    a, b = root_system(label), root_system(label)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, RootSystem(a.roots, a.label, a.gram)}) == 1
+
+
 def test_root_system_keeps_the_order_bound():
     """The bound is checked before any root is built, so a huge dihedral
     type fails at once."""
@@ -114,13 +123,14 @@ def test_root_system_keeps_the_order_bound():
 
 def test_bond_bound_of_the_dihedral_realizations():
     """Past ``BOND_BOUND`` the root system and the reflection representation
-    refuse I2(m) before anything is built; the order bound is checked first."""
+    refuse I2(m) before any root or matrix is built; the root system checks
+    the order bound first."""
     past = TypeLabel("I2", 2, BOND_BOUND + 1)
     message = f"bond {BOND_BOUND + 1} exceeds the bound {BOND_BOUND}"
     with pytest.raises(GuardError, match=message):
         root_system(past)
     with pytest.raises(GuardError, match=message):
-        geometric_rep(past)
+        geometric_rep(realize(past))
     with pytest.raises(GuardError, match="exceeds the bound 100"):
         root_system(past, max_order=100)
     assert root_system(TypeLabel("I2", 2, 24)).count == 48
@@ -211,15 +221,15 @@ def test_conjugation_identity(label, data):
 
 
 def test_geometric_rep_rank_one():
-    rep = geometric_rep(TypeLabel("A", 1))
     group = realize(TypeLabel("A", 1))
+    rep = geometric_rep(group)
     assert rep[group.generators[0]] == Matrix([[-1]])
 
 
 def test_geometric_rep_dihedral_rotation_order():
     for m in (5, 7):
         group = realize(TypeLabel("I2", 2, m))
-        rep = geometric_rep(TypeLabel("I2", 2, m))
+        rep = geometric_rep(group)
         prod = rep[group.generators[0]] * rep[group.generators[1]]
         power = prod
         k = 1
@@ -231,7 +241,7 @@ def test_geometric_rep_dihedral_rotation_order():
 
 def test_geometric_rep_a2_column():
     group = realize(TypeLabel("A", 2))
-    rep = geometric_rep(TypeLabel("A", 2))
+    rep = geometric_rep(group)
     sigma = rep[group.generators[0]]
     assert sigma.column(1) == (Fraction(1), Fraction(1))  # alpha' -> alpha' + alpha
 
@@ -239,7 +249,7 @@ def test_geometric_rep_a2_column():
 def test_geometric_rep_is_homomorphism_and_injective():
     label = TypeLabel("B", 2)
     group = realize(label)
-    rep = geometric_rep(label)
+    rep = geometric_rep(group)
     assert len(rep) == group.order
     for a in group.elements:
         for b in group.elements:
@@ -275,7 +285,7 @@ def hand_built_generators(gram: Matrix) -> list[Matrix]:
 )
 def test_geometric_rep_generators_match_the_hand_built_reflections(label):
     group = realize(label)
-    rep = geometric_rep(label)
+    rep = geometric_rep(group)
     expected = hand_built_generators(gram_matrix(group.graph))
     assert [rep[g] for g in group.generators] == expected
 
@@ -308,7 +318,7 @@ def test_generator_images_keep_the_entry_types_of_the_reflections(label):
     group = realize(label)
     gram = gram_matrix(group.graph)
     n = gram.rows
-    rep = geometric_rep(label)
+    rep = geometric_rep(group)
     for s, g in enumerate(group.generators):
         sigma = reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram)
         assert rep[g] == sigma
@@ -324,5 +334,5 @@ def test_fixed_space_dimensions():
     d4 = realize(TypeLabel("D", 4))
     assert fixed_space_dimension([g.natural_matrix() for g in d4.generators]) == 0
     i26 = realize(TypeLabel("I2", 2, 6))
-    rep = geometric_rep(TypeLabel("I2", 2, 6))
+    rep = geometric_rep(i26)
     assert fixed_space_dimension([rep[g] for g in i26.generators]) == 0

@@ -27,6 +27,7 @@ from coxeterkit.tableaux import (
     partition_text,
     partitions_of,
     symmetric_character_value,
+    validate_partition,
 )
 
 
@@ -60,6 +61,15 @@ def test_partition_count_matches_oracle(n):
 def test_partitions_guard():
     with pytest.raises(GuardError):
         partitions_of(41)
+
+
+def test_partition_parts_are_ints_not_bools():
+    for parts in [(True,), (2, True), (3, 1, True)]:
+        with pytest.raises(ValidationError, match="positive integers"):
+            validate_partition(parts)
+    with pytest.raises(ValidationError):
+        hook_dimension((True,))
+    assert validate_partition((2, 1)) == (2, 1)
 
 
 def test_partition_text_forms():
@@ -169,7 +179,7 @@ def test_specht_matches_hooks_up_to_five():
 
 
 def test_specht_guard():
-    with pytest.raises(GuardError, match="module construction capped at n = 7"):
+    with pytest.raises(GuardError, match="S_n modules and row/column groups capped at n = 7"):
         specht_module((8,))
     symmetric_character_table(16)
     with pytest.raises(GuardError):
