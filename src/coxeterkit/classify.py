@@ -34,7 +34,8 @@ class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
 
     For classification output, single edges labeled 3 and 4 are always the
     canonical A2 and B2, so I2(m) labels carry m >= 5; dihedral realizations
-    accept any m >= 3.  ``bond`` is m for I2 and None otherwise.  Labels are
+    accept any m >= 3.  ``rank`` is an int, not a bool or a float, and
+    ``bond`` is m for I2 and None otherwise.  Labels are
     immutable, hashable and ordered as (family, rank, bond) tuples.
     """
 
@@ -43,7 +44,7 @@ class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
     def __new__(cls, family: str, rank: int, bond: int | None = None):
         if family not in _FAMILIES:
             raise ValidationError(f"unknown family {family!r}")
-        if not _RANK_OK[family](rank):
+        if type(rank) is not int or not _RANK_OK[family](rank):
             raise ValidationError(f"invalid rank {rank} for family {family}")
         if family == "I2":
             if not (isinstance(bond, int) and bond >= 3):

@@ -177,6 +177,8 @@ class Cyclotomic:
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyclotomic":
+        if n < 1:  # the constructor's conductor error, before k % n
+            return cls(n, {})
         return cls(n, {k % n: Fraction(1)})
 
     @classmethod

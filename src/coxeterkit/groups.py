@@ -6,9 +6,10 @@ and each is loaded for its own families only), listed in closed form in a
 canonical order, with index-level generator tables, orbit conjugacy
 classes and a word factorization.  ``realize`` is the one entry that takes
 the order budget; every group-level entry takes the group it returns.
-``reps.Subgroup`` runs on the same engine with a generating set of its
-own, and no graph.  The table commands never come here: their classes are
-the closed-form ``classes.class_data``.
+``reps.Subgroup`` runs on the same engine: the closure of a few
+generators, listed in its parent's order, with no graph.  The table
+commands never come here: their classes are the closed-form
+``classes.class_data``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A Representation stores generator images only; images of arbitrary elements
 are evaluated by walking the group's BFS factorization and memoized.  A
-Subgroup is a ``groups.RealizedGroup`` on a generating set of its own, so
+Subgroup is the ``groups.RealizedGroup`` that its generators generate, so
 its classes are the engine's orbits under conjugation by those generators,
 and induction uses the class-size formula: neither sums over the whole
 group.  All character arithmetic is exact (Fractions and cyclotomic
@@ -21,26 +21,38 @@ from .groups import RealizedGroup, coxeter_graph
 
 
 class Subgroup(RealizedGroup):
-    """A subgroup given by an explicit element list inside a realized group.
+    """The subgroup that a list of parent elements generates.
 
-    It is a RealizedGroup with the parent's label and no graph, generated
-    by a greedy generating set, so the group engine gives its conjugacy
-    classes (classes of H, not G-classes), word factorization and index
-    tables, and class functions on the subgroup are first-class objects.
+    It is a RealizedGroup with the parent's label and no graph, on the
+    given generators, so the group engine gives its conjugacy classes
+    (classes of H, not G-classes), word factorization and index tables,
+    and class functions on the subgroup are first-class objects.  The
+    elements are listed in the parent's order; no generators give the
+    trivial subgroup.
     """
 
-    def __init__(self, parent: RealizedGroup, elements):
+    def __init__(self, parent: RealizedGroup, generators):
         self.parent = parent
-        idx = sorted({parent.index_of(x) for x in elements})
-        if not idx:
-            raise ValidationError("subgroup needs at least one element")
-        if idx[0] != 0:
-            raise ValidationError("subgroup does not contain the identity")
-        if parent.order % len(idx):
-            raise ValidationError("subgroup order does not divide the group order")
-        super().__init__(parent.label, None, (), [parent.elements[i] for i in idx])
-        self._parent_indices = frozenset(idx)
-        self.generators, self._tables = self._generating_set()
+        generators = tuple(generators)
+        for g in generators:
+            parent.index_of(g)  # ValidationError for a stranger, before any product
+        # closure under left multiplication: in a finite group, products reach inverses
+        found, where = [parent.identity], {parent.identity: 0}
+        tables = [[] for _ in generators]
+        for x in found:
+            for g, table in zip(generators, tables):
+                y = g * x
+                j = where.get(y)
+                if j is None:
+                    j = where[y] = len(found)
+                    found.append(y)
+                table.append(j)
+        by_parent = sorted(range(len(found)), key=lambda i: parent.index[found[i]])
+        rank = [0] * len(found)
+        for new, old in enumerate(by_parent):
+            rank[old] = new
+        super().__init__(parent.label, None, generators, [found[i] for i in by_parent])
+        self._tables = tuple(tuple([rank[table[i]] for i in by_parent]) for table in tables)
 
     def index_of(self, el) -> int:
         try:
@@ -49,40 +61,7 @@ class Subgroup(RealizedGroup):
             raise ValidationError(f"element {el!r} is not in the subgroup") from None
 
     def contains(self, el) -> bool:
-        try:
-            return self.parent.index_of(el) in self._parent_indices
-        except ValidationError:
-            return False
-
-    def _generating_set(self) -> tuple[tuple, tuple]:
-        """Generators picked greedily in element order, closing under each,
-        and their index tables.
-
-        The closure never leaves the element set exactly when the set is
-        closed under products, so this is also the closure check.  The last
-        closure sweep reaches every element, so it fills the tables.
-        """
-        elements, index = self.elements, self.index
-        gens, tables = [], []
-        reached = {0}
-        for k, x in enumerate(elements):
-            if k in reached:
-                continue
-            gens.append(x)
-            tables.append([0] * len(elements))
-            reached = {0}
-            queue = [0]
-            for i in queue:
-                y = elements[i]
-                for g, table in zip(gens, tables):
-                    j = index.get(g * y)
-                    if j is None:
-                        raise ValidationError("element set is not closed under products")
-                    table[i] = j
-                    if j not in reached:
-                        reached.add(j)
-                        queue.append(j)
-        return tuple(gens), tuple(tuple(t) for t in tables)
+        return el in self.index
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label})"

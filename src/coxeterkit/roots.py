@@ -9,7 +9,8 @@ Vectors are plain tuples of int/Fraction/Cyclotomic entries.  The
 helpers ask "is it rational?" first (``linalg.RATIONAL_TYPES``), so A, B
 and D never load ``cyclotomic``.  Roots take the order budget and, for
 I2(m), the bond bound of ``classify``; ``geometric_rep`` takes a realized
-group, and the bond bound only.  The rank has no bound.
+group, and the bond bound only, and returns its checked ``Representation``.
+The rank has no bound.
 """
 
 from __future__ import annotations
@@ -339,13 +340,14 @@ def reflection_matrix(alpha, dim: int, gram: Matrix | None = None) -> Matrix:
     return Matrix(list(zip(*cols)))
 
 
-def geometric_rep(group: RealizedGroup) -> dict:
+def geometric_rep(group: RealizedGroup) -> Representation:
     """The faithful reflection representation of a group from ``realize``.
 
-    Maps every group element to its matrix, built multiplicatively from the
-    generator images sigma_s along the group's word DAG.  The defining
-    relations are checked on those images, and injectivity by distinct
-    matrices.  ValidationError for a ``Subgroup``, and GuardError past the
+    Its generator images are the reflections sigma_s in the simple roots,
+    under the bilinear form of the group's graph.  The defining relations
+    are checked on them, and faithfulness on the character: the kernel is
+    {g : chi(g) = chi(1)}, so no class but the identity's may take the
+    value dim.  ValidationError for a ``Subgroup``, and GuardError past the
     bond bound, before any matrix is built.
     """
     graph = coxeter_graph(group)
@@ -354,20 +356,10 @@ def geometric_rep(group: RealizedGroup) -> dict:
     gram = gram_matrix(graph)
     n = graph.n
     gens = [reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram) for s in range(n)]
-
     rep = Representation(group, gens)  # checks the defining relations
-    mats = [rep.matrix_of(el) for el in group.elements]
-    # injectivity via canonical matrix fingerprints
-    cond = 1
-    for g in gens:
-        cond = lcm(cond, _common_conductor(g.entries))
-    seen = {}
-    for i, m in enumerate(mats):
-        k = tuple(_vector_key(r, cond) for r in m.entries)
-        if k in seen:
-            raise InternalInconsistencyError("geometric representation is not injective")
-        seen[k] = i
-    return {group.elements[i]: mats[i] for i in range(group.order)}
+    if any(value == rep.dim for value in rep.character().values[1:]):
+        raise InternalInconsistencyError("geometric representation is not faithful")
+    return rep
 
 
 def fixed_space_dimension(matrices: list[Matrix]) -> int:

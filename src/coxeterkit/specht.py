@@ -6,8 +6,9 @@ groups", Selecta Math. 1996): the basis of the module of a shape is its
 standard tableaux (``tableaux.standard_tableaux``), and the adjacent transposition s_i = (i, i+1) acts
 through the axial distance of i and i+1 by checked sparse columns.  The
 paper's construction is kept too: the row and column groups of the
-identity tableau and the Young symmetrizer they give in the group algebra
-of S_n.  They and ``specht_module`` import ``groups`` and ``reps`` where
+identity tableau, each generated by the transpositions of neighbouring
+points in its rows or columns, and the Young symmetrizer they give in the
+group algebra of S_n.  They and ``specht_module`` import ``groups`` and ``reps`` where
 they are used; one guard, ``check_sn``, keeps them at n <= 7.  No table
 command loads this module: the tables' S_n characters are the rim-hook
 rule's ``tableaux.rim_hook_sum`` with mu = ().
@@ -15,7 +16,6 @@ rule's ``tableaux.rim_hook_sum`` with mu = ().
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -126,18 +126,6 @@ def identity_tableau_rows(shape) -> list[list[int]]:
     return rows
 
 
-def _block_permutations(n: int, blocks: list[list[int]]):
-    """All permutations of 0..n-1 stabilizing each block setwise."""
-    out = []
-    for assignment in itertools.product(*[itertools.permutations(b) for b in blocks]):
-        img = list(range(n))
-        for block, perm in zip(blocks, assignment):
-            for src, dst in zip(block, perm):
-                img[src] = dst
-        out.append(Permutation(img))
-    return out
-
-
 def row_column_blocks(shape) -> tuple[list[list[int]], list[list[int]]]:
     """Point sets of the rows and columns of the identity tableau (0-based)."""
     shape = validate_partition(shape)
@@ -148,14 +136,17 @@ def row_column_blocks(shape) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def row_column_groups(shape) -> tuple[Subgroup, Subgroup]:
-    """Row and column stabilizers of the identity tableau, as subgroups of S_n."""
+    """Row and column stabilizers of the identity tableau, as subgroups of S_n,
+    each generated by the transpositions of consecutive points in its blocks."""
     n = check_sn(shape)
     from .groups import realize
     from .reps import Subgroup
 
-    rows, cols = row_column_blocks(shape)
+    def swaps(blocks):
+        return [Permutation.transposition(n, a, b) for block in blocks for a, b in zip(block, block[1:])]
+
     group = realize(TypeLabel("A", n - 1))
-    return tuple(Subgroup(group, _block_permutations(n, blocks)) for blocks in (rows, cols))
+    return tuple(Subgroup(group, swaps(blocks)) for blocks in row_column_blocks(shape))
 
 
 def young_symmetrizer(shape) -> GroupAlgebraElement:

@@ -17,7 +17,8 @@ and stay there: each character check first realizes the group and compares
 its orbit classes with that class data, rep for rep and size for size, so
 all three report at every size, and past a bound all three fail on it.
 ``induction-closed-form`` induces each 2-dimensional I2(m) character from
-the rotation subgroup and compares it with the closed form.
+the rotation subgroup, generated by s_0 s_1, and compares it with the
+closed form; that subgroup is also the reciprocity check's sample for I2(m).
 ``index-two-dichotomy`` checks the group-order bound, then evaluates the
 B_n characters at D_n's own classes, which is the restriction, so it
 builds no B_n group.  The graph checks (``classification-roundtrip`` and
@@ -115,8 +116,7 @@ def run_verification(label: TypeLabel, max_order: int = MAX_ORDER) -> list[tuple
     def fixed_space():
         g = group()  # the order bound before geometric_rep's bond bound
         if label.family == "I2":
-            rep = geometric_rep(g)
-            mats = [rep[s] for s in g.generators]
+            mats = geometric_rep(g).matrices
             expected = 0
         else:
             mats = [s.natural_matrix() for s in g.generators]
@@ -259,13 +259,12 @@ def character_orthonormality(chars) -> tuple[bool, str]:
 
 
 def _sample_subgroup(group) -> Subgroup:
-    """Fixed small subgroup used for the reciprocity spot check; for I2(m),
-    the rotations, which ``induction-closed-form`` induces from."""
-    label = group.label
-    if label.family == "A":
-        keep = [g for g in group.elements if g(label.rank) == label.rank]  # S_n <= S_{n+1}
-    elif label.family == "I2":
-        keep = [g for g in group.elements if not g.reflected]
-    else:
-        keep = [g for g in group.elements if all(s == 1 for s in g.signs)]  # S_n <= B_n, D_n
-    return Subgroup(group, keep)
+    """Fixed small subgroup used for the reciprocity spot check, generated by
+    words in the group's generators: S_n inside A_n = S_(n+1), B_n and D_n;
+    for I2(m), the rotations, which ``induction-closed-form`` induces from."""
+    gens, family = group.generators, group.label.family
+    if family == "A":
+        return Subgroup(group, gens[:-1])  # S_n <= S_{n+1}, fixing the last point
+    if family == "I2":
+        return Subgroup(group, [gens[0] * gens[1]])
+    return Subgroup(group, gens[1:])  # S_n <= B_n, D_n

@@ -61,6 +61,14 @@ def test_type_label_rejects_the_ranks_next_to_its_family(family, rank):
         TypeLabel(family, rank, 5 if family == "I2" else None)
 
 
+@pytest.mark.parametrize("rank", [2.5, 2.0, True, False, "2"], ids=repr)
+def test_type_label_rank_is_an_exact_int(rank):
+    """A float or bool rank would print as ``A2.5`` or ``ATrue`` and break
+    the order formulas; it is bad input, like an out-of-range rank."""
+    with pytest.raises(ValidationError, match=f"^invalid rank {rank} for family A$"):
+        TypeLabel("A", rank)
+
+
 def test_type_label_accepts_every_rank_of_its_family():
     for family, ranks in {"A": [1, 60], "B": [1, 60], "D": [4, 60], "E": [6, 7, 8], "F": [4], "H": [3, 4]}.items():
         for rank in ranks:

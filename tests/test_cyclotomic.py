@@ -49,6 +49,14 @@ def test_equality_across_conductors():
     assert Cyclotomic.zeta(5) + Cyclotomic.zeta(5, 4) == -1 - Cyclotomic.zeta(5, 2) - Cyclotomic.zeta(5, 3)
 
 
+@pytest.mark.parametrize("n", [0, -1, -6])
+def test_zeta_needs_a_positive_conductor(n):
+    with pytest.raises(ValidationError, match=f"^conductor must be >= 1, got {n}$"):
+        Cyclotomic.zeta(n)
+    with pytest.raises(ValidationError, match=f"^conductor must be >= 1, got {n}$"):
+        Cyclotomic.zeta(n, 3)
+
+
 def test_rationality_detection():
     v = Cyclotomic.zeta(5) + Cyclotomic.zeta(5, 2) + Cyclotomic.zeta(5, 3) + Cyclotomic.zeta(5, 4)
     assert v.is_rational() and v.rational_value() == -1

@@ -21,8 +21,9 @@ from coxeterkit.families import (
 )
 from coxeterkit.groups import realize
 from coxeterkit.permutations import Permutation
-from coxeterkit.reps import Subgroup, inner_product, restrict_character
+from coxeterkit.reps import inner_product, restrict_character
 from coxeterkit.tableaux import hyperoctahedral_dimensions, partitions_of
+from test_oracles import little_subgroup
 
 
 def dim_int(value) -> int:
@@ -118,8 +119,7 @@ def test_extended_block_characters_satisfy_reciprocity():
         bn = realize(TypeLabel("B", n))
         for label, chi, _ in hyperoctahedral_irreducibles(n):
             a = label.a
-            block = [g for g in bn.elements if all((g.perm(i) < a) == (i < a) for i in range(n))]
-            sub = Subgroup(bn, block)
+            sub = little_subgroup(n, a)
             values = []
             for rep in sub.classes.reps:
                 first = Permutation([rep.perm(i) for i in range(a)])

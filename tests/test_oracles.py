@@ -6,9 +6,10 @@ below are the direct definitions they replaced: classes by conjugating with
 every element, and induction by the sum over the whole group.  They share no
 code with the kernel beyond element products and, for induction, the
 subgroup's class lookup, which the class oracle checks on every subgroup used.
-A subgroup runs on the realized groups' index engine over the generating set
-its closure search picks, so each subgroup also has its generator tables
-checked against fresh products and its word DAG against its elements.
+A subgroup is the closure of its generators on the realized groups' index
+engine, so each subgroup also has its elements checked against a filter
+of the parent's elements, its generator tables against fresh products and
+its word DAG against its elements.
 
 The S_n characters come from the Murnaghan-Nakayama rule on beta-sets
 (``tableaux.symmetric_character_value``).  Four oracles check them: the
@@ -68,6 +69,7 @@ from coxeterkit.families import (
 from coxeterkit.graphs import CoxeterGraph, INFINITY, gram_matrix, subgraph
 from coxeterkit.groups import realize
 from coxeterkit.linalg import Matrix, sign
+from coxeterkit.permutations import SignedPermutation
 from coxeterkit.reps import (
     Representation,
     Subgroup,
@@ -77,6 +79,7 @@ from coxeterkit.reps import (
 )
 from coxeterkit.roots import RootSystem, root_system
 from coxeterkit.specht import (
+    row_column_blocks,
     row_column_groups,
     seminormal_action,
     specht_module,
@@ -157,10 +160,13 @@ def test_group_classes_match_brute_force(label):
 
 def little_subgroup(n: int, a: int) -> Subgroup:
     """The block stabilizer B_a x B_(n-a) inside B_n: every sign vector times
-    the permutations that keep {0..a-1} and {a..n-1}."""
+    the permutations that keep {0..a-1} and {a..n-1}, generated by the sign
+    flips at 0 and a and the swaps inside each block."""
     group = realize(TypeLabel("B", n))
-    keeps = [g for g in group.elements if all((g.perm(i) < a) == (i < a) for i in range(n))]
-    return Subgroup(group, keeps)
+    gens = [s for i, s in enumerate(group.generators) if i != a]  # s_a swaps a-1 and a
+    if a < n:
+        gens.append(SignedPermutation.sign_flip(n, a))
+    return Subgroup(group, gens)
 
 
 def block_cycle_type(p, points) -> tuple[int, ...]:
@@ -191,15 +197,27 @@ def extended_character(n: int, label) -> ClassFunction:
     return ClassFunction(sub, values, str(label))
 
 
+def element_filter(group, keep) -> tuple:
+    """The elements of a group that a predicate keeps, in the group's order."""
+    return tuple(g for g in group.elements if keep(g))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_little_subgroup_classes_match_brute_force(n):
+    group = realize(TypeLabel("B", n))
     for a in range(n + 1):
-        assert_runs_on_the_group_engine(little_subgroup(n, a))
+        sub = little_subgroup(n, a)
+        keep = element_filter(group, lambda g: all((g.perm(i) < a) == (i < a) for i in range(n)))
+        assert sub.elements == keep
+        assert_runs_on_the_group_engine(sub)
 
 
-@pytest.mark.parametrize("label", [TypeLabel("I2", 2, m) for m in range(3, 13)], ids=str)
+@pytest.mark.parametrize("label", [TypeLabel("I2", 2, m) for m in range(3, 25)], ids=str)
 def test_rotation_subgroup_classes_match_brute_force(label):
-    assert_runs_on_the_group_engine(_sample_subgroup(realize(label)))
+    group = realize(label)
+    sub = _sample_subgroup(group)
+    assert sub.elements == element_filter(group, lambda g: not g.reflected)
+    assert_runs_on_the_group_engine(sub)
 
 
 @pytest.mark.parametrize(
@@ -210,8 +228,27 @@ def test_rotation_subgroup_classes_match_brute_force(label):
     ids=str,
 )
 def test_symmetric_sample_subgroup_runs_on_the_group_engine(label):
-    """The S_n that ``verify`` samples inside A_n, B_n and D_n."""
-    assert_runs_on_the_group_engine(_sample_subgroup(realize(label)))
+    """The S_n that ``verify`` samples inside A_n, B_n and D_n: the elements
+    that fix the last point of A_n, and those with no sign in B_n and D_n."""
+    group = realize(label)
+    sub = _sample_subgroup(group)
+    if label.family == "A":
+        keep = element_filter(group, lambda g: g(label.rank) == label.rank)
+    else:
+        keep = element_filter(group, lambda g: all(s == 1 for s in g.signs))
+    assert sub.elements == keep
+    assert_runs_on_the_group_engine(sub)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_row_and_column_groups_are_their_element_filters(n):
+    """Each group is every permutation that keeps each of its blocks."""
+    group = realize(TypeLabel("A", n - 1))
+    for shape in partitions_of(n):
+        for sub, blocks in zip(row_column_groups(shape), row_column_blocks(shape)):
+            blocks = [set(block) for block in blocks]
+            keep = element_filter(group, lambda g: all(g(i) in block for block in blocks for i in block))
+            assert sub.elements == keep, (shape, blocks)
 
 
 @pytest.mark.parametrize("label", A_LABELS, ids=str)
@@ -240,7 +277,7 @@ def test_little_group_induction_matches_brute_force(label):
 
 def test_d4_induction_matches_brute_force():
     group = realize(TypeLabel("D", 4))
-    perms = Subgroup(group, [g for g in group.elements if all(s == 1 for s in g.signs)])
+    perms = Subgroup(group, group.generators[1:])
     assert_runs_on_the_group_engine(perms)
     assert_induces_like_oracle(trivial_character(perms), group)
     signs = [Fraction(rep.perm.sign()) for rep in perms.classes.reps]

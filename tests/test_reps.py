@@ -127,11 +127,10 @@ def test_equal_characters_decompose_identically():
 
 def test_induced_character_examples():
     group = s3()
-    fix3 = [g for g in group.elements if g(2) == 2]
-    sub = Subgroup(group, fix3)
+    sub = Subgroup(group, group.generators[:1])  # the transposition (0 1) fixes 2
     ind = induce_character(trivial_character(sub), group)
     assert list(ind.values) == [Fraction(3), Fraction(1), Fraction(0)]
-    only_e = Subgroup(group, [group.identity])
+    only_e = Subgroup(group, [])
     ind_reg = induce_character(trivial_character(only_e), group)
     assert list(ind_reg.values) == [Fraction(6), Fraction(0), Fraction(0)]
     assert ind.identity_value == Fraction(group.order, sub.order) * 1
@@ -139,32 +138,39 @@ def test_induced_character_examples():
 
 def test_subgroup_validation():
     group = s3()
-    with pytest.raises(ValidationError, match="needs at least one element"):
-        Subgroup(group, [])
-    with pytest.raises(ValidationError, match="does not contain the identity"):
-        Subgroup(group, [group.elements[1]])
-    with pytest.raises(ValidationError, match="order does not divide the group order"):
-        Subgroup(group, group.elements[:4])
-    with pytest.raises(ValidationError, match="not closed under products"):
-        Subgroup(group, [group.identity, Permutation((1, 2, 0))])
-    sub = Subgroup(group, [group.identity, Permutation((1, 0, 2))])
+    with pytest.raises(ValidationError, match=r"does not belong to A2"):
+        Subgroup(group, [Permutation((1, 0, 2)), Permutation((1, 0, 2, 3))])
+    sub = Subgroup(group, [Permutation((1, 0, 2))])
+    assert sub.elements == (group.identity, Permutation((1, 0, 2)))
+    assert sub.contains(Permutation((1, 0, 2))) and not sub.contains(Permutation((0, 2, 1)))
     with pytest.raises(ValidationError, match=r"element .* is not in the subgroup"):
         sub.index_of(Permutation((0, 2, 1)))
     with pytest.raises(ValidationError, match=r"element .* is not in the subgroup"):
         sub.class_index(Permutation((0, 2, 1)))
-    # the checks run in this order: an element set with no identity whose
-    # size does not divide |G| and that is not closed reports the identity
-    with pytest.raises(ValidationError, match="does not contain the identity"):
-        Subgroup(group, group.elements[1:5])
-    not_closed = [Permutation((1, 2, 0)), Permutation((1, 0, 2)), Permutation((0, 2, 1))]
-    with pytest.raises(ValidationError, match="order does not divide"):
-        Subgroup(group, [group.identity] + not_closed)
+
+
+def test_subgroup_is_the_closure_of_its_generators():
+    """No generators give the trivial subgroup; one 3-cycle gives A_3, listed
+    in the parent's order whatever the order of the generators; repeated
+    generators and the identity change nothing."""
+    group = s3()
+    trivial = Subgroup(group, [])
+    assert trivial.elements == (group.identity,) and trivial.generator_tables() == ()
+    assert trivial.classes.sizes == (1,)
+    cycle = Permutation((1, 2, 0))
+    a3 = Subgroup(group, [cycle])
+    assert a3.elements == tuple(g for g in group.elements if g.sign() == 1)
+    assert a3.classes.sizes == (1, 1, 1)
+    assert Subgroup(group, [group.identity, cycle, cycle]).elements == a3.elements
+    whole = Subgroup(group, reversed(group.generators))
+    assert whole.elements == group.elements
+    assert whole.classes == group.classes
 
 
 def test_restriction_examples():
     group = s3()
     table = s3_table()
-    sub = Subgroup(group, [g for g in group.elements if g(2) == 2])
+    sub = Subgroup(group, group.generators[:1])
     res = restrict_character(table[1], sub)
     assert list(res.values) == [Fraction(2), Fraction(0)]  # = triv + sgn of S_2
     assert list(restrict_character(trivial_character(group), sub).values) == [1, 1]
@@ -177,7 +183,7 @@ def test_frobenius_reciprocity_randomized():
     rng = random.Random(91)
     group = s3()
     table = list(s3_table())
-    sub = Subgroup(group, [g for g in group.elements if g(2) == 2])
+    sub = Subgroup(group, group.generators[:1])
     sub_table = [trivial_character(sub), ClassFunction(sub, [Fraction(1), Fraction(-1)])]
     for _ in range(10):
         chi = rng.choice(sub_table)
@@ -221,8 +227,7 @@ def test_inner_product_conjugates_complex_values():
     from coxeterkit.cyclotomic import Cyclotomic
 
     group = realize(TypeLabel("I2", 2, 5))
-    rotations = [g for g in group.elements if not g.reflected]
-    sub = Subgroup(group, rotations)
+    sub = Subgroup(group, [group.generators[0] * group.generators[1]])
     phis = [
         ClassFunction(sub, [Cyclotomic.zeta(5, k * el.rotation) for el in sub.classes.reps])
         for k in range(5)

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from coxeterkit.classify import BOND_BOUND, TypeLabel, coxeter_group_order
 from coxeterkit.cyclotomic import Cyclotomic
-from coxeterkit.errors import GuardError, UnsupportedTypeError, ValidationError
+from coxeterkit.errors import GuardError, InternalInconsistencyError, UnsupportedTypeError, ValidationError
 from coxeterkit.graphs import gram_matrix
 from coxeterkit.groups import realize
 from coxeterkit.linalg import RATIONAL_TYPES, Matrix, sign
+import coxeterkit.roots as roots
 from coxeterkit.roots import (
     RootSystem,
     _reflect,
@@ -223,14 +224,14 @@ def test_conjugation_identity(label, data):
 def test_geometric_rep_rank_one():
     group = realize(TypeLabel("A", 1))
     rep = geometric_rep(group)
-    assert rep[group.generators[0]] == Matrix([[-1]])
+    assert rep.matrix_of(group.generators[0]) == Matrix([[-1]])
 
 
 def test_geometric_rep_dihedral_rotation_order():
     for m in (5, 7):
         group = realize(TypeLabel("I2", 2, m))
         rep = geometric_rep(group)
-        prod = rep[group.generators[0]] * rep[group.generators[1]]
+        prod = rep.matrix_of(group.generators[0]) * rep.matrix_of(group.generators[1])
         power = prod
         k = 1
         while not power.is_identity():
@@ -242,7 +243,7 @@ def test_geometric_rep_dihedral_rotation_order():
 def test_geometric_rep_a2_column():
     group = realize(TypeLabel("A", 2))
     rep = geometric_rep(group)
-    sigma = rep[group.generators[0]]
+    sigma = rep.matrix_of(group.generators[0])
     assert sigma.column(1) == (Fraction(1), Fraction(1))  # alpha' -> alpha' + alpha
 
 
@@ -250,10 +251,20 @@ def test_geometric_rep_is_homomorphism_and_injective():
     label = TypeLabel("B", 2)
     group = realize(label)
     rep = geometric_rep(group)
-    assert len(rep) == group.order
+    images = [rep.matrix_of(g) for g in group.elements]
+    assert all(a != b for i, a in enumerate(images) for b in images[:i])
     for a in group.elements:
         for b in group.elements:
-            assert rep[a * b] == rep[a] * rep[b]
+            assert rep.matrix_of(a * b) == rep.matrix_of(a) * rep.matrix_of(b)
+
+
+@pytest.mark.parametrize("label", [TypeLabel("A", 2), TypeLabel("B", 2), TypeLabel("I2", 2, 5)], ids=str)
+def test_geometric_rep_rejects_a_representation_with_a_kernel(label, monkeypatch):
+    """Every generator sent to [[-1]] is the sign representation: it satisfies
+    every Coxeter relation, but the even elements lie in its kernel."""
+    monkeypatch.setattr(roots, "reflection_matrix", lambda *args: Matrix([[-1]]))
+    with pytest.raises(InternalInconsistencyError, match="not faithful"):
+        geometric_rep(realize(label))
 
 
 def hand_built_generators(gram: Matrix) -> list[Matrix]:
@@ -287,7 +298,7 @@ def test_geometric_rep_generators_match_the_hand_built_reflections(label):
     group = realize(label)
     rep = geometric_rep(group)
     expected = hand_built_generators(gram_matrix(group.graph))
-    assert [rep[g] for g in group.generators] == expected
+    assert [rep.matrix_of(g) for g in group.generators] == expected
 
 
 @pytest.mark.parametrize(
@@ -321,8 +332,8 @@ def test_generator_images_keep_the_entry_types_of_the_reflections(label):
     rep = geometric_rep(group)
     for s, g in enumerate(group.generators):
         sigma = reflection_matrix([Fraction(int(i == s)) for i in range(n)], n, gram)
-        assert rep[g] == sigma
-        for got, want in zip(rep[g].entries, sigma.entries):
+        assert rep.matrix_of(g) == sigma
+        for got, want in zip(rep.matrix_of(g).entries, sigma.entries):
             assert [type(x) in RATIONAL_TYPES for x in got] == [type(x) in RATIONAL_TYPES for x in want]
 
 
@@ -335,4 +346,4 @@ def test_fixed_space_dimensions():
     assert fixed_space_dimension([g.natural_matrix() for g in d4.generators]) == 0
     i26 = realize(TypeLabel("I2", 2, 6))
     rep = geometric_rep(i26)
-    assert fixed_space_dimension([rep[g] for g in i26.generators]) == 0
+    assert fixed_space_dimension([rep.matrix_of(g) for g in i26.generators]) == 0
