@@ -37,7 +37,10 @@ Every enumerating check takes the order bound from one ``realize``, so
 runs once per family: A3, A4, A7, B6, D4, D6, I2(11), I2(24) and I2(79).
 ``chartable`` with no type is a usage error, exit 1, and so is a bond
 label ``false``, which JSON equality takes for 0, the unbounded bond, and
-an ``"edges": null``, which is not a list.
+an ``"edges": null``, which is not a list, a bond label of 5000 digits,
+past the digit limit of ``int()``, and 100000 open brackets, past the
+decoder's recursion limit; each of these prints ``error: ``.  Any run
+whose stderr holds a ``Traceback`` fails.
 ``argparse`` loads only for a command line that the plain reader of
 ``cli.main`` leaves to it, so ``--help`` (exit 0, the usage on stdout), an
 abbreviated ``--form json``, a ``--max-order=24`` and a bad ``--max-order x``
@@ -76,6 +79,9 @@ GRAPHS = {
     "k48-3.json": ({"n": 48, "edges": [[i, j, 3] for i in range(48) for j in range(i + 1, 48)]}, 2),
     "false-label.json": ({"n": 2, "edges": [[0, 1, False]]}, 1),
     "null-edges.json": ({"n": 2, "edges": None}, 1),
+    # raw texts past the decoder's limits, which json.dumps cannot write
+    "label-5000-digits.json": ('{"n": 2, "edges": [[0, 1, ' + "9" * 5000 + "]]}", 1),
+    "open-brackets-100000.json": ("[" * 100_000, 1),
 }
 COMMANDS = [
     ["realize", "A3"],
@@ -117,12 +123,13 @@ def run() -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
                PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
-        runs = []
+        classify_runs = []
         for name, (graph, code) in GRAPHS.items():
             path = Path(tmp) / name
-            path.write_text(json.dumps(graph))
-            runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S))
-        runs += [(argv, 0, None) for argv in COMMANDS]
+            path.write_text(graph if isinstance(graph, str) else json.dumps(graph))
+            prefix = "error: " if code == 1 else ""
+            classify_runs.append((["classify", str(path)], code, CLASSIFY_TIMEOUT_S, (), prefix))
+        runs = [(argv, 0, None) for argv in COMMANDS]
         for argv in (["chartable", "A15"], ["chartable", "B8"], ["chartable", "D8"], ["realize", "B6"],
                      ["verify", "A7"], ["verify", "B6"], ["verify", "D6"], ["verify", "I2(24)"],
                      ["verify", "I2(79)"], ["irreps", "I2(24)"], ["--format", "json", "chartable", "I2(24)"],
@@ -133,7 +140,7 @@ def run() -> int:
                  (["irreps", f"I2({PAST_BOND})"], 3, TABLE_TIMEOUT_S),
                  (["chartable"], 1, TABLE_TIMEOUT_S)]
         runs += [(argv, 0, None) for argv in ARGPARSE_COMMANDS] + [(["--max-order", "x", "irreps", "A3"], 1, None)]
-        runs = [(argv, want, timeout, (), "") for argv, want, timeout in runs]
+        runs = classify_runs + [(argv, want, timeout, (), "") for argv, want, timeout in runs]
         runs.append((["verify", f"I2({PAST_BOND})"], 2, TABLE_TIMEOUT_S, BOND_GUARD_LINES, ""))
         runs.append((["verify", "A9"], 2, TABLE_TIMEOUT_S, ROOT_ORDER_LINES, ""))
         runs.append((["verify", "B9"], 2, TABLE_TIMEOUT_S, B9_ORDER_LINES, ""))
@@ -148,7 +155,7 @@ def run() -> int:
             lines = proc.stdout.count("\n")
             print(f"exit {proc.returncode}  {lines:4d} lines  coxeterkit {' '.join(argv)}")
             missing = [line for line in lines_wanted if line not in proc.stdout.splitlines()]
-            if proc.returncode != want or missing or not proc.stdout.startswith(prefix):
+            if proc.returncode != want or missing or not proc.stdout.startswith(prefix) or "Traceback" in proc.stderr:
                 sys.stdout.write(proc.stdout + proc.stderr)
                 return 1
     return 0

@@ -41,20 +41,18 @@ def catalog_graph(t: TypeLabel) -> CoxeterGraph:
     """
     f, n = t.family, t.rank
     path = [(i, i + 1, 3) for i in range(n - 1)]
-    if f == "A":
+    if f == "A" or n == 1:  # B1 is the A1 graph
         return CoxeterGraph(n, path)
     if f == "B":
-        if n == 1:
-            return CoxeterGraph(1)
-        return CoxeterGraph(n, [(0, 1, 4)] + [(i, i + 1, 3) for i in range(1, n - 1)])
+        return CoxeterGraph(n, [(0, 1, 4)] + path[1:])
     if f == "D":
-        return CoxeterGraph(n, [(0, 2, 3), (1, 2, 3)] + [(i, i + 1, 3) for i in range(2, n - 1)])
+        return CoxeterGraph(n, [(0, 2, 3), (1, 2, 3)] + path[2:])
     if f == "E":
-        return CoxeterGraph(n, [(i, i + 1, 3) for i in range(n - 2)] + [(2, n - 1, 3)])
+        return CoxeterGraph(n, path[:-1] + [(2, n - 1, 3)])
     if f == "F":
         return CoxeterGraph(4, [(0, 1, 3), (1, 2, 4), (2, 3, 3)])
     if f == "H":
-        return CoxeterGraph(n, [(0, 1, 5)] + [(i, i + 1, 3) for i in range(1, n - 1)])
+        return CoxeterGraph(n, [(0, 1, 5)] + path[1:])
     return CoxeterGraph(2, [(0, 1, t.bond)])
 
 
@@ -72,16 +70,13 @@ def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
         out.append((f"A~{n}", CoxeterGraph(n + 1, cycle)))
     out.append(("B~2=C~2", CoxeterGraph(3, [(0, 1, 4), (1, 2, 4)])))
     for n in range(3, max_rank + 1):
-        edges = [(0, 2, 3), (1, 2, 3)]
-        edges += [(i, i + 1, 3) for i in range(2, n - 1)]
-        edges.append((n - 1, n, 4))
+        edges = [(0, 2, 3), (1, 2, 3)] + [(i, i + 1, 3) for i in range(2, n - 1)] + [(n - 1, n, 4)]
         out.append((f"B~{n}", CoxeterGraph(n + 1, edges)))
     for n in range(3, max_rank + 1):
         edges = [(0, 1, 4)] + [(i, i + 1, 3) for i in range(1, n - 1)] + [(n - 1, n, 4)]
         out.append((f"C~{n}", CoxeterGraph(n + 1, edges)))
     for n in range(4, max_rank + 1):
-        edges = [(0, 2, 3), (1, 2, 3)]
-        edges += [(i, i + 1, 3) for i in range(2, n - 2)]
+        edges = [(0, 2, 3), (1, 2, 3)] + [(i, i + 1, 3) for i in range(2, n - 2)]
         edges += [(n - 1, n - 2, 3), (n, n - 2, 3)]
         out.append((f"D~{n}", CoxeterGraph(n + 1, edges)))
     out.append(("E~6", CoxeterGraph(7, [(i, i + 1, 3) for i in range(4)] + [(2, 5, 3), (5, 6, 3)])))
@@ -163,20 +158,20 @@ def _match_connected(adj, vertices) -> tuple | None:
     n = len(vertices)
     if n == 1:
         return "A", 1, None
-    if sum(len(adj[v]) for v in vertices) != 2 * n - 2:
+    degrees = [len(adj[v]) for v in vertices]
+    if sum(degrees) != 2 * n - 2:
         return None
-    branches = [v for v in vertices if len(adj[v]) > 2]
-    if branches:
-        b = branches[0]
-        if len(branches) > 1 or len(adj[b]) > 3 or any(m != 3 for v in vertices for m in adj[v].values()):
+    if max(degrees) > 2:
+        if max(degrees) > 3 or degrees.count(3) > 1 or any(m != 3 for v in vertices for m in adj[v].values()):
             return None
+        b = vertices[degrees.index(3)]
         short, mid, long = sorted(len(_walk(adj, b, s)) for s in adj[b])
         if short == mid == 1:
             return "D", long + 3, None
         if short == 1 and mid == 2 and long in (2, 3, 4):
             return "E", long + 4, None
         return None
-    end = next(v for v in vertices if len(adj[v]) == 1)
+    end = vertices[degrees.index(1)]
     path = [end] + _walk(adj, end, next(iter(adj[end])))
     seq = [adj[a][b] for a, b in zip(path, path[1:])]
     if n == 2 and 4 < seq[0] < INFINITY:  # A2, B2 and an INFINITY bond are read below

@@ -13,17 +13,29 @@ The checks read a graph through one adjacency ``adj``, ``adj[v]`` mapping
 each neighbour of v, in increasing order, to its bond (as built by
 ``CoxeterGraph._adjacency``), and a subgraph as its increasing vertex list,
 never a renumbered copy: a component is closed in ``adj``, and a candidate
-of ``minimal_rejected`` filters it.  A forest whose bonds are 3, 4, 6 or
-inf never loads ``cyclotomic``.
+of ``minimal_rejected`` refilters the entries of its deleted vertex's
+neighbours.  A forest whose bonds are 3, 4, 6 or inf never loads cyclotomic.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .errors import InternalInconsistencyError
 from .graphs import INFINITY, CoxeterGraph, gram_entry, induced_parts
 from .linalg import invert_scalar, sign
 
-_WEIGHTS = {3: 1, 4: 2, 6: 3, INFINITY: 4}  # the rational values of 4cos^2(pi/m)
+
+class _Weights(dict):
+    """The weights w of ``pivot_signs`` by bond, each built on its first use."""
+
+    def __missing__(self, m):
+        from .cyclotomic import Cyclotomic
+
+        return self.setdefault(m, Cyclotomic(m, {0: 2, 1: 1, -1: 1}))
+
+
+_WEIGHTS = _Weights({3: 1, 4: 2, 6: 3, INFINITY: 4})
 
 
 def pivot_signs(g: CoxeterGraph) -> list[int]:
@@ -41,9 +53,9 @@ def pivot_signs(g: CoxeterGraph) -> list[int]:
     starts as num/den = 2/1, and a leaf v with pivot a/b and bond m to u sets
     num[u] = num[u]*a - w*b*den[u] and den[u] = den[u]*a, with the weight
     w = 4cos^2(pi/m) (1, 2, 3, 4 for m = 3, 4, 6, inf; else 2 + zeta_m +
-    zeta_m^-1).  Since den > 0, a pivot's sign is sign(num).  A vertex that
-    still has two neighbours when its turn comes lies on a cycle; the graph
-    then takes the elimination of sparse rows over the field.
+    zeta_m^-1).  Since den > 0, a pivot's sign is sign(num).  When no leaf
+    or isolated vertex is left, the graph has a cycle and takes the
+    elimination of sparse rows over the field.
     """
     return _pivot_signs(g._adjacency(), range(g.n))
 
@@ -58,33 +70,31 @@ def _pivot_signs(adj, vertices) -> list[int]:
 
 
 def _forest_signs(adj, vertices) -> list[int] | None:
-    """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle."""
-    bonds = {m for v in vertices for m in adj[v].values()}
-    weight = {m: _WEIGHTS.get(m) or _cyclotomic_weight(m) for m in bonds}
-    left = {v: {u: weight[m] for u, m in adj[v].items()} for v in vertices}
+    """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle.
+    ``ready`` lists the isolated vertices, then the leaves, each increasing:
+    the order of ``pivot_signs``.  A vertex whose degree falls to 1 is
+    ``insort``-ed among the leaves, and one whose degree falls to 0 is next."""
+    left = {v: {u: _WEIGHTS[m] for u, m in adj[v].items()} for v in vertices}
+    ready = [v for v in vertices if not left[v]] + [v for v in vertices if len(left[v]) == 1]
     num, den = dict.fromkeys(vertices, 2), dict.fromkeys(vertices, 1)
     signs = []
-    while left:
-        v = min(left, key=lambda u: (len(left[u]), u))
-        edges = left.pop(v)
-        if len(edges) > 1:
-            return None
+    while ready:
+        v = ready.pop(0)
         a, b = num[v], den[v]
         signs.append(sign(a))
         if signs[-1] <= 0:
-            break
-        for u, w in edges.items():
-            del left[u][v]
+            return signs
+        for u, w in left.pop(v).items():
+            edges = left[u]
+            del edges[v]
             num[u] = num[u] * a - b * den[u] * w
             den[u] = den[u] * a
-    return signs
-
-
-def _cyclotomic_weight(m: int):
-    """4cos^2(pi/m) = 2 + zeta_m + zeta_m^-1, for a bond outside ``_WEIGHTS``."""
-    from .cyclotomic import Cyclotomic
-
-    return Cyclotomic(m, {0: 2, 1: 1, -1: 1})
+            if len(edges) == 1:
+                insort(ready, u)
+            elif not edges:
+                ready.remove(u)
+                ready.insert(0, u)
+    return None if left else signs
 
 
 def _row_signs(adj, vertices) -> list[int]:
@@ -136,21 +146,22 @@ def minimal_rejected(adj, vertices, match) -> tuple[list[int], dict]:
     One sweep over the vertices: when deleting v leaves a rejected part,
     move into that part.  A vertex whose deletion left only matched parts is
     never tried again, since every part of a smaller set minus v is an
-    induced subgraph of one of those parts.  The parts of part - {v} are
-    tried in the order of their least vertex; each keeps the part's entries
-    but for those of v's neighbours, which drop v.
+    induced subgraph of one of those parts.  Deleting a leaf leaves one
+    part; any other deletion tries the parts of part - {v} in the order of
+    their least vertex, skipping single vertices (A1).  A candidate is ``sub``
+    with the entries of v's neighbours refiltered; the entries outside the
+    part stay, unread, until ``sub`` is cut to the last part at the end.
     """
     part, sub = list(vertices), {v: adj[v] for v in vertices}
     for v in vertices:
-        if v not in sub:
-            continue
-        near = sub[v]
-        for comp in induced_parts(sub, [u for u in part if u != v]):
-            candidate = {u: {w: m for w, m in sub[u].items() if w != v} if u in near else sub[u] for u in comp}
-            if match(candidate, comp) is None:
-                part, sub = comp, candidate
-                break
-    return part, sub
+        if v in part:
+            candidate = sub | {u: {w: m for w, m in sub[u].items() if w != v} for u in sub[v]}
+            rest = [u for u in part if u != v]
+            for comp in [rest] if len(sub[v]) == 1 else induced_parts(candidate, rest):
+                if len(comp) > 1 and match(candidate, comp) is None:
+                    part, sub = comp, candidate
+                    break
+    return part, {u: sub[u] for u in part}
 
 
 def certify(g: CoxeterGraph) -> str:

@@ -31,9 +31,7 @@ INFINITY = math.inf
 
 
 def _is_valid_label(m) -> bool:
-    if m is INFINITY:
-        return True
-    return type(m) is int and m >= 2
+    return m is INFINITY or type(m) is int and m >= 2
 
 
 class CoxeterGraph:
@@ -45,28 +43,22 @@ class CoxeterGraph:
         if type(n) is not int or n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         labels: dict[tuple[int, int], object] = {}
-        seen = set()
-        if isinstance(edges, dict):
-            items = ((i, j, m) for (i, j), m in edges.items())
-        else:
-            items = ((e[0], e[1], e[2]) for e in edges)
-        for i, j, m in items:
-            if not (type(i) is int and type(j) is int):
+        for e in [(i, j, m) for (i, j), m in edges.items()] if isinstance(edges, dict) else edges:
+            i, j, m = e[0], e[1], e[2]
+            if type(i) is not int or type(j) is not int:
                 raise ValidationError(f"vertex indices must be integers, got ({i!r}, {j!r})")
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
+            key = (i, j) if i < j else (j, i)
+            if key[0] < 0 or key[1] >= n:
                 raise ValidationError(f"vertex out of range in edge ({i}, {j})")
-            key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in labels:
                 raise ValidationError(f"duplicate edge {key}")
-            seen.add(key)
             if not _is_valid_label(m):
                 raise ValidationError(f"bond label must be an integer >= 2 or INFINITY, got {m!r}")
-            if m != 2:
-                labels[key] = m
+            labels[key] = m
         self.n = n
-        self.labels = labels
+        self.labels = {k: m for k, m in labels.items() if m != 2} if 2 in labels.values() else labels
         self._adj = None
 
     def label(self, i: int, j: int):
@@ -202,18 +194,16 @@ def induced_parts(adj, keep) -> list[list[int]]:
     unseen = set(keep)
     parts = []
     for start in keep:
-        if start not in unseen:
-            continue
-        unseen.discard(start)
-        part, stack = [start], [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in unseen:
-                    unseen.discard(w)
-                    part.append(w)
-                    stack.append(w)
-        part.sort()
-        parts.append(part)
+        if start in unseen:
+            unseen.discard(start)
+            part = [start]
+            for u in part:  # the loop reads what it appends: a breadth-first search
+                for w in adj[u]:
+                    if w in unseen:
+                        unseen.discard(w)
+                        part.append(w)
+            part.sort()
+            parts.append(part)
     return parts
 
 
@@ -266,6 +256,10 @@ def parse_graph_json(text: str) -> CoxeterGraph:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer past the interpreter's limit on digits
+        raise ValidationError("invalid JSON: a number has too many digits") from e
+    except RecursionError as e:
+        raise ValidationError("invalid JSON: arrays or objects nested too deeply") from e
     if not isinstance(data, dict) or "n" not in data:
         raise ValidationError('graph JSON must be an object with an "n" field')
     edges = data.get("edges", [])

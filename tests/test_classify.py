@@ -1,9 +1,10 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coxeterkit.certify as certify_module
@@ -488,10 +489,10 @@ def test_pivot_signs_of_affine_trees(g):
 
 
 def random_forest(rng):
-    """A forest on 1-7 vertices, numbered at random: each vertex after the
+    """A forest on 1-12 vertices, numbered at random: each vertex after the
     first joins an earlier one with probability 0.8, by a bond drawn from
     3, 4, 5, 6, 7, 8 and INFINITY."""
-    n = rng.randint(1, 7)
+    n = rng.randint(1, 12)
     perm = list(range(n))
     rng.shuffle(perm)
     edges = [(perm[k], perm[rng.randrange(k)], rng.choice([3, 4, 5, 6, 7, 8, INFINITY]))
@@ -501,8 +502,6 @@ def random_forest(rng):
 
 @pytest.mark.parametrize("seed", range(150))
 def test_forest_pivot_signs_match_the_field_elimination(seed):
-    import random
-
     g = random_forest(random.Random(seed))
     signs = certify_module.pivot_signs(g)
     assert signs == reference_row_signs(g) == dense_minor_signs(g), g
@@ -517,8 +516,54 @@ def test_a_cycle_with_n_minus_1_edges_takes_the_row_elimination(triangle):
     assert certify_module.pivot_signs(g) == dense_minor_signs(g) == reference_row_signs(g)
 
 
+FINITE_PIECES = [catalog_graph(t) for t in classification_catalog(8, [5, 8, 12])]
+AFFINE_PIECES = [g for _, g in affine_catalog(7)]
+
+
+def scan_shaped(seed):
+    """A disjoint union of 2-3 pieces, 8-24 vertices in all, under a random
+    permutation of the vertices.  Each piece is a catalog graph of rank
+    1-8 or an affine graph of rank 2-8 with one extra vertex joined to it
+    by a bond 3, 4 or 5: the shape of the graphs a classify scan reads."""
+    rng = random.Random(seed)
+    pieces = []
+    while not 8 <= sum(p.n for p in pieces) <= 24:
+        pieces = []
+        for _ in range(rng.choice((2, 3))):
+            affine = rng.random() < 0.5
+            g = rng.choice(AFFINE_PIECES if affine else FINITE_PIECES)
+            if affine:
+                g = CoxeterGraph(g.n + 1, g.edges() + [(rng.randrange(g.n), g.n, rng.choice((3, 4, 5)))])
+            pieces.append(g)
+    n = sum(p.n for p in pieces)
+    perm, offset, edges = rng.sample(range(n), n), 0, []
+    for p in pieces:
+        edges += [(perm[offset + i], perm[offset + j], m) for i, j, m in p.edges()]
+        offset += p.n
+    return CoxeterGraph(n, edges)
+
+
+def with_scan_shaped_examples(test):
+    """``test`` with the scan-shaped graphs of seeds 0-39 as explicit examples."""
+    for seed in range(40):
+        test = example(scan_shaped(seed))(test)
+    return test
+
+
+def test_scan_shaped_graphs_are_unions_of_8_to_24_vertices():
+    sizes = []
+    for seed in range(40):
+        g = scan_shaped(seed)
+        components = connected_components(g)
+        assert 8 <= g.n <= 24 and 2 <= len(components) <= 3, g
+        sizes.append(g.n)
+    assert min(sizes) < 12 and max(sizes) > 18
+    assert not all(classify(scan_shaped(seed)).is_finite for seed in range(40))
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_graph)
+@with_scan_shaped_examples
 def test_minimal_rejected_matches_the_subgraph_sweep(g):
     adj = g._adjacency()
     for comp, vertices in connected_components(g):
@@ -559,6 +604,7 @@ wide_graph = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(wide_graph)
+@with_scan_shaped_examples
 def test_classify_equals_the_renumbered_reference(g):
     assert str(classify(g)) == reference_classify(g)
 

@@ -55,6 +55,18 @@ def test_classify_malformed_json_reports_position(tmp_path):
     assert "line" in text and "column" in text
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": 2, "edges": [[0, 1, ' + "9" * 5000 + "]]}",
+    "[" * 100_000,
+], ids=["5000-digit-label", "100000-open-brackets"])
+def test_classify_json_past_the_decoder_limits_exits_1(tmp_path, text):
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    code, out = run_cli("classify", str(path))
+    assert code == 1
+    assert out.startswith("error: invalid JSON: ")
+
+
 def test_classify_missing_file():
     code, text = run_cli("classify", "/nonexistent/graph.json")
     assert code == 1

@@ -193,6 +193,20 @@ def test_graph_json_takes_only_ints_where_ints_are_required(text, message):
         parse_graph_json(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "edges": [[0, 1, ' + "9" * 5000 + "]]}", "a number has too many digits"),
+    ('{"n": 1' + "0" * 5000 + "}", "a number has too many digits"),
+    ("[" * 100_000, "arrays or objects nested too deeply"),
+    ('{"n": 2, "edges": ' + "[" * 100_000, "arrays or objects nested too deeply"),
+], ids=["long-label", "long-n", "deep-array", "deep-edges"])
+def test_graph_json_past_the_decoder_limits_is_bad_input(text, message):
+    """An integer of more digits than int() converts and brackets nested
+    past the recursion limit stop the decoder with ValueError and
+    RecursionError, which are not JSONDecodeError: each is bad input."""
+    with pytest.raises(ValidationError, match=f"^invalid JSON: {message}$"):
+        parse_graph_json(text)
+
+
 @pytest.mark.parametrize("edges", ["null", "5", '{"a": 1}', '"abc"', "true", "{}"])
 def test_graph_json_edges_must_be_a_list(edges):
     """A null or numeric "edges" is not iterable, and a dict or string
@@ -204,6 +218,31 @@ def test_graph_json_edges_must_be_a_list(edges):
 def test_graph_json_edges_may_be_absent_or_empty():
     for text in ('{"n": 3}', '{"n": 3, "edges": []}'):
         assert parse_graph_json(text) == CoxeterGraph(3)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 1, 3)], "self-loop at vertex 1"),
+    ([(0, 3, 3)], "vertex out of range in edge (0, 3)"),
+    ([(3, 0, 3)], "vertex out of range in edge (3, 0)"),
+    ([(-1, 2, 3)], "vertex out of range in edge (-1, 2)"),
+    ([(0, 1, 3), (1, 0, 3)], "duplicate edge (0, 1)"),
+    ([(0, 2, 2), (2, 0, 2)], "duplicate edge (0, 2)"),
+    ([(1, 2, 2), (2, 1, 4)], "duplicate edge (1, 2)"),
+    ([(0, "1", 3)], "vertex indices must be integers, got (0, '1')"),
+    ([(0, 1, 1)], "bond label must be an integer >= 2 or INFINITY, got 1"),
+    ([(0, 1, float("inf"))], "bond label must be an integer >= 2 or INFINITY, got inf"),
+    # the checks in order: integers, self-loop, range, duplicate, label
+    ([(5, 5, 1)], "self-loop at vertex 5"),
+    ([(0, 5, 1)], "vertex out of range in edge (0, 5)"),
+    ([(0, 1, 3), (1, 0, 1)], "duplicate edge (0, 1)"),
+    ([(1.0, 1, 1)], "vertex indices must be integers, got (1.0, 1)"),
+])
+def test_graph_edges_are_checked_in_order_with_one_message_each(edges, message):
+    """Every check of the constructor, on an edge list and on the same edges
+    as a dict: the first failing check names the edge."""
+    for given in (edges, {(i, j): m for i, j, m in edges}):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            CoxeterGraph(3, given)
 
 
 def test_graph_takes_only_ints_where_ints_are_required():
