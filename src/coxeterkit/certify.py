@@ -12,9 +12,9 @@ type never compile it.
 The checks read a graph through one adjacency ``adj``, ``adj[v]`` mapping
 each neighbour of v, in increasing order, to its bond (as built by
 ``CoxeterGraph._adjacency``), and a subgraph as its increasing vertex list,
-never a renumbered copy: a component is closed in ``adj``, and a candidate
-of ``minimal_rejected`` refilters the entries of its deleted vertex's
-neighbours.  A forest whose bonds are 3, 4, 6 or inf never loads cyclotomic.
+never a renumbered copy: a component is closed in ``adj``, and a candidate of
+``minimal_rejected`` refilters the entries of its deleted vertex's neighbours.
+No elimination divides; bonds 3 and inf (on a forest, 4 and 6) load no cyclotomic.
 """
 
 from __future__ import annotations
@@ -22,20 +22,26 @@ from __future__ import annotations
 from bisect import insort
 
 from .errors import InternalInconsistencyError
-from .graphs import INFINITY, CoxeterGraph, gram_entry, induced_parts
-from .linalg import invert_scalar, sign
+from .graphs import INFINITY, CoxeterGraph, induced_parts
+from .linalg import sign
 
 
-class _Weights(dict):
-    """The weights w of ``pivot_signs`` by bond, each built on its first use."""
+class _ByBond(dict):
+    """Constants of 2G by bond: integers where given, else ``terms`` (exponent
+    -> coefficient) at conductor ``scale`` * m, built on the bond's first use."""
+
+    def __init__(self, given, scale, terms):
+        super().__init__(given)
+        self.scale, self.terms = scale, terms
 
     def __missing__(self, m):
         from .cyclotomic import Cyclotomic
 
-        return self.setdefault(m, Cyclotomic(m, {0: 2, 1: 1, -1: 1}))
+        return self.setdefault(m, Cyclotomic(self.scale * m, self.terms))
 
 
-_WEIGHTS = _Weights({3: 1, 4: 2, 6: 3, INFINITY: 4})
+_WEIGHTS = _ByBond({3: 1, 4: 2, 6: 3, INFINITY: 4}, 1, {0: 2, 1: 1, -1: 1})  # 4cos^2(pi/m)
+_ENTRIES = _ByBond({3: -1, INFINITY: -2}, 2, {1: -1, -1: -1})  # -2cos(pi/m), 2G's edge entry
 
 
 def pivot_signs(g: CoxeterGraph) -> list[int]:
@@ -55,7 +61,7 @@ def pivot_signs(g: CoxeterGraph) -> list[int]:
     w = 4cos^2(pi/m) (1, 2, 3, 4 for m = 3, 4, 6, inf; else 2 + zeta_m +
     zeta_m^-1).  Since den > 0, a pivot's sign is sign(num).  When no leaf
     or isolated vertex is left, the graph has a cycle and takes the
-    elimination of sparse rows over the field.
+    division-free elimination of the sparse rows of 2G, ``_row_signs``.
     """
     return _pivot_signs(g._adjacency(), range(g.n))
 
@@ -98,11 +104,10 @@ def _forest_signs(adj, vertices) -> list[int] | None:
 
 
 def _row_signs(adj, vertices) -> list[int]:
-    """``_pivot_signs`` on sparse Gram rows (1 on the diagonal, -cos(pi/m) on
-    each edge) over the field, for graphs with a cycle."""
-    bonds = {m for v in vertices for m in adj[v].values()}
-    entry = {m: gram_entry(m) for m in bonds}
-    rows = {v: {v: 1} | {u: entry[m] for u, m in adj[v].items()} for v in vertices}
+    """``_pivot_signs`` on the sparse rows of 2G, 2 on the diagonal and ``_ENTRIES``
+    off it, with no division (Bareiss, signs only): the pivot p > 0 of row v turns
+    each row u that meets v into p*row_u - row_u[v]*row_v, p times its Schur row."""
+    rows = {v: {v: 2} | {u: _ENTRIES[m] for u, m in adj[v].items()} for v in vertices}
     signs = []
     while rows:
         v = min(rows, key=lambda u: (len(rows[u]), u))
@@ -111,14 +116,11 @@ def _row_signs(adj, vertices) -> list[int]:
         signs.append(sign(p))
         if signs[-1] <= 0:
             break
-        if row:
-            pinv = invert_scalar(p)
-            for u, c in row.items():
-                f = c * pinv
-                target = rows[u]
-                del target[v]
-                for w, d in row.items():
-                    target[w] = target.get(w, 0) - f * d
+        for u in row:
+            c = rows[u].pop(v)
+            rows[u] = target = {w: p * d for w, d in rows[u].items()}
+            for w, d in row.items():
+                target[w] = target.get(w, 0) - c * d
     return signs
 
 
@@ -148,9 +150,10 @@ def minimal_rejected(adj, vertices, match) -> tuple[list[int], dict]:
     never tried again, since every part of a smaller set minus v is an
     induced subgraph of one of those parts.  Deleting a leaf leaves one
     part; any other deletion tries the parts of part - {v} in the order of
-    their least vertex, skipping single vertices (A1).  A candidate is ``sub``
-    with the entries of v's neighbours refiltered; the entries outside the
-    part stay, unread, until ``sub`` is cut to the last part at the end.
+    their least vertex: a single vertex (A1) is skipped, and a part of two,
+    rejected exactly at the bond INFINITY, is decided without ``match``.  A
+    candidate is ``sub`` with the entries of v's neighbours refiltered; those
+    outside the part stay, unread, until ``sub`` is cut to it at the end.
     """
     part, sub = list(vertices), {v: adj[v] for v in vertices}
     for v in vertices:
@@ -158,7 +161,8 @@ def minimal_rejected(adj, vertices, match) -> tuple[list[int], dict]:
             candidate = sub | {u: {w: m for w, m in sub[u].items() if w != v} for u in sub[v]}
             rest = [u for u in part if u != v]
             for comp in [rest] if len(sub[v]) == 1 else induced_parts(candidate, rest):
-                if len(comp) > 1 and match(candidate, comp) is None:
+                if (match(candidate, comp) is None if len(comp) > 2
+                        else len(comp) == 2 and INFINITY in candidate[comp[0]].values()):
                     part, sub = comp, candidate
                     break
     return part, {u: sub[u] for u in part}

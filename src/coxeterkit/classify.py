@@ -27,6 +27,7 @@ _RANK_OK = {  # one rank test per family, so a label evaluates only its own
     "I2": lambda n: n == 2,
 }
 _FAMILIES = tuple(_RANK_OK)
+_classify_components = None  # catalog.classify_components, once classify has loaded it
 
 
 class TypeLabel(namedtuple("TypeLabel", "family rank bond", defaults=(None,))):
@@ -159,10 +160,11 @@ def classify(g: CoxeterGraph) -> ClassificationResult:
     subgraph, which exact arithmetic must certify as affine or hyperbolic;
     the witness names it by its original vertices.  Either disagreement
     raises InternalInconsistencyError.  No dense Gram matrix is built; the
-    work is ``catalog.classify_components``, loaded on the first call.  A
-    graph of more than ``catalog.VERTEX_GUARD`` vertices raises GuardError
-    before any work.
+    work is ``catalog.classify_components``, imported and looked up once, on
+    the first call.  A graph of more than ``catalog.VERTEX_GUARD`` vertices
+    raises GuardError before any work.
     """
-    from .catalog import classify_components
-
-    return classify_components(g)
+    global _classify_components
+    if _classify_components is None:
+        from .catalog import classify_components as _classify_components
+    return _classify_components(g)

@@ -41,12 +41,12 @@ use.  ``main`` reads ``[--format tsv|json] [--float] [--max-order N] COMMAND
 ARG`` itself (``read_plain``) and hands any other argv to ``build_parser``,
 which imports ``argparse`` and stays the one source of help and usage
 errors.  ``fractions`` loads only with a module that computes with
-Fractions (``chartable``'s table printer among them), and ``signal`` only
-after a write to a closed stdout.  Fresh ``python -X importtime`` runs
+Fractions (the table printer does not), and ``signal`` only after a
+write to a closed stdout.  Fresh ``python -X importtime`` runs
 (CPython 3.11.7, ``PYTHONDONTWRITEBYTECODE=1``, medians of 15) put what a
 plain command skips at about 4 ms: ``argparse`` with ``gettext`` 1.1 ms,
 building the parser 1.2 ms more (``locale`` 0.5 ms of it), ``fractions``
-with ``decimal`` 1.3 ms (skipped by ``irreps`` and ``realize`` of A/B/D),
+with ``decimal`` 1.3 ms (skipped by ``irreps``, ``realize`` and A/B/D tables),
 ``signal`` 0.4 ms.
 """
 
@@ -76,12 +76,10 @@ def _print_table(chars: list, fmt: str, float_mode: bool, out) -> None:
     A value is an int, a Fraction or a Cyclotomic, printed in its exact
     form or as a float of 12 significant digits.
     """
-    from fractions import Fraction
-
     def text(v) -> str:
         if not float_mode:
             return str(v)
-        return f"{float(v) if isinstance(v, (int, Fraction)) else v.to_float():.12g}"
+        return f"{v.to_float() if hasattr(v, 'to_float') else float(v):.12g}"
 
     classes = chars[0].domain.classes
     reps = [rep.text() for rep in classes.reps]

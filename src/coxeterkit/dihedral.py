@@ -11,7 +11,6 @@ and so the characters, take the one bond bound, ``classify.check_bond``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .classify import TypeLabel, check_bond
@@ -123,6 +122,8 @@ def dihedral_irreducibles(m: int) -> tuple[ClassFunction, ...]:
     2-dimensional ones against the induction from the rotation subgroup.
     """
     rows = dihedral_dimensions(m)  # raises past the bond bound
+    from fractions import Fraction
+
     from .classes import ClassFunction, class_data
     from .cyclotomic import Cyclotomic
 

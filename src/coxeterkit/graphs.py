@@ -44,7 +44,10 @@ class CoxeterGraph:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         labels: dict[tuple[int, int], object] = {}
         for e in [(i, j, m) for (i, j), m in edges.items()] if isinstance(edges, dict) else edges:
-            i, j, m = e[0], e[1], e[2]
+            try:
+                i, j, m = e
+            except (TypeError, ValueError):
+                raise ValidationError(f"each edge must be an (i, j, m) triple, got {e!r}") from None
             if type(i) is not int or type(j) is not int:
                 raise ValidationError(f"vertex indices must be integers, got ({i!r}, {j!r})")
             if i == j:
@@ -61,9 +64,15 @@ class CoxeterGraph:
         self.labels = {k: m for k, m in labels.items() if m != 2} if 2 in labels.values() else labels
         self._adj = None
 
+    def _vertex(self, v: int) -> int:
+        """v, which must be an exact int in 0..n-1, else ValidationError."""
+        if type(v) is not int or not 0 <= v < self.n:
+            raise ValidationError(f"unknown vertex {v!r}")
+        return v
+
     def label(self, i: int, j: int):
         """m(i, j); 1 on the diagonal, 2 for non-adjacent pairs."""
-        if i == j:
+        if self._vertex(i) == self._vertex(j):
             return 1
         return self.labels.get((min(i, j), max(i, j)), 2)
 
@@ -76,15 +85,16 @@ class CoxeterGraph:
         adj = self._adj
         if adj is None:
             adj = self._adj = [{} for _ in range(self.n)]
-            for (a, b), m in sorted(self.labels.items()):  # so each entry comes sorted
-                adj[a][b] = adj[b][a] = m
+            labels = self.labels
+            for a, b in sorted(labels):  # so each entry comes sorted
+                adj[a][b] = adj[b][a] = labels[a, b]
         return adj
 
     def neighbors(self, i: int) -> list[int]:
-        return list(self._adjacency()[i])
+        return list(self._adjacency()[self._vertex(i)])
 
     def degree(self, i: int) -> int:
-        return len(self._adjacency()[i])
+        return len(self._adjacency()[self._vertex(i)])
 
     def __eq__(self, other):
         if not isinstance(other, CoxeterGraph):

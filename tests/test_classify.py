@@ -347,7 +347,8 @@ def test_classify_vertex_guard():
 
 def reference_row_signs(g):
     """The elimination of sparse Gram rows over the field, run on every
-    graph: the reference for the division-free forest pivots."""
+    graph: the reference for the division-free pivots of forests and of
+    graphs with a cycle."""
     entry, rows = {}, {v: {v: 1} for v in range(g.n)}
     for (i, j), m in g.labels.items():
         if m not in entry:
@@ -514,6 +515,39 @@ def test_a_cycle_with_n_minus_1_edges_takes_the_row_elimination(triangle):
     g = CoxeterGraph(4, [(0, 1, triangle[0]), (1, 2, triangle[1]), (0, 2, triangle[2])])
     assert certify_module._forest_signs(g._adjacency(), range(g.n)) is None
     assert certify_module.pivot_signs(g) == dense_minor_signs(g) == reference_row_signs(g)
+
+
+def random_cyclic(rng):
+    """A connected graph on 3-8 vertices, numbered at random, with at least
+    one cycle: a random spanning tree and 1-3 more edges, each bond drawn
+    from 3, 4, 5, 6, 7 and INFINITY (3 the likeliest)."""
+    n = rng.randint(3, 8)
+    perm = rng.sample(range(n), n)
+    pairs = {tuple(sorted((perm[k], perm[rng.randrange(k)]))) for k in range(1, n)}
+    others = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in pairs]
+    pairs |= set(rng.sample(others, rng.randint(1, min(3, len(others)))))
+    return CoxeterGraph(n, [(i, j, rng.choice([3, 3, 3, 4, 5, 6, 7, INFINITY])) for i, j in sorted(pairs)])
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_cycle_pivot_signs_match_the_field_elimination(seed):
+    """The division-free rows of 2G against the field elimination of G's
+    rows and the dense leading minors, on graphs that take ``_row_signs``."""
+    g = random_cyclic(random.Random(seed))
+    assert len(g.labels) >= g.n and len(connected_components(g)) == 1, g
+    signs = certify_module.pivot_signs(g)
+    assert signs == certify_module._row_signs(g._adjacency(), range(g.n)), g
+    assert signs == reference_row_signs(g) == dense_minor_signs(g), g
+
+
+@pytest.mark.parametrize("m", [*range(3, 41), INFINITY])
+def test_match_connected_rejects_a_single_edge_exactly_at_infinity(m):
+    """What ``minimal_rejected`` decides for a part of two vertices without
+    the matcher: the bond m alone, on any two vertices of a larger graph."""
+    g = CoxeterGraph(2, [(0, 1, m)])
+    big, vertices = spaced(g)
+    for h, vs in [(g, range(2)), (big, vertices)]:
+        assert (_match_connected(h._adjacency(), vs) is None) == (m == INFINITY), m
 
 
 FINITE_PIECES = [catalog_graph(t) for t in classification_catalog(8, [5, 8, 12])]

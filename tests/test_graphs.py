@@ -245,6 +245,28 @@ def test_graph_edges_are_checked_in_order_with_one_message_each(edges, message):
             CoxeterGraph(3, given)
 
 
+@pytest.mark.parametrize("edge", [(0, 1), (5,), 5, None, (0, 1, 3, 9), [0, 1, 3, 4]], ids=repr)
+def test_graph_edges_must_be_triples(edge):
+    """A pair, a bare int or a quadruple is bad input, never an IndexError or
+    TypeError, and a quadruple is not cut to its first three entries."""
+    with pytest.raises(ValidationError, match=re.escape(f"each edge must be an (i, j, m) triple, got {edge!r}")):
+        CoxeterGraph(3, [(1, 2, 3), edge])
+
+
+@pytest.mark.parametrize("v", [-1, 3, 7, True, 1.0, "0"], ids=repr)
+def test_graph_vertex_queries_take_only_its_vertices(v):
+    """neighbors, degree and label answer only for a vertex 0..n-1: -1 does
+    not wrap to the last vertex, and (0, 7) on 3 vertices is no bond 2."""
+    g = CoxeterGraph(3, [(0, 1, 3), (1, 2, 4)])
+    for query in (lambda: g.neighbors(v), lambda: g.degree(v), lambda: g.label(0, v),
+                  lambda: g.label(v, 0), lambda: g.label(v, v)):
+        with pytest.raises(ValidationError, match=re.escape(f"unknown vertex {v!r}")):
+            query()
+    assert [g.neighbors(u) for u in range(3)] == [[1], [0, 2], [1]]
+    assert [g.degree(u) for u in range(3)] == [1, 2, 1]
+    assert [[g.label(a, b) for b in range(3)] for a in range(3)] == [[1, 3, 2], [3, 1, 4], [2, 4, 1]]
+
+
 def test_graph_takes_only_ints_where_ints_are_required():
     for n, edges in [(True, ()), (2, [(False, 1, 3)]), (2, [(0, 1, True)]), (2, [(0, 1, 3.0)])]:
         with pytest.raises(ValidationError):

@@ -92,6 +92,36 @@ def test_classify_of_a_5_bond_loads_cyclotomic(tmp_path):
     assert modules_after("classify", str(path)) == BASE | CLASSIFIER | {"cyclotomic"}
 
 
+FIRST_CLASSIFY = """
+import sys
+import coxeterkit
+if sys.argv[1] == "traced":  # as the benchmark's traced passes run it
+    sys.path.insert(0, sys.argv[2])
+    from tracer import Recorder
+    recorder = Recorder().install()
+before = "coxeterkit.catalog" in sys.modules
+g = coxeterkit.parse_graph_json('{"n": 4, "edges": [[0, 1, 4], [1, 2, 3], [2, 3, 0]]}')
+first, second = coxeterkit.classify(g), coxeterkit.classify(g)
+print(before, "coxeterkit.catalog" in sys.modules, str(first) == str(second))
+print(first)
+if sys.argv[1] == "traced":
+    layers = recorder.snapshot()
+    print(layers["self_s"]["classify"] > 0, layers["counts"]["classify.components"])
+"""
+
+
+def test_the_first_classify_call_loads_the_classifier():
+    assert fresh_python(FIRST_CLASSIFY, "plain", "").splitlines() == [
+        "False True True", "NotFinite (affine subgraph on vertices 2,3)",
+    ]
+
+
+def test_a_traced_first_classify_call_runs_the_classifier_under_the_tracer():
+    # the tracer imports every layer, and groups brings catalog with it
+    out = fresh_python(FIRST_CLASSIFY, "traced", str(SRC.parent / "perfbench")).splitlines()
+    assert out == ["True True True", "NotFinite (affine subgraph on vertices 2,3)", "True 2"]
+
+
 def test_realize_of_type_a_loads_only_its_class_data():
     # and the partitions of tableaux, for the closed-form class data
     assert modules_after("realize", "A3") == BASE | {"classes", "permutations", "tableaux"}
@@ -165,6 +195,9 @@ def imports_of(*argv: str) -> set:
 @pytest.mark.parametrize("command, rational_free", [
     ("irreps A5", True),
     ("realize A6", True),
+    ("irreps I2(13)", True),
+    ("realize I2(13)", True),
+    ("chartable A4", True),
     ("chartable I2(13)", False),
     ("verify A3", False),
 ])
