@@ -8,8 +8,8 @@ independently: a matched component by Sylvester's criterion on the sparse
 pivots of its Gram matrix, a rejected one by certifying a minimal rejected
 induced subgraph as affine or hyperbolic (``certify``).  Any disagreement
 between the two raises, since it can only mean a bug in one of them.  All
-of this reads the graph's one adjacency, each component and candidate
-subgraph as its sorted vertex list.  ``is_positive_definite`` is the same
+of this reads the graph's one adjacency and its neighbour masks, each
+component and candidate as a vertex mask.  ``is_positive_definite`` is the same
 decision for the whole graph, with a ``Witness`` (a minimal non-finite
 subgraph) on failure; no dense Gram minor is formed.  ``classify.classify``
 loads this module, and with it ``graphs``, ``certify`` and ``linalg``, on
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .certify import _certify, _positive_definite, minimal_rejected
+from .certify import _certify, _parts, _positive_definite, _vertices, minimal_rejected
 from .classify import TypeLabel
 from .errors import GuardError, InternalInconsistencyError, ValidationError
-from .graphs import INFINITY, CoxeterGraph, induced_parts
+from .graphs import INFINITY, CoxeterGraph
 
 VERTEX_GUARD = 48  # classify() refuses larger graphs with GuardError (exit 3)
 
@@ -134,55 +134,59 @@ def is_positive_definite(g: CoxeterGraph) -> tuple[bool, Witness | None]:
     return res.is_finite, next((c.witness for c in res.components if c.witness), None)
 
 
-def _walk(adj, prev: int, cur: int) -> list[int]:
-    """The vertices from cur, leaving prev behind, up to and including the
-    first one whose degree is not 2; ``adj`` must be a tree's, or the walk
-    may not end."""
-    out = [cur]
-    while len(adj[cur]) == 2:
-        a, b = adj[cur]
-        prev, cur = cur, b if a == prev else a
-        out.append(cur)
-    return out
+def _walk(adj, nbr, mask: int, v: int) -> list:
+    """The bonds of the path from v in the tree on ``mask``: each step takes
+    v out of the mask and moves to the one neighbour of v left in it."""
+    bonds = []
+    while step := nbr[v] & (mask := mask ^ 1 << v):
+        u = step.bit_length() - 1
+        bonds.append(adj[v][u])
+        v = u
+    return bonds
 
 
-def _match_connected(adj, vertices) -> tuple | None:
-    """Structural match of the connected graph on the increasing ``vertices``
-    (``adj`` as in ``certify``) against the catalog: its TypeLabel's fields.
+def _match_connected(adj, nbr, mask: int) -> tuple | None:
+    """Structural match of the connected graph on the vertex mask ``mask``
+    (``adj`` and ``nbr`` as in ``certify``) against the catalog: its TypeLabel's fields.
 
     Only trees with finite bonds qualify; a connected graph with n - 1 edges
-    is a tree.  One ``_walk`` from the least end reads a path's bonds; with
-    one branch vertex of degree 3, a ``_walk`` into each neighbour measures
-    the three arms.
+    is a tree.  One pass reads each degree, ``(nbr[v] & mask).bit_count()``, and
+    keeps the least end (or A1's vertex) and a branch vertex b; a ``_walk`` from
+    the end reads a path's bonds, and one from each neighbour of b, without b, an arm's.
     """
-    n = len(vertices)
-    if n == 1:
-        return "A", 1, None
-    degrees = [len(adj[v]) for v in vertices]
-    if sum(degrees) != 2 * n - 2:
+    n, total, b, rest = mask.bit_count(), 0, None, mask
+    while rest:
+        v = rest.bit_length() - 1
+        rest ^= 1 << v
+        d = (nbr[v] & mask).bit_count()
+        total += d
+        if d < 2:
+            end = v
+        elif d > 2:
+            if d > 3 or b is not None:
+                return None
+            b = v
+    if total != 2 * n - 2:
         return None
-    if max(degrees) > 2:
-        if max(degrees) > 3 or degrees.count(3) > 1 or any(m != 3 for v in vertices for m in adj[v].values()):
+    if b is not None:
+        arms = [[adj[b][s]] + _walk(adj, nbr, mask ^ 1 << b, s) for s in adj[b] if mask >> s & 1]
+        if any(max(arm) != 3 for arm in arms):
             return None
-        b = vertices[degrees.index(3)]
-        short, mid, long = sorted(len(_walk(adj, b, s)) for s in adj[b])
+        short, mid, long = sorted(map(len, arms))
         if short == mid == 1:
             return "D", long + 3, None
         if short == 1 and mid == 2 and long in (2, 3, 4):
             return "E", long + 4, None
         return None
-    end = vertices[degrees.index(1)]
-    path = [end] + _walk(adj, end, next(iter(adj[end])))
-    seq = [adj[a][b] for a, b in zip(path, path[1:])]
-    if n == 2 and 4 < seq[0] < INFINITY:  # A2, B2 and an INFINITY bond are read below
-        return "I2", 2, seq[0]
-    heavy = [(k, m) for k, m in enumerate(seq) if m != 3]
-    if not heavy:
+    seq = _walk(adj, nbr, mask, end)
+    m = max(seq, default=3)  # A1 has no bond; every bond is at least 3, so one other is the max
+    if n == 2 and 4 < m < INFINITY:  # A2, B2 and an INFINITY bond are read below
+        return "I2", 2, m
+    if m == 3:
         return "A", n, None
-    if len(heavy) > 1:
+    if seq.count(3) < n - 2:
         return None
-    pos, m = heavy[0]
-    terminal = pos in (0, n - 2)
+    terminal = seq.index(m) in (0, n - 2)
     if m == 4 and terminal:
         return "B", n, None
     if m == 4 and n == 4:
@@ -201,15 +205,17 @@ def check_vertices(n: int) -> None:
 def classify_components(g: CoxeterGraph) -> ClassificationResult:
     """The work of ``classify.classify``, which documents it."""
     check_vertices(g.n)
-    adj = g._adjacency()
+    adj, nbr = g._adjacency(), [0] * g.n
+    for a, b in g.labels:
+        nbr[a], nbr[b] = nbr[a] | 1 << b, nbr[b] | 1 << a
     results = []
-    for part in induced_parts(adj, range(g.n)):
-        vertices, match = tuple(part), _match_connected(adj, part)
+    for part in _parts(nbr, (1 << g.n) - 1):
+        vertices, match = tuple(_vertices(part)), _match_connected(adj, nbr, part)
         if match is None:
-            minimal, sub = minimal_rejected(adj, part, _match_connected)
+            minimal, sub = minimal_rejected(adj, nbr, part, _match_connected)
             witness = Witness(_certify(sub, minimal), len(minimal), tuple(minimal))
             results.append(ComponentResult(vertices, None, witness))
-        elif _positive_definite(adj, part):
+        elif _positive_definite(adj, vertices):
             results.append(ComponentResult(vertices, TypeLabel(*match), None))
         else:
             raise InternalInconsistencyError(

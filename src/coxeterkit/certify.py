@@ -10,11 +10,11 @@ imports this module on its first call, so the commands that only name a
 type never compile it.
 
 The checks read a graph through one adjacency ``adj``, ``adj[v]`` mapping
-each neighbour of v, in increasing order, to its bond (as built by
-``CoxeterGraph._adjacency``), and a subgraph as its increasing vertex list,
-never a renumbered copy: a component is closed in ``adj``, and a candidate of
-``minimal_rejected`` refilters the entries of its deleted vertex's neighbours.
-No elimination divides; bonds 3 and inf (on a forest, 4 and 6) load no cyclotomic.
+each neighbour of v, in increasing order, to its bond (``CoxeterGraph._adjacency``).
+The sign checks take a subgraph closed in ``adj`` as its increasing vertex
+list; the searches take a vertex mask (bit v for vertex v) and ``nbr[v]``, the
+mask of v's neighbours, so no candidate copies ``adj``.  No elimination
+divides; bonds 3 and inf (on a forest, 4 and 6) load no cyclotomic.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import insort
 
 from .errors import InternalInconsistencyError
-from .graphs import INFINITY, CoxeterGraph, induced_parts
+from .graphs import INFINITY, CoxeterGraph
 from .linalg import sign
 
 
@@ -68,20 +68,18 @@ def pivot_signs(g: CoxeterGraph) -> list[int]:
 
 def _pivot_signs(adj, vertices) -> list[int]:
     """``pivot_signs`` of the graph on the increasing ``vertices``."""
-    if sum(len(adj[v]) for v in vertices) < 2 * len(vertices):
-        signs = _forest_signs(adj, vertices)
-        if signs is not None:
-            return signs
-    return _row_signs(adj, vertices)
+    forest = sum(len(adj[v]) for v in vertices) < 2 * len(vertices)  # fewer than n edges
+    signs = _forest_signs(adj, vertices) if forest else None
+    return _row_signs(adj, vertices) if signs is None else signs
 
 
 def _forest_signs(adj, vertices) -> list[int] | None:
     """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle.
-    ``ready`` lists the isolated vertices, then the leaves, each increasing:
-    the order of ``pivot_signs``.  A vertex whose degree falls to 1 is
-    ``insort``-ed among the leaves, and one whose degree falls to 0 is next."""
-    left = {v: {u: _WEIGHTS[m] for u, m in adj[v].items()} for v in vertices}
-    ready = [v for v in vertices if not left[v]] + [v for v in vertices if len(left[v]) == 1]
+    ``ready`` lists the isolated vertices, then the leaves, each increasing: the
+    order of ``pivot_signs``.  ``left`` counts remaining neighbours; a vertex at 1
+    is ``insort``-ed among the leaves, one at 0 is next; weights come from ``adj``."""
+    left = {v: len(adj[v]) for v in vertices}
+    ready = [v for v in vertices if not left[v]] + [v for v in vertices if left[v] == 1]
     num, den = dict.fromkeys(vertices, 2), dict.fromkeys(vertices, 1)
     signs = []
     while ready:
@@ -90,14 +88,14 @@ def _forest_signs(adj, vertices) -> list[int] | None:
         signs.append(sign(a))
         if signs[-1] <= 0:
             return signs
-        for u, w in left.pop(v).items():
-            edges = left[u]
-            del edges[v]
-            num[u] = num[u] * a - b * den[u] * w
+        del left[v]
+        for u in left.keys() & adj[v].keys():  # the one neighbour left to a leaf, none to an isolated v
+            left[u] -= 1
+            num[u] = num[u] * a - b * den[u] * _WEIGHTS[adj[v][u]]
             den[u] = den[u] * a
-            if len(edges) == 1:
+            if left[u] == 1:
                 insort(ready, u)
-            elif not edges:
+            elif not left[u]:
                 ready.remove(u)
                 ready.insert(0, u)
     return None if left else signs
@@ -125,47 +123,66 @@ def _row_signs(adj, vertices) -> list[int]:
 
 
 def positive_definite(g: CoxeterGraph) -> bool:
-    """Sylvester's criterion on the sparse pivots; rank 2 by its closed form.
+    """Sylvester's criterion on the sparse pivots; ranks 1 and 2 by closed forms.
 
-    A single edge m has determinant 1 - cos^2(pi/m) = sin^2(pi/m), positive
-    exactly when m is finite.
+    A1 is positive.  A single edge m has determinant 1 - cos^2(pi/m) =
+    sin^2(pi/m), positive exactly when m is finite.
     """
     return _positive_definite(g._adjacency(), range(g.n))
 
 
 def _positive_definite(adj, vertices) -> bool:
     """``positive_definite`` of the graph on the increasing ``vertices``."""
-    if len(vertices) == 2:
+    if len(vertices) < 3:  # A1 has no bond
         return INFINITY not in adj[vertices[0]].values()
     return _pivot_signs(adj, vertices)[-1] > 0
 
 
-def minimal_rejected(adj, vertices, match) -> tuple[list[int], dict]:
-    """A minimal connected induced subgraph that ``match`` rejects (maps to
-    None) in the connected, rejected graph on the increasing ``vertices``,
-    closed in ``adj``: its sorted vertices, and ``adj`` filtered to them.
+def _vertices(mask: int) -> list[int]:
+    """The vertices of the vertex mask ``mask`` (bit v for vertex v), increasing."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _parts(nbr, mask: int) -> list[int]:
+    """The connected parts of the vertex mask ``mask``, each a mask, in the order
+    of their least vertex: one flood fill each, from the lowest vertex left."""
+    parts = []
+    while mask:
+        part = todo = mask & -mask
+        mask ^= part
+        while todo:
+            v = todo.bit_length() - 1
+            new = nbr[v] & mask
+            mask, part, todo = mask ^ new, part | new, todo ^ (1 << v | new)
+        parts.append(part)
+    return parts
+
+
+def minimal_rejected(adj, nbr, mask: int, match) -> tuple[list[int], dict]:
+    """A minimal connected induced subgraph that ``match(adj, nbr, part)``
+    rejects (maps to None) in the connected, rejected graph on the vertex
+    mask ``mask``: its sorted vertices, and ``adj`` cut to them.
 
     One sweep over the vertices: when deleting v leaves a rejected part,
     move into that part.  A vertex whose deletion left only matched parts is
     never tried again, since every part of a smaller set minus v is an
-    induced subgraph of one of those parts.  Deleting a leaf leaves one
-    part; any other deletion tries the parts of part - {v} in the order of
-    their least vertex: a single vertex (A1) is skipped, and a part of two,
-    rejected exactly at the bond INFINITY, is decided without ``match``.  A
-    candidate is ``sub`` with the entries of v's neighbours refiltered; those
-    outside the part stay, unread, until ``sub`` is cut to it at the end.
+    induced subgraph of one of those parts.  Deleting a leaf of the part
+    leaves one part, ``part ^ (1 << v)``; other deletions try its ``_parts``.
+    A single vertex (A1) is skipped, and a part of two is rejected exactly at
+    the bond INFINITY, by one lookup.  The pair is built once, at the end.
     """
-    part, sub = list(vertices), {v: adj[v] for v in vertices}
-    for v in vertices:
-        if v in part:
-            candidate = sub | {u: {w: m for w, m in sub[u].items() if w != v} for u in sub[v]}
-            rest = [u for u in part if u != v]
-            for comp in [rest] if len(sub[v]) == 1 else induced_parts(candidate, rest):
-                if (match(candidate, comp) is None if len(comp) > 2
-                        else len(comp) == 2 and INFINITY in candidate[comp[0]].values()):
-                    part, sub = comp, candidate
+    part = mask
+    for v in _vertices(mask):
+        if part >> v & 1:
+            rest = part ^ 1 << v
+            for comp in [rest] if (nbr[v] & part).bit_count() == 1 else _parts(nbr, rest):
+                size = comp.bit_count()
+                if size > 2 and match(adj, nbr, comp) is None or size == 2 and (
+                        adj[comp.bit_length() - 1][(comp & -comp).bit_length() - 1] == INFINITY):
+                    part = comp
                     break
-    return part, {u: sub[u] for u in part}
+    vertices = _vertices(part)
+    return vertices, {u: {w: m for w, m in adj[u].items() if part >> w & 1} for u in vertices}
 
 
 def certify(g: CoxeterGraph) -> str:

@@ -16,7 +16,7 @@ rejected, though Python takes them for 0, 1 and 0.
 
 A graph builds one adjacency on first use (``_adjacency``): each vertex's
 neighbours in increasing order with their bonds.  The classifier reads
-every subgraph through it as a sorted vertex list.
+every subgraph through it, and its searches hold vertex sets as bitmasks.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ class CoxeterGraph:
         if type(n) is not int or n < 1:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         labels: dict[tuple[int, int], object] = {}
-        for e in [(i, j, m) for (i, j), m in edges.items()] if isinstance(edges, dict) else edges:
+        pairs = isinstance(edges, dict)  # (i, j) -> m
+        for e in edges.items() if pairs else edges:
             try:
-                i, j, m = e
+                i, j, m = (*e[0], e[1]) if pairs else e
             except (TypeError, ValueError):
                 raise ValidationError(f"each edge must be an (i, j, m) triple, got {e!r}") from None
             if type(i) is not int or type(j) is not int:

@@ -32,6 +32,7 @@ from coxeterkit.graphs import (
     connected_components,
     gram_entry,
     gram_matrix,
+    induced_parts,
     subgraph,
 )
 from coxeterkit.linalg import Matrix, is_zero_scalar, sign
@@ -298,7 +299,7 @@ def test_catalog_graph_examples():
 
 def test_classify_computes_the_minors_once_per_component(monkeypatch):
     """No dense minors: at most one sparse pivot pass per component, none for
-    ranks 2 and 3, whose checks are closed forms."""
+    ranks 1, 2 and 3, whose checks are closed forms."""
     minors, passes = [], []
     original = certify_module._pivot_signs
 
@@ -320,7 +321,7 @@ def test_classify_computes_the_minors_once_per_component(monkeypatch):
         "A2 + NotFinite (affine subgraph on vertices 2,3,4) + NotFinite (affine subgraph "
         "on vertices 5,6) + A1 + B3 + NotFinite (hyperbolic subgraph on vertices 12,13,14,15)"
     )
-    assert minors == [] and passes == [1, 3, 4]
+    assert minors == [] and passes == [3, 4]
 
 
 @pytest.mark.parametrize("m", range(3, 61))
@@ -395,9 +396,23 @@ def dense_minor_signs(g):
     return signs
 
 
+def neighbour_masks(g):
+    """Entry v has bit u set for each neighbour u of v, read from the public API."""
+    return [sum(1 << u for u in g.neighbors(v)) for v in range(g.n)]
+
+
+def vertex_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def match_on(g, vertices):
+    """``_match_connected`` of the part of g on ``vertices``."""
+    return _match_connected(g._adjacency(), neighbour_masks(g), vertex_mask(vertices))
+
+
 def match_graph(h):
     """``_match_connected`` of a whole graph h: the reference sweep's predicate."""
-    return _match_connected(h._adjacency(), range(h.n))
+    return match_on(h, range(h.n))
 
 
 def reference_minimal_rejected(g, match):
@@ -457,9 +472,9 @@ def spaced(g):
 def test_match_connected_names_every_relabeling_of_a_catalog_graph(t):
     """The walks start from whichever end or neighbour the numbering gives."""
     for g in relabelings(catalog_graph(t)):
-        assert _match_connected(g._adjacency(), range(g.n)) == t, g
+        assert match_on(g, range(g.n)) == t, g
         big, vertices = spaced(g)
-        assert _match_connected(big._adjacency(), vertices) == t, g
+        assert match_on(big, vertices) == t, g
 
 
 SMALL_AFFINE_TREES = [(name, g) for name, g in affine_catalog(4) if len(g.labels) == g.n - 1 and g.n <= 7]
@@ -468,9 +483,9 @@ SMALL_AFFINE_TREES = [(name, g) for name, g in affine_catalog(4) if len(g.labels
 @pytest.mark.parametrize("g", [g for _, g in SMALL_AFFINE_TREES], ids=[name for name, _ in SMALL_AFFINE_TREES])
 def test_match_connected_rejects_every_relabeling_of_an_affine_tree(g):
     for h in relabelings(g):
-        assert _match_connected(h._adjacency(), range(h.n)) is None, h
+        assert match_on(h, range(h.n)) is None, h
         big, vertices = spaced(h)
-        assert _match_connected(big._adjacency(), vertices) is None, h
+        assert match_on(big, vertices) is None, h
 
 
 @pytest.mark.parametrize("t", classification_catalog(8), ids=str)
@@ -547,7 +562,7 @@ def test_match_connected_rejects_a_single_edge_exactly_at_infinity(m):
     g = CoxeterGraph(2, [(0, 1, m)])
     big, vertices = spaced(g)
     for h, vs in [(g, range(2)), (big, vertices)]:
-        assert (_match_connected(h._adjacency(), vs) is None) == (m == INFINITY), m
+        assert (match_on(h, vs) is None) == (m == INFINITY), m
 
 
 FINITE_PIECES = [catalog_graph(t) for t in classification_catalog(8, [5, 8, 12])]
@@ -599,10 +614,10 @@ def test_scan_shaped_graphs_are_unions_of_8_to_24_vertices():
 @given(random_graph)
 @with_scan_shaped_examples
 def test_minimal_rejected_matches_the_subgraph_sweep(g):
-    adj = g._adjacency()
+    adj, nbr = g._adjacency(), neighbour_masks(g)
     for comp, vertices in connected_components(g):
-        if _match_connected(adj, vertices) is None:
-            part, sub = certify_module.minimal_rejected(adj, vertices, _match_connected)
+        if _match_connected(adj, nbr, vertex_mask(vertices)) is None:
+            part, sub = certify_module.minimal_rejected(adj, nbr, vertex_mask(vertices), _match_connected)
             want_part, want_sub = reference_minimal_rejected(comp, match_graph)
             want_part = [vertices[k] for k in want_part]
             assert part == want_part and sub == spread_out(want_sub._adjacency(), want_part)
@@ -613,12 +628,63 @@ def test_minimal_rejected_takes_the_part_of_the_least_vertex():
     """Deleting vertex 0 leaves two rejected parts, the bonds {1,2} and {3,4}:
     the sweep moves into the one whose least vertex is least."""
     g = CoxeterGraph(5, [(0, 1, 3), (0, 3, 3), (1, 2, INFINITY), (3, 4, INFINITY)])
-    part, sub = certify_module.minimal_rejected(g._adjacency(), range(g.n), _match_connected)
+    part, sub = certify_module.minimal_rejected(g._adjacency(), neighbour_masks(g), vertex_mask(range(g.n)),
+                                                _match_connected)
     want_part, want_sub = reference_minimal_rejected(g, match_graph)
     assert (part, sub) == (want_part, spread_out(want_sub._adjacency(), want_part))
     assert part == [1, 2] and want_sub == CoxeterGraph(2, [(0, 1, INFINITY)])
     assert sub == {1: {2: INFINITY}, 2: {1: INFINITY}}
     assert str(classify(g)) == "NotFinite (affine subgraph on vertices 1,2)"
+
+
+@st.composite
+def graph_and_vertices(draw):
+    """A graph on up to 48 vertices, so that vertex masks pass the 30 bits of
+    an int's first digit, with random edges, and an increasing vertex subset."""
+    n = draw(st.integers(1, VERTEX_GUARD))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    keep = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return CoxeterGraph(n, {(i, j): 3 for i, j in pairs if i < j}), keep
+
+
+def spread_48(edges, keep=range(VERTEX_GUARD)):
+    return CoxeterGraph(VERTEX_GUARD, {(i, j): 3 for i, j in edges}), list(keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_vertices())
+@example(spread_48([(29, 30), (30, 47), (1, 45), (31, 32), (0, 29)]))
+@example(spread_48([(k, k + 16) for k in range(32)], keep=range(1, VERTEX_GUARD, 2)))
+@example(spread_48([]))
+def test_mask_parts_are_the_induced_parts_in_order(case):
+    """The flood fill over vertex masks gives the parts of ``induced_parts``,
+    each as the mask of its sorted vertex list, in the order of their least vertex."""
+    g, keep = case
+    parts = certify_module._parts(neighbour_masks(g), vertex_mask(keep))
+    want = induced_parts(g._adjacency(), keep)
+    assert [certify_module._vertices(p) for p in parts] == want
+    assert parts == [vertex_mask(vs) for vs in want]
+
+
+def test_classify_of_48_vertices_with_two_rejected_parts_equals_the_reference():
+    """Two rejected parts, E~8 with a pendant bond 4 and the cycle A~6, among
+    finite ones, on the 48 vertices of the guard in a random order."""
+    e8_tilde = dict(affine_catalog(8))["E~8"]
+    pieces = [
+        CoxeterGraph(10, e8_tilde.edges() + [(8, 9, 4)]), dict(affine_catalog(6))["A~6"],
+        *(catalog_graph(t) for t in [TypeLabel("E", 8), TypeLabel("D", 9), TypeLabel("B", 7),
+                                     TypeLabel("H", 4), TypeLabel("I2", 2, 7), TypeLabel("A", 1)]),
+    ]
+    perm, offset, edges = random.Random(48).sample(range(VERTEX_GUARD), VERTEX_GUARD), 0, []
+    for p in pieces:
+        edges += [(perm[offset + i], perm[offset + j], m) for i, j, m in p.edges()]
+        offset += p.n
+    g = CoxeterGraph(offset, edges)
+    result = classify(g)
+    assert g.n == VERTEX_GUARD and len(result.components) == 8
+    witnesses = [c.witness for c in result.components if c.witness is not None]
+    assert len(witnesses) == 2 and max(max(w.vertices) for w in witnesses) > 30
+    assert str(result) == reference_classify(g)
 
 
 # bonds from every range the classifier treats apart: 3-6, the Lannér 4-5,

@@ -253,6 +253,14 @@ def test_graph_edges_must_be_triples(edge):
         CoxeterGraph(3, [(1, 2, 3), edge])
 
 
+@pytest.mark.parametrize("key", [5, (0, 1, 2), (0,)], ids=repr)
+def test_graph_dict_keys_must_be_pairs(key):
+    """A dict key that is not a pair is bad input, named with its bond, never
+    a TypeError or ValueError from unpacking it."""
+    with pytest.raises(ValidationError, match=re.escape(f"each edge must be an (i, j, m) triple, got {(key, 3)!r}")):
+        CoxeterGraph(3, {(1, 2): 3, key: 3})
+
+
 @pytest.mark.parametrize("v", [-1, 3, 7, True, 1.0, "0"], ids=repr)
 def test_graph_vertex_queries_take_only_its_vertices(v):
     """neighbors, degree and label answer only for a vertex 0..n-1: -1 does
