@@ -151,6 +151,8 @@ class Cyclotomic:
     __hash__ = None  # use canonical_key() for set/dict membership
 
     def __init__(self, conductor: int, terms: dict):
+        if type(conductor) is not int:
+            raise ValidationError(f"conductor must be an exact int, got {conductor!r}")
         if conductor < 1:
             raise ValidationError(f"conductor must be >= 1, got {conductor}")
         acc: dict[int, Fraction] = {}

@@ -44,7 +44,11 @@ class CoxeterGraph:
             raise ValidationError(f"vertex count must be a positive integer, got {n!r}")
         labels: dict[tuple[int, int], object] = {}
         pairs = isinstance(edges, dict)  # (i, j) -> m
-        for e in edges.items() if pairs else edges:
+        try:
+            items = iter(edges.items() if pairs else edges)
+        except TypeError:
+            raise ValidationError(f"edges must hold (i, j, m) triples, got {edges!r}") from None
+        for e in items:
             try:
                 i, j, m = (*e[0], e[1]) if pairs else e
             except (TypeError, ValueError):
@@ -119,7 +123,7 @@ class CoxeterMatrix:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValidationError("Coxeter matrix must be square and non-empty")
         for i in range(n):
-            if rows[i][i] != 1:
+            if type(rows[i][i]) is not int or rows[i][i] != 1:
                 raise ValidationError(f"diagonal entry at {i} must be 1")
             for j in range(n):
                 if i != j:
@@ -235,15 +239,20 @@ def subgraph(g: CoxeterGraph, remove_vertices=(), lower_labels=None) -> CoxeterG
     Vertices are exact ints, as in ``CoxeterGraph``: True is not vertex 1.
     Surviving vertices are re-indexed in increasing order.
     """
-    remove = set(remove_vertices)
+    try:
+        remove = set(remove_vertices)
+    except TypeError:
+        raise ValidationError(f"remove_vertices must hold vertices, got {remove_vertices!r}") from None
     for v in remove:
-        if not (type(v) is int and 0 <= v < g.n):
-            raise ValidationError(f"unknown vertex {v!r}")
+        g._vertex(v)
+    if not isinstance(lower_labels or {}, dict):
+        raise ValidationError(f"lower_labels must map edges (i, j) to labels, got {lower_labels!r}")
     labels = dict(g.labels)
-    for (i, j), new in (lower_labels or {}).items():
-        if not (type(i) is int and type(j) is int and 0 <= i < g.n and 0 <= j < g.n and i != j):
-            raise ValidationError(f"unknown edge {(i, j)!r}")
-        key = (min(i, j), max(i, j))
+    for edge, new in (lower_labels or {}).items():
+        if not (type(edge) is tuple and len(edge) == 2 and edge[0] != edge[1]
+                and all(type(v) is int and 0 <= v < g.n for v in edge)):
+            raise ValidationError(f"unknown edge {edge!r}")
+        key = (min(edge), max(edge))
         old = g.label(*key)
         if not _is_valid_label(new):
             raise ValidationError(f"new label {new!r} is not a valid bond order")

@@ -2,8 +2,9 @@
 
 Types A, B and D are realized with integer coordinates in the standard
 inner product.  I2(m) is realized in the basis of its two simple roots,
-carrying the canonical bilinear form of its graph, which keeps every
-coordinate inside the real subfield of Q(zeta_2m).
+carrying the canonical bilinear form of its graph.  Each family's roots are
+a closed form, so no root is found by reflecting; every I2(m) coordinate is
+a sum of powers of zeta_2m in the real subfield of Q(zeta_2m).
 
 Vectors are plain tuples of int/Fraction/Cyclotomic entries.  The
 helpers ask "is it rational?" first (``linalg.RATIONAL_TYPES``), so A, B
@@ -15,7 +16,6 @@ The rank has no bound.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -27,6 +27,8 @@ from .groups import coxeter_graph
 from .linalg import RATIONAL_TYPES, Matrix, invert_scalar, is_zero_scalar, sign
 from .reps import Representation
 
+_ZERO_NORM = "cannot reflect in a vector of zero norm"
+
 
 def _reflector(alpha, gram: Matrix | None):
     """The reflection in alpha, as alpha and the covector 2 G alpha / (alpha, alpha).
@@ -37,6 +39,7 @@ def _reflector(alpha, gram: Matrix | None):
     vector stays int, so reflections of int vectors stay int.  A term at an
     exact rational zero coordinate is skipped, here and in ``_reflect``, so
     that no ``0 * cyclotomic`` turns a rational sum into a ``Cyclotomic``.
+    None when alpha has zero norm, where no reflection exists.
     """
     if gram is None:
         image = alpha
@@ -51,7 +54,7 @@ def _reflector(alpha, gram: Matrix | None):
         if not (type(a) in RATIONAL_TYPES and a == 0):
             norm = norm + a * x
     if is_zero_scalar(norm):
-        raise ValidationError("cannot reflect in a vector of zero norm")
+        return None
     if isinstance(norm, int) and all(isinstance(x, int) and 2 * x % norm == 0 for x in image):
         covector = tuple((j, 2 * x // norm) for j, x in enumerate(image) if x)
     else:
@@ -76,6 +79,16 @@ def _reflect(reflector, lam):
     return tuple(out)
 
 
+def _check_lengths(lengths, gram: Matrix | None) -> None:
+    """ValidationError unless the vectors have one length, and it is the size
+    of the (square) Gram matrix when one is supplied."""
+    lengths = set(lengths)
+    if gram is not None:
+        lengths.update((gram.rows, gram.cols))
+    if len(lengths) > 1:
+        raise ValidationError(f"sizes of the vectors and the Gram matrix differ: {sorted(lengths)}")
+
+
 def reflect(alpha, lam, gram: Matrix | None = None):
     """Reflection of lam in the hyperplane orthogonal to alpha.
 
@@ -84,9 +97,11 @@ def reflect(alpha, lam, gram: Matrix | None = None):
     """
     alpha = tuple(alpha)
     lam = tuple(lam)
-    if len(alpha) != len(lam):
-        raise ValidationError("vectors of different lengths")
-    return _reflect(_reflector(alpha, gram), lam)
+    _check_lengths((len(alpha), len(lam)), gram)
+    r = _reflector(alpha, gram)
+    if r is None:
+        raise ValidationError(_ZERO_NORM)
+    return _reflect(r, lam)
 
 
 def _scalar_key(x, conductor: int):
@@ -108,13 +123,6 @@ def _common_conductor(vectors) -> int:
     return c
 
 
-def _direction_key(v, conductor: int):
-    """Key of the line through v: v scaled so its first nonzero coordinate is 1."""
-    first = next(x for x in v if not is_zero_scalar(x))
-    inv = invert_scalar(first)
-    return _vector_key(tuple(x * inv for x in v), conductor)
-
-
 def _lex_positive(v) -> bool:
     for x in v:
         s = sign(x)
@@ -126,16 +134,20 @@ def _lex_positive(v) -> bool:
 class RootSystem:
     """Finite set of roots, closed under its own reflections.
 
-    Construction mechanically checks the three axioms: finiteness of the
+    Construction mechanically checks, on roots of one length (the Gram
+    matrix's size, if one is given), the three axioms: finiteness of the
     nonzero root list, intersection of each root line with the system being
     exactly {root, -root}, and stability under every root reflection.
-    Stability is swept over one root of each pair {v, -v}, both as the root
-    that reflects and as the root reflected: s_-a = s_a, s_a(-v) = -s_a(v)
-    and the system is already closed under negation, so s_a maps the system
-    into itself once it maps those roots into it, and onto it because s_a is
-    injective.  That is (|roots| / 2)^2 reflections in place of |roots|^2.
-    The sweep keeps the index of each image it looks up, so
-    ``reflection_index`` answers s_a(b) for any two roots with no further
+    One sweep reflects one root of each pair {v, -v} in one root of each
+    pair: s_-a = s_a, s_a(-v) = -s_a(v) and the system is already closed
+    under negation, so s_a maps the system into itself once it maps those
+    roots into it, and onto it because s_a is injective.  That is
+    (|roots| / 2)^2 reflections in place of |roots|^2.  The sweep also
+    decides the line axiom, dividing by nothing: s_a(b) = -b exactly when b
+    is on a's line.  A line fault is raised before a root of zero norm
+    (none has one under a positive definite form), and that before a
+    stability fault.  The sweep keeps the index of each image it looks up,
+    so ``reflection_index`` answers s_a(b) for any two roots with no further
     reflection.  Immutable; equality compares (roots, label, gram), and the
     hash (label, root count), since a Cyclotomic or a Matrix is unhashable.
     """
@@ -174,12 +186,13 @@ class RootSystem:
 
         ``_index`` maps each root's key to its index, ``_negative[i]`` is the
         index of -roots[i], ``_half[i]`` is (h, negated) with roots[i] =
-        +-halves[h] for the first root of each pair, and ``_table[h][k]`` is
-        the index of s_{halves[h]}(halves[k]).
+        +-roots[halves[h]], halves listing the first root of each pair, and
+        ``_table[h][k]`` is the index of s_{roots[halves[h]]}(roots[halves[k]]).
         """
-        cond = self._conductor
+        roots, cond = self.roots, self._conductor
+        _check_lengths(map(len, roots), self.gram)
         index = {}
-        for i, v in enumerate(self.roots):
+        for i, v in enumerate(roots):
             if all(is_zero_scalar(x) for x in v):
                 raise ValidationError("zero vector in root system")
             k = _vector_key(v, cond)
@@ -187,31 +200,29 @@ class RootSystem:
                 raise ValidationError("repeated root")
             index[k] = i
         negative, half, halves = [], [], []
-        for i, v in enumerate(self.roots):
+        for i, v in enumerate(roots):
             j = index.get(_vector_key(tuple(-x for x in v), cond))
             if j is None:
                 raise ValidationError("root system is not symmetric under negation")
             negative.append(j)
             if j > i:  # v comes first in its pair {v, -v}
                 half.append((len(halves), False))
-                halves.append(v)
+                halves.append(i)
             else:
                 half.append((half[j][0], True))
-        # each line holds v and -v, two distinct roots, so it meets the
-        # system in exactly {v, -v} when its key occurs exactly twice
-        lines = Counter(_direction_key(v, cond) for v in self.roots)
-        if any(count != 2 for count in lines.values()):
-            raise ValidationError("a root line contains more than two roots")
-        table = []
-        for alpha in halves:
-            r = _reflector(alpha, self.gram)
-            row = []
-            for v in halves:
-                image = index.get(_vector_key(_reflect(r, v), cond))
-                if image is None:
-                    raise ValidationError("root system is not stable under its reflections")
-                row.append(image)
-            table.append(tuple(row))
+        table = []  # None for a root of zero norm, and for an image that is no root
+        for h in halves:
+            r = _reflector(roots[h], self.gram)
+            table.append(None if r is None else
+                         tuple(index.get(_vector_key(_reflect(r, roots[k]), cond)) for k in halves))
+        for h, row in zip(halves, table):
+            if row is not None and any(k != h and image == negative[k] for k, image in zip(halves, row)):
+                raise ValidationError("a root line contains more than two roots")
+        for row in table:
+            if row is None:
+                raise ValidationError(_ZERO_NORM)
+            if None in row:
+                raise ValidationError("root system is not stable under its reflections")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_negative", tuple(negative))
         object.__setattr__(self, "_half", tuple(half))
@@ -247,53 +258,24 @@ def root_system(t: TypeLabel, max_order: int = MAX_ORDER) -> RootSystem:
     check_order(t, max_order)
     if t.family == "I2":
         check_bond(t.bond)
-    n = t.rank
-    roots = []
-    if t.family == "A":
-        dim = n + 1
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    v = [0] * dim
-                    v[i], v[j] = 1, -1
-                    roots.append(tuple(v))
-        return RootSystem(tuple(roots), t)
-    if t.family in ("B", "D"):
-        if t.family == "B":
-            for i in range(n):
-                for si in (1, -1):
-                    v = [0] * n
-                    v[i] = si
-                    roots.append(tuple(v))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [0] * n
-                        v[i], v[j] = si, sj
-                        roots.append(tuple(v))
-        return RootSystem(tuple(roots), t)
-    # I2(m): orbit of the simple-root basis vectors under the two simple
-    # reflections, in simple-root coordinates with the graph's bilinear form.
-    gram = gram_matrix(catalog_graph(t))
-    simples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    reflectors = [_reflector(s, gram) for s in simples]
-    cond = 2 * t.bond
-    seen = {}
-    queue = list(simples)
-    for v in queue:
-        k = _vector_key(v, cond)
-        if k in seen:
-            continue
-        seen[k] = v
-        for r in reflectors:
-            w = _reflect(r, v)
-            if _vector_key(w, cond) not in seen:
-                queue.append(w)
-        nv = tuple(-x for x in v)
-        if _vector_key(nv, cond) not in seen:
-            queue.append(nv)
-    return RootSystem(tuple(seen.values()), t, gram)
+    n, signs = t.rank, (1, -1)
+    if t.family == "A":  # e_i - e_j in R^(n+1)
+        return RootSystem([tuple((k == i) - (k == j) for k in range(n + 1))
+                           for i in range(n + 1) for j in range(n + 1) if i != j], t)
+    if t.family in ("B", "D"):  # +-e_i (B only) and +-e_i +- e_j in R^n
+        short = [tuple(si * (k == i) for k in range(n)) for i in range(n) for si in signs]
+        long = [tuple(si * (k == i) + sj * (k == j) for k in range(n))
+                for i in range(n) for j in range(i + 1, n) for si in signs for sj in signs]
+        return RootSystem((short if t.family == "B" else []) + long, t)
+    # I2(m): [k+1] a_0 + [k] a_1 for 0 <= k < m, and their negatives, where
+    # [k] = sin(k pi/m) / sin(pi/m) = [m-k] = sum of zeta_2m^(k-1-2j), j < k.
+    from .cyclotomic import Cyclotomic
+
+    m = t.bond
+    q = [Fraction(k) if k < 2 else Cyclotomic(2 * m, {k - 1 - 2 * j: 1 for j in range(k)})
+         for k in (min(i, m - i) for i in range(m + 1))]
+    positive = list(zip(q[1:], q))
+    return RootSystem(positive + [(-a, -b) for a, b in positive], t, gram_matrix(catalog_graph(t)))
 
 
 def compute_base(rs: RootSystem) -> list[tuple]:
@@ -331,7 +313,11 @@ def _verify_base(rs: RootSystem, base: list) -> None:
 
 def reflection_matrix(alpha, dim: int, gram: Matrix | None = None) -> Matrix:
     """Matrix of the reflection in alpha on coordinate space of size dim."""
-    r = _reflector(tuple(alpha), gram)
+    alpha = tuple(alpha)
+    _check_lengths((len(alpha), dim), gram)
+    r = _reflector(alpha, gram)
+    if r is None:
+        raise ValidationError(_ZERO_NORM)
     cols = []
     for i in range(dim):
         e = [Fraction(0)] * dim
@@ -367,6 +353,8 @@ def fixed_space_dimension(matrices: list[Matrix]) -> int:
     if not matrices:
         raise ValidationError("need at least one matrix")
     n = matrices[0].rows
+    if any(m.rows != n or m.cols != n for m in matrices):
+        raise ValidationError("need square matrices of one size")
     rows = []
     for m in matrices:
         for i in range(n):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,16 @@ def test_zeta_needs_a_positive_conductor(n):
         Cyclotomic.zeta(n)
     with pytest.raises(ValidationError, match=f"^conductor must be >= 1, got {n}$"):
         Cyclotomic.zeta(n, 3)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, Fraction(3), "5"], ids=repr)
+def test_conductor_is_an_exact_int(n):
+    """A float, bool or Fraction conductor is refused on construction, not
+    built to fail later in arithmetic or printing."""
+    with pytest.raises(ValidationError, match=f"^conductor must be an exact int, got {re.escape(repr(n))}$"):
+        Cyclotomic(n, {0: 1})
+    with pytest.raises(ValidationError):
+        Cyclotomic(n, {})
 
 
 def test_rationality_detection():

@@ -33,6 +33,10 @@ non-finite ``classify`` cases (all six graphs in ``GRAPHS``) were
 re-recorded when the witness became a minimal non-finite subgraph named by
 its vertices, instead of a leading Gram minor.
 
+The benchmark's own goldens, ``perfbench/goldens.json``, are pinned here
+too, read as they stand: every table job the benchmark can draw, so a
+change that would fail its correctness gate fails a test first.
+
 A key is ``"<command> <target> <format>"``.  The format is ``tsv``, ``json``
 or ``float`` (tsv with ``--float``).  For ``classify`` the target names a
 graph in ``GRAPHS``.  Every command runs in-process; caches shared between
@@ -49,6 +53,7 @@ import pytest
 from coxeterkit.cli import main
 
 GOLDENS = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+BENCH_GOLDENS = json.loads((Path(__file__).parents[1] / "perfbench" / "goldens.json").read_text())
 
 # Every graph is non-finite.  The first four are hyperbolic: the whole graph
 # but for path(4,5,6), whose certificate is the path (5,6) on vertices 1,2,3.
@@ -85,3 +90,8 @@ def run_case(key: str, tmp_dir: Path) -> tuple[int, str]:
 @pytest.mark.parametrize("key", sorted(GOLDENS))
 def test_cli_output_matches_golden(key, tmp_path):
     assert run_case(key, tmp_path) == (GOLDENS[key]["exit"], GOLDENS[key]["sha256"])
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_GOLDENS))
+def test_cli_output_matches_benchmark_golden(key, tmp_path):
+    assert run_case(key, tmp_path) == (BENCH_GOLDENS[key]["exit"], BENCH_GOLDENS[key]["sha256"])

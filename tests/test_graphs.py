@@ -279,3 +279,40 @@ def test_graph_takes_only_ints_where_ints_are_required():
     for n, edges in [(True, ()), (2, [(False, 1, 3)]), (2, [(0, 1, True)]), (2, [(0, 1, 3.0)])]:
         with pytest.raises(ValidationError):
             CoxeterGraph(n, edges)
+
+
+@pytest.mark.parametrize("edges", [None, 5, 2.5], ids=repr)
+def test_graph_edges_must_be_a_collection(edges):
+    """An edge argument that cannot be iterated is bad input, not a TypeError."""
+    message = f"edges must hold (i, j, m) triples, got {edges!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        CoxeterGraph(3, edges)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"lower_labels": [(0, 1)]}, "lower_labels must map edges (i, j) to labels, got [(0, 1)]"),
+        ({"lower_labels": ((0, 1), 2)}, "lower_labels must map edges (i, j) to labels, got ((0, 1), 2)"),
+        ({"lower_labels": {5: 2}}, "unknown edge 5"),
+        ({"lower_labels": {(0, 1, 2): 2}}, "unknown edge (0, 1, 2)"),
+        ({"remove_vertices": 5}, "remove_vertices must hold vertices, got 5"),
+        ({"remove_vertices": None}, "remove_vertices must hold vertices, got None"),
+    ],
+    ids=["edge-list", "edge-tuple", "int-key", "triple-key", "int-vertices", "none-vertices"],
+)
+def test_subgraph_arguments_of_the_wrong_shape_are_bad_input(kwargs, message):
+    """Neither an AttributeError from a list of edges nor a TypeError from a
+    bare vertex or an edge key that is no pair."""
+    b3 = CoxeterGraph(3, [(0, 1, 4), (1, 2, 3)])
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        subgraph(b3, **kwargs)
+
+
+@pytest.mark.parametrize("one", [1.0, True, Fraction(1)], ids=repr)
+def test_matrix_diagonal_is_an_exact_int(one):
+    """The diagonal takes only the int 1, as a graph's labels take only ints."""
+    with pytest.raises(ValidationError, match="^diagonal entry at 1 must be 1$"):
+        CoxeterMatrix([[1, 3], [3, one]])
+    with pytest.raises(ValidationError):
+        CoxeterGraph(2, [(0, 1, one)])

@@ -925,16 +925,31 @@ def perturbed_root_sets(draw):
     return draw(st.permutations(roots)), gram
 
 
-I2_5_GRAM = AXIOM_SEEDS[2][1]
+I2_5_ROOTS, I2_5_GRAM = AXIOM_SEEDS[2]
+PHI = Cyclotomic(10, {1: 1, 9: 1})  # 2 cos(pi/5), the golden ratio
+INDEFINITE = Matrix([[1, 0], [0, -1]])  # (1, 1) has norm 0
 
 
 @settings(max_examples=300, deadline=None)
 @given(perturbed_root_sets())
 @example(([(1, 0), (-1, 0)], I2_5_GRAM))  # rational roots, cyclotomic form: accepted
 @example(([(1, 0), (-1, 0), (0, 1), (0, -1)], I2_5_GRAM))  # not stable
+# the root (phi, phi) of I2(5) times +-phi: a line fault with no rational coordinate
+@example(([*I2_5_ROOTS, (PHI * PHI, PHI * PHI), (-PHI * PHI, -PHI * PHI)], I2_5_GRAM))
+# a root of zero norm after a line fault, and after a root that is not stable
+@example(([(1, 1), (-1, -1), (1, 0), (-1, 0), (2, 0), (-2, 0)], INDEFINITE))
+@example(([(1, 0), (-1, 0), (1, 1), (-1, -1)], INDEFINITE))
 def test_root_axioms_match_the_full_sweep(case):
     roots, gram = case
     assert axiom_verdict(roots, gram) == full_sweep_axioms(roots, gram)
+
+
+def test_a_line_of_zero_norm_roots_is_reported_as_zero_norm():
+    """The one verdict out of the full sweep's order: the sweep reflects in
+    no root of zero norm, so it cannot see such a root's line."""
+    roots = [(1, 1), (-1, -1), (2, 2), (-2, -2)]
+    assert full_sweep_axioms(roots, INDEFINITE) == "a root line contains more than two roots"
+    assert axiom_verdict(roots, INDEFINITE) == "cannot reflect in a vector of zero norm"
 
 
 @pytest.mark.parametrize(

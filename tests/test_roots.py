@@ -347,3 +347,89 @@ def test_fixed_space_dimensions():
     i26 = realize(TypeLabel("I2", 2, 6))
     rep = geometric_rep(i26)
     assert fixed_space_dimension([rep.matrix_of(g) for g in i26.generators]) == 0
+
+
+A1 = TypeLabel("A", 1)
+IDENTITY_3 = Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RootSystem(((1, 0), (-1, 0), (1,), (-1,)), A1),  # two vector lengths
+        lambda: RootSystem(((1, 0), (-1, 0)), A1, IDENTITY_3),  # a Gram matrix too large
+        lambda: RootSystem(((1, 0), (-1, 0)), A1, Matrix([[1]])),  # and too small
+        lambda: RootSystem(((1, 0), (-1, 0)), A1, Matrix([[1, 0, 0], [0, 1, 0]])),  # not square
+        lambda: reflect((1, 0), (0, 1), Matrix([[1]])),
+        lambda: reflect((1, 0), (0, 1, 0)),
+        lambda: reflection_matrix((1, 0), 3),
+        lambda: reflection_matrix((1, 0, 0), 3, Matrix([[1, 0], [0, 1]])),
+    ],
+    ids=["mixed-roots", "gram-3", "gram-1", "gram-2x3", "reflect-gram-1", "reflect-lengths",
+         "matrix-dim", "matrix-gram-2"],
+)
+def test_vectors_have_one_length_the_size_of_the_gram_matrix(build):
+    """A vector length that differs from another, or from the Gram matrix's
+    size, is bad input: never an IndexError, nor an answer read from part of
+    a vector or part of the form."""
+    with pytest.raises(ValidationError, match="^sizes of the vectors and the Gram matrix differ"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [[Matrix([[1]]), Matrix([[1, 0], [0, -1]])], [Matrix([[1, 0]])], [Matrix([[1, 0], [0, 1]]), Matrix([[1]])]],
+    ids=["smaller-first", "not-square", "larger-first"],
+)
+def test_fixed_space_needs_square_matrices_of_one_size(matrices):
+    """Never the fixed space of a corner of a larger matrix, nor an IndexError."""
+    with pytest.raises(ValidationError, match="^need square matrices of one size$"):
+        fixed_space_dimension(matrices)
+
+
+def dihedral_orbit(m: int) -> list[tuple]:
+    """The I2(m) roots as the orbit of the simple roots under the two simple
+    reflections and negation, each image reflected afresh."""
+    gram = gram_matrix(realize(TypeLabel("I2", 2, m)).graph)
+    simples = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    seen, queue = {}, list(simples)
+    for v in queue:
+        key = _vector_key(v, 2 * m)
+        if key not in seen:
+            seen[key] = v
+            queue += [reflect(s, v, gram) for s in simples] + [tuple(-x for x in v)]
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("m", [*range(3, 31), BOND_BOUND], ids=lambda m: f"I2({m})")
+def test_dihedral_closed_form_is_the_reflection_orbit(m):
+    rs = root_system(TypeLabel("I2", 2, m))
+    orbit = dihedral_orbit(m)
+    assert rs.count == len(orbit) == 2 * m
+    assert {_vector_key(v, 2 * m) for v in rs.roots} == {_vector_key(v, 2 * m) for v in orbit}
+    # the simple roots, each coordinate a Fraction, [0] and [1] as built
+    assert rs.roots[0] == (Fraction(1), Fraction(0)) and rs.roots[m - 1] == (Fraction(0), Fraction(1))
+    assert all(type(x) is Fraction for x in rs.roots[0] + rs.roots[m - 1])
+
+
+def no_inversion(*args):
+    raise AssertionError("a cyclotomic inverse was computed")
+
+
+def test_dihedral_roots_and_bases_invert_nothing(monkeypatch):
+    """The closed-form roots have norm 1 and the sweep decides the line axiom
+    with no division, so no cyclotomic value is ever inverted."""
+    import coxeterkit.cyclotomic as cyclotomic
+
+    monkeypatch.setattr(cyclotomic, "_inverse_numerators", no_inversion)
+    for m in range(3, 25):
+        rs = root_system(TypeLabel("I2", 2, m))
+        assert compute_base(rs) == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+
+
+def test_dihedral_verification_inverts_nothing(monkeypatch):
+    import coxeterkit.cyclotomic as cyclotomic
+    from coxeterkit.verify import run_verification
+
+    monkeypatch.setattr(cyclotomic, "_inverse_numerators", no_inversion)
+    assert [name for name, ok, _ in run_verification(TypeLabel("I2", 2, 12)) if not ok] == []
