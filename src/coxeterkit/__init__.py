@@ -15,7 +15,7 @@ name to the submodule.
 
 import importlib
 
-from .classify import TypeLabel, classify, coxeter_group_order, parse_type_label
+from .classify import TypeLabel, classify, coxeter_group_order, parse_type_label, partitions_of
 from .errors import (
     CoxeterKitError,
     GuardError,
@@ -74,7 +74,6 @@ _LAZY = {
         "bipartitions",
         "hook_dimension",
         "partition_text",
-        "partitions_of",
     ),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
@@ -84,6 +83,7 @@ __all__ = [
     "classify",
     "coxeter_group_order",
     "parse_type_label",
+    "partitions_of",
     "CoxeterKitError",
     "GuardError",
     "InternalInconsistencyError",

@@ -3,10 +3,11 @@
 This is the light front that ``import coxeterkit`` loads: the
 ``TypeLabel`` value, its parser, the group-order formulas with the one
 group-order budget (``check_order``), the one bound on the bond of I2(m)
-(``check_bond``), and ``classify``.  The classifier itself is
-``catalog``, which ``classify`` imports on its first call, together with
-the graph and arithmetic modules; so a command that only names a type
-compiles none of them.
+(``check_bond``), the partitions of n with their bound
+(``partitions_of``, ``check_partitions``), and ``classify``.  The
+classifier itself is ``catalog``, which ``classify`` imports on its first
+call, together with the graph and arithmetic modules; so a command that
+only names a type compiles none of them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import GuardError, UnsupportedTypeError, ValidationError
 
@@ -149,6 +151,39 @@ def check_bond(m: int) -> None:
     ``roots`` and the dihedral dimensions and characters all check."""
     if m > BOND_BOUND:
         raise GuardError(f"bond {m} exceeds the bound {BOND_BOUND}")
+
+
+PARTITION_GUARD = 40
+
+
+def check_partitions(n: int) -> None:
+    """GuardError past ``PARTITION_GUARD``, for partitions and S_n values."""
+    if n > PARTITION_GUARD:
+        raise GuardError(f"partition enumeration capped at n = {PARTITION_GUARD}")
+
+
+@lru_cache(maxsize=None)
+def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of n in reverse-lexicographic order; () for n = 0.
+
+    They index the class data of A/B/D, so they live here, where ``realize``
+    finds them without compiling ``tableaux``; ``tableaux`` re-exports them.
+    """
+    if n < 0:
+        raise ValidationError("partitions are defined for n >= 0")
+    check_partitions(n)
+    if n == 0:
+        return ((),)
+
+    def gen(remaining: int, cap: int):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(cap, remaining), 0, -1):
+            for rest in gen(remaining - first, first):
+                yield (first,) + rest
+
+    return tuple(gen(n, n))
 
 
 def classify(g: CoxeterGraph) -> ClassificationResult:

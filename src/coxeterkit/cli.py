@@ -31,7 +31,8 @@ function.  ``classify`` loads the classifier (``catalog``, with
 ``cyclotomic`` only for a bond outside {3, 4, 6, inf} or an irrational
 Gram entry on a cycle.  ``irreps`` loads only the dimension module of
 the family: ``tableaux`` for A/B/D, ``dihedral`` for I2(m).  ``realize``
-adds the group-free ``classes``, with ``permutations`` for A/B/D;
+adds the group-free ``classes``, with ``permutations`` for A/B/D (the
+partitions that index their classes are in ``classify``);
 ``chartable`` adds ``families`` for A/B/D and ``cyclotomic`` for I2(m).
 None of them loads the enumeration engine (``groups``, ``reps``) or the
 classifier: only ``verify`` does.
@@ -48,10 +49,26 @@ plain command skips at about 4 ms: ``argparse`` with ``gettext`` 1.1 ms,
 building the parser 1.2 ms more (``locale`` 0.5 ms of it), ``fractions``
 with ``decimal`` 1.3 ms (skipped by ``irreps``, ``realize`` and A/B/D tables),
 ``signal`` 0.4 ms.
+
+Shutdown: ``run`` calls ``gc.freeze()`` just before ``sys.exit``, so the
+garbage collection that CPython runs at exit finds nothing to traverse.
+It would only free the reference cycles of every loaded module, and of
+what the environment's ``site`` loaded, just before the OS frees the whole
+heap.  The rest of a normal shutdown still runs: atexit handlers, the
+flushes of the standard streams, profilers and coverage.  CPython never
+promised to call ``__del__`` for an object still alive at exit, and a
+frozen cycle is not collected.  ``main``, which tests and the benchmark's
+tracer call in-process, freezes nothing.  Fresh runs (CPython 3.11.7,
+``PYTHONDONTWRITEBYTECODE=1``, 2-vCPU x86, best of 21, alternating with
+the code before the freeze): ``irreps A4`` 47.3 -> 42.3 ms, ``chartable
+I2(12)`` 55.5 -> 50.2 ms, ``verify I2(12)`` 90.0 -> 82.9 ms, ``verify A7``
+660 -> 648 ms.  ``realize A6`` 52.3 -> 45.1 ms also compiles no
+``tableaux`` any more, about 3 ms of that.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from types import SimpleNamespace
 
@@ -365,6 +382,7 @@ def run() -> None:
             signal.signal(signal.SIGPIPE, signal.SIG_DFL)
             os.kill(os.getpid(), signal.SIGPIPE)  # ends the process here
         raise
+    gc.freeze()  # the exit-time collection would only free what the OS frees anyway
     sys.exit(code)
 
 

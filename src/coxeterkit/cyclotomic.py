@@ -157,6 +157,8 @@ class Cyclotomic:
             raise ValidationError(f"conductor must be >= 1, got {conductor}")
         acc: dict[int, Fraction] = {}
         for k, c in terms.items():
+            if type(k) is not int:
+                raise ValidationError(f"exponent must be an exact int, got {k!r}")
             c = Fraction(c)
             if c:
                 k %= conductor

@@ -118,7 +118,10 @@ class CoxeterMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
+        try:
+            rows = tuple(tuple(r) for r in entries)
+        except TypeError as e:  # entries, or one of its rows, is not iterable
+            raise ValidationError("Coxeter matrix must be an iterable of rows") from e
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValidationError("Coxeter matrix must be square and non-empty")

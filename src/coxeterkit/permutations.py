@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from .classify import partitions_of
 from .errors import UnsupportedTypeError, ValidationError
-from .tableaux import partitions_of
 
 
 class Permutation:

@@ -1,7 +1,8 @@
 """Partitions, hooks, S_n characters, and the A, B and D irreducibles' labels.
 
 Group-free combinatorics of S_n = W(A_{n-1}) and of the B_n and D_n
-labels: the partition and bipartition lists, the hook-length and B_n/D_n
+labels: the bipartition lists (the partitions, with their guard, are
+``classify.partitions_of``, re-exported here), the hook-length and B_n/D_n
 dimension formulas, the standard tableaux, and one Murnaghan-Nakayama
 recursion on beta-sets, ``rim_hook_sum``, for the characters of S_n, B_n
 and D_n (Macdonald, *Symmetric Functions and Hall Polynomials*, I.7 Ex. 5
@@ -17,16 +18,10 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
+from .classify import check_partitions, partitions_of
 from .errors import GuardError, InternalInconsistencyError, ValidationError
 
-PARTITION_GUARD = 40
 BN_GUARD = 8  # largest n of a B_n or D_n dimension list or character table
-
-
-def check_partitions(n: int) -> None:
-    """GuardError past ``PARTITION_GUARD``, for partitions and S_n values."""
-    if n > PARTITION_GUARD:
-        raise GuardError(f"partition enumeration capped at n = {PARTITION_GUARD}")
 
 
 def check_bn(n: int) -> None:
@@ -58,26 +53,6 @@ def validate_partition(parts) -> tuple[int, ...]:
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValidationError(f"partition parts must be weakly decreasing: {parts!r}")
     return parts
-
-
-@lru_cache(maxsize=None)
-def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n in reverse-lexicographic order; () for n = 0."""
-    if n < 0:
-        raise ValidationError("partitions are defined for n >= 0")
-    check_partitions(n)
-    if n == 0:
-        return ((),)
-
-    def gen(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
 
 
 def hook_lengths(shape) -> list[list[int]]:
@@ -144,9 +119,9 @@ def symmetric_character_value(shape, cycle) -> int:
     """chi_shape at the cycle type ``cycle``, an int, by the Murnaghan-Nakayama
     rule (James-Kerber, *The Representation Theory of the Symmetric Group*,
     2.4.7; Macdonald, *Symmetric Functions and Hall Polynomials*, I.7 Ex. 5).
-    Both must be partitions of one n <= PARTITION_GUARD; n = 0 and 1 give
-    the value 1.  The arguments are checked here, once, and not in the
-    recursion."""
+    Both must be partitions of one n <= ``classify.PARTITION_GUARD``; n = 0
+    and 1 give the value 1.  The arguments are checked here, once, and not
+    in the recursion."""
     shape, cycle = validate_partition(shape), validate_partition(cycle)
     n = sum(shape)
     if n != sum(cycle):

@@ -68,6 +68,16 @@ def test_conductor_is_an_exact_int(n):
         Cyclotomic(n, {})
 
 
+@pytest.mark.parametrize("k", [1.5, 4.5, 2.0, True, Fraction(1), "1"], ids=repr)
+def test_exponent_is_an_exact_int(k):
+    """A float, bool or Fraction exponent is refused on construction: 1.5 no
+    longer prints as z5^1.5, 4.5 no longer fails later in the normal form,
+    and True is no longer taken for 1, even with a zero coefficient."""
+    for c in (1, 0):
+        with pytest.raises(ValidationError, match=f"^exponent must be an exact int, got {re.escape(repr(k))}$"):
+            Cyclotomic(5, {k: c})
+
+
 def test_rationality_detection():
     v = Cyclotomic.zeta(5) + Cyclotomic.zeta(5, 2) + Cyclotomic.zeta(5, 3) + Cyclotomic.zeta(5, 4)
     assert v.is_rational() and v.rational_value() == -1

@@ -316,3 +316,10 @@ def test_matrix_diagonal_is_an_exact_int(one):
         CoxeterMatrix([[1, 3], [3, one]])
     with pytest.raises(ValidationError):
         CoxeterGraph(2, [(0, 1, one)])
+
+
+@pytest.mark.parametrize("entries", [5, None, [5], [[1, 3], 7]], ids=repr)
+def test_matrix_of_rows_that_are_not_iterable_is_bad_input(entries):
+    """A ValidationError, not the TypeError of iterating a number or None."""
+    with pytest.raises(ValidationError, match="^Coxeter matrix must be an iterable of rows$"):
+        CoxeterMatrix(entries)

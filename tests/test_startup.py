@@ -7,6 +7,7 @@ the repr, validation, immutability, hashing and ordering they had as frozen
 dataclasses.
 """
 
+import io
 import json
 import os
 import re
@@ -19,6 +20,7 @@ import pytest
 
 from coxeterkit.catalog import Witness
 from coxeterkit.classify import TypeLabel
+from coxeterkit.cli import main
 from coxeterkit.errors import ValidationError
 from coxeterkit.families import BipartitionLabel, DnLabel
 from coxeterkit.groups import realize
@@ -123,8 +125,13 @@ def test_a_traced_first_classify_call_runs_the_classifier_under_the_tracer():
 
 
 def test_realize_of_type_a_loads_only_its_class_data():
-    # and the partitions of tableaux, for the closed-form class data
-    assert modules_after("realize", "A3") == BASE | {"classes", "permutations", "tableaux"}
+    # the partitions that index the closed-form class data come from classify
+    assert modules_after("realize", "A3") == BASE | {"classes", "permutations"}
+
+
+@pytest.mark.parametrize("target", ["B3", "D4"])
+def test_realize_of_types_b_and_d_load_only_their_class_data(target):
+    assert modules_after("realize", target) == BASE | {"classes", "permutations"}
 
 
 @pytest.mark.parametrize("target", ["A4", "B3", "D4"])
@@ -238,6 +245,30 @@ def test_permutation_type_tables_build_no_group(command, target):
 @pytest.mark.parametrize("target", ["I2(5)", "I2(12)"])
 def test_dihedral_tables_build_no_group(command, target):
     assert fresh_python(BUILT, command, target).strip() == "0 []"
+
+
+RUN = """
+import atexit, sys
+from coxeterkit import cli
+atexit.register(lambda: sys.stderr.write("atexit handler ran\\n"))
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("argv, exit_code", [(("chartable", "A4"), 0), (("chartable", "A16"), 3)],
+                         ids=["chartable A4", "chartable A16"])
+def test_the_process_entry_keeps_the_interpreter_shutdown(argv, exit_code):
+    """``run`` skips only the exit-time collection: an atexit handler still
+    runs, and stdout and the exit code are those of ``main``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+    out = io.StringIO()
+    assert main(list(argv), out=out) == exit_code
+    assert proc.returncode == exit_code
+    assert proc.stdout == out.getvalue()
+    assert proc.stderr == "atexit handler ran\n"
 
 
 # what verify of every family loads: the classifier for the graph checks,
