@@ -60,15 +60,19 @@ def affine_catalog(max_rank: int = 8) -> list[tuple[str, CoxeterGraph]]:
     """The standard connected positive semi-definite (determinant-zero) graphs.
 
     Parameterized families are instantiated with subscript n up to
-    ``max_rank`` (a subscript-n graph has n+1 vertices).  D~n starts at
-    n = 4, the smallest subscript for which D_n itself is defined.
+    ``max_rank`` (a subscript-n graph has n+1 vertices), so ``max_rank`` 0
+    lists none of them.  D~n starts at n = 4, the smallest subscript for
+    which D_n itself is defined.  The exceptional graphs E~6, E~7, E~8, F~4
+    and G~2 are always listed, whatever ``max_rank``.
     """
     out: list[tuple[str, CoxeterGraph]] = []
-    out.append(("A~1", CoxeterGraph(2, [(0, 1, INFINITY)])))
+    if max_rank >= 1:
+        out.append(("A~1", CoxeterGraph(2, [(0, 1, INFINITY)])))
     for n in range(2, max_rank + 1):
         cycle = [(i, (i + 1) % (n + 1), 3) for i in range(n + 1)]
         out.append((f"A~{n}", CoxeterGraph(n + 1, cycle)))
-    out.append(("B~2=C~2", CoxeterGraph(3, [(0, 1, 4), (1, 2, 4)])))
+    if max_rank >= 2:
+        out.append(("B~2=C~2", CoxeterGraph(3, [(0, 1, 4), (1, 2, 4)])))
     for n in range(3, max_rank + 1):
         edges = [(0, 2, 3), (1, 2, 3)] + [(i, i + 1, 3) for i in range(2, n - 1)] + [(n - 1, n, 4)]
         out.append((f"B~{n}", CoxeterGraph(n + 1, edges)))
@@ -152,7 +156,8 @@ def _match_connected(adj, nbr, mask: int) -> tuple | None:
     Only trees with finite bonds qualify; a connected graph with n - 1 edges
     is a tree.  One pass reads each degree, ``(nbr[v] & mask).bit_count()``, and
     keeps the least end (or A1's vertex) and a branch vertex b; a ``_walk`` from
-    the end reads a path's bonds, and one from each neighbour of b, without b, an arm's.
+    the end reads a path's bonds, and one from each neighbour of b, without b, an
+    arm's, the first arm with a bond other than 3 ending the match.
     """
     n, total, b, rest = mask.bit_count(), 0, None, mask
     while rest:
@@ -169,10 +174,14 @@ def _match_connected(adj, nbr, mask: int) -> tuple | None:
     if total != 2 * n - 2:
         return None
     if b is not None:
-        arms = [[adj[b][s]] + _walk(adj, nbr, mask ^ 1 << b, s) for s in adj[b] if mask >> s & 1]
-        if any(max(arm) != 3 for arm in arms):
-            return None
-        short, mid, long = sorted(map(len, arms))
+        lengths = []
+        for s, m in adj[b].items():
+            if mask >> s & 1:
+                arm = _walk(adj, nbr, mask ^ 1 << b, s)
+                if m != 3 or max(arm, default=3) != 3:  # every bond is at least 3
+                    return None
+                lengths.append(len(arm) + 1)
+        short, mid, long = sorted(lengths)
         if short == mid == 1:
             return "D", long + 3, None
         if short == 1 and mid == 2 and long in (2, 3, 4):
@@ -225,7 +234,8 @@ def classify_components(g: CoxeterGraph) -> ClassificationResult:
 
 
 def classification_catalog(max_rank: int = 8, dihedral_bonds=range(5, 13)) -> list[TypeLabel]:
-    """Every catalog label of rank <= max_rank (I2 over the given bonds)."""
+    """Every catalog label of rank <= max_rank (I2 over the given bonds, from
+    ``max_rank`` 2 on)."""
     out = [TypeLabel("A", n) for n in range(1, max_rank + 1)]
     out += [TypeLabel("B", n) for n in range(2, max_rank + 1)]
     out += [TypeLabel("D", n) for n in range(4, max_rank + 1)]
@@ -233,5 +243,5 @@ def classification_catalog(max_rank: int = 8, dihedral_bonds=range(5, 13)) -> li
     if max_rank >= 4:
         out.append(TypeLabel("F", 4))
     out += [TypeLabel("H", n) for n in (3, 4) if n <= max_rank]
-    out += [TypeLabel("I2", 2, m) for m in dihedral_bonds]
+    out += [TypeLabel("I2", 2, m) for m in dihedral_bonds if max_rank >= 2]
     return out

@@ -77,27 +77,32 @@ def _forest_signs(adj, vertices) -> list[int] | None:
     """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle.
     ``ready`` lists the isolated vertices, then the leaves, each increasing: the
     order of ``pivot_signs``.  ``left`` counts remaining neighbours; a vertex at 1
-    is ``insort``-ed among the leaves, one at 0 is next; weights come from ``adj``."""
+    is ``insort``-ed among the leaves, one at 0 is next; weights come from ``adj``.
+    An int pivot takes its sign inline, and only a cyclotomic one calls ``sign``;
+    a leaf's update walks its bonds up to the one neighbour still left."""
     left = {v: len(adj[v]) for v in vertices}
-    ready = [v for v in vertices if not left[v]] + [v for v in vertices if left[v] == 1]
+    ready = sorted([v for v in vertices if left[v] < 2], key=left.__getitem__)
     num, den = dict.fromkeys(vertices, 2), dict.fromkeys(vertices, 1)
     signs = []
     while ready:
         v = ready.pop(0)
         a, b = num[v], den[v]
-        signs.append(sign(a))
-        if signs[-1] <= 0:
+        s = (a > 0) - (a < 0) if type(a) is int else sign(a)
+        signs.append(s)
+        if s <= 0:
             return signs
-        del left[v]
-        for u in left.keys() & adj[v].keys():  # the one neighbour left to a leaf, none to an isolated v
-            left[u] -= 1
-            num[u] = num[u] * a - b * den[u] * _WEIGHTS[adj[v][u]]
-            den[u] = den[u] * a
-            if left[u] == 1:
-                insort(ready, u)
-            elif not left[u]:
-                ready.remove(u)
-                ready.insert(0, u)
+        if left.pop(v):  # a leaf; an isolated v has no neighbour left
+            for u, m in adj[v].items():
+                if u in left:
+                    left[u] -= 1
+                    num[u] = num[u] * a - b * den[u] * _WEIGHTS[m]
+                    den[u] = den[u] * a
+                    if left[u] == 1:
+                        insort(ready, u)
+                    elif not left[u]:
+                        ready.remove(u)
+                        ready.insert(0, u)
+                    break
     return None if left else signs
 
 
@@ -139,8 +144,14 @@ def _positive_definite(adj, vertices) -> bool:
 
 
 def _vertices(mask: int) -> list[int]:
-    """The vertices of the vertex mask ``mask`` (bit v for vertex v), increasing."""
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    """The vertices of the vertex mask ``mask`` (bit v for vertex v), increasing:
+    each step takes the lowest set bit, ``mask & -mask``, so no clear bit is read."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return vertices
 
 
 def _parts(nbr, mask: int) -> list[int]:
@@ -169,18 +180,21 @@ def minimal_rejected(adj, nbr, mask: int, match) -> tuple[list[int], dict]:
     induced subgraph of one of those parts.  Deleting a leaf of the part
     leaves one part, ``part ^ (1 << v)``; other deletions try its ``_parts``.
     A single vertex (A1) is skipped, and a part of two is rejected exactly at
-    the bond INFINITY, by one lookup.  The pair is built once, at the end.
+    the bond INFINITY, by one lookup.  The sweep steps through the vertices
+    still in the part by their lowest bit, increasing, and builds no vertex
+    list; the pair is built once, at the end.
     """
-    part = mask
-    for v in _vertices(mask):
-        if part >> v & 1:
-            rest = part ^ 1 << v
-            for comp in [rest] if (nbr[v] & part).bit_count() == 1 else _parts(nbr, rest):
-                size = comp.bit_count()
-                if size > 2 and match(adj, nbr, comp) is None or size == 2 and (
-                        adj[comp.bit_length() - 1][(comp & -comp).bit_length() - 1] == INFINITY):
-                    part = comp
-                    break
+    part = todo = mask
+    while todo:
+        low = todo & -todo
+        v, rest = low.bit_length() - 1, part ^ low
+        for comp in [rest] if (nbr[v] & part).bit_count() == 1 else _parts(nbr, rest):
+            size = comp.bit_count()
+            if size > 2 and match(adj, nbr, comp) is None or size == 2 and (
+                    adj[comp.bit_length() - 1][(comp & -comp).bit_length() - 1] == INFINITY):
+                part = comp
+                break
+        todo = (todo ^ low) & part
     vertices = _vertices(part)
     return vertices, {u: {w: m for w, m in adj[u].items() if part >> w & 1} for u in vertices}
 

@@ -90,9 +90,8 @@ class CoxeterGraph:
         adj = self._adj
         if adj is None:
             adj = self._adj = [{} for _ in range(self.n)]
-            labels = self.labels
-            for a, b in sorted(labels):  # so each entry comes sorted
-                adj[a][b] = adj[b][a] = labels[a, b]
+            for (a, b), m in sorted(self.labels.items()):  # so each entry comes sorted
+                adj[a][b] = adj[b][a] = m
         return adj
 
     def neighbors(self, i: int) -> list[int]:

@@ -1,7 +1,11 @@
+import hashlib
+import importlib.util
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +37,7 @@ from coxeterkit.graphs import (
     gram_entry,
     gram_matrix,
     induced_parts,
+    parse_graph_json,
     subgraph,
 )
 from coxeterkit.linalg import Matrix, is_zero_scalar, sign
@@ -172,6 +177,21 @@ def test_affine_catalog_rejection():
         *proper, det = dense_leading_minors(gram_matrix(g))
         assert all(sign(x) > 0 for x in proper) and is_zero_scalar(det), name
         assert not classify(g).is_finite, name
+
+
+EXCEPTIONAL_AFFINE = ["E~6", "E~7", "E~8", "F~4", "G~2"]
+
+
+@pytest.mark.parametrize("max_rank, finite, affine", [
+    (0, [], []),
+    (1, ["A1"], ["A~1"]),
+    (2, ["A1", "A2", "B2"] + [f"I2({m})" for m in range(5, 13)], ["A~1", "A~2", "B~2=C~2"]),
+])
+def test_catalogs_list_nothing_past_a_small_max_rank(max_rank, finite, affine):
+    """No I2(m) below rank 2, no A~1 at subscript bound 0 and no B~2=C~2
+    below 2; the exceptional affine graphs are listed whatever the bound."""
+    assert [str(t) for t in classification_catalog(max_rank)] == finite
+    assert [name for name, _ in affine_catalog(max_rank)] == affine + EXCEPTIONAL_AFFINE
 
 
 def test_affine_examples():
@@ -666,6 +686,16 @@ def test_mask_parts_are_the_induced_parts_in_order(case):
     assert parts == [vertex_mask(vs) for vs in want]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, (1 << VERTEX_GUARD) - 1))
+@example(0)
+@example(1)
+@example(1 << VERTEX_GUARD - 1)
+@example((1 << VERTEX_GUARD) - 1)
+def test_vertices_of_a_mask_are_its_set_bits_increasing(mask):
+    assert certify_module._vertices(mask) == [v for v, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 def test_classify_of_48_vertices_with_two_rejected_parts_equals_the_reference():
     """Two rejected parts, E~8 with a pendant bond 4 and the cycle A~6, among
     finite ones, on the 48 vertices of the guard in a random order."""
@@ -734,3 +764,24 @@ def test_certify_raises_the_inconsistency_on_a_graph_it_cannot_certify(g):
     """No bond, a finite graph, or a bond past 5 from rank 4 on: no certificate."""
     with pytest.raises(InternalInconsistencyError, match="no exact certificate for the rejected subgraph on"):
         certify_module.certify(g)
+
+
+SCAN_CORPUS_SHA256 = "4faf7440fbe7dbc159b69a1dab064c312e273df067e715217863b4c84afe9893"
+
+
+def test_scan_corpora_classify_byte_identically():
+    """``str(classify(g))`` of every graph of the classify-scan corpora of
+    seeds 1-20 (7000 graphs), one line each in corpus order, hashes to the
+    recorded digest: it pins each verdict and every witness's vertices,
+    where the benchmark's oracle checks the labels only."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("scan_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    digest, count = hashlib.sha256(), 0
+    for seed in range(1, 21):
+        for item in workloads.scan_corpus(seed):
+            g = parse_graph_json(json.dumps(item["graph"]))
+            digest.update((str(classify(g)) + "\n").encode())
+            count += 1
+    assert count == 7000 and digest.hexdigest() == SCAN_CORPUS_SHA256

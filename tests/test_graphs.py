@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -124,6 +126,21 @@ def test_neighbors_and_degree_from_the_adjacency():
     comp, vertices = connected_components(g)[0]
     assert vertices == (0, 1, 3, 4) and comp.neighbors(1) == [0, 2, 3]
     assert comp == CoxeterGraph(4, [(0, 1, 4), (1, 2, 3), (1, 3, 5)])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_adjacency_rows_are_increasing_for_any_edge_order(seed):
+    """Edges given in a shuffled order, each pair either way round, as
+    triples and as a dict: every row lists its neighbours increasing."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    pairs = rng.sample(list(itertools.combinations(range(n), 2)), rng.randint(1, n * (n - 1) // 2))
+    edges = [(j, i, m) if rng.random() < 0.5 else (i, j, m)
+             for i, j in pairs for m in [rng.choice([3, 4, 5, 7, INFINITY])]]
+    for g in (CoxeterGraph(n, edges), CoxeterGraph(n, {(i, j): m for i, j, m in reversed(edges)})):
+        adj = g._adjacency()
+        assert [list(row) for row in adj] == [[u for u in range(n) if g.label(v, u) not in (1, 2)] for v in range(n)]
+        assert all(row[u] == g.label(v, u) for v, row in enumerate(adj) for u in row)
 
 
 def test_subgraph_operations():
