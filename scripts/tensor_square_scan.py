@@ -36,4 +36,8 @@ def run(max_n: int) -> None:
 
 
 if __name__ == "__main__":
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # a closed pipe ends the scan quietly, as ``cli.run`` ends
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     run(int(sys.argv[1]) if len(sys.argv) > 1 else 6)

@@ -12,8 +12,8 @@ of this reads the graph's one adjacency and its neighbour masks, each
 component and candidate as a vertex mask.  ``is_positive_definite`` is the same
 decision for the whole graph, with a ``Witness`` (a minimal non-finite
 subgraph) on failure; no dense Gram minor is formed.  ``classify.classify``
-loads this module, and with it ``graphs``, ``certify`` and ``linalg``, on
-its first call; ``cyclotomic`` comes only for a bond outside {3, 4, 6, inf}
+loads this module, and with it ``graphs`` and ``certify`` (not ``linalg``),
+on its first call; ``cyclotomic`` comes only for a bond outside {3, 4, 6, inf}
 or an irrational Gram entry on a cycle.
 """
 
@@ -205,6 +205,9 @@ def _match_connected(adj, nbr, mask: int) -> tuple | None:
     return None
 
 
+_LABELS = {}  # match -> its TypeLabel, validated once; not I2(m), whose m is unbounded
+
+
 def check_vertices(n: int) -> None:
     """GuardError past ``VERTEX_GUARD`` vertices: the bound of every graph check."""
     if n > VERTEX_GUARD:
@@ -214,18 +217,23 @@ def check_vertices(n: int) -> None:
 def classify_components(g: CoxeterGraph) -> ClassificationResult:
     """The work of ``classify.classify``, which documents it."""
     check_vertices(g.n)
-    adj, nbr = g._adjacency(), [0] * g.n
-    for a, b in g.labels:
-        nbr[a], nbr[b] = nbr[a] | 1 << b, nbr[b] | 1 << a
+    adj = g._adjacency()
+    nbr = g._nbr  # built with adj
     results = []
     for part in _parts(nbr, (1 << g.n) - 1):
         vertices, match = tuple(_vertices(part)), _match_connected(adj, nbr, part)
         if match is None:
-            minimal, sub = minimal_rejected(adj, nbr, part, _match_connected)
-            witness = Witness(_certify(sub, minimal), len(minimal), tuple(minimal))
-            results.append(ComponentResult(vertices, None, witness))
+            minimal = minimal_rejected(adj, nbr, part, _match_connected)
+            witness = tuple(_vertices(minimal))
+            kind = _certify(adj, witness, minimal)
+            results.append(ComponentResult(vertices, None, Witness(kind, len(witness), witness)))
         elif _positive_definite(adj, vertices):
-            results.append(ComponentResult(vertices, TypeLabel(*match), None))
+            label = _LABELS.get(match)
+            if label is None:
+                label = TypeLabel(*match)
+                if match[0] != "I2":
+                    _LABELS[match] = label
+            results.append(ComponentResult(vertices, label, None))
         else:
             raise InternalInconsistencyError(
                 f"catalog match {TypeLabel(*match)} is not positive definite on component {vertices}"
@@ -235,7 +243,12 @@ def classify_components(g: CoxeterGraph) -> ClassificationResult:
 
 def classification_catalog(max_rank: int = 8, dihedral_bonds=range(5, 13)) -> list[TypeLabel]:
     """Every catalog label of rank <= max_rank (I2 over the given bonds, from
-    ``max_rank`` 2 on)."""
+    ``max_rank`` 2 on).  A bond below 5 is a ValidationError: ``classify``
+    names I2(3) and I2(4) A2 and B2."""
+    dihedral_bonds = list(dihedral_bonds)
+    for m in dihedral_bonds:
+        if type(m) is int and m < 5:
+            raise ValidationError(f"dihedral bond {m} is below 5: classify names I2(3) and I2(4) A2 and B2")
     out = [TypeLabel("A", n) for n in range(1, max_rank + 1)]
     out += [TypeLabel("B", n) for n in range(2, max_rank + 1)]
     out += [TypeLabel("D", n) for n in range(4, max_rank + 1)]

@@ -10,11 +10,12 @@ imports this module on its first call, so the commands that only name a
 type never compile it.
 
 The checks read a graph through one adjacency ``adj``, ``adj[v]`` mapping
-each neighbour of v, in increasing order, to its bond (``CoxeterGraph._adjacency``).
-The sign checks take a subgraph closed in ``adj`` as its increasing vertex
-list; the searches take a vertex mask (bit v for vertex v) and ``nbr[v]``, the
-mask of v's neighbours, so no candidate copies ``adj``.  No elimination
-divides; bonds 3 and inf (on a forest, 4 and 6) load no cyclotomic.
+each neighbour of v, in increasing order, to its bond, and ``nbr[v]``, the
+mask of v's neighbours (both from ``CoxeterGraph._adjacency``).  The sign
+checks take a subgraph closed in ``adj`` as its increasing vertex list; the
+searches take a vertex mask (bit v for vertex v), so no candidate copies
+``adj``.  No elimination divides, and an int pivot takes its sign inline, so
+no ``linalg`` loads; bonds 3 and inf (on a forest, 4 and 6) load no cyclotomic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from bisect import insort
 
 from .errors import InternalInconsistencyError
 from .graphs import INFINITY, CoxeterGraph
-from .linalg import sign
 
 
 class _ByBond(dict):
@@ -68,26 +68,27 @@ def pivot_signs(g: CoxeterGraph) -> list[int]:
 
 def _pivot_signs(adj, vertices) -> list[int]:
     """``pivot_signs`` of the graph on the increasing ``vertices``."""
-    forest = sum(len(adj[v]) for v in vertices) < 2 * len(vertices)  # fewer than n edges
-    signs = _forest_signs(adj, vertices) if forest else None
+    signs = _forest_signs(adj, vertices)
     return _row_signs(adj, vertices) if signs is None else signs
 
 
 def _forest_signs(adj, vertices) -> list[int] | None:
-    """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle.
-    ``ready`` lists the isolated vertices, then the leaves, each increasing: the
-    order of ``pivot_signs``.  ``left`` counts remaining neighbours; a vertex at 1
-    is ``insort``-ed among the leaves, one at 0 is next; weights come from ``adj``.
-    An int pivot takes its sign inline, and only a cyclotomic one calls ``sign``;
+    """``_pivot_signs`` by the leaf recurrence on 2G, or None at a cycle (at once
+    for n edges or more).  ``ready`` lists the isolated vertices, then the
+    leaves, each increasing: the order of ``pivot_signs``.  ``left`` counts
+    remaining neighbours; a vertex at 1 is ``insort``-ed among the leaves, one
+    at 0 is next; weights come from ``adj``.  An int pivot takes its sign inline;
     a leaf's update walks its bonds up to the one neighbour still left."""
     left = {v: len(adj[v]) for v in vertices}
-    ready = sorted([v for v in vertices if left[v] < 2], key=left.__getitem__)
-    num, den = dict.fromkeys(vertices, 2), dict.fromkeys(vertices, 1)
+    if sum(left.values()) >= 2 * len(left):
+        return None
+    ready = [v for v in vertices if not left[v]] + [v for v in vertices if left[v] == 1]
+    pivot = dict.fromkeys(vertices, (2, 1))  # each diagonal of 2G as (num, den)
     signs = []
     while ready:
         v = ready.pop(0)
-        a, b = num[v], den[v]
-        s = (a > 0) - (a < 0) if type(a) is int else sign(a)
+        a, b = pivot[v]
+        s = (a > 0) - (a < 0) if type(a) is int else a.sign()
         signs.append(s)
         if s <= 0:
             return signs
@@ -95,8 +96,8 @@ def _forest_signs(adj, vertices) -> list[int] | None:
             for u, m in adj[v].items():
                 if u in left:
                     left[u] -= 1
-                    num[u] = num[u] * a - b * den[u] * _WEIGHTS[m]
-                    den[u] = den[u] * a
+                    num, den = pivot[u]
+                    pivot[u] = num * a - b * den * _WEIGHTS[m], den * a
                     if left[u] == 1:
                         insort(ready, u)
                     elif not left[u]:
@@ -116,7 +117,7 @@ def _row_signs(adj, vertices) -> list[int]:
         v = min(rows, key=lambda u: (len(rows[u]), u))
         row = rows.pop(v)
         p = row.pop(v)
-        signs.append(sign(p))
+        signs.append((p > 0) - (p < 0) if type(p) is int else p.sign())
         if signs[-1] <= 0:
             break
         for u in row:
@@ -169,10 +170,10 @@ def _parts(nbr, mask: int) -> list[int]:
     return parts
 
 
-def minimal_rejected(adj, nbr, mask: int, match) -> tuple[list[int], dict]:
+def minimal_rejected(adj, nbr, mask: int, match) -> int:
     """A minimal connected induced subgraph that ``match(adj, nbr, part)``
     rejects (maps to None) in the connected, rejected graph on the vertex
-    mask ``mask``: its sorted vertices, and ``adj`` cut to them.
+    mask ``mask``, as its vertex mask.
 
     One sweep over the vertices: when deleting v leaves a rejected part,
     move into that part.  A vertex whose deletion left only matched parts is
@@ -182,7 +183,7 @@ def minimal_rejected(adj, nbr, mask: int, match) -> tuple[list[int], dict]:
     A single vertex (A1) is skipped, and a part of two is rejected exactly at
     the bond INFINITY, by one lookup.  The sweep steps through the vertices
     still in the part by their lowest bit, increasing, and builds no vertex
-    list; the pair is built once, at the end.
+    list and no cut adjacency; ``_certify`` reads the part through ``adj``.
     """
     part = todo = mask
     while todo:
@@ -195,8 +196,7 @@ def minimal_rejected(adj, nbr, mask: int, match) -> tuple[list[int], dict]:
                 part = comp
                 break
         todo = (todo ^ low) & part
-    vertices = _vertices(part)
-    return vertices, {u: {w: m for w, m in adj[u].items() if part >> w & 1} for u in vertices}
+    return part
 
 
 def certify(g: CoxeterGraph) -> str:
@@ -211,22 +211,26 @@ def certify(g: CoxeterGraph) -> str:
     at most 5 and the sparse pivot signs decide.  Anything else raises
     InternalInconsistencyError: the matcher and exact arithmetic disagree.
     """
-    return _certify(g._adjacency(), range(g.n))
+    return _certify(g._adjacency(), range(g.n), (1 << g.n) - 1)
 
 
-def _certify(adj, vertices) -> str:
-    """``certify`` of the graph on the increasing ``vertices``."""
+def _certify(adj, vertices, part: int) -> str:
+    """``certify`` of the graph on the increasing ``vertices``, with mask ``part``;
+    only rank 4 and up cuts ``adj`` to ``part``."""
     n = len(vertices)
-    labels = [m for v in vertices for u, m in adj[v].items() if u > v]
-    if n == 2 and labels == [INFINITY]:
+    if n == 2 and adj[vertices[0]].get(vertices[1]) == INFINITY:
         return "affine"
-    if n == 3 and INFINITY not in labels:
-        p, q, r = (labels + [2])[:3]  # a path is the triangle with m = 2 on its open pair
-        total, bound = q * r + p * r + p * q, p * q * r
-        if total <= bound:
-            return "affine" if total == bound else "hyperbolic"
-    if n >= 4 and labels and max(labels) <= 5:
-        signs = _pivot_signs(adj, vertices)
-        if len(signs) == n and (signs[-1] == 0 or (signs[-1] < 0 and n <= 5)):
-            return "affine" if signs[-1] == 0 else "hyperbolic"
+    if n == 3:
+        a, b, c = vertices
+        p, q, r = labels = adj[a].get(b, 2), adj[a].get(c, 2), adj[b].get(c, 2)  # 2 on an open pair
+        if INFINITY not in labels:
+            total, bound = q * r + p * r + p * q, p * q * r
+            if total <= bound:
+                return "affine" if total == bound else "hyperbolic"
+    if n >= 4:
+        cut = {v: {u: m for u, m in adj[v].items() if part >> u & 1} for v in vertices}
+        if max((m for row in cut.values() for m in row.values()), default=INFINITY) <= 5:
+            signs = _pivot_signs(cut, vertices)
+            if len(signs) == n and (signs[-1] == 0 or (signs[-1] < 0 and n <= 5)):
+                return "affine" if signs[-1] == 0 else "hyperbolic"
     raise InternalInconsistencyError(f"no exact certificate for the rejected subgraph on {list(vertices)}")

@@ -27,7 +27,7 @@ compiles every module it loads, so a command loads only its own family's
 code.  This module imports only what the package loads anyway
 (``classify`` and ``errors``); each command imports the rest inside its own
 function.  ``classify`` loads the classifier (``catalog``, with
-``certify``, ``graphs`` and ``linalg``) and never a group module; it adds
+``certify`` and ``graphs``; not ``linalg``) and never a group module; it adds
 ``cyclotomic`` only for a bond outside {3, 4, 6, inf} or an irrational
 Gram entry on a cycle.  ``irreps`` loads only the dimension module of
 the family: ``tableaux`` for A/B/D, ``dihedral`` for I2(m).  ``realize``

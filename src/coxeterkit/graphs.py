@@ -15,17 +15,17 @@ and the labels must be JSON integers: ``false``, ``true`` and ``0.0`` are
 rejected, though Python takes them for 0, 1 and 0.
 
 A graph builds one adjacency on first use (``_adjacency``): each vertex's
-neighbours in increasing order with their bonds.  The classifier reads
-every subgraph through it, and its searches hold vertex sets as bitmasks.
+neighbours in increasing order with their bonds, and each vertex's
+neighbour mask.  The classifier reads every subgraph through them, its
+searches holding vertex sets as bitmasks.  Only the Gram matrix loads
+``linalg`` and ``fractions``, which classifying never needs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ValidationError
-from .linalg import Matrix
 
 INFINITY = math.inf
 
@@ -37,7 +37,7 @@ def _is_valid_label(m) -> bool:
 class CoxeterGraph:
     """Labeled graph of a Coxeter system; immutable after construction."""
 
-    __slots__ = ("n", "labels", "_adj")
+    __slots__ = ("n", "labels", "_adj", "_nbr")
 
     def __init__(self, n: int, edges=()):
         if type(n) is not int or n < 1:
@@ -62,12 +62,12 @@ class CoxeterGraph:
                 raise ValidationError(f"vertex out of range in edge ({i}, {j})")
             if key in labels:
                 raise ValidationError(f"duplicate edge {key}")
-            if not _is_valid_label(m):
+            if not (m is INFINITY or type(m) is int and m >= 2):  # _is_valid_label, inline
                 raise ValidationError(f"bond label must be an integer >= 2 or INFINITY, got {m!r}")
             labels[key] = m
         self.n = n
         self.labels = {k: m for k, m in labels.items() if m != 2} if 2 in labels.values() else labels
-        self._adj = None
+        self._adj = self._nbr = None
 
     def _vertex(self, v: int) -> int:
         """v, which must be an exact int in 0..n-1, else ValidationError."""
@@ -86,12 +86,15 @@ class CoxeterGraph:
 
     def _adjacency(self) -> list[dict]:
         """The graph's one adjacency, built on the first call: entry v maps each
-        neighbour of v, in increasing order, to its bond; never to be changed."""
+        neighbour of v, in increasing order, to its bond; never to be changed.
+        The same loop fills ``_nbr``, entry v the mask of v's neighbours."""
         adj = self._adj
         if adj is None:
-            adj = self._adj = [{} for _ in range(self.n)]
+            adj, nbr = self._adj, self._nbr = [{} for _ in range(self.n)], [0] * self.n
             for (a, b), m in sorted(self.labels.items()):  # so each entry comes sorted
                 adj[a][b] = adj[b][a] = m
+                nbr[a] |= 1 << b
+                nbr[b] |= 1 << a
         return adj
 
     def neighbors(self, i: int) -> list[int]:
@@ -164,7 +167,7 @@ def matrix_from_graph(g: CoxeterGraph) -> CoxeterMatrix:
     )
 
 
-_RATIONAL_ENTRIES = {2: Fraction(0), 3: Fraction(-1, 2), INFINITY: Fraction(-1)}
+_RATIONAL_ENTRIES = {2: (0, 1), 3: (-1, 2), INFINITY: (-1, 1)}
 
 
 def gram_entry(m):
@@ -176,18 +179,24 @@ def gram_entry(m):
     if type(m) is int or m == INFINITY:
         c = _RATIONAL_ENTRIES.get(m)
         if c is not None:
-            return c
+            from fractions import Fraction
+
+            return Fraction(*c)
     from .cyclotomic import real_cos_pi_over
 
     return -real_cos_pi_over(m)
 
 
-def gram_matrix(g: CoxeterGraph) -> Matrix:
+def gram_matrix(g: CoxeterGraph):
     """Matrix of the canonical bilinear form: -cos(pi/m(i,j)), unit diagonal.
 
     Entries that happen to be rational are stored as Fractions.  Each
     distinct label's entry is built once and shared by its cells.
     """
+    from fractions import Fraction
+
+    from .linalg import Matrix
+
     entry = {m: gram_entry(m) for m in {2, *g.labels.values()}}
     entry[1] = Fraction(1)
     return Matrix([[entry[g.label(i, j)] for j in range(g.n)] for i in range(g.n)])
@@ -200,7 +209,7 @@ def _induced(labels: dict, keep) -> CoxeterGraph:
     g = object.__new__(CoxeterGraph)
     g.n = len(back)
     g.labels = {(back[i], back[j]): m for (i, j), m in labels.items() if i in back and j in back}
-    g._adj = None
+    g._adj = g._nbr = None
     return g
 
 

@@ -311,13 +311,15 @@ def test_max_order_leaves_exceptional_types_to_the_command():
 
 
 def test_closed_stdout_ends_quietly():
-    """The CLI and the table-dump script, each writing into a pipe whose read
-    end is closed before the child starts, so that its first write fails; and
-    the CLI once more, into a reader that takes one line of a table larger
-    than a pipe buffer and then closes, so that a later write fails."""
+    """The CLI, the table-dump script and the tensor-square scan, each writing
+    into a pipe whose read end is closed before the child starts, so that its
+    first write fails; and the CLI once more, into a reader that takes one
+    line of a table larger than a pipe buffer and then closes, so that a
+    later write fails."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    for argv in (["-m", "coxeterkit", "chartable", "A3"], [str(root / "scripts" / "print_character_tables.py")]):
+    for argv in (["-m", "coxeterkit", "chartable", "A3"], [str(root / "scripts" / "print_character_tables.py")],
+                 [str(root / "scripts" / "tensor_square_scan.py")]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

@@ -141,6 +141,7 @@ def test_adjacency_rows_are_increasing_for_any_edge_order(seed):
         adj = g._adjacency()
         assert [list(row) for row in adj] == [[u for u in range(n) if g.label(v, u) not in (1, 2)] for v in range(n)]
         assert all(row[u] == g.label(v, u) for v, row in enumerate(adj) for u in row)
+        assert g._nbr == [sum(1 << u for u in row) for row in adj]  # the masks come with the rows
 
 
 def test_subgraph_operations():

@@ -32,20 +32,22 @@ CHAIN = {"classify", "errors"}
 BASE = CHAIN | {"cli"}
 # what classify() loads on its first call; ``cyclotomic`` joins it only for
 # a graph with an irrational Gram entry on a cycle or a bond outside {3, 4, 6, inf}
-CLASSIFIER = {"catalog", "certify", "graphs", "linalg"}
+CLASSIFIER = {"catalog", "certify", "graphs"}
 # the enumeration engine, which only verify loads
 ENGINE = {"groups", "reps"}
 # what a table command of A_n, B_n, D_n and of I2(m) must not compile
-NOT_FOR_PERMUTATION_TABLES = {"dihedral", "specht"} | ENGINE | CLASSIFIER
-NOT_FOR_DIHEDRAL_TABLES = {"permutations", "tableaux", "specht"} | ENGINE | CLASSIFIER
+NOT_FOR_PERMUTATION_TABLES = {"dihedral", "specht", "linalg"} | ENGINE | CLASSIFIER
+NOT_FOR_DIHEDRAL_TABLES = {"permutations", "tableaux", "specht", "linalg"} | ENGINE | CLASSIFIER
+# the stdlib modules of Fraction arithmetic, which an int-only classify never needs
+FRACTION_MODULES = ("fractions", "decimal")
 
 PROBE = """
 import io, json, sys
 from coxeterkit import cli
 code = cli.main(sys.argv[1:], out=io.StringIO())
 loaded = sorted(m[len("coxeterkit."):] for m in sys.modules if m.startswith("coxeterkit."))
-print(json.dumps([code, loaded]))
-"""
+print(json.dumps([code, loaded, sorted(m for m in %r if m in sys.modules)]))
+""" % (FRACTION_MODULES,)
 
 
 def fresh_python(source: str, *argv: str) -> str:
@@ -57,10 +59,15 @@ def fresh_python(source: str, *argv: str) -> str:
     return proc.stdout
 
 
-def modules_after(*argv: str, exit_code: int = 0) -> set:
-    code, loaded = json.loads(fresh_python(PROBE, *argv))
+def loads_after(*argv: str, exit_code: int = 0) -> tuple[set, set]:
+    """The coxeterkit modules and the ``FRACTION_MODULES`` that a fresh CLI run loads."""
+    code, loaded, fraction_modules = json.loads(fresh_python(PROBE, *argv))
     assert code == exit_code
-    return set(loaded)
+    return set(loaded), set(fraction_modules)
+
+
+def modules_after(*argv: str, exit_code: int = 0) -> set:
+    return loads_after(*argv, exit_code=exit_code)[0]
 
 
 def test_package_import_loads_only_the_classification_chain():
@@ -71,7 +78,7 @@ def test_package_import_loads_only_the_classification_chain():
 def test_classify_never_loads_groups(tmp_path):
     path = tmp_path / "b3.json"
     path.write_text('{"n": 3, "edges": [[0, 1, 4], [1, 2, 3]]}')
-    assert modules_after("classify", str(path)) == BASE | CLASSIFIER
+    assert loads_after("classify", str(path)) == (BASE | CLASSIFIER, set())
 
 
 @pytest.mark.parametrize("edges, exit_code", [
@@ -83,9 +90,10 @@ def test_classify_never_loads_groups(tmp_path):
     ([[0, 1, 3], [1, 2, 3], [0, 2, 3]], 2),  # affine A~2, a cycle of rational entries
 ])
 def test_classify_of_bonds_3_4_6_inf_loads_no_cyclotomic(tmp_path, edges, exit_code):
+    """Nor ``linalg``, ``fractions`` or ``decimal``: every pivot is an int."""
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"n": 1 + max(max(i, j) for i, j, _ in edges), "edges": edges}))
-    assert modules_after("classify", str(path), exit_code=exit_code) == BASE | CLASSIFIER
+    assert loads_after("classify", str(path), exit_code=exit_code) == (BASE | CLASSIFIER, set())
 
 
 def test_classify_of_a_5_bond_loads_cyclotomic(tmp_path):
@@ -273,7 +281,7 @@ def test_the_process_entry_keeps_the_interpreter_shutdown(argv, exit_code):
 
 # what verify of every family loads: the classifier for the graph checks,
 # the engine, the roots and the class data
-VERIFY = BASE | CLASSIFIER | ENGINE | {"verify", "roots", "classes"}
+VERIFY = BASE | CLASSIFIER | ENGINE | {"verify", "roots", "classes", "linalg"}
 
 
 @pytest.mark.parametrize("target", ["A3", "B3", "D4"])
